@@ -2,7 +2,8 @@
 
 Graph arguments accept a file path or '-' for stdin; input may be MGR text
 or the JSON form.  Exit codes: 0 success, 1 a scan/suite found violations,
-2 usage or configuration errors.
+2 usage, input or configuration errors (malformed graphs, non-positive
+timeouts).
 """
 
 from __future__ import annotations
@@ -138,6 +139,16 @@ def _cmd_lemma_suite(args) -> int:
     return 1 if report.violation_count > 0 else 0
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not seconds > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steffenlab",
@@ -152,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="chromatic index with optional witness file")
     p.add_argument("graph")
     p.add_argument("--mode", choices=["search", "gs"], default="search")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
     p.add_argument("--witness-out")
     p.set_defaults(func=_cmd_chi)
 
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="criticality test and critical subgraph")
     p.add_argument("graph")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("partition", help="greedy shortest-cycle partition")
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ring-find", help="ring subgraph with a target chromatic index")
     p.add_argument("graph")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
     p.set_defaults(func=_cmd_ring_find)
 
     p = sub.add_parser("gen", help="emit a named family as MGR text")

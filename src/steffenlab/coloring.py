@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, PreconditionFailed, SolverTimeout
-from .invariants import density
+from .invariants import density, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
@@ -187,15 +187,17 @@ def chromatic_index(
     Delta + mu; the lower end is exact so the first feasible k is chi'.
     mode "gs": when Gamma >= Delta + 2, chi' equals Gamma, so a single
     feasibility call suffices; otherwise falls back to the search.
+    Density is skipped when the underlying simple graph is bipartite: then
+    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.
     """
-    if mode not in ("search", "gs", "gs-fastpath"):
+    if mode not in ("search", "gs"):
         raise ValueError(f"unknown mode {mode!r}")
     if not G.edges:
         return 0, EdgeColoring(0, ())
     delta_max = max(G.degrees)
     mu = G.max_mult
-    gamma = density(G, cap=density_cap).gamma
-    if mode in ("gs", "gs-fastpath") and gamma >= delta_max + 2:
+    gamma = delta_max if is_bipartite(G) else density(G, cap=density_cap).gamma
+    if mode == "gs" and gamma >= delta_max + 2:
         witness = is_k_colorable(G, gamma, _deadline(timeout_seconds))
         if witness is None:
             raise PreconditionFailed(

@@ -22,10 +22,10 @@ class NotEnoughParallelEdges(GraphError):
 
 
 class ParseError(GraphError):
-    """Malformed MGR text.  Carries the 1-based line number."""
+    """Malformed MGR text or JSON graph.  MGR errors carry the 1-based line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -7,18 +7,27 @@ taking the minimum multiplicity-matrix key over all completions.  This is an
 exhaustive permutation search pruned to class-respecting relabelings, exact
 for every multigraph (n <= 10 keeps even the fully symmetric cases cheap).
 
-Enumeration proceeds in two layers: non-isomorphic simple graphs grown one
-edge at a time with canonical-key deduplication (girth constraints prune
-whole branches, since adding edges never increases girth), then multiplicity
-assignments on each simple representative, deduplicated by full canonical
-form of the resulting multigraph.
+Enumeration proceeds in two layers.  The simple-graph layer grows
+non-isomorphic simple graphs one edge at a time with canonical-key
+deduplication (girth constraints prune whole branches, since adding edges
+never increases girth).  The multiplicity layer is orderly (Read, 1978): for
+each simple representative S it computes Aut(S) once, as permutations of
+S's edge list, and keeps a multiplicity vector only if it is the lex-min of
+its orbit.  Isomorphic multigraphs have isomorphic underlying simple graphs,
+so each class comes from exactly one S and one orbit and is canonicalised
+exactly once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
+simple representative is an independent task, which is how scans shard the
+multiplicity layer over their worker pool; a class travels as its key, and
+`graph_from_key` rebuilds the representative.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
@@ -186,8 +195,11 @@ def _canonical_search(G: Multigraph, colors: list[int], adj) -> tuple[bytes, lis
     return best
 
 
-def _canonicalize(G: Multigraph) -> tuple[str, Multigraph]:
-    """Canonical key string plus the canonically relabeled graph."""
+def _canonical_labeling(G: Multigraph) -> tuple[str, list[int]]:
+    """Canonical key string plus the relabeling that realizes it.
+
+    The key is the two-digit n, a dot, and the hex of the relabeled matrix.
+    """
     if G.n > CANONICAL_N_CAP:
         raise InstanceTooLarge(f"canonical form needs n <= {CANONICAL_N_CAP}, got {G.n}")
     if G.max_mult > 255:
@@ -197,14 +209,31 @@ def _canonicalize(G: Multigraph) -> tuple[str, Multigraph]:
         adj[u].append((v, m))
         adj[v].append((u, m))
     key_bytes, perm = _canonical_search(G, [0] * G.n, adj)
-    key = f"{G.n:02d}." + key_bytes.hex()
-    relabeled = build(G.n, [(perm[u], perm[v], m) for u, v, m in G.edges])
-    return key, relabeled
+    return f"{G.n:02d}." + key_bytes.hex(), perm
+
+
+def graph_from_key(key: str) -> Multigraph:
+    """The canonical representative: the graph whose matrix key is `key`.
+
+    Equals any member of the class relabeled by its canonical labeling, so
+    workers can ship keys alone.
+    """
+    head, _, body = key.partition(".")
+    n = int(head)
+    mat = bytes.fromhex(body)
+    edges = []
+    i = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if mat[i]:
+                edges.append((u, v, mat[i]))
+            i += 1
+    return Multigraph(n, tuple(edges))
 
 
 def canonical_form(G: Multigraph) -> CanonicalForm:
     """Isomorphism-class key: equal keys iff isomorphic with multiplicities."""
-    return CanonicalForm(_canonicalize(G)[0])
+    return CanonicalForm(_canonical_labeling(G)[0])
 
 
 def _is_connected(G: Multigraph) -> bool:
@@ -229,9 +258,8 @@ def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigrap
     have isolated vertices (callers filter at emission).  Branches whose
     girth already dropped below girth_min are pruned: more edges never help.
     """
-    level: dict[str, Multigraph] = {}
     empty = build(n, [])
-    level[_canonicalize(empty)[0]] = empty
+    level: dict[str, Multigraph] = {_canonical_labeling(empty)[0]: empty}
     yield empty
     edge_budget = min(max_edges, n * (n - 1) // 2)
     for _ in range(edge_budget):
@@ -246,9 +274,9 @@ def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigrap
                     g = girth(H)
                     if g != INFINITE_GIRTH and g < girth_min:
                         continue
-                    key, rep = _canonicalize(H)
+                    key = _canonical_labeling(H)[0]
                     if key not in nxt:
-                        nxt[key] = rep
+                        nxt[key] = graph_from_key(key)
         level = nxt
         for key in sorted(level):
             yield level[key]
@@ -256,8 +284,74 @@ def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigrap
             break
 
 
+def simple_representatives(spec: EnumSpec) -> Iterator[Multigraph]:
+    """The simple graphs that underlie the spec's classes, one per class of them."""
+    for n in range(spec.n_min, spec.n_max + 1):
+        for simple in _simple_graphs(n, spec.girth_min, spec.max_edge_copies):
+            if not simple.edges or 0 in simple.degrees:
+                continue
+            g = girth(simple)
+            if g == INFINITE_GIRTH:
+                if spec.require_cycle:
+                    continue
+            elif g < spec.girth_min:
+                continue
+            if spec.connected_only and not _is_connected(simple):
+                continue
+            yield simple
+
+
+def _edge_automorphisms(S: Multigraph) -> list[tuple[int, ...]]:
+    """Every non-identity automorphism of simple S as a permutation of edge indices.
+
+    Refinement colors are invariant under automorphisms, so each vertex maps
+    into its own color class; the backtrack maps vertices smallest class
+    first and keeps adjacency to every already mapped vertex.  Entry i of a
+    permutation is the index in S.edges of the image of S.edges[i].
+    """
+    n = S.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in S.edges:
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    colors = _refine([0] * n, adj)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    order = sorted(range(n), key=lambda v: (len(classes[colors[v]]), v))
+    nbrs = [frozenset(u for u, _ in adj[v]) for v in range(n)]
+    index = {(u, v): i for i, (u, v, _) in enumerate(S.edges)}
+    identity = tuple(range(len(S.edges)))
+    image = [-1] * n
+    taken = [False] * n
+    perms: list[tuple[int, ...]] = []
+
+    def extend(depth: int) -> None:
+        if depth == n:
+            perm = tuple(
+                index[(a, b) if a < b else (b, a)]
+                for a, b in ((image[u], image[v]) for u, v, _ in S.edges)
+            )
+            if perm != identity:
+                perms.append(perm)
+            return
+        v = order[depth]
+        for w in classes[colors[v]]:
+            if taken[w]:
+                continue
+            if all((x in nbrs[v]) == (image[x] in nbrs[w]) for x in order[:depth]):
+                image[v] = w
+                taken[w] = True
+                extend(depth + 1)
+                taken[w] = False
+        image[v] = -1
+
+    extend(0)
+    return perms
+
+
 def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """All multiplicity vectors in {1..max_mu}^m with sum <= budget."""
+    """All multiplicity vectors in {1..max_mu}^m with sum <= budget, in lex order."""
     if m > budget:
         return
     vec = [1] * m
@@ -275,31 +369,31 @@ def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, 0)
 
 
+def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
+    """Canonical keys of the spec's classes whose underlying simple graph is `simple`.
+
+    Two multiplicity vectors on the edges of `simple` give isomorphic
+    multigraphs iff an automorphism of `simple` carries one onto the other,
+    so only the lex-min vector of each orbit is canonicalised, and each key
+    comes out exactly once.
+    """
+    pairs = [(u, v) for u, v, _ in simple.edges]
+    images = [itemgetter(*perm) for perm in _edge_automorphisms(simple)]
+    keys = []
+    for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
+        if any(image(vec) < vec for image in images):
+            continue  # a smaller vector of the same orbit is kept instead
+        H = build(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)])
+        keys.append(_canonical_labeling(H)[0])
+    return keys
+
+
 def enumerate_with_keys(spec: EnumSpec) -> Iterator[tuple[str, Multigraph]]:
-    """(canonical key, graph) pairs, one per isomorphism class, key-sorted per n."""
-    for n in range(spec.n_min, spec.n_max + 1):
-        found: dict[str, Multigraph] = {}
-        for simple in _simple_graphs(n, spec.girth_min, spec.max_edge_copies):
-            if not simple.edges:
-                continue
-            if any(d == 0 for d in simple.degrees):
-                continue
-            g = girth(simple)
-            if g == INFINITE_GIRTH:
-                if spec.require_cycle:
-                    continue
-            elif g < spec.girth_min:
-                continue
-            if spec.connected_only and not _is_connected(simple):
-                continue
-            pairs = list(simple.pairs())
-            for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
-                H = build(n, [(u, v, m) for (u, v), m in zip(pairs, vec)])
-                key, rep = _canonicalize(H)
-                if key not in found:
-                    found[key] = rep
-        for key in sorted(found):
-            yield key, found[key]
+    """(canonical key, graph) pairs, one per isomorphism class, key-sorted."""
+    keys = [k for simple in simple_representatives(spec) for k in multiplicity_keys(spec, simple)]
+    keys.sort()
+    for key in keys:
+        yield key, graph_from_key(key)
 
 
 def enumerate_multigraphs(spec: EnumSpec) -> Iterator[Multigraph]:
@@ -310,10 +404,13 @@ def enumerate_multigraphs(spec: EnumSpec) -> Iterator[Multigraph]:
 
 def write_checkpoint(path: str, spec: EnumSpec, keys: list[str]) -> None:
     """Checkpoint file: JSON spec echo as a header comment, then sorted keys."""
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
         for key in sorted(keys):
             fh.write(key + "\n")
+    # a crash leaves either the old checkpoint or the new one, never a torn file
+    os.replace(tmp, path)
 
 
 def read_checkpoint(path: str) -> tuple[dict | None, set[str]]:

@@ -168,6 +168,34 @@ def _bfs_dist(view: SimpleGraphView, allowed: set[int], src: int) -> dict[int, i
     return dist
 
 
+def is_bipartite(G: Multigraph) -> bool:
+    """True iff the underlying simple graph has a proper 2-coloring.
+
+    One BFS 2-coloring per component, stopping at the first edge inside a
+    side.  Plain lists keep it allocation-light: it runs on every
+    chromatic_index call.
+    """
+    adj: list[list[int]] = [[] for _ in range(G.n)]
+    for u, v, _ in G.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    side = [-1] * G.n
+    for root in range(G.n):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if side[y] < 0:
+                    side[y] = 1 - side[x]
+                    queue.append(y)
+                elif side[y] == side[x]:
+                    return False
+    return True
+
+
 def density(G: Multigraph, cap: int = DENSITY_ENUMERATION_CAP) -> DensityWitness:
     """Exact max over odd vertex sets S, |S| >= 3, of ceil(2|E(G[S])| / (|S|-1)).
 

@@ -248,12 +248,24 @@ def to_json_obj(G: Multigraph) -> dict:
 
 
 def from_json_obj(obj: dict) -> Multigraph:
-    return build(int(obj["n"]), [(int(u), int(v), int(m)) for u, v, m in obj["edges"]])
+    """Build from {"n": count, "edges": [[u, v, mult], ...]}; ParseError if malformed."""
+    try:
+        n = int(obj["n"])
+        triples = [(int(u), int(v), int(m)) for u, v, m in obj["edges"]]
+    except KeyError as exc:
+        raise ParseError(f"JSON graph lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed JSON graph: {exc}") from None
+    return build(n, triples)
 
 
 def parse_any(text: str) -> Multigraph:
     """Parse MGR text, or the JSON form if the payload starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return from_json_obj(json.loads(stripped))
+        try:
+            obj = json.loads(stripped)
+        except ValueError as exc:
+            raise ParseError(f"bad JSON: {exc}") from None
+        return from_json_obj(obj)
     return parse(text)

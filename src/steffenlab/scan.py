@@ -25,8 +25,11 @@ from .errors import ConfigError, SolverTimeout
 from .generators import (
     EnumSpec,
     enumerate_with_keys,
+    graph_from_key,
+    multiplicity_keys,
     random_multigraph,
     read_checkpoint,
+    simple_representatives,
     write_checkpoint,
 )
 from .invariants import (
@@ -264,9 +267,12 @@ def _worker_init(config_json: str) -> None:
     _WORKER_CONFIG = ScanConfig.from_json_obj(json.loads(config_json))
 
 
-def _worker_record(item: tuple[str, Multigraph]) -> dict:
-    key, G = item
-    return compute_record(key, G, _WORKER_CONFIG)
+def _worker_record(key: str) -> dict:
+    return compute_record(key, graph_from_key(key), _WORKER_CONFIG)
+
+
+def _worker_shard(simple: Multigraph) -> list[str]:
+    return multiplicity_keys(_WORKER_CONFIG.enum_spec, simple)
 
 
 def run_scan(config: ScanConfig) -> ScanSummary:
@@ -275,13 +281,36 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     Resumes from the checkpoint when one exists; records already on disk are
     folded into the summary without recomputation.  Interrupts flush whole
     lines only.
+
+    With workers > 1 one process pool serves both phases.  The parent grows
+    the simple graphs, and each worker task runs the multiplicity layer on
+    one simple representative.  Keys of different representatives never
+    collide, so the merge is a sort.  Records are then mapped over the same
+    pool by key alone; a worker rebuilds the graph from its key.
     """
-    items = sorted(enumerate_with_keys(config.enum_spec), key=lambda kv: kv[0])
+    if config.workers == 1:
+        return _run_scan(config, None)
+    with ProcessPoolExecutor(
+        max_workers=config.workers,
+        initializer=_worker_init,
+        initargs=(json.dumps(config.to_json_obj()),),
+    ) as pool:
+        return _run_scan(config, pool)
+
+
+def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSummary:
+    spec = config.enum_spec
+    if pool is None:
+        graphs = dict(enumerate_with_keys(spec))
+        keys = list(graphs)
+    else:
+        shards = pool.map(_worker_shard, simple_representatives(spec))
+        keys = sorted(k for shard in shards for k in shard)
     done_keys: set[str] = set()
     ckpt_path = config.effective_checkpoint()
     if os.path.exists(ckpt_path):
         spec_echo, done_keys = read_checkpoint(ckpt_path)
-        if spec_echo is not None and spec_echo != config.enum_spec.to_json_obj():
+        if spec_echo is not None and spec_echo != spec.to_json_obj():
             raise ConfigError("checkpoint was written by a different enumeration spec")
 
     # keep only records that are both on disk and checkpointed; recompute the rest
@@ -301,7 +330,7 @@ def run_scan(config: ScanConfig) -> ScanSummary:
                     _fold_record(summary, record, config)
     done_keys = existing_keys
 
-    todo = [(k, G) for k, G in items if k not in done_keys]
+    todo = [k for k in keys if k not in done_keys]
     out = open(config.output_path, "w", encoding="utf-8")
     for line in existing_lines:
         out.write(line + "\n")
@@ -309,11 +338,8 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     written_keys = sorted(done_keys)
 
     # processing runs in key order, so appended keys keep the file sorted
-    ckpt = open(ckpt_path, "w", encoding="utf-8")
-    ckpt.write("# " + json.dumps(config.enum_spec.to_json_obj(), sort_keys=True) + "\n")
-    for key in written_keys:
-        ckpt.write(key + "\n")
-    ckpt.flush()
+    write_checkpoint(ckpt_path, spec, written_keys)
+    ckpt = open(ckpt_path, "a", encoding="utf-8")
 
     def emit(record: dict) -> None:
         out.write(_record_line(record) + "\n")
@@ -324,24 +350,18 @@ def run_scan(config: ScanConfig) -> ScanSummary:
         _fold_record(summary, record, config)
 
     try:
-        if config.workers > 1 and len(todo) > 1:
-            config_json = json.dumps(config.to_json_obj())
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_worker_init,
-                initargs=(config_json,),
-            ) as pool:
-                for record in pool.map(_worker_record, todo, chunksize=16):
-                    emit(record)
+        if pool is None:
+            records = (compute_record(key, graphs[key], config) for key in todo)
         else:
-            for key, G in todo:
-                emit(compute_record(key, G, config))
+            records = pool.map(_worker_record, todo, chunksize=16)
+        for record in records:
+            emit(record)
     finally:
         out.flush()
         out.close()
         ckpt.flush()
         ckpt.close()
-    write_checkpoint(ckpt_path, config.enum_spec, written_keys)
+    write_checkpoint(ckpt_path, spec, written_keys)
     return summary
 
 

@@ -3,15 +3,18 @@
 These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
 breaking, the density oracle enumerates odd subsets directly, and the cycle
-oracles enumerate vertex sequences.  Slow on purpose; only run on small
-inputs.
+oracles enumerate vertex sequences.  The enumeration oracle shares only
+the canonical key with the library (the key defines the classes) and
+canonicalises every candidate.  Slow on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from steffenlab.multigraph import Multigraph
+from steffenlab.generators import _canonical_labeling
+from steffenlab.invariants import INFINITE_GIRTH, girth
+from steffenlab.multigraph import Multigraph, build
 
 
 def brute_force_chi(G: Multigraph) -> int:
@@ -144,3 +147,65 @@ def max_disjoint_paths_oracle(G: Multigraph, apex: int, interior: set[int], targ
 
     pack(0, set(), set())
     return best
+
+
+def canonicalize(G: Multigraph) -> tuple[str, Multigraph]:
+    """Canonical key plus G relabeled by the permutation that realizes it."""
+    key, perm = _canonical_labeling(G)
+    return key, build(G.n, [(perm[u], perm[v], m) for u, v, m in G.edges])
+
+
+def enumerate_by_dedup(spec) -> list[tuple[str, Multigraph]]:
+    """Every class of the spec, found by canonicalising every candidate.
+
+    Two layers with no symmetry pruning: simple graphs grown one edge at a
+    time and deduplicated by canonical key, then every multiplicity vector
+    on every simple representative, deduplicated by the canonical key of the
+    multigraph it gives.  Returns (key, representative) pairs sorted by key.
+    """
+    found: dict[str, Multigraph] = {}
+    for n in range(spec.n_min, spec.n_max + 1):
+        level = {canonicalize(build(n, []))[0]: build(n, [])}
+        simples = list(level.values())
+        for _ in range(min(spec.max_edge_copies, n * (n - 1) // 2)):
+            nxt: dict[str, Multigraph] = {}
+            for G in level.values():
+                for u, v in combinations(range(n), 2):
+                    if G.mult(u, v):
+                        continue
+                    H = build(n, list(G.edges) + [(u, v, 1)])
+                    g = girth(H)
+                    if g != INFINITE_GIRTH and g < spec.girth_min:
+                        continue
+                    key, rep = canonicalize(H)
+                    nxt.setdefault(key, rep)
+            level = nxt
+            simples.extend(level.values())
+        for S in simples:
+            if not S.edges or 0 in S.degrees:
+                continue
+            g = girth(S)
+            if g == INFINITE_GIRTH and spec.require_cycle:
+                continue
+            if spec.connected_only and not _connected_by_search(S):
+                continue
+            pairs = list(S.pairs())
+            for vec in product(range(1, spec.max_mu + 1), repeat=len(pairs)):
+                if sum(vec) > spec.max_edge_copies:
+                    continue
+                key, rep = canonicalize(build(n, [(u, v, m) for (u, v), m in zip(pairs, vec)]))
+                found.setdefault(key, rep)
+    return sorted(found.items())
+
+
+def _connected_by_search(G: Multigraph) -> bool:
+    reach = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for u, v, _ in G.edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b not in reach:
+                    reach.add(b)
+                    frontier.append(b)
+    return len(reach) == G.n

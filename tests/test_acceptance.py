@@ -31,6 +31,7 @@ def full6_scan(tmp_path_factory):
     spec = EnumSpec(n_min=1, n_max=6, max_mu=3, girth_min=3, max_edge_copies=12)
     cfg = ScanConfig(enum_spec=spec, output_path=str(out), workers=WORKERS)
     summary = run_scan(cfg)
+    assert summary.total == 18207
     records = [json.loads(line) for line in open(out, encoding="utf-8")]
     return cfg, summary, records
 
@@ -48,6 +49,7 @@ def girth5_scan(tmp_path_factory):
     )
     cfg = ScanConfig(enum_spec=spec, output_path=str(out), workers=WORKERS)
     summary = run_scan(cfg)
+    assert summary.total == 127705
     records = [json.loads(line) for line in open(out, encoding="utf-8")]
     return cfg, summary, records
 

@@ -147,3 +147,14 @@ class TestErrors:
         path = tmp_path / "bad.mgr"
         path.write_text("n 2\ne 0 2 1\n")
         assert cli_main(["invariants", str(path)]) == 2
+
+    def test_json_graph_without_edges_exit_2(self):
+        proc = run_cli(["chi", "-"], stdin_text='{"n": 3}')
+        assert proc.returncode == 2
+        assert "edges" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", [["chi"], ["critical"], ["ring-find", "--target", "3"]])
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+    def test_non_positive_timeout_exit_2(self, command, timeout, c53_file):
+        assert cli_main(command + [c53_file, "--timeout", timeout]) == 2

@@ -92,9 +92,19 @@ class TestChromaticIndex:
             G = sl.random_multigraph(rng, n_max=6, mu_max=3)
             assert sl.chromatic_index(G, "search")[0] == sl.chromatic_index(G, "gs")[0]
 
-    def test_gs_fastpath_alias(self):
-        G = sl.mu_complete(5, 2)
-        assert sl.chromatic_index(G, "gs-fastpath")[0] == 10
+    def test_gs_fastpath_alias_rejected(self):
+        with pytest.raises(ValueError):
+            sl.chromatic_index(sl.mu_complete(5, 2), "gs-fastpath")
+
+    def test_bipartite_beyond_density_cap(self):
+        # n = 24 is past the density cap; bipartite graphs never need density
+        path = sl.build(24, [(i, i + 1, 1) for i in range(23)])
+        cycle = sl.mu_cycle(24, 1)
+        for G in (path, cycle):
+            chi, witness = sl.chromatic_index(G)
+            assert chi == 2
+            assert sl.validate_coloring(G, witness)
+        assert sl.chromatic_index(sl.mu_cycle(24, 3), "gs")[0] == 6
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)

@@ -4,7 +4,14 @@ import pytest
 
 import steffenlab as sl
 from steffenlab.errors import BadParameter, InstanceTooLarge
-from steffenlab.generators import EnumSpec, _simple_graphs, enumerate_with_keys
+from steffenlab.generators import (
+    EnumSpec,
+    _edge_automorphisms,
+    _simple_graphs,
+    enumerate_with_keys,
+    graph_from_key,
+)
+from oracles import canonicalize, enumerate_by_dedup
 
 
 class TestFamilies:
@@ -168,6 +175,71 @@ class TestEnumerateMultigraphs:
         assert conn_count < all_count
 
 
+ORACLE_SPECS = {
+    "full6-shaped": EnumSpec(n_min=1, n_max=5, max_mu=3, girth_min=3, max_edge_copies=12),
+    "girth5-shaped": EnumSpec(
+        n_min=5, n_max=6, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
+    ),
+    "connected-only": EnumSpec(
+        n_min=2, n_max=6, max_mu=2, girth_min=3, max_edge_copies=8, connected_only=True
+    ),
+    "acyclic-admitted": EnumSpec(n_min=2, n_max=7, max_mu=2, girth_min=4, max_edge_copies=9),
+}
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_matches_dedup_oracle(self, name):
+        spec = ORACLE_SPECS[name]
+        got = list(enumerate_with_keys(spec))
+        assert got == enumerate_by_dedup(spec)
+        if name == "acyclic-admitted":
+            assert any(sl.girth(G) == sl.INFINITE_GIRTH for _, G in got)
+
+    def test_each_class_canonicalised_once(self, monkeypatch):
+        from steffenlab import generators
+
+        spec = ORACLE_SPECS["girth5-shaped"]
+        calls = []
+        labeling = generators._canonical_labeling
+        monkeypatch.setattr(
+            generators, "_canonical_labeling", lambda G: calls.append(G) or labeling(G)
+        )
+        for simple in list(generators.simple_representatives(spec)):
+            calls.clear()
+            keys = generators.multiplicity_keys(spec, simple)
+            assert len(calls) == len(keys) == len(set(keys))
+
+    def test_graph_from_key_is_canonical_representative(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            G = sl.random_multigraph(rng, n_max=8, mu_max=4)
+            key, rep = canonicalize(G)
+            assert graph_from_key(key) == rep
+        spec = ORACLE_SPECS["full6-shaped"]
+        for key, G in enumerate_with_keys(spec):
+            assert canonicalize(G) == (key, G)
+
+    @pytest.mark.parametrize(
+        "G, order",
+        [
+            (sl.mu_cycle(5, 1), 10),
+            (sl.mu_complete(4, 1), 24),
+            (sl.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), 2),
+            (sl.build(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (3, 5, 1)]), 8),
+        ],
+    )
+    def test_automorphism_counts(self, G, order):
+        perms = _edge_automorphisms(G)
+        assert len(perms) == order - 1  # the identity is left out
+        assert len(set(perms)) == len(perms)
+        for perm in perms:
+            assert sorted(perm) == list(range(len(G.edges)))
+
+    def test_petersen_automorphisms(self, petersen):
+        assert len(_edge_automorphisms(petersen)) == 119
+
+
 class TestCheckpointIO:
     def test_roundtrip(self, tmp_path):
         from steffenlab.generators import read_checkpoint, write_checkpoint
@@ -183,3 +255,14 @@ class TestCheckpointIO:
         assert text.startswith("#")
         body = [l for l in text.splitlines()[1:] if l]
         assert body == sorted(keys)
+
+    def test_failed_rewrite_keeps_old_checkpoint(self, tmp_path):
+        from steffenlab.generators import write_checkpoint
+
+        spec = EnumSpec(n_min=2, n_max=4, max_mu=2, girth_min=3, max_edge_copies=6)
+        path = str(tmp_path / "ck.txt")
+        write_checkpoint(path, spec, ["02.01", "03.010101"])
+        before = open(path).read()
+        with pytest.raises(TypeError):
+            write_checkpoint(path, spec, [None])  # fails after the header is written
+        assert open(path).read() == before

@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
 from steffenlab.errors import InstanceTooLarge, NotShortestCycle
-from oracles import brute_force_density, brute_force_girth, brute_force_shortest_cycle
+from steffenlab.invariants import is_bipartite
+from oracles import (
+    all_cycles_by_bfs_style,
+    brute_force_density,
+    brute_force_girth,
+    brute_force_shortest_cycle,
+)
 
 
 class TestGirth:
@@ -102,6 +108,23 @@ class TestDensity:
         if G.edges:
             u, v, _ = G.edges[0]
             assert sl.density(sl.remove_edges(G, u, v, 1)).gamma <= gamma
+
+
+class TestBipartite:
+    def test_matches_odd_cycle_oracle(self):
+        # bipartite iff no odd cycle
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(150):
+            G = sl.random_multigraph(rng, n_max=8, mu_max=2)
+            want = all(len(c) % 2 == 0 for c in all_cycles_by_bfs_style(G))
+            assert is_bipartite(G) == want, sl.serialize(G)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_forest_and_disconnected(self):
+        assert is_bipartite(sl.build(5, [(0, 1, 3), (3, 4, 1)]))
+        assert not is_bipartite(sl.build(7, [(0, 1, 1), (2, 3, 1), (3, 4, 2), (2, 4, 1)]))
 
 
 class TestSteffenBound:

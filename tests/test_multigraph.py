@@ -190,6 +190,21 @@ class TestSerialization:
         G = sl.mu_cycle(5, 3)
         assert sl.from_json_obj(json.loads(json.dumps(sl.to_json_obj(G)))) == G
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"n": 3}, {"edges": []}, {"n": 3, "edges": [[0, 1]]}, {"n": 3, "edges": [None]},
+         {"n": "x", "edges": []}, {"n": 3, "edges": 5}],
+    )
+    def test_malformed_json_graph(self, obj):
+        with pytest.raises(ParseError):
+            sl.from_json_obj(obj)
+        with pytest.raises(ParseError):
+            sl.parse_any(json.dumps(obj))
+
+    def test_parse_any_bad_json(self):
+        with pytest.raises(ParseError):
+            sl.parse_any('{"n": 3, "edges": [[0, 1')
+
     def test_parse_any_detects_json(self):
         G = sl.mu_cycle(3, 2)
         assert sl.parse_any(json.dumps(sl.to_json_obj(G))) == G

@@ -44,11 +44,12 @@ class TestRecords:
         assert keys == sorted(keys)
 
     def test_3c5_record_contents(self):
-        from steffenlab.generators import _canonicalize
+        from steffenlab.generators import graph_from_key
 
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
         cfg = ScanConfig(enum_spec=spec, output_path="unused")
-        key, rep = _canonicalize(sl.mu_cycle(5, 3))
+        key = sl.canonical_form(sl.mu_cycle(5, 3)).key
+        rep = graph_from_key(key)
         record = compute_record(key, rep, cfg)
         assert record["chi"] == 8
         assert record["steffenBound"] == 8
@@ -88,6 +89,38 @@ class TestScanRuns:
         s1, s2 = run_scan(cfg1), run_scan(cfg2)
         assert file_digest(cfg1.output_path) == file_digest(cfg2.output_path)
         assert s1.to_json_obj() == s2.to_json_obj()
+
+    def test_sharded_enumeration_same_bytes_girth5(self, tmp_path):
+        # girth >= 5 corpus shape on n 5..6: one record fires the ring gate
+        spec = EnumSpec(
+            n_min=5, n_max=6, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
+        )
+        cfg1 = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "w1.jsonl"), workers=1)
+        cfg2 = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "w2.jsonl"), workers=2)
+        s1, s2 = run_scan(cfg1), run_scan(cfg2)
+        assert s1.ring_gate_fired == 1 and s1.total == 1951
+        assert open(cfg1.output_path, "rb").read() == open(cfg2.output_path, "rb").read()
+        assert s1.to_json_obj() == s2.to_json_obj()
+        ck1 = open(cfg1.effective_checkpoint()).read()
+        assert ck1 == open(cfg2.effective_checkpoint()).read()
+
+    def test_checkpoint_resume_with_pool(self, tmp_path):
+        spec = small_spec(n_max=4)
+        full = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "full.jsonl"))
+        run_scan(full)
+        lines = open(full.output_path).read().splitlines()
+        cut = len(lines) // 3
+        resumed = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "res.jsonl"), workers=2)
+        with open(resumed.output_path, "w") as fh:
+            fh.write("\n".join(lines[:cut]) + "\n")
+        with open(resumed.effective_checkpoint(), "w") as fh:
+            fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
+            for line in lines[:cut]:
+                fh.write(json.loads(line)["graphKey"] + "\n")
+        summary = run_scan(resumed)
+        assert file_digest(resumed.output_path) == file_digest(full.output_path)
+        assert summary.total == len(lines)
+        assert not os.path.exists(resumed.effective_checkpoint() + ".tmp")
 
     def test_checkpoint_resume_byte_identical(self, tmp_path):
         spec = small_spec(n_max=4)
