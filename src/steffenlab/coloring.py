@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, PreconditionFailed, SolverTimeout
-from .invariants import density, is_bipartite
+from .invariants import DENSITY_ENUMERATION_CAP, bound_at_girth, density, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
@@ -179,7 +179,7 @@ def chromatic_index(
     G: Multigraph,
     mode: str = "search",
     timeout_seconds: float | None = None,
-    density_cap: int = 22,
+    density_cap: int = DENSITY_ENUMERATION_CAP,
 ) -> tuple[int, EdgeColoring]:
     """Exact chromatic index with a witness coloring.
 
@@ -188,7 +188,8 @@ def chromatic_index(
     mode "gs": when Gamma >= Delta + 2, chi' equals Gamma, so a single
     feasibility call suffices; otherwise falls back to the search.
     Density is skipped when the underlying simple graph is bipartite: then
-    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.
+    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Otherwise it
+    gets the same time budget as each decision.
     """
     if mode not in ("search", "gs"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -196,7 +197,10 @@ def chromatic_index(
         return 0, EdgeColoring(0, ())
     delta_max = max(G.degrees)
     mu = G.max_mult
-    gamma = delta_max if is_bipartite(G) else density(G, cap=density_cap).gamma
+    if is_bipartite(G):
+        gamma = delta_max
+    else:
+        gamma = density(G, cap=density_cap, deadline=_deadline(timeout_seconds)).gamma
     if mode == "gs" and gamma >= delta_max + 2:
         witness = is_k_colorable(G, gamma, _deadline(timeout_seconds))
         if witness is None:
@@ -324,9 +328,7 @@ def degree_identity_check(
 
     mu = G.max_mult
     delta_min = min(G.degrees, default=0)
-    applicable = [
-        g for g in range(5, G.n + 1) if chi == delta_max + -(-mu // (g // 2))
-    ]
+    applicable = [g for g in range(5, G.n + 1) if chi == bound_at_girth(delta_max, mu, g)]
     if not applicable:
         bound = "not-applicable"
     elif all(delta_min * g >= G.n * mu + g for g in applicable):

@@ -3,21 +3,32 @@
 Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
 girth, represented as math.inf.
+
+`girth` and `density` are memoised on the graph (`Multigraph.memo`), as is
+the underlying simple graph, so a scan record, `steffen_bound` and
+`chromatic_index` share one value per graph.  Density enumerates odd vertex
+sets size by size.  A whole size s is skipped when no set of that size can
+change the answer: when ceil(2m/(s-1)) is at most the incumbent, or when
+ceil(D_s/(s-1)) is below it, where D_s is the sum of the s largest degrees
+(2|E(G[S])| <= sum of the degrees in S).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .errors import InstanceTooLarge, NotShortestCycle
+from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
 from .multigraph import Multigraph, SimpleGraphView, underlying_simple
 
 INFINITE_GIRTH = math.inf
 
 DENSITY_ENUMERATION_CAP = 22
+
+_DENSITY_POLL_SUBSETS = 1024  # poll the deadline every 1024 enumerated sets
 
 
 @dataclass(frozen=True)
@@ -70,6 +81,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def bound_at_girth(delta_max: int, mu: int, g: int) -> int:
+    """Delta + ceil(mu / floor(g/2)): Steffen's bound for a finite girth g >= 3."""
+    return delta_max + _ceil_div(mu, g // 2)
+
+
 def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
     """BFS from every root; min closed-walk bound over non-tree edges is exact."""
     best: int | float = INFINITE_GIRTH
@@ -98,8 +114,10 @@ def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float
 
 def girth(G: Multigraph) -> int | float:
     """Length of a shortest cycle (>= 3) of the underlying simple graph, or inf."""
-    view = underlying_simple(G)
-    return subgraph_girth(view, frozenset(range(G.n)))
+    memo = G.memo
+    if "girth" not in memo:
+        memo["girth"] = subgraph_girth(underlying_simple(G), frozenset(range(G.n)))
+    return memo["girth"]
 
 
 def shortest_cycle(view: SimpleGraphView, within: frozenset[int] | set[int]) -> CycleSeq | None:
@@ -196,34 +214,83 @@ def is_bipartite(G: Multigraph) -> bool:
     return True
 
 
-def density(G: Multigraph, cap: int = DENSITY_ENUMERATION_CAP) -> DensityWitness:
+def density(
+    G: Multigraph, cap: int = DENSITY_ENUMERATION_CAP, deadline: float | None = None
+) -> DensityWitness:
     """Exact max over odd vertex sets S, |S| >= 3, of ceil(2|E(G[S])| / (|S|-1)).
 
     Induced subgraphs dominate all subgraphs on a fixed vertex set, so this
-    realizes the maximum over all odd-order subgraphs.
+    realizes the maximum over all odd-order subgraphs.  The witness is the
+    lex-least maximising tuple among the sizes enumerated; a size whose sets
+    can at best tie the incumbent is not enumerated.  `deadline` is a
+    time.monotonic() instant; past it the enumeration raises SolverTimeout
+    and nothing is memoised.
     """
     if G.n > cap:
         raise InstanceTooLarge(f"density enumeration needs n <= {cap}, got {G.n}")
-    if G.n < 3 or not G.edges:
-        return DensityWitness(0, (0, 1, 2) if G.n >= 3 else ())
+    memo = G.memo
+    if "density" not in memo:
+        memo["density"] = _odd_set_density(G, deadline)
+    return memo["density"]
+
+
+def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
+    """The density enumeration behind `density`.
+
+    Each odd set S = T + {v} of a size is closed from its prefix T (the
+    |S| - 1 smallest vertices): one pass over T's higher-indexed neighbours
+    gives |E(G[T])| and the weight w[v] of every later vertex towards T,
+    so every closing v costs one addition and one comparison with the
+    fewest inner edges that could tie the incumbent.
+    """
+    n = G.n
+    if n < 3 or not G.edges:
+        return DensityWitness(0, (0, 1, 2) if n >= 3 else ())
+    higher: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in G.edges:
+        higher[u].append((v, m))
+    top_degrees = [0, *accumulate(sorted(G.degrees, reverse=True))]
     total = G.edge_count
     best_gamma = 0
     best_set: tuple[int, ...] = (0, 1, 2)
-    mult_map = G.mult_map
-    for size in range(3, G.n + 1, 2):
+    visited = 0
+    poll_at = _DENSITY_POLL_SUBSETS
+    for size in range(3, n + 1, 2):
+        d = size - 1
         # no subset of this size can beat the incumbent: skip the whole size
-        if _ceil_div(2 * total, size - 1) <= best_gamma:
+        if _ceil_div(2 * total, d) <= best_gamma:
             continue
-        for S in combinations(range(G.n), size):
+        # none can even tie it, since 2|E(G[S])| <= the degree sum of S
+        if _ceil_div(top_degrees[size], d) < best_gamma:
+            continue
+        tie = _fewest_inside(best_gamma, d)
+        for T in combinations(range(n - 1), d):
+            lo = T[-1] + 1
+            visited += n - lo
+            if visited >= poll_at:
+                poll_at = visited + _DENSITY_POLL_SUBSETS
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolverTimeout(f"density on n={n} exceeded budget")
+            w = [0] * n
             inside = 0
-            for i, u in enumerate(S):
-                for v in S[i + 1 :]:
-                    inside += mult_map.get((u, v), 0)
-            gamma = _ceil_div(2 * inside, size - 1)
-            if gamma > best_gamma or (gamma == best_gamma and S < best_set):
-                best_gamma = gamma
-                best_set = S
+            for x in T:
+                inside += w[x]
+                for y, m in higher[x]:
+                    w[y] += m
+            for v in range(lo, n):
+                if inside + w[v] >= tie:
+                    gamma = _ceil_div(2 * (inside + w[v]), d)
+                    S = (*T, v)
+                    if gamma > best_gamma or S < best_set:
+                        best_gamma = gamma
+                        best_set = S
+                        tie = _fewest_inside(best_gamma, d)
     return DensityWitness(best_gamma, best_set)
+
+
+def _fewest_inside(gamma: int, d: int) -> int:
+    """Least e with ceil(2e / d) >= gamma: sets with fewer inner edges cannot tie."""
+    return (gamma - 1) * d // 2 + 1
 
 
 def steffen_bound(G: Multigraph) -> int:
@@ -241,7 +308,7 @@ def steffen_bound(G: Multigraph) -> int:
     g = girth(G)
     if g == INFINITE_GIRTH:
         return delta_max + 1
-    return delta_max + _ceil_div(mu, int(g) // 2)
+    return bound_at_girth(delta_max, mu, int(g))
 
 
 def check_short_cycle_properties(

@@ -4,6 +4,12 @@ Vertices are dense integers 0..n-1.  Parallel edges are stored as a
 multiplicity per unordered pair, never as individual copies; colorings
 address copies as (pair, copy index).  Graph values are immutable and safe
 to share between concurrent workers.
+
+Invariants that only depend on the graph value are computed once per graph
+and kept on it: the degree vector and the underlying simple graph as cached
+properties, and values computed elsewhere (girth, density) in `memo`.  Like
+every cached property they live in the instance `__dict__`, so they take no
+part in equality, hashing or repr, and they travel with a pickled graph.
 """
 
 from __future__ import annotations
@@ -63,6 +69,19 @@ class Multigraph:
     @cached_property
     def max_mult(self) -> int:
         return max((m for _, _, m in self.edges), default=0)
+
+    @cached_property
+    def simple(self) -> SimpleGraphView:
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v, _ in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return SimpleGraphView(self.n, tuple(frozenset(s) for s in adj))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values other modules compute once for this graph, by name."""
+        return {}
 
     def mult(self, u: int, v: int) -> int:
         if u > v:
@@ -151,11 +170,8 @@ def basic_invariants(G: Multigraph) -> BasicInvariants:
 
 
 def underlying_simple(G: Multigraph) -> SimpleGraphView:
-    adj: list[set[int]] = [set() for _ in range(G.n)]
-    for u, v, _ in G.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return SimpleGraphView(G.n, tuple(frozenset(s) for s in adj))
+    """The underlying simple graph, built once per graph."""
+    return G.simple
 
 
 def remove_edges(G: Multigraph, u: int, v: int, count: int) -> Multigraph:

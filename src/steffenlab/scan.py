@@ -34,6 +34,7 @@ from .generators import (
 )
 from .invariants import (
     INFINITE_GIRTH,
+    bound_at_girth,
     check_short_cycle_properties,
     density,
     girth,
@@ -187,8 +188,7 @@ def _ring_gate(girth_floor: int, g, mu: int, delta_max: int, chi: int) -> bool:
     mu >= floor(g0/2)+1, and chi' = Delta + ceil(mu / floor(g0/2))."""
     if girth_floor < 5 or g == INFINITE_GIRTH or g < 5:
         return False
-    half = girth_floor // 2
-    return mu >= half + 1 and chi == delta_max + -(-mu // half)
+    return mu >= girth_floor // 2 + 1 and chi == bound_at_girth(delta_max, mu, girth_floor)
 
 
 def _record_line(record: dict) -> str:
@@ -331,10 +331,14 @@ def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSumma
     done_keys = existing_keys
 
     todo = [k for k in keys if k not in done_keys]
-    out = open(config.output_path, "w", encoding="utf-8")
-    for line in existing_lines:
-        out.write(line + "\n")
-    out.flush()
+    # rewrite the kept lines beside the report and swap them in: a crash
+    # leaves either the old report or the kept lines, never a truncated file
+    tmp_path = config.output_path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as fh:
+        for line in existing_lines:
+            fh.write(line + "\n")
+    os.replace(tmp_path, config.output_path)
+    out = open(config.output_path, "a", encoding="utf-8")
     written_keys = sorted(done_keys)
 
     # processing runs in key order, so appended keys keep the file sorted
@@ -351,7 +355,9 @@ def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSumma
 
     try:
         if pool is None:
-            records = (compute_record(key, graphs[key], config) for key in todo)
+            # pop each graph as its record is made, so that the values
+            # memoised on it are freed with it
+            records = (compute_record(key, graphs.pop(key), config) for key in todo)
         else:
             records = pool.map(_worker_record, todo, chunksize=16)
         for record in records:
@@ -534,13 +540,12 @@ def _check_fan_cap(G, partition, fan_summary, index, violations, stats, timeout)
     if g == INFINITE_GIRTH or g < 5:
         return
     mu = G.max_mult
-    half = int(g) // 2
-    if mu < half + 1:
+    if mu < int(g) // 2 + 1:
         return
     try:
         chi = chromatic_index(G, timeout_seconds=timeout)[0]
         delta_max = max(G.degrees)
-        if chi != delta_max + -(-mu // half) or chi < delta_max + 2:
+        if chi != bound_at_girth(delta_max, mu, int(g)) or chi < delta_max + 2:
             return
         if not is_critical(G, chi=chi, timeout_seconds=timeout):
             return

@@ -2,18 +2,21 @@
 
 These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
-breaking, the density oracle enumerates odd subsets directly, and the cycle
-oracles enumerate vertex sequences.  The enumeration oracle shares only
-the canonical key with the library (the key defines the classes) and
-canonicalises every candidate.  Slow on purpose; only run on small inputs.
+breaking, the density oracles enumerate odd subsets directly (one of them
+is the library's previous kernel, kept to pin the witness tie-break), and
+the cycle oracles enumerate vertex sequences.  The enumeration oracle
+shares only the canonical key with the library (the key defines the
+classes) and canonicalises every candidate.  Slow on purpose; only run on
+small inputs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from steffenlab.errors import InstanceTooLarge
 from steffenlab.generators import _canonical_labeling
-from steffenlab.invariants import INFINITE_GIRTH, girth
+from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build
 
 
@@ -62,6 +65,38 @@ def brute_force_density(G: Multigraph) -> int:
             )
             best = max(best, -(-2 * inside // (size - 1)))
     return best
+
+
+def density_by_enumeration(G: Multigraph, cap: int = 22) -> DensityWitness:
+    """Density with the library's witness rule, by summing pair multiplicities.
+
+    The library's kernel before the prefix-weight rewrite, unchanged: every
+    pair of every odd subset is looked up in the multiplicity map, sizes
+    that cannot beat the incumbent are skipped, and ties go to the lex-least
+    subset tuple.
+    """
+    if G.n > cap:
+        raise InstanceTooLarge(f"density enumeration needs n <= {cap}, got {G.n}")
+    if G.n < 3 or not G.edges:
+        return DensityWitness(0, (0, 1, 2) if G.n >= 3 else ())
+    total = G.edge_count
+    best_gamma = 0
+    best_set: tuple[int, ...] = (0, 1, 2)
+    mult_map = G.mult_map
+    for size in range(3, G.n + 1, 2):
+        # no subset of this size can beat the incumbent: skip the whole size
+        if -(-2 * total // (size - 1)) <= best_gamma:
+            continue
+        for S in combinations(range(G.n), size):
+            inside = 0
+            for i, u in enumerate(S):
+                for v in S[i + 1 :]:
+                    inside += mult_map.get((u, v), 0)
+            gamma = -(-2 * inside // (size - 1))
+            if gamma > best_gamma or (gamma == best_gamma and S < best_set):
+                best_gamma = gamma
+                best_set = S
+    return DensityWitness(best_gamma, best_set)
 
 
 def all_cycles_by_bfs_style(G: Multigraph) -> list[tuple[int, ...]]:

@@ -154,6 +154,13 @@ class TestErrors:
         assert "edges" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_density_timeout_exit_2(self):
+        dense = sl.serialize(sl.mu_complete(21, 1))
+        proc = run_cli(["chi", "-", "--timeout", "1"], stdin_text=dense)
+        assert proc.returncode == 2
+        assert "density" in proc.stderr and "exceeded budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", [["chi"], ["critical"], ["ring-find", "--target", "3"]])
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
     def test_non_positive_timeout_exit_2(self, command, timeout, c53_file):

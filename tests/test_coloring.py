@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,8 +266,34 @@ class TestTimeouts:
         with pytest.raises(SolverTimeout):
             sl.chromatic_index(sl.mu_cycle(5, 3), timeout_seconds=-1.0)
 
+    def test_density_honours_the_budget(self):
+        from steffenlab.errors import SolverTimeout
+
+        G = sl.mu_complete(21, 1)  # not bipartite; density alone visits 2^20 odd sets
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            sl.chromatic_index(G, timeout_seconds=0.2)
+        assert time.monotonic() - start < 2.0
+        assert "density" not in G.memo
+
     def test_doubled_even_complete_is_class_one(self):
         G = sl.mu_complete(6, 2)
         chi, w = sl.chromatic_index(G)
         assert chi == 10 == max(G.degrees)  # K_6 is 1-factorable
         assert sl.validate_coloring(G, w)
+
+
+class TestOddRingClosedForm:
+    def test_sweep(self):
+        # odd ring: chi' = max(Delta, ceil(m / floor(g/2))), and the full
+        # vertex set is a density witness, so it also equals max(Delta, Gamma)
+        count = 0
+        for g, mu in ((3, 4), (5, 4), (7, 3)):
+            for mults in product(range(1, mu + 1), repeat=g):
+                G = sl.ring(g, mults)
+                delta = max(G.degrees)
+                closed = max(delta, -(-G.edge_count // (g // 2)))
+                assert sl.chromatic_index(G)[0] == closed, mults
+                assert max(delta, sl.density(G).gamma) == closed, mults
+                count += 1
+        assert count == 3275

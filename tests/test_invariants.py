@@ -1,16 +1,23 @@
+import pickle
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.errors import InstanceTooLarge, NotShortestCycle
+from steffenlab import invariants
+from steffenlab.errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
+from steffenlab.generators import EnumSpec, enumerate_multigraphs
 from steffenlab.invariants import is_bipartite
+from steffenlab.scan import ScanConfig, compute_record
 from oracles import (
     all_cycles_by_bfs_style,
     brute_force_density,
     brute_force_girth,
     brute_force_shortest_cycle,
+    density_by_enumeration,
 )
 
 
@@ -108,6 +115,103 @@ class TestDensity:
         if G.edges:
             u, v, _ = G.edges[0]
             assert sl.density(sl.remove_edges(G, u, v, 1)).gamma <= gamma
+
+
+class TestDensityKernel:
+    """The prefix-weight kernel against the previous kernel: same gamma, same witness."""
+
+    @staticmethod
+    def assert_same(graphs):
+        count = 0
+        for G in graphs:
+            assert sl.density(G) == density_by_enumeration(G), sl.serialize(G)
+            count += 1
+        return count
+
+    def test_full6_shaped_corpus(self):
+        spec = EnumSpec(n_min=1, n_max=5, max_mu=3, girth_min=3, max_edge_copies=12)
+        assert self.assert_same(enumerate_multigraphs(spec)) > 1000
+
+    def test_girth5_shaped_corpus(self):
+        spec = EnumSpec(
+            n_min=5, n_max=6, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
+        )
+        assert self.assert_same(enumerate_multigraphs(spec)) == 1951
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(303)
+        graphs = [sl.random_multigraph(rng, n_max=12, mu_max=3) for _ in range(200)]
+        assert self.assert_same(graphs) == 200
+
+    def test_sixteen_vertices(self):
+        rng = random.Random(16)
+        dense = sl.build(
+            16, [(u, v, rng.randint(1, 3)) for u in range(16) for v in range(u + 1, 16)
+                 if rng.random() < 0.6]
+        )
+        # sparse: the degree-sum skip drops the large sizes
+        sparse = sl.build(16, [(i, (i + 1) % 16, 1 + i % 3) for i in range(16)] + [(0, 8, 4)])
+        assert self.assert_same([dense, sparse]) == 2
+
+    def test_deadline_raises_and_is_not_memoised(self):
+        G = sl.mu_complete(14, 1)
+        with pytest.raises(SolverTimeout):
+            sl.density(G, deadline=time.monotonic() - 1.0)
+        assert "density" not in G.memo
+        assert sl.density(G) == density_by_enumeration(G)
+
+    def test_cap_checked_before_memo(self):
+        G = sl.mu_cycle(5, 3)
+        sl.density(G)
+        with pytest.raises(InstanceTooLarge):
+            sl.density(G, cap=4)
+
+
+class TestMemo:
+    def count_calls(self, monkeypatch, name):
+        """Calls of invariants.<name>, counted by their first argument."""
+        seen = Counter()
+        original = getattr(invariants, name)
+
+        def counted(first, *args):
+            seen[first] += 1
+            return original(first, *args)
+
+        monkeypatch.setattr(invariants, name, counted)
+        return seen
+
+    def test_one_density_and_one_girth_per_record(self, monkeypatch):
+        kernel = self.count_calls(monkeypatch, "_odd_set_density")
+        bfs = self.count_calls(monkeypatch, "subgraph_girth")
+        G = sl.mu_cycle(5, 3)  # not bipartite: chromatic_index needs density too
+        record = compute_record("k", G, ScanConfig(output_path="unused"))
+        assert (record["gamma"], record["chi"], record["girth"]) == (8, 8, 5)
+        assert kernel == Counter({G: 1})
+        assert bfs == Counter({sl.underlying_simple(G): 1})
+
+    def test_cli_invariants_reuses_values(self, monkeypatch, tmp_path, capsys):
+        from steffenlab.cli import cli_main
+
+        kernel = self.count_calls(monkeypatch, "_odd_set_density")
+        bfs = self.count_calls(monkeypatch, "subgraph_girth")
+        path = tmp_path / "g.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(7, 2)))
+        assert cli_main(["invariants", str(path)]) == 0
+        assert '"girth": 7' in capsys.readouterr().out
+        assert sum(kernel.values()) == 1
+        assert sum(bfs.values()) == 1
+
+    def test_memoised_graph_is_the_same_value(self):
+        G = sl.mu_cycle(5, 3)
+        fresh = sl.build(5, G.edges)
+        sl.girth(G), sl.density(G), sl.underlying_simple(G)
+        assert G.memo and not fresh.memo
+        assert G == fresh and hash(G) == hash(fresh) and repr(G) == repr(fresh)
+        back = pickle.loads(pickle.dumps(G))
+        assert back == fresh and hash(back) == hash(fresh)
+        assert sl.density(back) == sl.density(fresh)
+        assert sl.girth(back) == sl.girth(fresh) == 5
+        assert sl.underlying_simple(back) == sl.underlying_simple(fresh)
 
 
 class TestBipartite:

@@ -139,6 +139,43 @@ class TestScanRuns:
         assert file_digest(resumed_path) == file_digest(full.output_path)
         assert summary.total == len(lines)
 
+    def test_failed_resume_rewrite_keeps_report(self, tmp_path, monkeypatch):
+        import builtins
+
+        import steffenlab.scan as scan_mod
+
+        spec = small_spec(n_max=4)
+        full = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "full.jsonl"))
+        run_scan(full)
+        lines = open(full.output_path).read().splitlines()
+        cut = len(lines) // 2
+        resumed = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "res.jsonl"))
+        with open(resumed.output_path, "w") as fh:
+            fh.write("\n".join(lines[:cut]) + "\n")
+        with open(resumed.effective_checkpoint(), "w") as fh:
+            fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
+            for line in lines[:cut]:
+                fh.write(json.loads(line)["graphKey"] + "\n")
+        before = open(resumed.output_path, "rb").read()
+
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = builtins.open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                fh.write = disk_full
+            return fh
+
+        monkeypatch.setattr(scan_mod, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            run_scan(resumed)
+        assert open(resumed.output_path, "rb").read() == before
+
+        monkeypatch.undo()
+        run_scan(resumed)
+        assert file_digest(resumed.output_path) == file_digest(full.output_path)
+
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         spec = small_spec(n_max=4)
         out = str(tmp_path / "a.jsonl")
