@@ -115,7 +115,8 @@ def _cmd_scan(args) -> int:
     try:
         summary = run_scan(config)
     except KeyboardInterrupt:
-        # records and checkpoint are flushed per line: resume with the same config
+        # each record is flushed as a whole line and the checkpoint holds the
+        # spec echo: re-running the same config resumes from the report
         print("interrupted; partial results flushed", file=sys.stderr)
         return 130
     print(json.dumps(summary.to_json_obj(), indent=2))

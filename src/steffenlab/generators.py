@@ -23,15 +23,13 @@ multiplicity layer over their worker pool; a class travels as its key, and
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import INFINITE_GIRTH, girth
+from .invariants import INFINITE_GIRTH, bfs_dist, girth
 from .multigraph import Multigraph, build, underlying_simple
 
 CANONICAL_N_CAP = 10
@@ -237,18 +235,7 @@ def canonical_form(G: Multigraph) -> CanonicalForm:
 
 
 def _is_connected(G: Multigraph) -> bool:
-    if G.n == 0:
-        return True
-    view = underlying_simple(G)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in view.adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == G.n
+    return G.n == 0 or len(bfs_dist(underlying_simple(G), range(G.n), 0)) == G.n
 
 
 def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigraph]:
@@ -400,32 +387,6 @@ def enumerate_multigraphs(spec: EnumSpec) -> Iterator[Multigraph]:
     """Exactly one representative per isomorphism class satisfying the spec."""
     for _, G in enumerate_with_keys(spec):
         yield G
-
-
-def write_checkpoint(path: str, spec: EnumSpec, keys: list[str]) -> None:
-    """Checkpoint file: JSON spec echo as a header comment, then sorted keys."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
-        for key in sorted(keys):
-            fh.write(key + "\n")
-    # a crash leaves either the old checkpoint or the new one, never a torn file
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path: str) -> tuple[dict | None, set[str]]:
-    spec_echo = None
-    keys: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                spec_echo = json.loads(line[1:].strip())
-            else:
-                keys.add(line)
-    return spec_echo, keys
 
 
 def random_multigraph(rng: random.Random, n_max: int = 12, mu_max: int = 3) -> Multigraph:

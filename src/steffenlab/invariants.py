@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -77,13 +78,13 @@ class ShortCycleViolation:
         }
 
 
-def _ceil_div(a: int, b: int) -> int:
+def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
 def bound_at_girth(delta_max: int, mu: int, g: int) -> int:
     """Delta + ceil(mu / floor(g/2)): Steffen's bound for a finite girth g >= 3."""
-    return delta_max + _ceil_div(mu, g // 2)
+    return delta_max + ceil_div(mu, g // 2)
 
 
 def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
@@ -143,7 +144,7 @@ def _best_cycle_from(
 ) -> tuple[int, ...] | None:
     """Lex-least cycle sequence of exactly `length` whose minimum vertex is `start`."""
     allowed = {v for v in within if v > start}
-    dist = _bfs_dist(view, allowed | {start}, start)
+    dist = bfs_dist(view, allowed | {start}, start)
     best: tuple[int, ...] | None = None
     path = [start]
     on_path = {start}
@@ -174,7 +175,8 @@ def _best_cycle_from(
     return best
 
 
-def _bfs_dist(view: SimpleGraphView, allowed: set[int], src: int) -> dict[int, int]:
+def bfs_dist(view: SimpleGraphView, allowed: Container[int], src: int) -> dict[int, int]:
+    """Hop distance from src to every vertex it reaches inside `allowed`."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
@@ -258,10 +260,10 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
     for size in range(3, n + 1, 2):
         d = size - 1
         # no subset of this size can beat the incumbent: skip the whole size
-        if _ceil_div(2 * total, d) <= best_gamma:
+        if ceil_div(2 * total, d) <= best_gamma:
             continue
         # none can even tie it, since 2|E(G[S])| <= the degree sum of S
-        if _ceil_div(top_degrees[size], d) < best_gamma:
+        if ceil_div(top_degrees[size], d) < best_gamma:
             continue
         tie = _fewest_inside(best_gamma, d)
         for T in combinations(range(n - 1), d):
@@ -279,7 +281,7 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
                     w[y] += m
             for v in range(lo, n):
                 if inside + w[v] >= tie:
-                    gamma = _ceil_div(2 * (inside + w[v]), d)
+                    gamma = ceil_div(2 * (inside + w[v]), d)
                     S = (*T, v)
                     if gamma > best_gamma or S < best_set:
                         best_gamma = gamma

@@ -2,8 +2,11 @@
 the structural-lemma property suites, and JSONL report persistence.
 
 Reports are deterministic: records are keyed and written in canonical-key
-order regardless of worker count, and a re-run from a checkpoint reproduces
-the remaining tail byte for byte.
+order regardless of worker count.  The report is the only record of
+finished work; the checkpoint beside it holds one line, the echo of the
+enumeration spec that wrote the report.  A re-run keeps the longest prefix
+of complete report lines whose keys follow the enumeration's key order and
+reproduces the remaining tail byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .coloring import (
     chromatic_index,
@@ -28,9 +31,7 @@ from .generators import (
     graph_from_key,
     multiplicity_keys,
     random_multigraph,
-    read_checkpoint,
     simple_representatives,
-    write_checkpoint,
 )
 from .invariants import (
     INFINITE_GIRTH,
@@ -48,9 +49,6 @@ from .structure import (
     max_fan,
     verify_cycle_partition,
 )
-
-WORKERS_ENV_VAR = "STEFFENLAB_WORKERS"
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -96,7 +94,7 @@ class ScanConfig:
     def from_json_obj(obj: dict) -> "ScanConfig":
         try:
             spec = EnumSpec.from_json_obj(obj["enumSpec"])
-            cfg = ScanConfig(
+            return ScanConfig(
                 enum_spec=spec,
                 solver_timeout_seconds=float(obj.get("solverTimeoutSeconds", 60.0)),
                 workers=int(obj.get("workers", 1)),
@@ -112,13 +110,6 @@ class ScanConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scan config: {exc}") from exc
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            try:
-                cfg = replace(cfg, workers=int(env))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad {WORKERS_ENV_VAR}={env!r}") from exc
-        return cfg
 
 
 RECORD_FIELDS = (
@@ -275,12 +266,73 @@ def _worker_shard(simple: Multigraph) -> list[str]:
     return multiplicity_keys(_WORKER_CONFIG.enum_spec, simple)
 
 
+def write_spec_echo(path: str, spec: EnumSpec) -> None:
+    """Write the checkpoint: one line, `# ` and the JSON echo of the spec."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
+    # a crash leaves either the old checkpoint or the new one, never a torn file
+    os.replace(tmp, path)
+
+
+def read_spec_echo(path: str) -> dict:
+    """The spec echo on the checkpoint's first line; later lines are ignored.
+
+    Checkpoints of earlier versions listed the finished keys after the echo;
+    the report itself now says which records are finished.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline()
+    if not header.startswith(b"# "):
+        raise ConfigError(f"checkpoint {path} does not start with a spec echo")
+    try:
+        return json.loads(header[2:])
+    except ValueError as exc:
+        raise ConfigError(f"bad spec echo in checkpoint {path}: {exc}") from exc
+
+
+def _fold_report_prefix(
+    path: str, keys: list[str], summary: ScanSummary, config: ScanConfig
+) -> tuple[int, int]:
+    """Fold the longest valid prefix of the report into `summary`.
+
+    The prefix is made of complete lines, each a record whose key is the
+    next of `keys`.  A torn last line, a line that is not a record, or a key
+    out of order ends it.  Returns the number of records kept and their
+    byte length.
+    """
+    count = size = 0
+    if not os.path.exists(path):
+        return count, size
+    with open(path, "rb") as fh:
+        for line in fh:
+            if count == len(keys) or not line.endswith(b"\n"):
+                break
+            try:
+                record = json.loads(line)
+            except ValueError:
+                break
+            if (
+                not isinstance(record, dict)
+                or tuple(record) != RECORD_FIELDS
+                or record["graphKey"] != keys[count]
+            ):
+                break
+            _fold_record(summary, record, config)
+            count += 1
+            size += len(line)
+    return count, size
+
+
 def run_scan(config: ScanConfig) -> ScanSummary:
     """Enumerate, check, and persist one JSONL record per graph, key-sorted.
 
-    Resumes from the checkpoint when one exists; records already on disk are
-    folded into the summary without recomputation.  Interrupts flush whole
-    lines only.
+    When the checkpoint exists, its spec echo must match the config's spec,
+    and the scan resumes: the longest prefix of complete report lines whose
+    keys follow the enumeration's key order is folded into the summary
+    without recomputation, the report is cut back to that prefix, and the
+    remaining records are appended.  Each record is one write and one flush,
+    so an interrupt leaves whole lines only.
 
     With workers > 1 one process pool serves both phases.  The parent grows
     the simple graphs, and each worker task runs the multiplicity layer on
@@ -300,60 +352,27 @@ def run_scan(config: ScanConfig) -> ScanSummary:
 
 def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSummary:
     spec = config.enum_spec
+    ckpt_path = config.effective_checkpoint()
+    resume = os.path.exists(ckpt_path)
+    if resume and read_spec_echo(ckpt_path) != spec.to_json_obj():
+        raise ConfigError("checkpoint was written by a different enumeration spec")
     if pool is None:
         graphs = dict(enumerate_with_keys(spec))
         keys = list(graphs)
     else:
         shards = pool.map(_worker_shard, simple_representatives(spec))
         keys = sorted(k for shard in shards for k in shard)
-    done_keys: set[str] = set()
-    ckpt_path = config.effective_checkpoint()
-    if os.path.exists(ckpt_path):
-        spec_echo, done_keys = read_checkpoint(ckpt_path)
-        if spec_echo is not None and spec_echo != spec.to_json_obj():
-            raise ConfigError("checkpoint was written by a different enumeration spec")
 
-    # keep only records that are both on disk and checkpointed; recompute the rest
     summary = ScanSummary()
-    existing_lines: list[str] = []
-    existing_keys: set[str] = set()
-    if done_keys and os.path.exists(config.output_path):
-        with open(config.output_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record["graphKey"] in done_keys:
-                    existing_lines.append(line)
-                    existing_keys.add(record["graphKey"])
-                    _fold_record(summary, record, config)
-    done_keys = existing_keys
-
-    todo = [k for k in keys if k not in done_keys]
-    # rewrite the kept lines beside the report and swap them in: a crash
-    # leaves either the old report or the kept lines, never a truncated file
-    tmp_path = config.output_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        for line in existing_lines:
-            fh.write(line + "\n")
-    os.replace(tmp_path, config.output_path)
-    out = open(config.output_path, "a", encoding="utf-8")
-    written_keys = sorted(done_keys)
-
-    # processing runs in key order, so appended keys keep the file sorted
-    write_checkpoint(ckpt_path, spec, written_keys)
-    ckpt = open(ckpt_path, "a", encoding="utf-8")
-
-    def emit(record: dict) -> None:
-        out.write(_record_line(record) + "\n")
-        out.flush()
-        written_keys.append(record["graphKey"])
-        ckpt.write(record["graphKey"] + "\n")
-        ckpt.flush()
-        _fold_record(summary, record, config)
-
-    try:
+    done = size = 0
+    if resume:
+        done, size = _fold_report_prefix(config.output_path, keys, summary, config)
+    todo = keys[done:]
+    with open(config.output_path, "a", encoding="utf-8") as out:
+        # cut the report back to its kept prefix before the checkpoint is
+        # written, so a checkpoint never vouches for lines of another run
+        out.truncate(size)
+        write_spec_echo(ckpt_path, spec)
         if pool is None:
             # pop each graph as its record is made, so that the values
             # memoised on it are freed with it
@@ -361,13 +380,9 @@ def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSumma
         else:
             records = pool.map(_worker_record, todo, chunksize=16)
         for record in records:
-            emit(record)
-    finally:
-        out.flush()
-        out.close()
-        ckpt.flush()
-        ckpt.close()
-    write_checkpoint(ckpt_path, spec, written_keys)
+            out.write(_record_line(record) + "\n")
+            out.flush()
+            _fold_record(summary, record, config)
     return summary
 
 

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, VertexNotInV0
 from .coloring import chromatic_index
-from .invariants import CycleSeq, subgraph_girth, INFINITE_GIRTH, shortest_cycle
+from .invariants import (
+    INFINITE_GIRTH,
+    CycleSeq,
+    bfs_dist,
+    ceil_div,
+    shortest_cycle,
+    subgraph_girth,
+)
 from .multigraph import Multigraph, SimpleGraphView, build, underlying_simple
 
 CYCLE_ENUMERATION_CAP = 10**6
@@ -228,15 +235,7 @@ def is_ring_graph(G: Multigraph) -> bool:
     if any(view.degree(v) != 2 for v in range(G.n)):
         return False
     # connected 2-regular graph = single cycle
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in view.adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == G.n
+    return len(bfs_dist(view, range(G.n), 0)) == G.n
 
 
 def enumerate_cycles(
@@ -272,6 +271,20 @@ def enumerate_cycles(
     return [CycleSeq(c) for c in cycles]
 
 
+def _ring_chi(mults: list[int]) -> int:
+    """chi' of the ring with multiplicities `mults` around its cycle, in closed form.
+
+    An even ring is bipartite, so chi' = Delta (Koenig).  An odd ring has
+    chi' = max(Delta, ceil(m / floor(g/2))): the whole vertex set is a
+    density witness.
+    """
+    g = len(mults)
+    delta_max = max(mults[i - 1] + mults[i] for i in range(g))
+    if g % 2 == 0:
+        return delta_max
+    return max(delta_max, ceil_div(sum(mults), g // 2))
+
+
 def find_ring_subgraph_with_chi(
     G: Multigraph,
     target: int,
@@ -284,7 +297,8 @@ def find_ring_subgraph_with_chi(
     parallel copies on the cycle edges; chi' is monotone under copy deletion,
     so if the maximal ring overshoots, stepping copies off one at a time
     passes through every value down to the simple cycle and hits the target
-    exactly if it is reachable.
+    exactly if it is reachable.  Each step takes chi' from the ring's closed
+    form; the solver checks the returned ring once.
     """
     if target < 1:
         return None
@@ -292,21 +306,19 @@ def find_ring_subgraph_with_chi(
     for cyc in enumerate_cycles(view, cap=cap):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
-        chi = chromatic_index(
-            build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]),
-            timeout_seconds=timeout_seconds,
-        )[0]
-        if chi == target:
-            return RingSubgraph(cyc, tuple(mults), chi)
+        chi = _ring_chi(mults)
         while chi > target and any(m > 1 for m in mults):
             for i in range(g):
                 if mults[i] > 1:
                     mults[i] -= 1
                     break
-            chi = chromatic_index(
-                build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]),
-                timeout_seconds=timeout_seconds,
-            )[0]
-            if chi == target:
-                return RingSubgraph(cyc, tuple(mults), chi)
+            chi = _ring_chi(mults)
+        if chi == target:
+            ring = RingSubgraph(cyc, tuple(mults), chi)
+            solved = chromatic_index(ring.to_multigraph(), timeout_seconds=timeout_seconds)[0]
+            if solved != chi:
+                raise RuntimeError(
+                    f"ring {ring.to_json_obj()}: closed form gives {chi}, solver {solved}"
+                )
+            return ring
     return None

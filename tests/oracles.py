@@ -4,7 +4,9 @@ These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
 breaking, the density oracles enumerate odd subsets directly (one of them
 is the library's previous kernel, kept to pin the witness tie-break), and
-the cycle oracles enumerate vertex sequences.  The enumeration oracle
+the cycle oracles enumerate vertex sequences.  The ring-search oracle is
+the library's previous search, which asks the solver for chi' at every
+step instead of using the ring's closed form.  The enumeration oracle
 shares only the canonical key with the library (the key defines the
 classes) and canonicalises every candidate.  Slow on purpose; only run on
 small inputs.
@@ -14,10 +16,12 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from steffenlab.coloring import chromatic_index
 from steffenlab.errors import InstanceTooLarge
 from steffenlab.generators import _canonical_labeling
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
-from steffenlab.multigraph import Multigraph, build
+from steffenlab.multigraph import Multigraph, build, underlying_simple
+from steffenlab.structure import RingSubgraph, enumerate_cycles
 
 
 def brute_force_chi(G: Multigraph) -> int:
@@ -244,3 +248,29 @@ def _connected_by_search(G: Multigraph) -> bool:
                     reach.add(b)
                     frontier.append(b)
     return len(reach) == G.n
+
+
+def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
+    """find_ring_subgraph_with_chi with a solver call for every ring it tries."""
+    if target < 1:
+        return None
+
+    def ring_chi(mults):
+        g = len(mults)
+        return chromatic_index(build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]))[0]
+
+    for cyc in enumerate_cycles(underlying_simple(G)):
+        g = len(cyc)
+        mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
+        chi = ring_chi(mults)
+        if chi == target:
+            return RingSubgraph(cyc, tuple(mults), chi)
+        while chi > target and any(m > 1 for m in mults):
+            for i in range(g):
+                if mults[i] > 1:
+                    mults[i] -= 1
+                    break
+            chi = ring_chi(mults)
+            if chi == target:
+                return RingSubgraph(cyc, tuple(mults), chi)
+    return None

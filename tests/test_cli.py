@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import steffenlab as sl
 from steffenlab.cli import cli_main
+
+
+# the CLI process imports the same package as the tests, also from a checkout
+PACKAGE_ROOT = str(Path(sl.__file__).resolve().parents[1])
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(args, stdin_text=None):
@@ -14,6 +24,7 @@ def run_cli(args, stdin_text=None):
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     return proc
 

@@ -238,31 +238,3 @@ class TestOrbitPruning:
 
     def test_petersen_automorphisms(self, petersen):
         assert len(_edge_automorphisms(petersen)) == 119
-
-
-class TestCheckpointIO:
-    def test_roundtrip(self, tmp_path):
-        from steffenlab.generators import read_checkpoint, write_checkpoint
-
-        spec = EnumSpec(n_min=2, n_max=4, max_mu=2, girth_min=3, max_edge_copies=6)
-        keys = [k for k, _ in enumerate_with_keys(spec)][:5]
-        path = str(tmp_path / "ck.txt")
-        write_checkpoint(path, spec, keys)
-        echo, loaded = read_checkpoint(path)
-        assert echo == spec.to_json_obj()
-        assert loaded == set(keys)
-        text = open(path).read()
-        assert text.startswith("#")
-        body = [l for l in text.splitlines()[1:] if l]
-        assert body == sorted(keys)
-
-    def test_failed_rewrite_keeps_old_checkpoint(self, tmp_path):
-        from steffenlab.generators import write_checkpoint
-
-        spec = EnumSpec(n_min=2, n_max=4, max_mu=2, girth_min=3, max_edge_copies=6)
-        path = str(tmp_path / "ck.txt")
-        write_checkpoint(path, spec, ["02.01", "03.010101"])
-        before = open(path).read()
-        with pytest.raises(TypeError):
-            write_checkpoint(path, spec, [None])  # fails after the header is written
-        assert open(path).read() == before

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,12 @@ from steffenlab.scan import (
     RECORD_FIELDS,
     ScanConfig,
     ScanSummary,
+    _record_line,
     compute_record,
+    read_spec_echo,
     run_lemma_suite,
     run_scan,
+    write_spec_echo,
 )
 
 
@@ -25,6 +29,28 @@ def small_spec(**kw):
 
 def file_digest(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def spec_echo(spec):
+    return "# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n"
+
+
+def fail_writes(monkeypatch):
+    """Make every write to a file that scan opens for writing fail, as on a full disk."""
+    import builtins
+
+    import steffenlab.scan as scan_mod
+
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            fh.write = disk_full
+        return fh
+
+    monkeypatch.setattr(scan_mod, "open", failing_open, raising=False)
 
 
 class TestRecords:
@@ -140,10 +166,6 @@ class TestScanRuns:
         assert summary.total == len(lines)
 
     def test_failed_resume_rewrite_keeps_report(self, tmp_path, monkeypatch):
-        import builtins
-
-        import steffenlab.scan as scan_mod
-
         spec = small_spec(n_max=4)
         full = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "full.jsonl"))
         run_scan(full)
@@ -153,21 +175,12 @@ class TestScanRuns:
         with open(resumed.output_path, "w") as fh:
             fh.write("\n".join(lines[:cut]) + "\n")
         with open(resumed.effective_checkpoint(), "w") as fh:
-            fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
+            fh.write(spec_echo(spec))
             for line in lines[:cut]:
                 fh.write(json.loads(line)["graphKey"] + "\n")
         before = open(resumed.output_path, "rb").read()
 
-        def disk_full(*args):
-            raise OSError(28, "No space left on device")
-
-        def failing_open(path, mode="r", *args, **kwargs):
-            fh = builtins.open(path, mode, *args, **kwargs)
-            if "w" in mode:
-                fh.write = disk_full
-            return fh
-
-        monkeypatch.setattr(scan_mod, "open", failing_open, raising=False)
+        fail_writes(monkeypatch)
         with pytest.raises(OSError):
             run_scan(resumed)
         assert open(resumed.output_path, "rb").read() == before
@@ -188,11 +201,120 @@ class TestScanRuns:
         spec = small_spec(n_max=3)
         cfg = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "o.jsonl"))
         run_scan(cfg)
-        lines = open(cfg.effective_checkpoint()).read().splitlines()
-        assert lines[0].startswith("# ")
-        assert json.loads(lines[0][2:]) == spec.to_json_obj()
-        keys = lines[1:]
-        assert keys == sorted(keys)
+        assert open(cfg.effective_checkpoint()).read() == spec_echo(spec)
+        assert read_spec_echo(cfg.effective_checkpoint()) == spec.to_json_obj()
+
+
+class TestCheckpointIO:
+    def test_roundtrip(self, tmp_path):
+        spec = EnumSpec(n_min=2, n_max=4, max_mu=2, girth_min=3, max_edge_copies=6)
+        path = str(tmp_path / "ck.txt")
+        write_spec_echo(path, spec)
+        assert read_spec_echo(path) == spec.to_json_obj()
+        assert open(path).read() == spec_echo(spec)
+
+    def test_failed_rewrite_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        spec = EnumSpec(n_min=2, n_max=4, max_mu=2, girth_min=3, max_edge_copies=6)
+        path = str(tmp_path / "ck.txt")
+        write_spec_echo(path, spec)
+        before = open(path).read()
+        fail_writes(monkeypatch)
+        with pytest.raises(OSError):
+            write_spec_echo(path, small_spec())
+        assert open(path).read() == before
+
+
+RESUME_SPEC = small_spec(n_max=4)
+
+
+@pytest.fixture(scope="module")
+def full_resume_report(tmp_path_factory):
+    """The uninterrupted report of RESUME_SPEC: its lines, sha256 and summary."""
+    cfg = ScanConfig(
+        enum_spec=RESUME_SPEC, output_path=str(tmp_path_factory.mktemp("full") / "full.jsonl")
+    )
+    summary = run_scan(cfg)
+    data = open(cfg.output_path, "rb").read()
+    return data.splitlines(keepends=True), hashlib.sha256(data).hexdigest(), summary.to_json_obj()
+
+
+def _foreign_line():
+    """A complete record of a graph outside RESUME_SPEC's corpus (n = 5)."""
+    G = sl.mu_cycle(5, 3)
+    cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
+    return (_record_line(compute_record(sl.canonical_form(G).key, G, cfg)) + "\n").encode()
+
+
+# how a report was damaged: full report lines and the cut -> report bytes;
+# a resume keeps exactly the first `cut` lines
+RESUME_CASES = {
+    "torn-last-line": lambda lines, cut: b"".join(lines[:cut]) + lines[cut][:40],
+    "unterminated-last-line": lambda lines, cut: b"".join(lines[: cut + 1])[:-1],
+    "out-of-order": lambda lines, cut: b"".join(
+        lines[:cut] + [lines[cut + 1], lines[cut]] + lines[cut + 2 :]
+    ),
+    "other-spec-line": lambda lines, cut: b"".join(lines[:cut] + [_foreign_line()] + lines[cut:]),
+    "unparsable-line": lambda lines, cut: b"".join(lines[:cut] + [b"{not json\n"] + lines[cut:]),
+}
+
+
+class TestResume:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    def test_damaged_report_resumes(
+        self, tmp_path, monkeypatch, full_resume_report, case, workers
+    ):
+        import steffenlab.scan as scan_mod
+
+        lines, digest, summary = full_resume_report
+        cut = len(lines) // 3
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RESUME_SPEC, output_path=str(out), workers=workers)
+        out.write_bytes(RESUME_CASES[case](lines, cut))
+        Path(cfg.effective_checkpoint()).write_text(spec_echo(RESUME_SPEC))
+        computed = []
+        if workers == 1:
+            real = scan_mod.compute_record
+
+            def counting(key, G, config):
+                computed.append(key)
+                return real(key, G, config)
+
+            monkeypatch.setattr(scan_mod, "compute_record", counting)
+        assert run_scan(cfg).to_json_obj() == summary
+        assert file_digest(out) == digest
+        assert Path(cfg.effective_checkpoint()).read_text() == spec_echo(RESUME_SPEC)
+        if workers == 1:
+            assert len(computed) == len(lines) - cut
+
+    def test_old_format_checkpoint_keys_ignored(self, tmp_path, full_resume_report):
+        # an old checkpoint listed finished keys after the echo; the report
+        # alone decides, even where the listed keys run past it
+        lines, digest, summary = full_resume_report
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RESUME_SPEC, output_path=str(out))
+        out.write_bytes(b"".join(lines[: len(lines) // 2]))
+        keys = "".join(json.loads(line)["graphKey"] + "\n" for line in lines)
+        Path(cfg.effective_checkpoint()).write_text(spec_echo(RESUME_SPEC) + keys)
+        assert run_scan(cfg).to_json_obj() == summary
+        assert file_digest(out) == digest
+        assert Path(cfg.effective_checkpoint()).read_text() == spec_echo(RESUME_SPEC)
+
+    @pytest.mark.parametrize("first_line", ["02.01\n", "# {not json\n", ""])
+    def test_checkpoint_without_spec_echo_rejected(self, tmp_path, full_resume_report, first_line):
+        from steffenlab.cli import cli_main
+
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RESUME_SPEC, output_path=str(out))
+        out.write_bytes(b"".join(full_resume_report[0][:3]))
+        Path(cfg.effective_checkpoint()).write_text(first_line)
+        before = out.read_bytes()
+        with pytest.raises(ConfigError):
+            run_scan(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json_obj()))
+        assert cli_main(["scan", "--config", str(cfg_path)]) == 2
+        assert out.read_bytes() == before
 
 
 class TestConfig:
@@ -206,11 +328,6 @@ class TestConfig:
         )
         again = ScanConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
         assert again == cfg
-
-    def test_env_var_overrides_workers(self, monkeypatch):
-        monkeypatch.setenv("STEFFENLAB_WORKERS", "3")
-        cfg = ScanConfig.from_json_obj({"enumSpec": small_spec().to_json_obj()})
-        assert cfg.workers == 3
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

@@ -4,8 +4,9 @@ import pytest
 
 import steffenlab as sl
 from steffenlab.errors import VertexNotInV0
+from steffenlab.generators import EnumSpec, enumerate_multigraphs
 from steffenlab.structure import enumerate_cycles
-from oracles import all_cycles_by_bfs_style, max_disjoint_paths_oracle
+from oracles import all_cycles_by_bfs_style, find_ring_by_solver, max_disjoint_paths_oracle
 
 
 @pytest.fixture()
@@ -221,6 +222,39 @@ class TestFindRingSubgraph:
             ring = sl.find_ring_subgraph_with_chi(G, chi)
             if ring is not None:
                 assert sl.chromatic_index(ring.to_multigraph())[0] == chi
+
+
+class TestRingClosedForm:
+    """The closed-form search finds the solver search's ring for every target."""
+
+    @staticmethod
+    def assert_same(graphs) -> int:
+        pairs = 0
+        for G in graphs:
+            if sl.girth(G) == sl.INFINITE_GIRTH:
+                continue
+            delta_max = max(G.degrees)
+            for target in range(delta_max - 1, delta_max + G.max_mult + 1):
+                got = sl.find_ring_subgraph_with_chi(G, target)
+                assert got == find_ring_by_solver(G, target), (sl.serialize(G), target)
+                pairs += 1
+        return pairs
+
+    def test_full6_shaped_corpus(self):
+        spec = EnumSpec(n_min=1, n_max=5, max_mu=3, girth_min=3, max_edge_copies=12)
+        assert self.assert_same(enumerate_multigraphs(spec)) > 1000
+
+    def test_random_multigraphs(self):
+        rng = random.Random(82)
+        graphs = [sl.random_multigraph(rng, n_max=7, mu_max=4) for _ in range(200)]
+        assert self.assert_same(graphs) > 300
+
+    def test_solver_disagreement_raises(self, monkeypatch):
+        import steffenlab.structure as structure_mod
+
+        monkeypatch.setattr(structure_mod, "chromatic_index", lambda G, **kw: (0, None))
+        with pytest.raises(RuntimeError):
+            sl.find_ring_subgraph_with_chi(sl.mu_cycle(5, 3), 8)
 
 
 class TestEvenRingsBipartite:
