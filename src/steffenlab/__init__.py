@@ -13,7 +13,6 @@ from .multigraph import (
     remove_edges,
     serialize,
     to_json_obj,
-    underlying_simple,
 )
 from .invariants import (
     INFINITE_GIRTH,

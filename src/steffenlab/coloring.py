@@ -227,11 +227,19 @@ def is_critical(
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
     if chi is None:
         chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
+    return _drop_keeping_chi(G, chi, timeout_seconds) is None
+
+
+def _drop_keeping_chi(
+    G: Multigraph, chi: int, timeout_seconds: float | None
+) -> Multigraph | None:
+    """G minus one copy of the first pair, in serialized order, whose removal
+    leaves chi' = chi, or None when every such removal lowers chi'."""
     for u, v, _ in G.edges:
         reduced = remove_edges(G, u, v, 1)
         if is_k_colorable(reduced, chi - 1, _deadline(timeout_seconds)) is None:
-            return False  # removing this copy leaves chi' unchanged
-    return True
+            return reduced
+    return None
 
 
 def extract_critical(G: Multigraph, timeout_seconds: float | None = None) -> Multigraph:
@@ -244,14 +252,9 @@ def extract_critical(G: Multigraph, timeout_seconds: float | None = None) -> Mul
         raise PreconditionFailed("nonempty", "need at least one edge")
     chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
     current = G
-    while True:
-        for u, v, _ in current.edges:
-            reduced = remove_edges(current, u, v, 1)
-            if is_k_colorable(reduced, chi - 1, _deadline(timeout_seconds)) is None:
-                current = reduced  # removal preserves chi'
-                break
-        else:
-            return current
+    while (reduced := _drop_keeping_chi(current, chi, timeout_seconds)) is not None:
+        current = reduced
+    return current
 
 
 def near_perfect_matching_decomposition(

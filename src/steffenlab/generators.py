@@ -16,8 +16,9 @@ S's edge list, and keeps a multiplicity vector only if it is the lex-min of
 its orbit.  Isomorphic multigraphs have isomorphic underlying simple graphs,
 so each class comes from exactly one S and one orbit and is canonicalised
 exactly once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
-simple representative is an independent task, which is how scans shard the
-multiplicity layer over their worker pool; a class travels as its key, and
+simple representative is an independent task: `class_keys` maps the
+multiplicity layer over the representatives with whatever `map` it is given,
+so a scan shards it over its worker pool.  A class travels as its key, and
 `graph_from_key` rebuilds the representative.
 """
 
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
 from .invariants import INFINITE_GIRTH, bfs_dist, girth
-from .multigraph import Multigraph, build, underlying_simple
+from .multigraph import Multigraph, build
 
 CANONICAL_N_CAP = 10
 
@@ -235,7 +237,7 @@ def canonical_form(G: Multigraph) -> CanonicalForm:
 
 
 def _is_connected(G: Multigraph) -> bool:
-    return G.n == 0 or len(bfs_dist(underlying_simple(G), range(G.n), 0)) == G.n
+    return G.n == 0 or len(bfs_dist(G.simple, range(G.n), 0)) == G.n
 
 
 def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigraph]:
@@ -375,11 +377,20 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
     return keys
 
 
+def class_keys(spec: EnumSpec, mapper: Callable = map) -> list[str]:
+    """Canonical keys of the spec's classes, sorted.
+
+    `mapper` runs the multiplicity layer, one simple representative per task:
+    the builtin `map` in process, or a pool's `map` to shard it.  Keys of
+    different representatives never collide, so the merge is a sort.
+    """
+    shards = mapper(partial(multiplicity_keys, spec), simple_representatives(spec))
+    return sorted(k for shard in shards for k in shard)
+
+
 def enumerate_with_keys(spec: EnumSpec) -> Iterator[tuple[str, Multigraph]]:
     """(canonical key, graph) pairs, one per isomorphism class, key-sorted."""
-    keys = [k for simple in simple_representatives(spec) for k in multiplicity_keys(spec, simple)]
-    keys.sort()
-    for key in keys:
+    for key in class_keys(spec):
         yield key, graph_from_key(key)
 
 

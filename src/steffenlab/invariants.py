@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
-from .multigraph import Multigraph, SimpleGraphView, underlying_simple
+from .multigraph import Multigraph, SimpleGraphView
 
 INFINITE_GIRTH = math.inf
 
@@ -117,7 +117,7 @@ def girth(G: Multigraph) -> int | float:
     """Length of a shortest cycle (>= 3) of the underlying simple graph, or inf."""
     memo = G.memo
     if "girth" not in memo:
-        memo["girth"] = subgraph_girth(underlying_simple(G), frozenset(range(G.n)))
+        memo["girth"] = subgraph_girth(G.simple, frozenset(range(G.n)))
     return memo["girth"]
 
 
@@ -329,7 +329,7 @@ def check_short_cycle_properties(
     they always hold for genuine shortest cycles, so any violation is a bug).
     """
     within = frozenset(within)
-    view = underlying_simple(G)
+    view = G.simple
     _require_shortest_cycle(view, C, within)
     cyc = C.vertex_set()
     outside = sorted(within - cyc)

@@ -158,20 +158,14 @@ def build(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
 
 
 def basic_invariants(G: Multigraph) -> BasicInvariants:
-    simple = underlying_simple(G)
     return BasicInvariants(
         n=G.n,
         m=G.edge_count,
         Delta=max(G.degrees, default=0),
         delta=min(G.degrees, default=0),
         mu=G.max_mult,
-        delta_simple=min((simple.degree(v) for v in range(G.n)), default=0),
+        delta_simple=min((G.simple.degree(v) for v in range(G.n)), default=0),
     )
-
-
-def underlying_simple(G: Multigraph) -> SimpleGraphView:
-    """The underlying simple graph, built once per graph."""
-    return G.simple
 
 
 def remove_edges(G: Multigraph, u: int, v: int, count: int) -> Multigraph:

@@ -2,11 +2,12 @@
 the structural-lemma property suites, and JSONL report persistence.
 
 Reports are deterministic: records are keyed and written in canonical-key
-order regardless of worker count.  The report is the only record of
-finished work; the checkpoint beside it holds one line, the echo of the
-enumeration spec that wrote the report.  A re-run keeps the longest prefix
-of complete report lines whose keys follow the enumeration's key order and
-reproduces the remaining tail byte for byte.
+order, and the worker count only picks the `map` that computes them (see
+`run_scan`).  The report is the only record of finished work; the
+checkpoint beside it holds one line, the echo of the enumeration spec that
+wrote the report.  A re-run keeps the longest prefix of complete report
+lines whose keys follow the enumeration's key order and reproduces the
+remaining tail byte for byte.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import hashlib
 import json
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .coloring import (
     chromatic_index,
@@ -27,11 +30,10 @@ from .coloring import (
 from .errors import ConfigError, SolverTimeout
 from .generators import (
     EnumSpec,
+    class_keys,
     enumerate_with_keys,
     graph_from_key,
-    multiplicity_keys,
     random_multigraph,
-    simple_representatives,
 )
 from .invariants import (
     INFINITE_GIRTH,
@@ -56,7 +58,6 @@ class ScanConfig:
     solver_timeout_seconds: float = 60.0
     workers: int = 1
     output_path: str = "scan.jsonl"
-    checkpoint_path: str | None = None  # defaults to output_path + ".checkpoint"
     steffen_check: bool = True
     gs_check: bool = True
     ring_check: bool = True
@@ -72,7 +73,7 @@ class ScanConfig:
             raise ConfigError("solver timeout must be >= 1 second")
 
     def effective_checkpoint(self) -> str:
-        return self.checkpoint_path or self.output_path + ".checkpoint"
+        return self.output_path + ".checkpoint"
 
     def to_json_obj(self) -> dict:
         return {
@@ -80,7 +81,6 @@ class ScanConfig:
             "solverTimeoutSeconds": self.solver_timeout_seconds,
             "workers": self.workers,
             "outputPath": self.output_path,
-            "checkpointPath": self.checkpoint_path,
             "steffenCheck": self.steffen_check,
             "gsCheck": self.gs_check,
             "ringCheck": self.ring_check,
@@ -99,7 +99,6 @@ class ScanConfig:
                 solver_timeout_seconds=float(obj.get("solverTimeoutSeconds", 60.0)),
                 workers=int(obj.get("workers", 1)),
                 output_path=str(obj.get("outputPath", "scan.jsonl")),
-                checkpoint_path=obj.get("checkpointPath"),
                 steffen_check=bool(obj.get("steffenCheck", True)),
                 gs_check=bool(obj.get("gsCheck", True)),
                 ring_check=bool(obj.get("ringCheck", True)),
@@ -156,7 +155,7 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
     }
     timeout = config.solver_timeout_seconds
     try:
-        record["gamma"] = density(G).gamma
+        record["gamma"] = density(G, deadline=time.monotonic() + timeout).gamma
         chi = chromatic_index(G, timeout_seconds=timeout)[0]
         record["chi"] = chi
         record["achievesBound"] = chi == record["steffenBound"]
@@ -250,20 +249,8 @@ def _fold_record(summary: ScanSummary, record: dict, config: ScanConfig) -> None
             summary.ring_violations.append(key)
 
 
-_WORKER_CONFIG: ScanConfig | None = None
-
-
-def _worker_init(config_json: str) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = ScanConfig.from_json_obj(json.loads(config_json))
-
-
-def _worker_record(key: str) -> dict:
-    return compute_record(key, graph_from_key(key), _WORKER_CONFIG)
-
-
-def _worker_shard(simple: Multigraph) -> list[str]:
-    return multiplicity_keys(_WORKER_CONFIG.enum_spec, simple)
+def _record_for_key(config: ScanConfig, key: str) -> dict:
+    return compute_record(key, graph_from_key(key), config)
 
 
 def write_spec_echo(path: str, spec: EnumSpec) -> None:
@@ -334,52 +321,38 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     remaining records are appended.  Each record is one write and one flush,
     so an interrupt leaves whole lines only.
 
-    With workers > 1 one process pool serves both phases.  The parent grows
-    the simple graphs, and each worker task runs the multiplicity layer on
-    one simple representative.  Keys of different representatives never
-    collide, so the merge is a sort.  Records are then mapped over the same
-    pool by key alone; a worker rebuilds the graph from its key.
+    The worker count only chooses the `map` that runs the scan's two
+    phases: the builtin `map` for one worker, a process pool's for more.
+    The multiplicity layer maps over the simple representatives, one per
+    task, since a few of them hold most of the keys.  The records map over
+    the keys in chunks of 16; each task rebuilds its graph from the key, so
+    the graphs are built one record at a time and only keys and records
+    cross between processes.
     """
     if config.workers == 1:
-        return _run_scan(config, None)
-    with ProcessPoolExecutor(
-        max_workers=config.workers,
-        initializer=_worker_init,
-        initargs=(json.dumps(config.to_json_obj()),),
-    ) as pool:
-        return _run_scan(config, pool)
+        return _run_scan(config, map, map)
+    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        return _run_scan(config, pool.map, partial(pool.map, chunksize=16))
 
 
-def _run_scan(config: ScanConfig, pool: ProcessPoolExecutor | None) -> ScanSummary:
+def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     spec = config.enum_spec
     ckpt_path = config.effective_checkpoint()
     resume = os.path.exists(ckpt_path)
     if resume and read_spec_echo(ckpt_path) != spec.to_json_obj():
         raise ConfigError("checkpoint was written by a different enumeration spec")
-    if pool is None:
-        graphs = dict(enumerate_with_keys(spec))
-        keys = list(graphs)
-    else:
-        shards = pool.map(_worker_shard, simple_representatives(spec))
-        keys = sorted(k for shard in shards for k in shard)
+    keys = class_keys(spec, shard_map)
 
     summary = ScanSummary()
     done = size = 0
     if resume:
         done, size = _fold_report_prefix(config.output_path, keys, summary, config)
-    todo = keys[done:]
     with open(config.output_path, "a", encoding="utf-8") as out:
         # cut the report back to its kept prefix before the checkpoint is
         # written, so a checkpoint never vouches for lines of another run
         out.truncate(size)
         write_spec_echo(ckpt_path, spec)
-        if pool is None:
-            # pop each graph as its record is made, so that the values
-            # memoised on it are freed with it
-            records = (compute_record(key, graphs.pop(key), config) for key in todo)
-        else:
-            records = pool.map(_worker_record, todo, chunksize=16)
-        for record in records:
+        for record in record_map(partial(_record_for_key, config), keys[done:]):
             out.write(_record_line(record) + "\n")
             out.flush()
             _fold_record(summary, record, config)

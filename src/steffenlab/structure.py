@@ -22,7 +22,7 @@ from .invariants import (
     shortest_cycle,
     subgraph_girth,
 )
-from .multigraph import Multigraph, SimpleGraphView, build, underlying_simple
+from .multigraph import Multigraph, SimpleGraphView, build
 
 CYCLE_ENUMERATION_CAP = 10**6
 
@@ -91,7 +91,7 @@ class RingSubgraph:
 
 def cycle_partition(G: Multigraph) -> CyclePartition:
     """Greedy shortest-cycle peeling with the canonical cycle tie-break."""
-    view = underlying_simple(G)
+    view = G.simple
     remaining = set(range(G.n))
     cycles: list[CycleSeq] = []
     while True:
@@ -105,7 +105,7 @@ def cycle_partition(G: Multigraph) -> CyclePartition:
 
 def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
     """Re-verify the partition invariants; returns human-readable problems."""
-    view = underlying_simple(G)
+    view = G.simple
     problems: list[str] = []
     remaining = set(range(G.n))
     for idx, cyc in enumerate(P.cycles):
@@ -142,7 +142,7 @@ def max_fan(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
     """
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
-    view = underlying_simple(G)
+    view = G.simple
     cyc = P.cycles[h].vertex_set()
     zone = P.v0 | cyc
 
@@ -231,7 +231,7 @@ def is_ring_graph(G: Multigraph) -> bool:
     """True iff the underlying simple graph is one cycle spanning all vertices."""
     if G.n < 3:
         return False
-    view = underlying_simple(G)
+    view = G.simple
     if any(view.degree(v) != 2 for v in range(G.n)):
         return False
     # connected 2-regular graph = single cycle
@@ -302,7 +302,7 @@ def find_ring_subgraph_with_chi(
     """
     if target < 1:
         return None
-    view = underlying_simple(G)
+    view = G.simple
     for cyc in enumerate_cycles(view, cap=cap):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]

@@ -20,7 +20,7 @@ from steffenlab.coloring import chromatic_index
 from steffenlab.errors import InstanceTooLarge
 from steffenlab.generators import _canonical_labeling
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
-from steffenlab.multigraph import Multigraph, build, underlying_simple
+from steffenlab.multigraph import Multigraph, build
 from steffenlab.structure import RingSubgraph, enumerate_cycles
 
 
@@ -259,7 +259,7 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
         g = len(mults)
         return chromatic_index(build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]))[0]
 
-    for cyc in enumerate_cycles(underlying_simple(G)):
+    for cyc in enumerate_cycles(G.simple):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         chi = ring_chi(mults)

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -8,6 +9,7 @@ from steffenlab.generators import (
     EnumSpec,
     _edge_automorphisms,
     _simple_graphs,
+    class_keys,
     enumerate_with_keys,
     graph_from_key,
 )
@@ -238,3 +240,13 @@ class TestOrbitPruning:
 
     def test_petersen_automorphisms(self, petersen):
         assert len(_edge_automorphisms(petersen)) == 119
+
+
+class TestClassKeys:
+    @pytest.mark.parametrize("name", ["full6-shaped", "girth5-shaped"])
+    def test_same_keys_for_every_map(self, name):
+        spec = ORACLE_SPECS[name]
+        want = [key for key, _ in enumerate_by_dedup(spec)]
+        assert class_keys(spec) == want
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            assert class_keys(spec, pool.map) == want

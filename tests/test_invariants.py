@@ -53,19 +53,19 @@ class TestShortestCycle:
         edges = [(i, (i + 1) % 5, 1) for i in range(5)]
         edges += [(5 + i, 5 + (i + 1) % 6, 1) for i in range(6)]
         G = sl.build(11, edges)
-        cyc = sl.shortest_cycle(sl.underlying_simple(G), frozenset(range(11)))
+        cyc = sl.shortest_cycle(G.simple, frozenset(range(11)))
         assert cyc.vertices == (0, 1, 2, 3, 4)
 
     def test_petersen_canonical(self, petersen):
-        cyc = sl.shortest_cycle(sl.underlying_simple(petersen), frozenset(range(10)))
+        cyc = sl.shortest_cycle(petersen.simple, frozenset(range(10)))
         assert cyc.vertices == brute_force_shortest_cycle(petersen, set(range(10))) == (0, 1, 2, 3, 4)
 
     def test_tree_has_none(self):
         G = sl.build(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
-        assert sl.shortest_cycle(sl.underlying_simple(G), frozenset(range(4))) is None
+        assert sl.shortest_cycle(G.simple, frozenset(range(4))) is None
 
     def test_respects_within(self, petersen):
-        view = sl.underlying_simple(petersen)
+        view = petersen.simple
         cyc = sl.shortest_cycle(view, frozenset(range(5, 10)))
         assert cyc.vertices == (5, 7, 9, 6, 8)
 
@@ -73,7 +73,7 @@ class TestShortestCycle:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, seed):
         G = sl.random_multigraph(random.Random(seed), n_max=8, mu_max=2)
-        got = sl.shortest_cycle(sl.underlying_simple(G), frozenset(range(G.n)))
+        got = sl.shortest_cycle(G.simple, frozenset(range(G.n)))
         want = brute_force_shortest_cycle(G, set(range(G.n)))
         assert (got.vertices if got else None) == want
 
@@ -187,7 +187,7 @@ class TestMemo:
         record = compute_record("k", G, ScanConfig(output_path="unused"))
         assert (record["gamma"], record["chi"], record["girth"]) == (8, 8, 5)
         assert kernel == Counter({G: 1})
-        assert bfs == Counter({sl.underlying_simple(G): 1})
+        assert bfs == Counter({G.simple: 1})
 
     def test_cli_invariants_reuses_values(self, monkeypatch, tmp_path, capsys):
         from steffenlab.cli import cli_main
@@ -204,14 +204,14 @@ class TestMemo:
     def test_memoised_graph_is_the_same_value(self):
         G = sl.mu_cycle(5, 3)
         fresh = sl.build(5, G.edges)
-        sl.girth(G), sl.density(G), sl.underlying_simple(G)
+        sl.girth(G), sl.density(G), G.simple
         assert G.memo and not fresh.memo
         assert G == fresh and hash(G) == hash(fresh) and repr(G) == repr(fresh)
         back = pickle.loads(pickle.dumps(G))
         assert back == fresh and hash(back) == hash(fresh)
         assert sl.density(back) == sl.density(fresh)
         assert sl.girth(back) == sl.girth(fresh) == 5
-        assert sl.underlying_simple(back) == sl.underlying_simple(fresh)
+        assert back.simple == fresh.simple
 
 
 class TestBipartite:

@@ -86,15 +86,15 @@ class TestBasicInvariants:
 
 class TestUnderlyingSimple:
     def test_3c5_gives_c5(self):
-        view = sl.underlying_simple(sl.mu_cycle(5, 3))
+        view = sl.mu_cycle(5, 3).simple
         assert sorted(view.pairs()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_2k5_gives_k5(self):
-        view = sl.underlying_simple(sl.mu_complete(5, 2))
+        view = sl.mu_complete(5, 2).simple
         assert len(list(view.pairs())) == 10
 
     def test_path_shape(self):
-        view = sl.underlying_simple(sl.build(3, [(0, 1, 3), (1, 2, 1)]))
+        view = sl.build(3, [(0, 1, 3), (1, 2, 1)]).simple
         assert sorted(view.pairs()) == [(0, 1), (1, 2)]
 
 
@@ -107,7 +107,7 @@ class TestRemoveEdges:
     def test_full_removal_drops_pair(self):
         G = sl.remove_edges(sl.mu_cycle(5, 3), 0, 1, 3)
         assert G.mult(0, 1) == 0
-        assert sorted(sl.underlying_simple(G).pairs()) == [(0, 4), (1, 2), (2, 3), (3, 4)]
+        assert sorted(G.simple.pairs()) == [(0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_not_enough(self):
         with pytest.raises(NotEnoughParallelEdges):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
 import os
+import pickle
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,32 @@ class TestScanRuns:
         assert s1.to_json_obj() == s2.to_json_obj()
         ck1 = open(cfg1.effective_checkpoint()).read()
         assert ck1 == open(cfg2.effective_checkpoint()).read()
+
+    def test_pool_gets_the_whole_config(self, tmp_path):
+        # each non-default field shows in the report: connected_only drops
+        # 133 classes, and with ring_check on, the 3C5 record finds its ring
+        spec = EnumSpec(
+            n_min=5, n_max=6, max_mu=3, girth_min=5, max_edge_copies=15, connected_only=True
+        )
+        reports, summaries = [], []
+        for workers in (1, 2):
+            cfg = ScanConfig(
+                enum_spec=spec,
+                output_path=str(tmp_path / f"w{workers}.jsonl"),
+                workers=workers,
+                ring_check=False,
+                solver_timeout_seconds=5,
+            )
+            assert pickle.loads(pickle.dumps(cfg)) == cfg
+            summaries.append(run_scan(cfg).to_json_obj())
+            reports.append(Path(cfg.output_path).read_bytes())
+        assert reports[0] == reports[1]
+        assert summaries[0] == summaries[1]
+        assert summaries[0]["total"] == 1232 and summaries[0]["ringGateFired"] == 0
+        key = sl.canonical_form(sl.mu_cycle(5, 3)).key
+        records = [json.loads(line) for line in reports[1].splitlines()]
+        (ring,) = [r for r in records if r["graphKey"] == key]
+        assert ring["achievesBound"] and ring["ringFound"] is None
 
     def test_checkpoint_resume_with_pool(self, tmp_path):
         spec = small_spec(n_max=4)
@@ -395,7 +424,33 @@ class TestTimeoutRecords:
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
         assert record["status"] == "timeout"
         assert record["chi"] is None
-        assert record["gamma"] == 8  # density is not subject to the solver budget
+        assert record["gamma"] == 8  # density finishes well within its budget
+
+    def test_density_gets_the_record_budget(self, monkeypatch):
+        import steffenlab.scan as scan_mod
+
+        deadlines = []
+        density = scan_mod.density
+
+        def spy(G, *args, **kwargs):
+            deadlines.append(kwargs.get("deadline"))
+            return density(G, *args, **kwargs)
+
+        monkeypatch.setattr(scan_mod, "density", spy)
+        cfg = ScanConfig(output_path="unused", solver_timeout_seconds=7)
+        start = time.monotonic()
+        compute_record("k", sl.mu_cycle(5, 3), cfg)
+        assert len(deadlines) == 1 and math.isfinite(deadlines[0])
+        assert start + 7 <= deadlines[0] <= time.monotonic() + 7
+
+    def test_overrunning_density_times_out(self):
+        G = sl.mu_complete(21, 1)  # density alone takes several seconds without a budget
+        cfg = ScanConfig(output_path="unused", solver_timeout_seconds=1)
+        start = time.monotonic()
+        record = compute_record("k", G, cfg)
+        assert time.monotonic() - start < 3.0
+        assert record["status"] == "timeout"
+        assert record["gamma"] is None and record["chi"] is None
 
     def test_timeout_counts_in_summary(self, monkeypatch):
         import steffenlab.scan as scan_mod

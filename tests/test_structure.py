@@ -167,11 +167,11 @@ class TestCycleEnumeration:
         rng = random.Random(80)
         for _ in range(40):
             G = sl.random_multigraph(rng, n_max=7, mu_max=1)
-            got = [c.vertices for c in enumerate_cycles(sl.underlying_simple(G))]
+            got = [c.vertices for c in enumerate_cycles(G.simple)]
             assert got == all_cycles_by_bfs_style(G)
 
     def test_petersen_cycle_count(self, petersen):
-        cycles = enumerate_cycles(sl.underlying_simple(petersen))
+        cycles = enumerate_cycles(petersen.simple)
         assert len(cycles) == len(all_cycles_by_bfs_style(petersen))
         assert [len(c) for c in cycles[:12]] == [5] * 12  # twelve 5-cycles
 
