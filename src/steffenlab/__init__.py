@@ -51,10 +51,8 @@ from .structure import (
     verify_cycle_partition,
 )
 from .generators import (
-    CanonicalForm,
     EnumSpec,
     canonical_form,
-    enumerate_multigraphs,
     enumerate_with_keys,
     mu_complete,
     mu_cycle,

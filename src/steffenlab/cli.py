@@ -3,7 +3,8 @@
 Graph arguments accept a file path or '-' for stdin; input may be MGR text
 or the JSON form.  Exit codes: 0 success, 1 a scan/suite found violations,
 2 usage, input or configuration errors (malformed graphs, non-positive
-timeouts).
+timeouts, unknown config keys, unreadable or unwritable paths, inputs too
+large for the recursive searches).
 """
 
 from __future__ import annotations
@@ -225,11 +226,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot open {exc.filename}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large for the recursive search", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)

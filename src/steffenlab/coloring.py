@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, PreconditionFailed, SolverTimeout
-from .invariants import DENSITY_ENUMERATION_CAP, bound_at_girth, density, is_bipartite
+from .invariants import bound_at_girth, density, is_bipartite
 from .multigraph import Multigraph, remove_edges
-
-DEFAULT_TIMEOUT_SECONDS = 60.0
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock every 1024 search nodes
 
@@ -35,9 +33,6 @@ class EdgeColoring:
 
     k: int
     assignment: tuple[tuple[tuple[tuple[int, int], int], int], ...]
-
-    def as_dict(self) -> dict[tuple[tuple[int, int], int], int]:
-        return dict(self.assignment)
 
     def classes(self) -> list[list[tuple[int, int]]]:
         """Color classes 1..k, each a sorted list of pairs."""
@@ -176,17 +171,15 @@ def is_k_colorable(
 
 
 def chromatic_index(
-    G: Multigraph,
-    mode: str = "search",
-    timeout_seconds: float | None = None,
-    density_cap: int = DENSITY_ENUMERATION_CAP,
+    G: Multigraph, mode: str = "search", timeout_seconds: float | None = None
 ) -> tuple[int, EdgeColoring]:
     """Exact chromatic index with a witness coloring.
 
-    mode "search": linear ascent on k from max(Delta, Gamma) up to
-    Delta + mu; the lower end is exact so the first feasible k is chi'.
-    mode "gs": when Gamma >= Delta + 2, chi' equals Gamma, so a single
-    feasibility call suffices; otherwise falls back to the search.
+    A linear ascent on k from max(Delta, Gamma) up to Delta + mu; the lower
+    end is exact, so the first feasible k is chi'.  Mode "gs" asserts the
+    Goldberg-Seymour identity: when Gamma >= Delta + 2 the ascent starts at
+    k = Gamma, and a first decision that finds no Gamma-coloring raises
+    PreconditionFailed("density-coloring") instead of climbing further.
     Density is skipped when the underlying simple graph is bipartite: then
     Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Otherwise it
     gets the same time budget as each decision.
@@ -200,18 +193,15 @@ def chromatic_index(
     if is_bipartite(G):
         gamma = delta_max
     else:
-        gamma = density(G, cap=density_cap, deadline=_deadline(timeout_seconds)).gamma
-    if mode == "gs" and gamma >= delta_max + 2:
-        witness = is_k_colorable(G, gamma, _deadline(timeout_seconds))
-        if witness is None:
-            raise PreconditionFailed(
-                "density-coloring", f"no {gamma}-coloring found although Gamma={gamma}"
-            )
-        return gamma, witness
+        gamma = density(G, deadline=_deadline(timeout_seconds)).gamma
     for k in range(max(delta_max, gamma), delta_max + mu + 1):
         witness = is_k_colorable(G, k, _deadline(timeout_seconds))
         if witness is not None:
             return k, witness
+        if mode == "gs" and gamma >= delta_max + 2:
+            raise PreconditionFailed(
+                "density-coloring", f"no {gamma}-coloring found although Gamma={gamma}"
+            )
     raise PreconditionFailed("vizing-gupta", "no coloring within Delta + mu colors")
 
 

@@ -38,11 +38,6 @@ CANONICAL_N_CAP = 10
 
 
 @dataclass(frozen=True)
-class CanonicalForm:
-    key: str
-
-
-@dataclass(frozen=True)
 class EnumSpec:
     """Bounds for exhaustive enumeration of non-isomorphic multigraphs.
 
@@ -82,6 +77,10 @@ class EnumSpec:
     @staticmethod
     def from_json_obj(obj: dict) -> "EnumSpec":
         try:
+            # the keys are those to_json_obj writes
+            unknown = sorted(set(obj) - set(EnumSpec().to_json_obj()))
+            if unknown:
+                raise ConfigError(f"unknown enumeration spec key(s): {', '.join(unknown)}")
             lo, hi = obj["nRange"]
             return EnumSpec(
                 n_min=int(lo),
@@ -231,9 +230,9 @@ def graph_from_key(key: str) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def canonical_form(G: Multigraph) -> CanonicalForm:
+def canonical_form(G: Multigraph) -> str:
     """Isomorphism-class key: equal keys iff isomorphic with multiplicities."""
-    return CanonicalForm(_canonical_labeling(G)[0])
+    return _canonical_labeling(G)[0]
 
 
 def _is_connected(G: Multigraph) -> bool:
@@ -392,12 +391,6 @@ def enumerate_with_keys(spec: EnumSpec) -> Iterator[tuple[str, Multigraph]]:
     """(canonical key, graph) pairs, one per isomorphism class, key-sorted."""
     for key in class_keys(spec):
         yield key, graph_from_key(key)
-
-
-def enumerate_multigraphs(spec: EnumSpec) -> Iterator[Multigraph]:
-    """Exactly one representative per isomorphism class satisfying the spec."""
-    for _, G in enumerate_with_keys(spec):
-        yield G
 
 
 def random_multigraph(rng: random.Random, n_max: int = 12, mu_max: int = 3) -> Multigraph:

@@ -41,15 +41,6 @@ class CycleSeq:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Consecutive pairs (including wraparound) as sorted (u, v)."""
-        vs = self.vertices
-        out = []
-        for i in range(len(vs)):
-            u, v = vs[i], vs[(i + 1) % len(vs)]
-            out.append((u, v) if u < v else (v, u))
-        return out
-
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -216,9 +207,7 @@ def is_bipartite(G: Multigraph) -> bool:
     return True
 
 
-def density(
-    G: Multigraph, cap: int = DENSITY_ENUMERATION_CAP, deadline: float | None = None
-) -> DensityWitness:
+def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:
     """Exact max over odd vertex sets S, |S| >= 3, of ceil(2|E(G[S])| / (|S|-1)).
 
     Induced subgraphs dominate all subgraphs on a fixed vertex set, so this
@@ -228,8 +217,10 @@ def density(
     time.monotonic() instant; past it the enumeration raises SolverTimeout
     and nothing is memoised.
     """
-    if G.n > cap:
-        raise InstanceTooLarge(f"density enumeration needs n <= {cap}, got {G.n}")
+    if G.n > DENSITY_ENUMERATION_CAP:
+        raise InstanceTooLarge(
+            f"density enumeration needs n <= {DENSITY_ENUMERATION_CAP}, got {G.n}"
+        )
     memo = G.memo
     if "density" not in memo:
         memo["density"] = _odd_set_density(G, deadline)

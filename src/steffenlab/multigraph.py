@@ -88,9 +88,6 @@ class Multigraph:
             u, v = v, u
         return self.mult_map.get((u, v), 0)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         for u, v, _ in self.edges:
             yield (u, v)

@@ -52,14 +52,27 @@ from .structure import (
     verify_cycle_partition,
 )
 
+
+# JSON key -> (ScanConfig field, conversion)
+_CONFIG_KEYS = {
+    "enumSpec": ("enum_spec", EnumSpec.from_json_obj),
+    "solverTimeoutSeconds": ("solver_timeout_seconds", float),
+    "workers": ("workers", int),
+    "outputPath": ("output_path", str),
+    "ringCheck": ("ring_check", bool),
+    "randomGraphs": ("random_graphs", int),
+    "randomNMax": ("random_n_max", int),
+    "randomMuMax": ("random_mu_max", int),
+    "extraGraphs": ("extra_graphs", tuple),
+}
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     enum_spec: EnumSpec = field(default_factory=EnumSpec)
     solver_timeout_seconds: float = 60.0
     workers: int = 1
     output_path: str = "scan.jsonl"
-    steffen_check: bool = True
-    gs_check: bool = True
     ring_check: bool = True
     random_graphs: int = 1000
     random_n_max: int = 12
@@ -75,38 +88,20 @@ class ScanConfig:
     def effective_checkpoint(self) -> str:
         return self.output_path + ".checkpoint"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "enumSpec": self.enum_spec.to_json_obj(),
-            "solverTimeoutSeconds": self.solver_timeout_seconds,
-            "workers": self.workers,
-            "outputPath": self.output_path,
-            "steffenCheck": self.steffen_check,
-            "gsCheck": self.gs_check,
-            "ringCheck": self.ring_check,
-            "randomGraphs": self.random_graphs,
-            "randomNMax": self.random_n_max,
-            "randomMuMax": self.random_mu_max,
-            "extraGraphs": list(self.extra_graphs),
-        }
-
     @staticmethod
     def from_json_obj(obj: dict) -> "ScanConfig":
+        """The config a JSON object describes.  `enumSpec` is required; an
+        absent optional key keeps the field's default; an unknown key is an
+        error, so a misspelt option cannot silently change a scan."""
         try:
-            spec = EnumSpec.from_json_obj(obj["enumSpec"])
-            return ScanConfig(
-                enum_spec=spec,
-                solver_timeout_seconds=float(obj.get("solverTimeoutSeconds", 60.0)),
-                workers=int(obj.get("workers", 1)),
-                output_path=str(obj.get("outputPath", "scan.jsonl")),
-                steffen_check=bool(obj.get("steffenCheck", True)),
-                gs_check=bool(obj.get("gsCheck", True)),
-                ring_check=bool(obj.get("ringCheck", True)),
-                random_graphs=int(obj.get("randomGraphs", 1000)),
-                random_n_max=int(obj.get("randomNMax", 12)),
-                random_mu_max=int(obj.get("randomMuMax", 3)),
-                extra_graphs=tuple(obj.get("extraGraphs", ())),
-            )
+            unknown = sorted(set(obj) - set(_CONFIG_KEYS))
+            if unknown:
+                raise ConfigError(f"unknown scan config key(s): {', '.join(unknown)}")
+            if "enumSpec" not in obj:
+                raise KeyError("enumSpec")
+            values = {name: convert(obj[key]) for key, (name, convert) in _CONFIG_KEYS.items()
+                      if key in obj}
+            return ScanConfig(**values)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scan config: {exc}") from exc
 
@@ -224,7 +219,7 @@ class ScanSummary:
         }
 
 
-def _fold_record(summary: ScanSummary, record: dict, config: ScanConfig) -> None:
+def _fold_record(summary: ScanSummary, record: dict) -> None:
     summary.total += 1
     if record["status"] != "ok":
         summary.timeouts += 1
@@ -237,9 +232,9 @@ def _fold_record(summary: ScanSummary, record: dict, config: ScanConfig) -> None
         summary.chi_ge_delta_plus_2 += 1
     if record["isCritical"]:
         summary.critical += 1
-    if config.steffen_check and record["chi"] > record["steffenBound"]:
+    if record["chi"] > record["steffenBound"]:
         summary.steffen_violations.append(key)
-    if config.gs_check and record["chiGEDeltaPlus2"] and record["chi"] != record["gamma"]:
+    if record["chiGEDeltaPlus2"] and record["chi"] != record["gamma"]:
         summary.gs_violations.append(key)
     if record["ringFound"] is not None:
         summary.ring_gate_fired += 1
@@ -278,9 +273,7 @@ def read_spec_echo(path: str) -> dict:
         raise ConfigError(f"bad spec echo in checkpoint {path}: {exc}") from exc
 
 
-def _fold_report_prefix(
-    path: str, keys: list[str], summary: ScanSummary, config: ScanConfig
-) -> tuple[int, int]:
+def _fold_report_prefix(path: str, keys: list[str], summary: ScanSummary) -> tuple[int, int]:
     """Fold the longest valid prefix of the report into `summary`.
 
     The prefix is made of complete lines, each a record whose key is the
@@ -305,7 +298,7 @@ def _fold_report_prefix(
                 or record["graphKey"] != keys[count]
             ):
                 break
-            _fold_record(summary, record, config)
+            _fold_record(summary, record)
             count += 1
             size += len(line)
     return count, size
@@ -346,7 +339,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     summary = ScanSummary()
     done = size = 0
     if resume:
-        done, size = _fold_report_prefix(config.output_path, keys, summary, config)
+        done, size = _fold_report_prefix(config.output_path, keys, summary)
     with open(config.output_path, "a", encoding="utf-8") as out:
         # cut the report back to its kept prefix before the checkpoint is
         # written, so a checkpoint never vouches for lines of another run
@@ -355,7 +348,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
         for record in record_map(partial(_record_for_key, config), keys[done:]):
             out.write(_record_line(record) + "\n")
             out.flush()
-            _fold_record(summary, record, config)
+            _fold_record(summary, record)
     return summary
 
 

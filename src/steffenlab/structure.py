@@ -238,9 +238,7 @@ def is_ring_graph(G: Multigraph) -> bool:
     return len(bfs_dist(view, range(G.n), 0)) == G.n
 
 
-def enumerate_cycles(
-    view: SimpleGraphView, cap: int = CYCLE_ENUMERATION_CAP
-) -> list[CycleSeq]:
+def enumerate_cycles(view: SimpleGraphView) -> list[CycleSeq]:
     """All simple cycles, canonically oriented, sorted by (length, sequence)."""
     cycles: list[tuple[int, ...]] = []
     for start in range(view.n):
@@ -253,9 +251,9 @@ def enumerate_cycles(
                 if y <= start:
                     if y == start and len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(tuple(path))
-                        if len(cycles) > cap:
+                        if len(cycles) > CYCLE_ENUMERATION_CAP:
                             raise InstanceTooLarge(
-                                f"more than {cap} cycles in the underlying graph"
+                                f"more than {CYCLE_ENUMERATION_CAP} cycles in the underlying graph"
                             )
                     continue
                 if y in on_path:
@@ -286,10 +284,7 @@ def _ring_chi(mults: list[int]) -> int:
 
 
 def find_ring_subgraph_with_chi(
-    G: Multigraph,
-    target: int,
-    timeout_seconds: float | None = None,
-    cap: int = CYCLE_ENUMERATION_CAP,
+    G: Multigraph, target: int, timeout_seconds: float | None = None
 ) -> RingSubgraph | None:
     """First ring subgraph (by canonical cycle order) with chromatic index `target`.
 
@@ -303,7 +298,7 @@ def find_ring_subgraph_with_chi(
     if target < 1:
         return None
     view = G.simple
-    for cyc in enumerate_cycles(view, cap=cap):
+    for cyc in enumerate_cycles(view):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         chi = _ring_chi(mults)

@@ -139,6 +139,19 @@ class TestScanCommands:
         report = json.loads(open(cfg["outputPath"]).read())
         assert report["seed"] == 42
 
+    def test_unknown_spec_key_is_exit_2(self, tmp_path):
+        # a misspelt requireCycle would otherwise scan 5 classes instead of 1
+        out = tmp_path / "scan.jsonl"
+        spec = {"nRange": [5, 5], "maxMu": 1, "girthMin": 5, "maxEdgeCopies": 5,
+                "requireCycles": True}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(out)}))
+        proc = run_cli(["scan", "--config", str(cfg_path)])
+        assert proc.returncode == 2
+        assert "requireCycles" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_config_error_is_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"enumSpec": {"nRange": [1, 99]}}))
@@ -171,6 +184,31 @@ class TestErrors:
         assert proc.returncode == 2
         assert "density" in proc.stderr and "exceeded budget" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_directory_as_graph_exit_2(self, tmp_path, capsys):
+        assert cli_main(["chi", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_directory_as_scan_output_exit_2(self, tmp_path, capsys):
+        spec = {"nRange": [3, 3], "maxMu": 1, "girthMin": 3, "maxEdgeCopies": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(tmp_path)}))
+        assert cli_main(["scan", "--config", str(cfg_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_long_path_chi_exit_2(self, tmp_path, capsys):
+        # the solver recurses once per pair: 1,499 pairs exceed Python's recursion limit
+        path = tmp_path / "path.mgr"
+        path.write_text(sl.serialize(sl.build(1500, [(i, i + 1, 1) for i in range(1499)])))
+        assert cli_main(["chi", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_long_cycle_ring_find_exit_2(self, tmp_path, capsys):
+        # cycle enumeration recurses once per vertex along the path
+        path = tmp_path / "cycle.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(1200, 1)))
+        assert cli_main(["ring-find", str(path), "--target", "2"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["chi"], ["critical"], ["ring-find", "--target", "3"]])
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])

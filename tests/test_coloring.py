@@ -98,6 +98,23 @@ class TestChromaticIndex:
         with pytest.raises(ValueError):
             sl.chromatic_index(sl.mu_complete(5, 2), "gs-fastpath")
 
+    def test_failed_first_decision_at_gamma(self, monkeypatch):
+        # 3C5: Delta 6, Gamma 8, mu 3.  With no 8-coloring the gs identity
+        # fails at its first decision, while the ascent climbs to 9.
+        from steffenlab import coloring
+
+        decide = coloring.is_k_colorable
+        monkeypatch.setattr(
+            coloring, "is_k_colorable", lambda G, k, *a: None if k == 8 else decide(G, k, *a)
+        )
+        G = sl.mu_cycle(5, 3)
+        with pytest.raises(PreconditionFailed) as info:
+            sl.chromatic_index(G, mode="gs")
+        assert info.value.clause == "density-coloring"
+        chi, witness = sl.chromatic_index(G, mode="search")
+        assert chi == 9 and witness.k == 9
+        assert sl.validate_coloring(G, witness)
+
     def test_bipartite_beyond_density_cap(self):
         # n = 24 is past the density cap; bipartite graphs never need density
         path = sl.build(24, [(i, i + 1, 1) for i in range(23)])

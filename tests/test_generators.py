@@ -118,7 +118,7 @@ class TestSimpleEnumeration:
 class TestEnumerateMultigraphs:
     def test_c5_uniqueness(self):
         spec = EnumSpec(n_min=5, n_max=5, max_mu=1, girth_min=5, require_cycle=True)
-        graphs = list(sl.enumerate_multigraphs(spec))
+        graphs = [G for _, G in enumerate_with_keys(spec)]
         assert len(graphs) == 1
         assert sl.canonical_form(graphs[0]) == sl.canonical_form(sl.mu_cycle(5, 1))
 
@@ -126,12 +126,12 @@ class TestEnumerateMultigraphs:
         # multiplicity necklaces over {1,2,3} on C_5 up to dihedral symmetry:
         # (3^5 + 4*3 + 5*3^3) / 10 = 39
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15, require_cycle=True)
-        graphs = list(sl.enumerate_multigraphs(spec))
+        graphs = [G for _, G in enumerate_with_keys(spec)]
         assert len(graphs) == 39
 
     def test_k3_among_cyclic_simple(self):
         spec = EnumSpec(n_min=3, n_max=3, max_mu=1, girth_min=3, require_cycle=True)
-        graphs = list(sl.enumerate_multigraphs(spec))
+        graphs = [G for _, G in enumerate_with_keys(spec)]
         assert len(graphs) == 1
         assert graphs[0] == sl.mu_complete(3, 1)
 
@@ -148,7 +148,7 @@ class TestEnumerateMultigraphs:
             n_min=3, n_max=6, max_mu=2, girth_min=4, max_edge_copies=9, require_cycle=True
         )
         count = 0
-        for G in sl.enumerate_multigraphs(spec):
+        for _, G in enumerate_with_keys(spec):
             count += 1
             assert 3 <= G.n <= 6
             assert G.max_mult <= 2
@@ -165,15 +165,15 @@ class TestEnumerateMultigraphs:
             perm = list(range(G.n))
             rng.shuffle(perm)
             H = sl.build(G.n, [(perm[u], perm[v], m) for u, v, m in G.edges])
-            assert sl.canonical_form(H).key == key
+            assert sl.canonical_form(H) == key
 
     def test_connected_only_filter(self):
         spec_all = EnumSpec(n_min=6, n_max=6, max_mu=1, girth_min=3, max_edge_copies=6)
         spec_conn = EnumSpec(
             n_min=6, n_max=6, max_mu=1, girth_min=3, max_edge_copies=6, connected_only=True
         )
-        all_count = sum(1 for _ in sl.enumerate_multigraphs(spec_all))
-        conn_count = sum(1 for _ in sl.enumerate_multigraphs(spec_conn))
+        all_count = sum(1 for _ in enumerate_with_keys(spec_all))
+        conn_count = sum(1 for _ in enumerate_with_keys(spec_conn))
         assert conn_count < all_count
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import steffenlab as sl
 from steffenlab import invariants
 from steffenlab.errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
-from steffenlab.generators import EnumSpec, enumerate_multigraphs
+from steffenlab.generators import EnumSpec, enumerate_with_keys
 from steffenlab.invariants import is_bipartite
 from steffenlab.scan import ScanConfig, compute_record
 from oracles import (
@@ -130,13 +130,13 @@ class TestDensityKernel:
 
     def test_full6_shaped_corpus(self):
         spec = EnumSpec(n_min=1, n_max=5, max_mu=3, girth_min=3, max_edge_copies=12)
-        assert self.assert_same(enumerate_multigraphs(spec)) > 1000
+        assert self.assert_same(G for _, G in enumerate_with_keys(spec)) > 1000
 
     def test_girth5_shaped_corpus(self):
         spec = EnumSpec(
             n_min=5, n_max=6, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
         )
-        assert self.assert_same(enumerate_multigraphs(spec)) == 1951
+        assert self.assert_same(G for _, G in enumerate_with_keys(spec)) == 1951
 
     def test_seeded_random_graphs(self):
         rng = random.Random(303)
@@ -161,10 +161,10 @@ class TestDensityKernel:
         assert sl.density(G) == density_by_enumeration(G)
 
     def test_cap_checked_before_memo(self):
-        G = sl.mu_cycle(5, 3)
-        sl.density(G)
+        G = sl.mu_cycle(23, 1)
+        G.memo["density"] = sl.density(sl.mu_cycle(5, 1))
         with pytest.raises(InstanceTooLarge):
-            sl.density(G, cap=4)
+            sl.density(G)
 
 
 class TestMemo:

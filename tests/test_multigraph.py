@@ -124,7 +124,7 @@ class TestRemoveEdges:
         H = sl.remove_edges(G, u, v, 1)
         for w in range(n):
             if w not in (u, v):
-                assert H.degree(w) == G.degree(w)
+                assert H.degrees[w] == G.degrees[w]
 
 
 class TestInduced:

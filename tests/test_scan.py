@@ -34,6 +34,21 @@ def file_digest(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+# a scan config as JSON, carrying every documented key
+FULL_CONFIG_JSON = {
+    "enumSpec": {"nRange": [1, 5], "maxMu": 3, "girthMin": 3, "maxEdgeCopies": 9,
+                 "requireCycle": False, "connectedOnly": False},
+    "solverTimeoutSeconds": 30,
+    "workers": 2,
+    "outputPath": "x.jsonl",
+    "ringCheck": False,
+    "randomGraphs": 50,
+    "randomNMax": 9,
+    "randomMuMax": 2,
+    "extraGraphs": ["n 2\ne 0 1 3\n"],
+}
+
+
 def spec_echo(spec):
     return "# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n"
 
@@ -77,7 +92,7 @@ class TestRecords:
 
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
         cfg = ScanConfig(enum_spec=spec, output_path="unused")
-        key = sl.canonical_form(sl.mu_cycle(5, 3)).key
+        key = sl.canonical_form(sl.mu_cycle(5, 3))
         rep = graph_from_key(key)
         record = compute_record(key, rep, cfg)
         assert record["chi"] == 8
@@ -154,7 +169,7 @@ class TestScanRuns:
         assert reports[0] == reports[1]
         assert summaries[0] == summaries[1]
         assert summaries[0]["total"] == 1232 and summaries[0]["ringGateFired"] == 0
-        key = sl.canonical_form(sl.mu_cycle(5, 3)).key
+        key = sl.canonical_form(sl.mu_cycle(5, 3))
         records = [json.loads(line) for line in reports[1].splitlines()]
         (ring,) = [r for r in records if r["graphKey"] == key]
         assert ring["achievesBound"] and ring["ringFound"] is None
@@ -271,7 +286,7 @@ def _foreign_line():
     """A complete record of a graph outside RESUME_SPEC's corpus (n = 5)."""
     G = sl.mu_cycle(5, 3)
     cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
-    return (_record_line(compute_record(sl.canonical_form(G).key, G, cfg)) + "\n").encode()
+    return (_record_line(compute_record(sl.canonical_form(G), G, cfg)) + "\n").encode()
 
 
 # how a report was damaged: full report lines and the cut -> report bytes;
@@ -341,22 +356,49 @@ class TestResume:
         with pytest.raises(ConfigError):
             run_scan(cfg)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg.to_json_obj()))
+        cfg_path.write_text(json.dumps(
+            {**FULL_CONFIG_JSON, "enumSpec": RESUME_SPEC.to_json_obj(), "outputPath": str(out)}
+        ))
         assert cli_main(["scan", "--config", str(cfg_path)]) == 2
         assert out.read_bytes() == before
 
 
 class TestConfig:
     def test_json_roundtrip(self):
-        cfg = ScanConfig(
+        cfg = ScanConfig.from_json_obj(json.loads(json.dumps(FULL_CONFIG_JSON)))
+        assert cfg == ScanConfig(
             enum_spec=small_spec(),
-            output_path="x.jsonl",
+            solver_timeout_seconds=30.0,
             workers=2,
+            output_path="x.jsonl",
             ring_check=False,
+            random_graphs=50,
+            random_n_max=9,
+            random_mu_max=2,
             extra_graphs=("n 2\ne 0 1 3\n",),
         )
-        again = ScanConfig.from_json_obj(json.loads(json.dumps(cfg.to_json_obj())))
-        assert again == cfg
+
+    def test_absent_keys_take_field_defaults(self):
+        cfg = ScanConfig.from_json_obj({"enumSpec": FULL_CONFIG_JSON["enumSpec"]})
+        assert cfg == ScanConfig(enum_spec=small_spec())
+
+    @pytest.mark.parametrize("key", ["steffenCheck", "gsCheck", "outputpath"])
+    def test_unknown_config_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ScanConfig.from_json_obj({**FULL_CONFIG_JSON, key: True})
+
+    def test_unknown_spec_key_rejected(self):
+        spec = {**FULL_CONFIG_JSON["enumSpec"], "requireCycles": True}
+        with pytest.raises(ConfigError, match="requireCycles"):
+            EnumSpec.from_json_obj(spec)
+        with pytest.raises(ConfigError, match="requireCycles"):
+            ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "enumSpec": spec})
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = ScanConfig.from_json_obj(json.loads(block))
+        assert cfg.output_path == "full6.jsonl"
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -465,7 +507,7 @@ class TestTimeoutRecords:
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
         from steffenlab.scan import _fold_record
 
-        _fold_record(summary, record, cfg)
+        _fold_record(summary, record)
         assert summary.timeouts == 1 and summary.ok == 0
 
 
