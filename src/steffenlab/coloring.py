@@ -82,20 +82,49 @@ def is_k_colorable(
     G: Multigraph, k: int, deadline: float | None = None
 ) -> EdgeColoring | None:
     """A proper k-edge-coloring of G, or None.  Deterministic given (G, k)."""
-    if k < 0:
+    found = _search(G.n, G.edges, G.degrees, k, deadline)
+    if found is None:
         return None
-    if not G.edges:
-        return EdgeColoring(k, ())
-    degrees = G.degrees
-    if max(degrees) > k or G.max_mult > k:
+    # copies of a pair take its mask's colors lowest first, and walking the
+    # pairs in serialized order lists the copies in ((u, v), copy) order
+    mask_of = dict(zip(*found))
+    assignment = []
+    for pair in G.edges:
+        mask = mask_of[pair]
+        copy = 0
+        while mask:
+            low = mask & -mask
+            assignment.append(((pair[:2], copy), low.bit_length()))
+            mask ^= low
+            copy += 1
+    return EdgeColoring(k, tuple(assignment))
+
+
+def _search(
+    n: int,
+    edges: tuple[tuple[int, int, int], ...],
+    degrees: tuple[int, ...] | list[int],
+    k: int,
+    deadline: float | None,
+) -> tuple[list[tuple[int, int, int]], list[int]] | None:
+    """The decision behind `is_k_colorable`, on a bare edge list.
+
+    `edges` are (u, v, mult) triples on vertices 0..n-1 and `degrees` their
+    degree vector, so a caller can ask about a graph it never builds.
+    Returns the pairs in search order with the color mask chosen for each,
+    or None when no proper k-coloring exists.  An edgeless graph is
+    k-colorable for every k >= 0.  No separate multiplicity test is needed:
+    a pair's multiplicity never exceeds its endpoints' degrees.
+    """
+    if max(degrees, default=0) > k:
         return None
 
     # most-constrained pairs first; serialized order breaks ties
-    pairs = sorted(G.edges, key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[:2]))
+    pairs = sorted(edges, key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[:2]))
     p = len(pairs)
 
     # remaining color demand per vertex over pair suffixes (for lookahead pruning)
-    rem = [[0] * G.n for _ in range(p + 1)]
+    rem = [[0] * n for _ in range(p + 1)]
     for i in range(p - 1, -1, -1):
         u, v, m = pairs[i]
         row = rem[i + 1][:]
@@ -104,8 +133,8 @@ def is_k_colorable(
         rem[i] = row
 
     full = (1 << k) - 1
-    used = [0] * G.n
-    free = [k] * G.n
+    used = [0] * n
+    free = [k] * n
     chosen = [0] * p
     nodes = 0
 
@@ -154,20 +183,7 @@ def is_k_colorable(
 
     if not dfs(0, 0):
         return None
-
-    assignment = []
-    for (u, v, m), mask in zip(pairs, chosen):
-        colors = []
-        bit = 0
-        while mask:
-            if mask & 1:
-                colors.append(bit + 1)
-            mask >>= 1
-            bit += 1
-        for idx, color in enumerate(sorted(colors)):
-            assignment.append((((u, v), idx), color))
-    assignment.sort()
-    return EdgeColoring(k, tuple(assignment))
+    return pairs, chosen
 
 
 def chromatic_index(
@@ -224,11 +240,20 @@ def _drop_keeping_chi(
     G: Multigraph, chi: int, timeout_seconds: float | None
 ) -> Multigraph | None:
     """G minus one copy of the first pair, in serialized order, whose removal
-    leaves chi' = chi, or None when every such removal lowers chi'."""
-    for u, v, _ in G.edges:
-        reduced = remove_edges(G, u, v, 1)
-        if is_k_colorable(reduced, chi - 1, _deadline(timeout_seconds)) is None:
-            return reduced
+    leaves chi' = chi, or None when every such removal lowers chi'.
+
+    Each G - e is decided as an edge list and a degree vector; only the one
+    returned is built as a graph.
+    """
+    edges = G.edges
+    for i, (u, v, m) in enumerate(edges):
+        kept = ((u, v, m - 1),) if m > 1 else ()
+        reduced = edges[:i] + kept + edges[i + 1 :]
+        degrees = list(G.degrees)
+        degrees[u] -= 1
+        degrees[v] -= 1
+        if _search(G.n, reduced, degrees, chi - 1, _deadline(timeout_seconds)) is None:
+            return Multigraph(G.n, reduced)
     return None
 
 

@@ -19,7 +19,9 @@ exactly once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
 simple representative is an independent task: `class_keys` maps the
 multiplicity layer over the representatives with whatever `map` it is given,
 so a scan shards it over its worker pool.  A class travels as its key, and
-`graph_from_key` rebuilds the representative.
+`graph_from_key` rebuilds the representative; girth and bipartiteness, which
+depend on the simple layer alone, are computed once per simple
+representative and travel with its keys.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from heapq import merge
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import INFINITE_GIRTH, bfs_dist, girth
+from .invariants import INFINITE_GIRTH, bfs_dist, girth, simple_layer
 from .multigraph import Multigraph, build
 
 CANONICAL_N_CAP = 10
@@ -76,23 +80,50 @@ class EnumSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "EnumSpec":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"enumeration spec must be a JSON object, got {obj!r}")
+        # the keys are those to_json_obj writes
+        unknown = sorted(set(obj) - set(EnumSpec().to_json_obj()))
+        if unknown:
+            raise ConfigError(f"unknown enumeration spec key(s): {', '.join(unknown)}")
         try:
-            # the keys are those to_json_obj writes
-            unknown = sorted(set(obj) - set(EnumSpec().to_json_obj()))
-            if unknown:
-                raise ConfigError(f"unknown enumeration spec key(s): {', '.join(unknown)}")
-            lo, hi = obj["nRange"]
+            n_range = obj["nRange"]
+            if type(n_range) is not list or len(n_range) != 2 or any(
+                type(x) is not int for x in n_range
+            ):
+                raise ConfigError(f"nRange must be two integers, got {n_range!r}")
             return EnumSpec(
-                n_min=int(lo),
-                n_max=int(hi),
-                max_mu=int(obj["maxMu"]),
-                girth_min=int(obj["girthMin"]),
-                max_edge_copies=int(obj["maxEdgeCopies"]),
-                require_cycle=bool(obj.get("requireCycle", False)),
-                connected_only=bool(obj.get("connectedOnly", False)),
+                n_min=n_range[0],
+                n_max=n_range[1],
+                max_mu=json_value("maxMu", obj["maxMu"], int),
+                girth_min=json_value("girthMin", obj["girthMin"], int),
+                max_edge_copies=json_value("maxEdgeCopies", obj["maxEdgeCopies"], int),
+                require_cycle=json_value("requireCycle", obj.get("requireCycle", False), bool),
+                connected_only=json_value("connectedOnly", obj.get("connectedOnly", False), bool),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad enumeration spec: {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"bad enumeration spec: missing {exc}") from exc
+
+
+# what each conversion accepts, as (description, test of the parsed JSON
+# value); a bool is not an integer, and a number is never rounded to one
+_JSON_KINDS = {
+    bool: ("true or false", lambda x: type(x) is bool),
+    int: ("an integer", lambda x: type(x) is int),
+    float: ("a number", lambda x: type(x) in (int, float)),
+    str: ("a string", lambda x: type(x) is str),
+    tuple: ("a list of strings", lambda x: type(x) is list and all(type(s) is str for s in x)),
+}
+
+
+def json_value(key: str, value, kind: type):
+    """`kind(value)` for a config value whose JSON type `kind` accepts, else
+    ConfigError naming `key`: `"ringCheck": "false"` or `"workers": 2.7`
+    must not become True or 2."""
+    what, accepts = _JSON_KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def mu_cycle(g: int, mu: int) -> Multigraph:
@@ -376,20 +407,33 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
     return keys
 
 
-def class_keys(spec: EnumSpec, mapper: Callable = map) -> list[str]:
-    """Canonical keys of the spec's classes, sorted.
+def class_keys(
+    spec: EnumSpec, mapper: Callable = map
+) -> tuple[list[str], list[tuple[int | float, bool]]]:
+    """Canonical keys of the spec's classes, sorted, and aligned with them the
+    `simple_layer` (girth, bipartite) of each key's simple representative.
 
     `mapper` runs the multiplicity layer, one simple representative per task:
     the builtin `map` in process, or a pool's `map` to shard it.  Keys of
-    different representatives never collide, so the merge is a sort.
+    different representatives never collide, so the merge is a merge of the
+    sorted shards.  The keys of one representative share its pair: a scan
+    seeds each record's memo with it instead of recomputing it per record.
     """
-    shards = mapper(partial(multiplicity_keys, spec), simple_representatives(spec))
-    return sorted(k for shard in shards for k in shard)
+    simples = list(simple_representatives(spec))
+    layers = [simple_layer(S) for S in simples]
+    shards = mapper(partial(multiplicity_keys, spec), simples)
+    runs = [zip(sorted(shard), repeat(layer)) for shard, layer in zip(shards, layers)]
+    keys: list[str] = []
+    key_layers: list[tuple[int | float, bool]] = []
+    for key, layer in merge(*runs):
+        keys.append(key)
+        key_layers.append(layer)
+    return keys, key_layers
 
 
 def enumerate_with_keys(spec: EnumSpec) -> Iterator[tuple[str, Multigraph]]:
     """(canonical key, graph) pairs, one per isomorphism class, key-sorted."""
-    for key in class_keys(spec):
+    for key in class_keys(spec)[0]:
         yield key, graph_from_key(key)
 
 

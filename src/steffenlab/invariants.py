@@ -4,13 +4,17 @@ Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
 girth, represented as math.inf.
 
-`girth` and `density` are memoised on the graph (`Multigraph.memo`), as is
-the underlying simple graph, so a scan record, `steffen_bound` and
-`chromatic_index` share one value per graph.  Density enumerates odd vertex
-sets size by size.  A whole size s is skipped when no set of that size can
-change the answer: when ceil(2m/(s-1)) is at most the incumbent, or when
-ceil(D_s/(s-1)) is below it, where D_s is the sum of the s largest degrees
-(2|E(G[S])| <= sum of the degrees in S).
+`girth`, `is_bipartite` and `density` are memoised on the graph
+(`Multigraph.memo`), as is the underlying simple graph, so a scan record,
+`steffen_bound` and `chromatic_index` share one value per graph.  Girth and
+bipartiteness depend on the underlying simple graph alone, so a scan
+computes them once per simple representative and seeds each record's memo
+with them (`simple_layer`, `seed_simple_layer`).
+
+Density enumerates odd vertex sets size by size.  A whole size s is skipped
+when no set of that size can change the answer: when ceil(2m/(s-1)) is at
+most the incumbent, or when ceil(D_s/(s-1)) is below it, where D_s is the
+sum of the s largest degrees (2|E(G[S])| <= sum of the degrees in S).
 """
 
 from __future__ import annotations
@@ -180,12 +184,16 @@ def bfs_dist(view: SimpleGraphView, allowed: Container[int], src: int) -> dict[i
 
 
 def is_bipartite(G: Multigraph) -> bool:
-    """True iff the underlying simple graph has a proper 2-coloring.
+    """True iff the underlying simple graph has a proper 2-coloring."""
+    memo = G.memo
+    if "bipartite" not in memo:
+        memo["bipartite"] = _two_colorable(G)
+    return memo["bipartite"]
 
-    One BFS 2-coloring per component, stopping at the first edge inside a
-    side.  Plain lists keep it allocation-light: it runs on every
-    chromatic_index call.
-    """
+
+def _two_colorable(G: Multigraph) -> bool:
+    """One BFS 2-coloring per component, stopping at the first edge inside a
+    side; plain lists keep it allocation-light (no simple view is built)."""
     adj: list[list[int]] = [[] for _ in range(G.n)]
     for u, v, _ in G.edges:
         adj[u].append(v)
@@ -205,6 +213,18 @@ def is_bipartite(G: Multigraph) -> bool:
                 elif side[y] == side[x]:
                     return False
     return True
+
+
+def simple_layer(G: Multigraph) -> tuple[int | float, bool]:
+    """(girth, bipartite): the invariants G shares with every multigraph on
+    an isomorphic underlying simple graph."""
+    return girth(G), is_bipartite(G)
+
+
+def seed_simple_layer(G: Multigraph, layer: tuple[int | float, bool]) -> None:
+    """Memoise on G the `simple_layer` of a graph whose underlying simple
+    graph is isomorphic to G's, so that G never computes them itself."""
+    G.memo["girth"], G.memo["bipartite"] = layer
 
 
 def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:

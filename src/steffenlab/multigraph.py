@@ -7,9 +7,10 @@ to share between concurrent workers.
 
 Invariants that only depend on the graph value are computed once per graph
 and kept on it: the degree vector and the underlying simple graph as cached
-properties, and values computed elsewhere (girth, density) in `memo`.  Like
-every cached property they live in the instance `__dict__`, so they take no
-part in equality, hashing or repr, and they travel with a pickled graph.
+properties, and values computed elsewhere (girth, bipartiteness, density)
+in `memo`.  Like every cached property they live in the instance `__dict__`,
+so they take no part in equality, hashing or repr, and they travel with a
+pickled graph.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 from .coloring import (
     chromatic_index,
@@ -33,6 +34,7 @@ from .generators import (
     class_keys,
     enumerate_with_keys,
     graph_from_key,
+    json_value,
     random_multigraph,
 )
 from .invariants import (
@@ -41,9 +43,10 @@ from .invariants import (
     check_short_cycle_properties,
     density,
     girth,
+    seed_simple_layer,
     steffen_bound,
 )
-from .multigraph import Multigraph, basic_invariants, parse_any, serialize
+from .multigraph import Multigraph, parse_any, serialize
 from .structure import (
     cycle_partition,
     fan_bound_check,
@@ -53,9 +56,9 @@ from .structure import (
 )
 
 
-# JSON key -> (ScanConfig field, conversion)
+# JSON key -> (ScanConfig field, conversion) for every key but the required
+# `enumSpec`; `json_value` checks each value's JSON type against its conversion
 _CONFIG_KEYS = {
-    "enumSpec": ("enum_spec", EnumSpec.from_json_obj),
     "solverTimeoutSeconds": ("solver_timeout_seconds", float),
     "workers": ("workers", int),
     "outputPath": ("output_path", str),
@@ -82,7 +85,8 @@ class ScanConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.solver_timeout_seconds < 1:
+        # written so that NaN, which JSON parsing accepts, fails it too
+        if not self.solver_timeout_seconds >= 1:
             raise ConfigError("solver timeout must be >= 1 second")
 
     def effective_checkpoint(self) -> str:
@@ -91,19 +95,19 @@ class ScanConfig:
     @staticmethod
     def from_json_obj(obj: dict) -> "ScanConfig":
         """The config a JSON object describes.  `enumSpec` is required; an
-        absent optional key keeps the field's default; an unknown key is an
-        error, so a misspelt option cannot silently change a scan."""
-        try:
-            unknown = sorted(set(obj) - set(_CONFIG_KEYS))
-            if unknown:
-                raise ConfigError(f"unknown scan config key(s): {', '.join(unknown)}")
-            if "enumSpec" not in obj:
-                raise KeyError("enumSpec")
-            values = {name: convert(obj[key]) for key, (name, convert) in _CONFIG_KEYS.items()
-                      if key in obj}
-            return ScanConfig(**values)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scan config: {exc}") from exc
+        absent optional key keeps the field's default; an unknown key or a
+        value of the wrong JSON type is an error, so a misspelt option
+        cannot silently change a scan."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"scan config must be a JSON object, got {obj!r}")
+        unknown = sorted(set(obj) - set(_CONFIG_KEYS) - {"enumSpec"})
+        if unknown:
+            raise ConfigError(f"unknown scan config key(s): {', '.join(unknown)}")
+        if "enumSpec" not in obj:
+            raise ConfigError("bad scan config: missing 'enumSpec'")
+        values = {name: json_value(key, obj[key], convert)
+                  for key, (name, convert) in _CONFIG_KEYS.items() if key in obj}
+        return ScanConfig(enum_spec=EnumSpec.from_json_obj(obj["enumSpec"]), **values)
 
 
 RECORD_FIELDS = (
@@ -128,15 +132,16 @@ RECORD_FIELDS = (
 
 def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
     """One ScanRecord as a JSON-ready dict with a fixed field order."""
-    inv = basic_invariants(G)
+    delta_max = max(G.degrees, default=0)
+    mu = G.max_mult
     g = girth(G)
     record: dict = {
         "graphKey": key,
-        "n": inv.n,
-        "m": inv.m,
-        "Delta": inv.Delta,
-        "delta": inv.delta,
-        "mu": inv.mu,
+        "n": G.n,
+        "m": G.edge_count,
+        "Delta": delta_max,
+        "delta": min(G.degrees, default=0),
+        "mu": mu,
         "girth": None if g == INFINITE_GIRTH else int(g),
         "gamma": None,
         "chi": None,
@@ -154,11 +159,11 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         chi = chromatic_index(G, timeout_seconds=timeout)[0]
         record["chi"] = chi
         record["achievesBound"] = chi == record["steffenBound"]
-        record["chiGEDeltaPlus2"] = chi >= inv.Delta + 2
+        record["chiGEDeltaPlus2"] = chi >= delta_max + 2
         record["isCritical"] = (
             is_critical(G, chi=chi, timeout_seconds=timeout) if G.edges else False
         )
-        gate = _ring_gate(config.enum_spec.girth_min, g, inv.mu, inv.Delta, chi)
+        gate = _ring_gate(config.enum_spec.girth_min, g, mu, delta_max, chi)
         if config.ring_check and gate:
             ring = find_ring_subgraph_with_chi(G, chi, timeout_seconds=timeout)
             record["ringFound"] = ring is not None
@@ -244,8 +249,12 @@ def _fold_record(summary: ScanSummary, record: dict) -> None:
             summary.ring_violations.append(key)
 
 
-def _record_for_key(config: ScanConfig, key: str) -> dict:
-    return compute_record(key, graph_from_key(key), config)
+def _record_for_key(config: ScanConfig, key: str, layer: tuple[int | float, bool]) -> dict:
+    """The record of the class `key`; `layer` is its simple representative's
+    (girth, bipartite), which the graph takes instead of computing them."""
+    G = graph_from_key(key)
+    seed_simple_layer(G, layer)
+    return compute_record(key, G, config)
 
 
 def write_spec_echo(path: str, spec: EnumSpec) -> None:
@@ -318,9 +327,10 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     phases: the builtin `map` for one worker, a process pool's for more.
     The multiplicity layer maps over the simple representatives, one per
     task, since a few of them hold most of the keys.  The records map over
-    the keys in chunks of 16; each task rebuilds its graph from the key, so
-    the graphs are built one record at a time and only keys and records
-    cross between processes.
+    the keys in chunks of 16; each task rebuilds its graph from the key and
+    seeds it with the girth and bipartiteness of the key's simple
+    representative, so the graphs are built one record at a time and only
+    keys, those shared pairs and records cross between processes.
     """
     if config.workers == 1:
         return _run_scan(config, map, map)
@@ -334,7 +344,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     resume = os.path.exists(ckpt_path)
     if resume and read_spec_echo(ckpt_path) != spec.to_json_obj():
         raise ConfigError("checkpoint was written by a different enumeration spec")
-    keys = class_keys(spec, shard_map)
+    keys, layers = class_keys(spec, shard_map)
 
     summary = ScanSummary()
     done = size = 0
@@ -345,7 +355,10 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
         # written, so a checkpoint never vouches for lines of another run
         out.truncate(size)
         write_spec_echo(ckpt_path, spec)
-        for record in record_map(partial(_record_for_key, config), keys[done:]):
+        records = record_map(
+            partial(_record_for_key, config), islice(keys, done, None), islice(layers, done, None)
+        )
+        for record in records:
             out.write(_record_line(record) + "\n")
             out.flush()
             _fold_record(summary, record)

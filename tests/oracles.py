@@ -6,7 +6,9 @@ breaking, the density oracles enumerate odd subsets directly (one of them
 is the library's previous kernel, kept to pin the witness tie-break), and
 the cycle oracles enumerate vertex sequences.  The ring-search oracle is
 the library's previous search, which asks the solver for chi' at every
-step instead of using the ring's closed form.  The enumeration oracle
+step instead of using the ring's closed form.  The criticality oracles are
+the library's previous loop, which builds every G - e as a graph, and the
+witness oracle is its previous assembly, which sorts the copies.  The enumeration oracle
 shares only the canonical key with the library (the key defines the
 classes) and canonicalises every candidate.  Slow on purpose; only run on
 small inputs.
@@ -16,11 +18,11 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from steffenlab.coloring import chromatic_index
+from steffenlab.coloring import EdgeColoring, chromatic_index, is_k_colorable
 from steffenlab.errors import InstanceTooLarge
 from steffenlab.generators import _canonical_labeling
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
-from steffenlab.multigraph import Multigraph, build
+from steffenlab.multigraph import Multigraph, build, remove_edges
 from steffenlab.structure import RingSubgraph, enumerate_cycles
 
 
@@ -274,3 +276,42 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
             if chi == target:
                 return RingSubgraph(cyc, tuple(mults), chi)
     return None
+
+
+def drop_keeping_chi_by_rebuild(G: Multigraph, chi: int) -> Multigraph | None:
+    """G minus one copy of the first pair, in serialized order, whose removal
+    keeps chi' = chi, building each G - e with remove_edges."""
+    for u, v, _ in G.edges:
+        reduced = remove_edges(G, u, v, 1)
+        if is_k_colorable(reduced, chi - 1) is None:
+            return reduced
+    return None
+
+
+def is_critical_by_rebuild(G: Multigraph, chi: int) -> bool:
+    return drop_keeping_chi_by_rebuild(G, chi) is None
+
+
+def extract_critical_by_rebuild(G: Multigraph) -> Multigraph:
+    chi = chromatic_index(G)[0]
+    while (reduced := drop_keeping_chi_by_rebuild(G, chi)) is not None:
+        G = reduced
+    return G
+
+
+def witness_by_sorting(k: int, pairs, chosen) -> EdgeColoring:
+    """The solver's witness assembled from its pair order and chosen masks:
+    each pair's colors sorted, then every copy sorted by ((u, v), copy)."""
+    assignment = []
+    for (u, v, m), mask in zip(pairs, chosen):
+        colors = []
+        bit = 0
+        while mask:
+            if mask & 1:
+                colors.append(bit + 1)
+            mask >>= 1
+            bit += 1
+        for idx, color in enumerate(sorted(colors)):
+            assignment.append((((u, v), idx), color))
+    assignment.sort()
+    return EdgeColoring(k, tuple(assignment))

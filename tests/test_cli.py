@@ -152,6 +152,20 @@ class TestScanCommands:
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
 
+    def test_wrongly_typed_config_is_exit_2(self, tmp_path):
+        # "false" is a non-empty string: read with bool() it would turn the ring search on
+        out = tmp_path / "scan.jsonl"
+        spec = {"nRange": [5, 5], "maxMu": 1, "girthMin": 5, "maxEdgeCopies": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"enumSpec": spec, "outputPath": str(out), "ringCheck": "false"})
+        )
+        proc = run_cli(["scan", "--config", str(cfg_path)])
+        assert proc.returncode == 2
+        assert "ringCheck" in proc.stderr and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_config_error_is_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"enumSpec": {"nRange": [1, 99]}}))

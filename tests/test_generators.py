@@ -12,7 +12,9 @@ from steffenlab.generators import (
     class_keys,
     enumerate_with_keys,
     graph_from_key,
+    simple_representatives,
 )
+from steffenlab.invariants import is_bipartite
 from oracles import canonicalize, enumerate_by_dedup
 
 
@@ -247,6 +249,22 @@ class TestClassKeys:
     def test_same_keys_for_every_map(self, name):
         spec = ORACLE_SPECS[name]
         want = [key for key, _ in enumerate_by_dedup(spec)]
-        assert class_keys(spec) == want
+        assert class_keys(spec)[0] == want
         with ProcessPoolExecutor(max_workers=2) as pool:
-            assert class_keys(spec, pool.map) == want
+            assert class_keys(spec, pool.map)[0] == want
+
+    def test_layers_match_fresh_graphs(self):
+        # forests, bipartite graphs with cycles and graphs with odd cycles
+        spec = EnumSpec(n_min=2, n_max=6, max_mu=2, girth_min=3, max_edge_copies=9)
+        keys, layers = class_keys(spec)
+        assert len(layers) == len(keys)
+        for key, layer in zip(keys, layers):
+            G = graph_from_key(key)
+            assert G.memo == {}
+            assert layer == (sl.girth(G), is_bipartite(G)), key
+        kinds = {(g == sl.INFINITE_GIRTH, bipartite) for g, bipartite in layers}
+        assert kinds == {(True, True), (False, True), (False, False)}
+        # one pair per simple representative, shared by all of its keys
+        assert len({id(layer) for layer in layers}) == len(list(simple_representatives(spec)))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            assert class_keys(spec, pool.map) == (keys, layers)

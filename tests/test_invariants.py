@@ -201,6 +201,14 @@ class TestMemo:
         assert sum(kernel.values()) == 1
         assert sum(bfs.values()) == 1
 
+    def test_bipartite_memoised(self, monkeypatch):
+        two_coloring = self.count_calls(monkeypatch, "_two_colorable")
+        G = sl.mu_cycle(6, 2)
+        assert is_bipartite(G) and is_bipartite(G)
+        assert sl.chromatic_index(G)[0] == 4
+        assert G.memo["bipartite"] is True
+        assert two_coloring == Counter({G: 1})
+
     def test_memoised_graph_is_the_same_value(self):
         G = sl.mu_cycle(5, 3)
         fresh = sl.build(5, G.edges)

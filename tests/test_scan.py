@@ -10,11 +10,12 @@ import pytest
 
 import steffenlab as sl
 from steffenlab.errors import ConfigError
-from steffenlab.generators import EnumSpec
+from steffenlab.generators import EnumSpec, class_keys, graph_from_key
 from steffenlab.scan import (
     RECORD_FIELDS,
     ScanConfig,
     ScanSummary,
+    _record_for_key,
     _record_line,
     compute_record,
     read_spec_echo,
@@ -111,6 +112,58 @@ class TestRecords:
         assert record["steffenBound"] == 4
         assert record["achievesBound"] is True
         assert record["ringFound"] is None
+
+
+GIRTH5_SPEC = EnumSpec(
+    n_min=5, n_max=6, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
+)
+
+
+class TestSimpleLayerOnce:
+    def test_girth_once_per_simple_representative(self, tmp_path, monkeypatch):
+        import steffenlab.invariants as invariants
+
+        calls = []
+        bfs = invariants.subgraph_girth
+        monkeypatch.setattr(
+            invariants, "subgraph_girth", lambda view, within: calls.append(1) or bfs(view, within)
+        )
+        class_keys(GIRTH5_SPEC)
+        enumeration = len(calls)
+        calls.clear()
+        cfg = ScanConfig(enum_spec=GIRTH5_SPEC, workers=1, output_path=str(tmp_path / "r.jsonl"))
+        assert run_scan(cfg).total == 1951
+        # the enumeration's own calls (growing the simple layer, then one per
+        # simple representative) and none for the 1,951 records
+        assert len(calls) == enumeration
+
+    def test_seeded_record_equals_fresh_record(self, monkeypatch):
+        import steffenlab.invariants as invariants
+
+        cfg = ScanConfig(enum_spec=GIRTH5_SPEC, output_path="unused")
+        keys, layers = class_keys(GIRTH5_SPEC)
+        fresh = [compute_record(key, graph_from_key(key), cfg) for key in keys]
+        computed = []
+        for name in ("subgraph_girth", "_two_colorable"):
+            original = getattr(invariants, name)
+            monkeypatch.setattr(
+                invariants, name, lambda G, *a, f=original: computed.append(G) or f(G, *a)
+            )
+        built = []
+        from_key = graph_from_key
+
+        def tracked(key):
+            built.append(from_key(key))
+            return built[-1]
+
+        monkeypatch.setattr("steffenlab.scan.graph_from_key", tracked)
+        seeded = [_record_for_key(cfg, key, layer) for key, layer in zip(keys, layers)]
+        assert seeded == fresh
+        # no record graph computes its girth or bipartiteness; the ring
+        # search, on the one gated record, 2-colors only the rings it tries
+        assert not any(G is H or G is H.__dict__.get("simple") for G in computed for H in built)
+        # and only that record builds the simple view
+        assert sum("simple" in G.__dict__ for G in built) == 1
 
 
 class TestScanRuns:
@@ -399,6 +452,64 @@ class TestConfig:
         block = readme.split("```json\n", 1)[1].split("```", 1)[0]
         cfg = ScanConfig.from_json_obj(json.loads(block))
         assert cfg.output_path == "full6.jsonl"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ringCheck", "false"),
+            ("ringCheck", 0),
+            ("workers", 2.7),
+            ("workers", True),
+            ("workers", "2"),
+            ("solverTimeoutSeconds", "60"),
+            ("solverTimeoutSeconds", False),
+            ("outputPath", 5),
+            ("randomGraphs", 10.0),
+            ("extraGraphs", "n 2\ne 0 1 3\n"),
+            ("extraGraphs", [["n 2"]]),
+        ],
+    )
+    def test_wrongly_typed_config_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ScanConfig.from_json_obj({**FULL_CONFIG_JSON, key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("requireCycle", "false"),
+            ("connectedOnly", 1),
+            ("maxMu", 2.7),
+            ("maxMu", True),
+            ("girthMin", "5"),
+            ("maxEdgeCopies", None),
+            ("nRange", [1, 5.0]),
+            ("nRange", [1]),
+            ("nRange", "1..5"),
+        ],
+    )
+    def test_wrongly_typed_spec_value_rejected(self, key, value):
+        spec = {**FULL_CONFIG_JSON["enumSpec"], key: value}
+        with pytest.raises(ConfigError, match=key):
+            EnumSpec.from_json_obj(spec)
+        with pytest.raises(ConfigError, match=key):
+            ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "enumSpec": spec})
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ScanConfig.from_json_obj([FULL_CONFIG_JSON])
+        with pytest.raises(ConfigError, match="JSON object"):
+            ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "enumSpec": ["nRange"]})
+
+    @pytest.mark.parametrize("text", ["NaN", "0.5", "-Infinity"])
+    def test_timeout_below_one_second_rejected(self, text):
+        obj = {**FULL_CONFIG_JSON, "solverTimeoutSeconds": json.loads(text)}
+        with pytest.raises(ConfigError, match="solver timeout"):
+            ScanConfig.from_json_obj(obj)
+
+    def test_integral_timeout_is_a_number(self):
+        cfg = ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "solverTimeoutSeconds": 7})
+        assert cfg.solver_timeout_seconds == 7.0
+        assert type(cfg.solver_timeout_seconds) is float
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
