@@ -4,7 +4,7 @@ Graph arguments accept a file path or '-' for stdin; input may be MGR text
 or the JSON form.  Exit codes: 0 success, 1 a scan/suite found violations,
 2 usage, input or configuration errors (malformed graphs, non-positive
 timeouts, unknown config keys, unreadable or unwritable paths, inputs too
-large for the recursive searches).
+deep for the colouring solver, which recurses once per vertex pair).
 """
 
 from __future__ import annotations

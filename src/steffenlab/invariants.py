@@ -4,6 +4,10 @@ Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
 girth, represented as math.inf.
 
+Every simple-path search of the cycle layer, `structure.enumerate_cycles`
+included, runs on `simple_paths`, one walk over an explicit stack, and every
+distance, bipartiteness included, on the one BFS `bfs_dist`.
+
 `girth`, `is_bipartite` and `density` are memoised on the graph
 (`Multigraph.memo`), as is the underlying simple graph, so a scan record,
 `steffen_bound` and `chromatic_index` share one value per graph.  Girth and
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from collections.abc import Container
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -53,6 +57,10 @@ class CycleSeq:
 class DensityWitness:
     gamma: int
     witness: tuple[int, ...]
+
+
+# (clause, least cycle length, outside path vertices, most C-neighbours), in report order
+_SHORT_CYCLE_CLAUSES = ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2))
 
 
 @dataclass(frozen=True)
@@ -121,53 +129,54 @@ def shortest_cycle(view: SimpleGraphView, within: frozenset[int] | set[int]) -> 
 
     Tie-break among minimum-length cycles: each cycle is rotated/reflected to
     start at its smallest vertex; the lexicographically least sequence wins.
+    Paths come in lex order, so that is the first closing path of g vertices
+    from the least start that has one.
     """
     within = frozenset(within)
     g = subgraph_girth(view, within)
     if g == INFINITE_GIRTH:
         return None
-    g = int(g)
     for start in sorted(within):
-        best = _best_cycle_from(view, within, start, g)
-        if best is not None:
-            return CycleSeq(best)
+        closing = view.adj[start]
+        for path in simple_paths(view, start, {v for v in within if v > start}, g):
+            if len(path) == g and path[-1] in closing:
+                return CycleSeq(tuple(path))
     return None  # unreachable: finite girth guarantees a cycle
 
 
-def _best_cycle_from(
-    view: SimpleGraphView, within: frozenset[int], start: int, length: int
-) -> tuple[int, ...] | None:
-    """Lex-least cycle sequence of exactly `length` whose minimum vertex is `start`."""
-    allowed = {v for v in within if v > start}
-    dist = bfs_dist(view, allowed | {start}, start)
-    best: tuple[int, ...] | None = None
-    path = [start]
-    on_path = {start}
+def simple_paths(
+    view: SimpleGraphView, first: int, allowed: Container[int], most: int
+) -> Iterator[list[int]]:
+    """Every simple path that starts at `first`, continues inside `allowed` and
+    has at most `most` vertices, in lexicographic order (prefixes first).
 
-    def extend():
-        nonlocal best
-        depth = len(path)
-        cur = path[-1]
-        if depth == length:
-            # close the cycle; keep the lex-least of the two orientations
-            if start in view.adj[cur] and path[1] < path[-1]:
-                cand = tuple(path)
-                if best is None or cand < best:
-                    best = cand
-            return
-        for y in sorted(view.adj[cur]):
-            if y not in allowed or y in on_path:
-                continue
-            if dist.get(y, length + 1) > length - depth:
+    The walk keeps a stack of neighbour iterators, not the call stack, so a
+    path may be as long as the graph.  Each path is yielded as the walker's
+    own list, which the next step changes: callers copy what they keep.
+    """
+    adj = view.adj
+    steps: dict[int, list[int]] = {}  # sorted neighbours inside `allowed`, per vertex
+    path = [first]
+    on_path = {first}
+    stack = [iter(sorted(y for y in adj[first] if y in allowed))] if most > 1 else []
+    yield path
+    while stack:
+        for y in stack[-1]:
+            if y in on_path:
                 continue
             path.append(y)
-            on_path.add(y)
-            extend()
+            yield path
+            if len(path) < most:
+                on_path.add(y)
+                nxt = steps.get(y)
+                if nxt is None:
+                    nxt = steps[y] = sorted(x for x in adj[y] if x in allowed)
+                stack.append(iter(nxt))
+                break
             path.pop()
-            on_path.remove(y)
-
-    extend()
-    return best
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
 
 
 def bfs_dist(view: SimpleGraphView, allowed: Container[int], src: int) -> dict[int, int]:
@@ -192,27 +201,13 @@ def is_bipartite(G: Multigraph) -> bool:
 
 
 def _two_colorable(G: Multigraph) -> bool:
-    """One BFS 2-coloring per component, stopping at the first edge inside a
-    side; plain lists keep it allocation-light (no simple view is built)."""
-    adj: list[list[int]] = [[] for _ in range(G.n)]
-    for u, v, _ in G.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    side = [-1] * G.n
+    """Hop-distance parity from one root per component is a 2-coloring
+    unless some edge joins two vertices at the same distance."""
+    dist: dict[int, int] = {}
     for root in range(G.n):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if side[y] < 0:
-                    side[y] = 1 - side[x]
-                    queue.append(y)
-                elif side[y] == side[x]:
-                    return False
-    return True
+        if root not in dist:
+            dist.update(bfs_dist(G.simple, range(G.n), root))
+    return all(dist[u] != dist[v] for u, v, _ in G.edges)
 
 
 def simple_layer(G: Multigraph) -> tuple[int | float, bool]:
@@ -341,40 +336,23 @@ def check_short_cycle_properties(
     """
     within = frozenset(within)
     view = G.simple
-    _require_shortest_cycle(view, C, within)
+    require_shortest_cycle(view, C, within)
     cyc = C.vertex_set()
     outside = sorted(within - cyc)
-    ncount = {
-        v: sum(1 for c in cyc if view.has_edge(v, c)) for v in outside
-    }
-    length = len(C)
+    ncount = {v: sum(1 for c in cyc if view.has_edge(v, c)) for v in outside}
     violations: list[ShortCycleViolation] = []
-
-    if length >= 5:
-        for v in outside:
-            if ncount[v] > 1:
-                violations.append(ShortCycleViolation(1, (v,), ncount[v], 1))
-    if length >= 7:
-        for u in outside:
-            for v in sorted(view.adj[u]):
-                if v in within and v not in cyc and u < v:
-                    val = ncount[u] + ncount[v]
-                    if val > 1:
-                        violations.append(ShortCycleViolation(2, (u, v), val, 1))
-    if length >= 6:
-        for p in _outside_paths(view, outside, set(outside), 3):
-            val = sum(ncount[v] for v in p)
-            if val > 2:
-                violations.append(ShortCycleViolation(4, p, val, 2))
-    if length >= 8:
-        for p in _outside_paths(view, outside, set(outside), 5):
-            val = sum(ncount[v] for v in p)
-            if val > 2:
-                violations.append(ShortCycleViolation(3, p, val, 2))
+    for clause, least, k, limit in _SHORT_CYCLE_CLAUSES:
+        if len(C) < least:
+            continue
+        for p in _outside_paths(view, outside, k):
+            value = sum(ncount[v] for v in p)
+            if value > limit:
+                violations.append(ShortCycleViolation(clause, p, value, limit))
     return violations
 
 
-def _require_shortest_cycle(view: SimpleGraphView, C: CycleSeq, within: frozenset[int]) -> None:
+def require_shortest_cycle(view: SimpleGraphView, C: CycleSeq, within: frozenset[int]) -> None:
+    """Raise NotShortestCycle unless C is a shortest cycle of the subgraph on `within`."""
     vs = C.vertices
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise NotShortestCycle("not a simple cycle sequence")
@@ -390,29 +368,10 @@ def _require_shortest_cycle(view: SimpleGraphView, C: CycleSeq, within: frozense
         raise NotShortestCycle(f"cycle has length {len(vs)} but girth is {g}")
 
 
-def _outside_paths(
-    view: SimpleGraphView, outside: list[int], allowed: set[int], k: int
-) -> list[tuple[int, ...]]:
-    """All simple k-vertex paths inside `allowed`, one orientation per path."""
-    paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def extend():
-        if len(path) == k:
-            if path[0] < path[-1]:
-                paths.append(tuple(path))
-            return
-        for y in sorted(view.adj[path[-1]]):
-            if y in allowed and y not in on_path:
-                path.append(y)
-                on_path.add(y)
-                extend()
-                path.pop()
-                on_path.remove(y)
-
+def _outside_paths(view: SimpleGraphView, outside: list[int], k: int) -> Iterator[tuple[int, ...]]:
+    """All simple k-vertex paths inside `outside`, one orientation per path."""
+    allowed = set(outside)
     for v in outside:
-        path = [v]
-        on_path = {v}
-        extend()
-    return paths
+        for p in simple_paths(view, v, allowed, k):
+            if len(p) == k and p[0] <= p[-1]:
+                yield tuple(p)

@@ -256,15 +256,32 @@ def to_json_obj(G: Multigraph) -> dict:
 
 
 def from_json_obj(obj: dict) -> Multigraph:
-    """Build from {"n": count, "edges": [[u, v, mult], ...]}; ParseError if malformed."""
+    """Build from {"n": count, "edges": [[u, v, mult], ...]}; ParseError if malformed.
+
+    The count, endpoints and multiplicities must be JSON integers: 2.7, true
+    and "3" are refused, not converted.
+    """
     try:
-        n = int(obj["n"])
-        triples = [(int(u), int(v), int(m)) for u, v, m in obj["edges"]]
+        n = _json_int(obj["n"], "n")
+        triples = [
+            (
+                _json_int(u, f"edges[{i}] u"),
+                _json_int(v, f"edges[{i}] v"),
+                _json_int(m, f"edges[{i}] mult"),
+            )
+            for i, (u, v, m) in enumerate(obj["edges"])
+        ]
     except KeyError as exc:
         raise ParseError(f"JSON graph lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON graph: {exc}") from None
     return build(n, triples)
+
+
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ParseError(f"JSON graph field {field} is not an integer: {json.dumps(value)}")
+    return value
 
 
 def parse_any(text: str) -> Multigraph:

@@ -325,6 +325,8 @@ def run_scan(config: ScanConfig) -> ScanSummary:
 
     The worker count only chooses the `map` that runs the scan's two
     phases: the builtin `map` for one worker, a process pool's for more.
+    The pool has at most one process per CPU: it forks all of its processes
+    at the first task, and the report does not depend on their number.
     The multiplicity layer maps over the simple representatives, one per
     task, since a few of them hold most of the keys.  The records map over
     the keys in chunks of 16; each task rebuilds its graph from the key and
@@ -334,7 +336,7 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     """
     if config.workers == 1:
         return _run_scan(config, map, map)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
         return _run_scan(config, pool.map, partial(pool.map, chunksize=16))
 
 

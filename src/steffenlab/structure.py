@@ -5,6 +5,9 @@ graph until the remainder V_0 is acyclic.  A t-fan is a union of t internally
 disjoint paths from a V_0 vertex to one partition cycle, with all interior
 vertices in V_0.  A ring graph is a multigraph whose underlying simple graph
 is a single spanning cycle.
+
+Cycle enumeration walks `invariants.simple_paths`, and partition
+verification asks `invariants.require_shortest_cycle` about each stage.
 """
 
 from __future__ import annotations
@@ -12,14 +15,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge, VertexNotInV0
+from .errors import InstanceTooLarge, NotShortestCycle, VertexNotInV0
 from .coloring import chromatic_index
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
     bfs_dist,
     ceil_div,
+    require_shortest_cycle,
     shortest_cycle,
+    simple_paths,
     subgraph_girth,
 )
 from .multigraph import Multigraph, SimpleGraphView, build
@@ -109,23 +114,11 @@ def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
     problems: list[str] = []
     remaining = set(range(G.n))
     for idx, cyc in enumerate(P.cycles):
-        vs = cyc.vertices
-        if len(set(vs)) != len(vs) or len(vs) < 3:
-            problems.append(f"cycle {idx} is not a simple cycle sequence")
-            continue
-        if not set(vs) <= remaining:
-            problems.append(f"cycle {idx} reuses vertices of earlier cycles")
-            continue
-        for i in range(len(vs)):
-            if not view.has_edge(vs[i], vs[(i + 1) % len(vs)]):
-                problems.append(f"cycle {idx} has non-adjacent consecutive vertices")
-                break
-        stage_girth = subgraph_girth(view, frozenset(remaining))
-        if stage_girth != len(vs):
-            problems.append(
-                f"cycle {idx} has length {len(vs)} but stage girth is {stage_girth}"
-            )
-        remaining -= set(vs)
+        try:
+            require_shortest_cycle(view, cyc, frozenset(remaining))
+        except NotShortestCycle as exc:
+            problems.append(f"cycle {idx}: {exc}")
+        remaining -= cyc.vertex_set()
     if subgraph_girth(view, frozenset(remaining)) != INFINITE_GIRTH:
         problems.append("remainder V_0 is not acyclic")
     if frozenset(remaining) != P.v0:
@@ -242,29 +235,16 @@ def enumerate_cycles(view: SimpleGraphView) -> list[CycleSeq]:
     """All simple cycles, canonically oriented, sorted by (length, sequence)."""
     cycles: list[tuple[int, ...]] = []
     for start in range(view.n):
-        path = [start]
-        on_path = {start}
-
-        def extend():
-            cur = path[-1]
-            for y in sorted(view.adj[cur]):
-                if y <= start:
-                    if y == start and len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
-                        if len(cycles) > CYCLE_ENUMERATION_CAP:
-                            raise InstanceTooLarge(
-                                f"more than {CYCLE_ENUMERATION_CAP} cycles in the underlying graph"
-                            )
-                    continue
-                if y in on_path:
-                    continue
-                path.append(y)
-                on_path.add(y)
-                extend()
-                path.pop()
-                on_path.remove(y)
-
-        extend()
+        closing = view.adj[start]
+        if sum(y > start for y in closing) < 2:
+            continue  # a cycle leaves its least vertex by two higher neighbours
+        for path in simple_paths(view, start, range(start + 1, view.n), view.n):
+            if len(path) >= 3 and path[1] < path[-1] and path[-1] in closing:
+                cycles.append(tuple(path))
+                if len(cycles) > CYCLE_ENUMERATION_CAP:
+                    raise InstanceTooLarge(
+                        f"more than {CYCLE_ENUMERATION_CAP} cycles in the underlying graph"
+                    )
     cycles.sort(key=lambda c: (len(c), c))
     return [CycleSeq(c) for c in cycles]
 

@@ -3,20 +3,21 @@
 These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
 breaking, the density oracles enumerate odd subsets directly (one of them
-is the library's previous kernel, kept to pin the witness tie-break), and
-the cycle oracles enumerate vertex sequences.  The ring-search oracle is
-the library's previous search, which asks the solver for chi' at every
-step instead of using the ring's closed form.  The criticality oracles are
-the library's previous loop, which builds every G - e as a graph, and the
-witness oracle is its previous assembly, which sorts the copies.  The enumeration oracle
-shares only the canonical key with the library (the key defines the
-classes) and canonicalises every candidate.  Slow on purpose; only run on
-small inputs.
+is the library's previous kernel, kept to pin the witness tie-break), the
+cycle oracles enumerate vertex sequences, and the short-cycle clause oracle
+finds outside paths among the permutations of the outside vertices.  The
+ring-search oracle is the library's previous search, which asks the solver
+for chi' at every step instead of using the ring's closed form.  The
+criticality oracles are the library's previous loop, which builds every
+G - e as a graph, and the witness oracle is its previous assembly, which
+sorts the copies.  The enumeration oracle shares only the canonical key
+with the library (the key defines the classes) and canonicalises every
+candidate.  Slow on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from steffenlab.coloring import EdgeColoring, chromatic_index, is_k_colorable
 from steffenlab.errors import InstanceTooLarge
@@ -143,6 +144,33 @@ def brute_force_shortest_cycle(G: Multigraph, within: set[int]) -> tuple[int, ..
         return None
     shortest = min(len(c) for c in sub)
     return min(c for c in sub if len(c) == shortest)
+
+
+def short_cycle_violations_by_permutation(
+    G: Multigraph, cycle: tuple[int, ...], within
+) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """(clause, vertices, value, limit) of every failed neighbour-count clause
+    of `cycle` inside `within`, in the library's report order (1, 2, 4, 3).
+
+    A clause of least cycle length L bounds, when |cycle| >= L, the number of
+    cycle neighbours of every outside path of k vertices: the k-permutations
+    of the outside vertices whose consecutive members are adjacent, one
+    orientation each.  Whether `cycle` is shortest is not checked.
+    """
+    adjacent = {(u, v) for u, v, _ in G.edges} | {(v, u) for u, v, _ in G.edges}
+    on_cycle = set(cycle)
+    outside = sorted(set(within) - on_cycle)
+    hits = {v: sum((v, c) in adjacent for c in on_cycle) for v in outside}
+    found = []
+    for clause, least, k, limit in ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2)):
+        if len(cycle) < least:
+            continue
+        for p in permutations(outside, k):
+            if p[0] <= p[-1] and all((a, b) in adjacent for a, b in zip(p, p[1:])):
+                value = sum(hits[v] for v in p)
+                if value > limit:
+                    found.append((clause, p, value, limit))
+    return found
 
 
 def max_disjoint_paths_oracle(G: Multigraph, apex: int, interior: set[int], targets: set[int]) -> int:

@@ -218,11 +218,27 @@ class TestErrors:
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_long_cycle_ring_find_exit_2(self, tmp_path, capsys):
-        # cycle enumeration recurses once per vertex along the path
+        # the ring search finds the cycle itself, then the solver that checks
+        # the returned ring recurses once per pair
         path = tmp_path / "cycle.mgr"
         path.write_text(sl.serialize(sl.mu_cycle(1200, 1)))
         assert cli_main(["ring-find", str(path), "--target", "2"]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_long_cycle_partition(self, tmp_path, capsys):
+        # the cycle searches keep their path on an explicit stack
+        path = tmp_path / "cycle.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(1200, 1)))
+        assert cli_main(["partition", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"cycles": [list(range(1200))], "v0": []}
+
+    def test_json_graph_with_float_multiplicity_exit_2(self):
+        proc = run_cli(["chi", "-"], stdin_text='{"n": 2, "edges": [[0, 1, 1.9]]}')
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: JSON graph field edges[0] mult is not an integer: 1.9"
+        ]
 
     @pytest.mark.parametrize("command", [["chi"], ["critical"], ["ring-find", "--target", "3"]])
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])

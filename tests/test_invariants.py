@@ -2,6 +2,7 @@ import pickle
 import random
 import time
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,31 @@ from oracles import (
     brute_force_girth,
     brute_force_shortest_cycle,
     density_by_enumeration,
+    short_cycle_violations_by_permutation,
 )
+
+
+def long_cycle_graph(rng):
+    """A cycle of 3..9 vertices, some outside vertices joined to each other
+    and to it at random, and a vertex set holding the cycle and most of the
+    rest.  The cycle is rarely shortest, so the clauses can fail."""
+    length = rng.randint(3, 9)
+    n = length + rng.randint(1, 6)
+    order = rng.sample(range(n), n)
+    cycle = order[:length]
+    pairs = {frozenset((cycle[i - 1], cycle[i])) for i in range(length)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            # chance of an edge by how many of its ends are on the cycle: 0, 1, 2
+            if rng.random() < (0.4, 0.2, 0.05)[(u in cycle) + (v in cycle)]:
+                pairs.add(frozenset((u, v)))
+    G = sl.build(n, [(*sorted(p), rng.randint(1, 2)) for p in pairs])
+    within = frozenset(cycle) | {v for v in order[length:] if rng.random() < 0.85}
+    return G, sl.CycleSeq(tuple(cycle)), within
+
+
+def clause_tuples(violations):
+    return [(x.clause, x.vertices, x.value, x.limit) for x in violations]
 
 
 class TestGirth:
@@ -69,6 +94,10 @@ class TestShortestCycle:
         cyc = sl.shortest_cycle(view, frozenset(range(5, 10)))
         assert cyc.vertices == (5, 7, 9, 6, 8)
 
+    def test_long_cycle(self):
+        cyc = sl.shortest_cycle(sl.mu_cycle(1500, 1).simple, frozenset(range(1500)))
+        assert cyc.vertices == tuple(range(1500))
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, seed):
@@ -76,6 +105,28 @@ class TestShortestCycle:
         got = sl.shortest_cycle(G.simple, frozenset(range(G.n)))
         want = brute_force_shortest_cycle(G, set(range(G.n)))
         assert (got.vertices if got else None) == want
+
+
+class TestSimplePaths:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_permutations(self, seed):
+        # every simple path from `first` inside `allowed` with at most `most`
+        # vertices, in lexicographic order
+        rng = random.Random(seed)
+        G = sl.random_multigraph(rng, n_max=7, mu_max=1)
+        first = rng.randrange(G.n)
+        allowed = {v for v in range(G.n) if rng.random() < 0.8}
+        most = rng.randint(1, G.n)
+        got = [tuple(p) for p in invariants.simple_paths(G.simple, first, allowed, most)]
+        rest = sorted(allowed - {first})
+        want = sorted(
+            (first, *p)
+            for k in range(most)
+            for p in permutations(rest, k)
+            if all(G.mult(a, b) for a, b in zip((first, *p), p))
+        )
+        assert got == want
 
 
 class TestDensity:
@@ -295,6 +346,32 @@ class TestShortCycleProperties:
                 assert sl.check_short_cycle_properties(G, cyc, stage) == []
                 checked += 1
         assert checked > 100
+
+    def test_clauses_match_oracle_on_long_cycles(self, monkeypatch):
+        # a cycle that is not shortest can break every clause: with the
+        # shortest-cycle check off, each clause must fail exactly as the oracle says
+        monkeypatch.setattr(invariants, "require_shortest_cycle", lambda *args: None)
+        rng = random.Random(20261018)
+        fired = set()
+        for _ in range(300):
+            G, C, within = long_cycle_graph(rng)
+            got = clause_tuples(sl.check_short_cycle_properties(G, C, within))
+            assert got == short_cycle_violations_by_permutation(G, C.vertices, within)
+            fired.update(clause for clause, *_ in got)
+        assert fired == {1, 2, 3, 4}
+
+    def test_clause_3_alone(self, monkeypatch):
+        # 8-cycle 0..7 and the outside path 8-9-10-11-12 touching it at 0, 2
+        # and 4: three C-neighbours on a 5-path, at most two on any shorter one
+        monkeypatch.setattr(invariants, "require_shortest_cycle", lambda *args: None)
+        edges = [(i, (i + 1) % 8, 1) for i in range(8)]
+        edges += [(8, 9, 1), (9, 10, 1), (10, 11, 1), (11, 12, 1)]
+        edges += [(0, 8, 1), (2, 10, 1), (4, 12, 1)]
+        G = sl.build(13, edges)
+        C = sl.CycleSeq(tuple(range(8)))
+        got = clause_tuples(sl.check_short_cycle_properties(G, C, range(13)))
+        assert got == [(3, (8, 9, 10, 11, 12), 3, 2)]
+        assert got == short_cycle_violations_by_permutation(G, C.vertices, range(13))
 
     def test_clause_detection_on_forged_input(self):
         # monkeypatch-free negative: clause logic flags a hand-built violation

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +200,21 @@ class TestSerialization:
         with pytest.raises(ParseError):
             sl.from_json_obj(obj)
         with pytest.raises(ParseError):
+            sl.parse_any(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"n": 2.7, "edges": []}, "n"),
+            ({"n": 3, "edges": [[0, True, 1]]}, "edges[0] v"),
+            ({"n": 3, "edges": [[0, 1, 1], [1, 2, 1.9]]}, "edges[1] mult"),
+            ({"n": "3", "edges": []}, "n"),
+        ],
+    )
+    def test_json_graph_numbers_must_be_integers(self, obj, field):
+        # int() would turn each of these into a graph: 2.7 -> 2, true -> 1,
+        # 1.9 -> 1 and "3" -> 3
+        with pytest.raises(ParseError, match=f"field {re.escape(field)} is not an integer"):
             sl.parse_any(json.dumps(obj))
 
     def test_parse_any_bad_json(self):

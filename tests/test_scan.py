@@ -187,6 +187,36 @@ class TestScanRuns:
         assert file_digest(cfg1.output_path) == file_digest(cfg2.output_path)
         assert s1.to_json_obj() == s2.to_json_obj()
 
+    @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
+    def test_pool_has_at_most_one_process_per_cpu(self, tmp_path, monkeypatch, cpus, size):
+        # a process pool forks all of its processes at its first task, so a
+        # stand-in pool records the size asked for and maps in this process
+        import steffenlab.scan as scan_mod
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
+        spec = small_spec(n_max=4)
+        one = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "w1.jsonl"))
+        many = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "wn.jsonl"), workers=100000)
+        assert run_scan(one).to_json_obj() == run_scan(many).to_json_obj()
+        assert sizes == [size]
+        assert file_digest(one.output_path) == file_digest(many.output_path)
+
     def test_sharded_enumeration_same_bytes_girth5(self, tmp_path):
         # girth >= 5 corpus shape on n 5..6: one record fires the ring gate
         spec = EnumSpec(

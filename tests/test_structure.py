@@ -170,6 +170,11 @@ class TestCycleEnumeration:
             got = [c.vertices for c in enumerate_cycles(G.simple)]
             assert got == all_cycles_by_bfs_style(G)
 
+    def test_long_cycle(self):
+        # the walk keeps its path on an explicit stack, not the call stack
+        (cycle,) = enumerate_cycles(sl.mu_cycle(1500, 1).simple)
+        assert cycle.vertices == tuple(range(1500))
+
     def test_petersen_cycle_count(self, petersen):
         cycles = enumerate_cycles(petersen.simple)
         assert len(cycles) == len(all_cycles_by_bfs_style(petersen))
