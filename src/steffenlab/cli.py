@@ -3,8 +3,8 @@
 Graph arguments accept a file path or '-' for stdin; input may be MGR text
 or the JSON form.  Exit codes: 0 success, 1 a scan/suite found violations,
 2 usage, input or configuration errors (malformed graphs, non-positive
-timeouts, unknown config keys, unreadable or unwritable paths, inputs too
-deep for the colouring solver, which recurses once per vertex pair).
+timeouts, unknown config keys, unreadable or unwritable paths, JSON nested
+too deeply to parse).
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: input too large for the recursive search", file=sys.stderr)
+        print("error: input nested too deeply to parse", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)

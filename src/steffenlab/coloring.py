@@ -1,12 +1,15 @@
 """Exact edge-coloring decisions, chromatic index, criticality, and
 near-perfect matching decompositions.
 
-The k-colorability solver backtracks over vertex pairs (most-constrained
-first), assigning each pair a color *set* of size mult(u, v): parallel copies
-of a pair are interchangeable, so per-copy assignment would only multiply the
-search space by mu!.  Per-vertex used-color sets are bitmasks.  Global color
-symmetry is broken by allowing a new color index only once all smaller
-indices already appear somewhere.
+The k-colorability solver backtracks over vertex pairs, assigning each pair
+a color *set* of size mult(u, v): parallel copies of a pair are
+interchangeable, so per-copy assignment would only multiply the search space
+by mu!.  Per-vertex used-color sets are bitmasks.  The pair to branch on is
+chosen afresh at every node: the one with the fewest spare colors (its
+slack), and a pair with no colors left for it ends the branch (forward
+checking).  Global color symmetry is broken by allowing a new color index
+only once all smaller indices already appear somewhere.  The search walks an
+explicit stack, so its depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -82,15 +85,13 @@ def is_k_colorable(
     G: Multigraph, k: int, deadline: float | None = None
 ) -> EdgeColoring | None:
     """A proper k-edge-coloring of G, or None.  Deterministic given (G, k)."""
-    found = _search(G.n, G.edges, G.degrees, k, deadline)
-    if found is None:
+    masks = _search(G.n, G.edges, G.degrees, k, deadline)
+    if masks is None:
         return None
     # copies of a pair take its mask's colors lowest first, and walking the
     # pairs in serialized order lists the copies in ((u, v), copy) order
-    mask_of = dict(zip(*found))
     assignment = []
-    for pair in G.edges:
-        mask = mask_of[pair]
+    for pair, mask in zip(G.edges, masks):
         copy = 0
         while mask:
             low = mask & -mask
@@ -106,84 +107,86 @@ def _search(
     degrees: tuple[int, ...] | list[int],
     k: int,
     deadline: float | None,
-) -> tuple[list[tuple[int, int, int]], list[int]] | None:
+) -> list[int] | None:
     """The decision behind `is_k_colorable`, on a bare edge list.
 
     `edges` are (u, v, mult) triples on vertices 0..n-1 and `degrees` their
     degree vector, so a caller can ask about a graph it never builds.
-    Returns the pairs in search order with the color mask chosen for each,
-    or None when no proper k-coloring exists.  An edgeless graph is
-    k-colorable for every k >= 0.  No separate multiplicity test is needed:
-    a pair's multiplicity never exceeds its endpoints' degrees.
+    Returns the color mask chosen for each pair, aligned with `edges`, or
+    None when no proper k-coloring exists.  An edgeless graph is k-colorable
+    for every k >= 0.  No separate multiplicity test is needed: a pair's
+    multiplicity never exceeds its endpoints' degrees.
+
+    Every node branches on the unassigned pair of least slack (colors free
+    at both ends minus its multiplicity); ties go to the larger degree sum,
+    then to serialized order, and the scan stops at a pair of slack 0, whose
+    one color set is forced.  A pair of negative slack sends the search
+    back.  `todo` holds the unassigned pairs as (index, u, v, k - mult), and
+    each `stack` frame a branched pair's position in `todo`, its entry, its
+    untried color sets and the number of colors open before it.
     """
     if max(degrees, default=0) > k:
         return None
-
-    # most-constrained pairs first; serialized order breaks ties
-    pairs = sorted(edges, key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[:2]))
-    p = len(pairs)
-
-    # remaining color demand per vertex over pair suffixes (for lookahead pruning)
-    rem = [[0] * n for _ in range(p + 1)]
-    for i in range(p - 1, -1, -1):
-        u, v, m = pairs[i]
-        row = rem[i + 1][:]
-        row[u] += m
-        row[v] += m
-        rem[i] = row
-
     full = (1 << k) - 1
+    poll = _TIMEOUT_CHECK_MASK
+    todo = sorted(
+        ((i, u, v, k - m) for i, (u, v, m) in enumerate(edges)),
+        key=lambda entry: -(degrees[entry[1]] + degrees[entry[2]]),
+    )
     used = [0] * n
-    free = [k] * n
-    chosen = [0] * p
-    nodes = 0
-
-    def dfs(i: int, next_new: int) -> bool:
-        nonlocal nodes
+    masks = [0] * len(edges)
+    stack = []
+    opened = nodes = 0
+    while True:
         nodes += 1
-        if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0:
-            if time.monotonic() > deadline:
-                raise SolverTimeout(f"k={k} decision exceeded budget")
-        if i == p:
-            return True
-        u, v, m = pairs[i]
-        avail = full & ~(used[u] | used[v])
-        if avail.bit_count() < m:
-            return False
-        rem_i = rem[i + 1]
-        old_avail = avail & ((1 << next_new) - 1)
-        old_bits = []
-        while old_avail:
-            b = old_avail & -old_avail
-            old_bits.append(b)
-            old_avail ^= b
-        max_new = min(m, k - next_new)
-        for new_cnt in range(max_new + 1):
-            old_cnt = m - new_cnt
-            if old_cnt > len(old_bits) or old_cnt < 0:
-                continue
-            new_mask = ((1 << new_cnt) - 1) << next_new
-            for comb in combinations(old_bits, old_cnt):
-                mask = new_mask
-                for b in comb:
-                    mask |= b
+        if deadline is not None and not nodes & poll and time.monotonic() > deadline:
+            raise SolverTimeout(f"k={k} decision exceeded budget")
+        if not todo:
+            return masks
+        least = k
+        for pos, (i, u, v, cap) in enumerate(todo):
+            slack = cap - (used[u] | used[v]).bit_count()
+            if slack < least:
+                least, best = slack, pos
+                if slack <= 0:
+                    break
+        if least >= 0:
+            entry = todo.pop(best)
+            i, u, v, cap = entry
+            avail = full & ~(used[u] | used[v])
+            options = iter((avail,)) if least == 0 else _color_sets(avail, k - cap, opened, k)
+            stack.append((best, entry, options, opened))
+        while stack:
+            pos, entry, options, before = stack[-1]
+            i, u, v, _ = entry
+            used[u] ^= masks[i]
+            used[v] ^= masks[i]
+            masks[i] = mask = next(options, 0)
+            if mask:
                 used[u] |= mask
                 used[v] |= mask
-                free[u] -= m
-                free[v] -= m
-                if free[u] >= rem_i[u] and free[v] >= rem_i[v]:
-                    chosen[i] = mask
-                    if dfs(i + 1, next_new + new_cnt):
-                        return True
-                used[u] &= ~mask
-                used[v] &= ~mask
-                free[u] += m
-                free[v] += m
-        return False
+                opened = max(before, mask.bit_length())
+                break
+            stack.pop()
+            todo.insert(pos, entry)
+        else:
+            return None
 
-    if not dfs(0, 0):
-        return None
-    return pairs, chosen
+
+def _color_sets(avail: int, m: int, opened: int, k: int):
+    """The masks of m colors from `avail` a pair may take, fewest new colors
+    first.  Colors not yet `opened` anywhere are interchangeable, so new ones
+    are only ever the next indices in order (symmetry break)."""
+    old_bits = []
+    old = avail & ((1 << opened) - 1)
+    while old:
+        low = old & -old
+        old_bits.append(low)
+        old ^= low
+    for new_cnt in range(min(m, k - opened) + 1):
+        new_mask = ((1 << new_cnt) - 1) << opened
+        for comb in combinations(old_bits, m - new_cnt):
+            yield new_mask | sum(comb)
 
 
 def chromatic_index(

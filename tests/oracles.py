@@ -10,17 +10,25 @@ ring-search oracle is the library's previous search, which asks the solver
 for chi' at every step instead of using the ring's closed form.  The
 criticality oracles are the library's previous loop, which builds every
 G - e as a graph, and the witness oracle is its previous assembly, which
-sorts the copies.  The enumeration oracle shares only the canonical key
-with the library (the key defines the classes) and canonicalises every
-candidate.  Slow on purpose; only run on small inputs.
+sorts the copies.  The static-order search is the library's previous
+colorability decision, which branches on pairs in a fixed order.  The
+enumeration oracle shares only the canonical key with the library (the key
+defines the classes) and canonicalises every candidate.  Slow on purpose;
+only run on small inputs.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, permutations, product
 
-from steffenlab.coloring import EdgeColoring, chromatic_index, is_k_colorable
-from steffenlab.errors import InstanceTooLarge
+from steffenlab.coloring import (
+    _TIMEOUT_CHECK_MASK,
+    EdgeColoring,
+    chromatic_index,
+    is_k_colorable,
+)
+from steffenlab.errors import InstanceTooLarge, SolverTimeout
 from steffenlab.generators import _canonical_labeling
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build, remove_edges
@@ -328,7 +336,7 @@ def extract_critical_by_rebuild(G: Multigraph) -> Multigraph:
 
 
 def witness_by_sorting(k: int, pairs, chosen) -> EdgeColoring:
-    """The solver's witness assembled from its pair order and chosen masks:
+    """The solver's witness assembled from its pairs and their chosen masks:
     each pair's colors sorted, then every copy sorted by ((u, v), copy)."""
     assignment = []
     for (u, v, m), mask in zip(pairs, chosen):
@@ -343,3 +351,91 @@ def witness_by_sorting(k: int, pairs, chosen) -> EdgeColoring:
             assignment.append((((u, v), idx), color))
     assignment.sort()
     return EdgeColoring(k, tuple(assignment))
+
+
+def search_static_order(
+    n: int,
+    edges: tuple[tuple[int, int, int], ...],
+    degrees: tuple[int, ...] | list[int],
+    k: int,
+    deadline: float | None,
+) -> tuple[list[tuple[int, int, int]], list[int]] | None:
+    """The library's previous k-colorability decision, unchanged: pairs in a
+    fixed order (degree sum descending, then serialized order), recursion
+    once per pair, and a suffix-demand lookahead.
+
+    `edges` are (u, v, mult) triples on vertices 0..n-1 and `degrees` their
+    degree vector, so a caller can ask about a graph it never builds.
+    Returns the pairs in search order with the color mask chosen for each,
+    or None when no proper k-coloring exists.  An edgeless graph is
+    k-colorable for every k >= 0.  No separate multiplicity test is needed:
+    a pair's multiplicity never exceeds its endpoints' degrees.
+    """
+    if max(degrees, default=0) > k:
+        return None
+
+    # most-constrained pairs first; serialized order breaks ties
+    pairs = sorted(edges, key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[:2]))
+    p = len(pairs)
+
+    # remaining color demand per vertex over pair suffixes (for lookahead pruning)
+    rem = [[0] * n for _ in range(p + 1)]
+    for i in range(p - 1, -1, -1):
+        u, v, m = pairs[i]
+        row = rem[i + 1][:]
+        row[u] += m
+        row[v] += m
+        rem[i] = row
+
+    full = (1 << k) - 1
+    used = [0] * n
+    free = [k] * n
+    chosen = [0] * p
+    nodes = 0
+
+    def dfs(i: int, next_new: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0:
+            if time.monotonic() > deadline:
+                raise SolverTimeout(f"k={k} decision exceeded budget")
+        if i == p:
+            return True
+        u, v, m = pairs[i]
+        avail = full & ~(used[u] | used[v])
+        if avail.bit_count() < m:
+            return False
+        rem_i = rem[i + 1]
+        old_avail = avail & ((1 << next_new) - 1)
+        old_bits = []
+        while old_avail:
+            b = old_avail & -old_avail
+            old_bits.append(b)
+            old_avail ^= b
+        max_new = min(m, k - next_new)
+        for new_cnt in range(max_new + 1):
+            old_cnt = m - new_cnt
+            if old_cnt > len(old_bits) or old_cnt < 0:
+                continue
+            new_mask = ((1 << new_cnt) - 1) << next_new
+            for comb in combinations(old_bits, old_cnt):
+                mask = new_mask
+                for b in comb:
+                    mask |= b
+                used[u] |= mask
+                used[v] |= mask
+                free[u] -= m
+                free[v] -= m
+                if free[u] >= rem_i[u] and free[v] >= rem_i[v]:
+                    chosen[i] = mask
+                    if dfs(i + 1, next_new + new_cnt):
+                        return True
+                used[u] &= ~mask
+                used[v] &= ~mask
+                free[u] += m
+                free[v] += m
+        return False
+
+    if not dfs(0, 0):
+        return None
+    return pairs, chosen

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -210,20 +211,27 @@ class TestErrors:
         assert cli_main(["scan", "--config", str(cfg_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    def test_long_path_chi_exit_2(self, tmp_path, capsys):
-        # the solver recurses once per pair: 1,499 pairs exceed Python's recursion limit
-        path = tmp_path / "path.mgr"
-        path.write_text(sl.serialize(sl.build(1500, [(i, i + 1, 1) for i in range(1499)])))
-        assert cli_main(["chi", str(path)]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+    def test_long_path_chi(self, tmp_path, capsys):
+        # the colouring search keeps its path on an explicit stack
+        G = sl.build(1500, [(i, i + 1, 1) for i in range(1499)])
+        path, witness = tmp_path / "path.mgr", tmp_path / "w.json"
+        path.write_text(sl.serialize(G))
+        assert cli_main(["chi", str(path), "--witness-out", str(witness)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["2", str(witness)]
+        classes = json.loads(witness.read_text())["classes"]
+        coloring = sl.EdgeColoring(
+            2, tuple(((tuple(p), 0), c + 1) for c, cls in enumerate(classes) for p in cls)
+        )
+        assert sl.validate_coloring(G, coloring)
 
-    def test_long_cycle_ring_find_exit_2(self, tmp_path, capsys):
-        # the ring search finds the cycle itself, then the solver that checks
-        # the returned ring recurses once per pair
+    def test_long_cycle_ring_find(self, tmp_path, capsys):
+        # the ring search finds the cycle itself, and the solver that checks
+        # the returned ring walks it without recursion
         path = tmp_path / "cycle.mgr"
         path.write_text(sl.serialize(sl.mu_cycle(1200, 1)))
-        assert cli_main(["ring-find", str(path), "--target", "2"]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert cli_main(["ring-find", str(path), "--target", "2"]) == 0
+        ring = {"cycle": list(range(1200)), "multiplicities": [1] * 1200, "chi": 2}
+        assert json.loads(capsys.readouterr().out) == {"found": True, "ring": ring}
 
     def test_long_cycle_partition(self, tmp_path, capsys):
         # the cycle searches keep their path on an explicit stack
@@ -232,6 +240,13 @@ class TestErrors:
         assert cli_main(["partition", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out == {"cycles": [list(range(1200))], "v0": []}
+
+    def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
+        # json.loads recurses once per nesting level
+        text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli_main(["chi", "-"]) == 2
+        assert capsys.readouterr().err == "error: input nested too deeply to parse\n"
 
     def test_json_graph_with_float_multiplicity_exit_2(self):
         proc = run_cli(["chi", "-"], stdin_text='{"n": 2, "edges": [[0, 1, 1.9]]}')

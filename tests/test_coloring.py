@@ -14,7 +14,36 @@ from oracles import (
     drop_keeping_chi_by_rebuild,
     extract_critical_by_rebuild,
     is_critical_by_rebuild,
+    search_static_order,
     witness_by_sorting,
+)
+
+# Two pool graphs of the perfbench `queries` workload, as MGR text.  A fixed
+# pair order stalled for minutes on chi' of the first (its Delta-coloring)
+# and on the criticality of the second (the decision G - (0, 1) at k = 18).
+BIG_16 = (
+    "n 16\ne 0 2 3\ne 0 3 2\ne 0 4 1\ne 0 6 1\ne 0 7 1\n"
+    "e 0 9 1\ne 0 11 2\ne 0 13 2\ne 0 14 1\ne 1 4 2\ne 1 5 1\n"
+    "e 1 7 2\ne 1 8 2\ne 1 9 3\ne 1 10 3\ne 1 11 2\ne 1 14 3\n"
+    "e 2 3 1\ne 2 6 3\ne 2 7 1\ne 2 9 3\ne 2 10 2\ne 2 11 3\n"
+    "e 2 12 3\ne 2 14 2\ne 3 4 2\ne 3 5 1\ne 3 6 2\ne 3 7 1\n"
+    "e 3 9 3\ne 3 10 3\ne 3 11 2\ne 3 13 1\ne 3 14 3\ne 3 15 3\n"
+    "e 4 7 1\ne 4 8 1\ne 4 10 1\ne 4 11 2\ne 4 12 1\ne 4 14 2\n"
+    "e 4 15 1\ne 5 6 3\ne 5 7 3\ne 5 8 2\ne 5 9 3\ne 5 11 2\n"
+    "e 5 12 1\ne 5 13 3\ne 6 8 1\ne 6 10 1\ne 6 11 3\ne 6 12 1\n"
+    "e 6 13 2\ne 6 14 1\ne 6 15 1\ne 7 9 2\ne 7 10 3\ne 7 12 3\n"
+    "e 7 13 1\ne 8 9 2\ne 8 10 3\ne 8 11 1\ne 8 13 3\ne 8 14 1\n"
+    "e 9 10 1\ne 9 11 1\ne 9 14 1\ne 10 11 1\ne 10 12 3\ne 10 14 1\n"
+    "e 10 15 3\ne 11 13 3\ne 11 14 3\ne 11 15 2\ne 12 13 3\ne 12 14 3\n"
+    "e 12 15 2\ne 13 14 1\ne 13 15 2\n"
+)
+DENSE_18 = (
+    "n 9\ne 0 1 2\ne 0 2 1\ne 0 3 3\ne 0 4 2\ne 0 5 2\n"
+    "e 0 7 2\ne 0 8 3\ne 1 2 2\ne 1 3 1\ne 1 4 3\ne 1 5 3\n"
+    "e 1 6 3\ne 1 7 2\ne 1 8 3\ne 2 4 2\ne 2 6 2\ne 2 7 3\n"
+    "e 2 8 3\ne 3 4 1\ne 3 5 1\ne 3 6 3\ne 3 7 3\ne 3 8 1\n"
+    "e 4 5 2\ne 4 6 3\ne 4 7 3\ne 4 8 1\ne 5 6 2\ne 6 7 1\n"
+    "e 6 8 3\ne 7 8 3\n"
 )
 
 
@@ -276,14 +305,67 @@ class TestCriticalityWithoutRebuild:
         assert built == [core]  # only the G - e that was kept
 
 
+class TestDynamicOrderSearch:
+    """The dynamic-order search against the static-order oracle.  Each
+    decision gets a budget far above its cost, so a search that loses a
+    pruning rule fails by running out of it."""
+
+    BUDGET_SECONDS = 10.0
+
+    def _decides_like_oracle(self, G, k):
+        witness = sl.is_k_colorable(G, k, time.monotonic() + self.BUDGET_SECONDS)
+        want = search_static_order(G.n, G.edges, G.degrees, k, None)
+        assert (witness is None) == (want is None), (sl.serialize(G), k)
+        assert witness is None or sl.validate_coloring(G, witness)
+        return witness is not None
+
+    def test_exhaustive_small_corpus(self):
+        # every class on 2..5 vertices with mu <= 3 (10,687 classes): each k
+        # in Delta..Delta+mu, then each G - e at chi' - 1
+        spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
+        ascent = 0
+        for _, G in enumerate_with_keys(spec):
+            delta = max(G.degrees)
+            ks = range(delta, delta + G.max_mult + 1)
+            feasible = [self._decides_like_oracle(G, k) for k in ks]
+            ascent += len(feasible)
+            chi = delta + feasible.index(True)
+            for u, v, _ in G.edges:
+                self._decides_like_oracle(sl.remove_edges(G, u, v, 1), chi - 1)
+        assert ascent == 41924
+
+
+class TestStalledDecisions:
+    """Decisions a fixed pair order stalled on.  Each must answer inside the
+    solver budget: running out of it raises SolverTimeout and fails."""
+
+    def test_random_multigraph_draw(self):
+        rng = random.Random(20261018)
+        for _ in range(151):
+            G = sl.random_multigraph(rng, n_max=8, mu_max=3)
+        assert (G.n, G.edge_count, max(G.degrees)) == (8, 47, 15)
+        chi, witness = sl.chromatic_index(G, timeout_seconds=3)
+        assert chi == 15
+        assert sl.validate_coloring(G, witness)
+
+    def test_big_16_is_delta_colorable(self):
+        G = sl.parse_any(BIG_16)
+        chi, witness = sl.chromatic_index(G, timeout_seconds=5)
+        assert chi == max(G.degrees) == 27
+        assert sl.validate_coloring(G, witness)
+
+    def test_dense_18_is_not_critical(self):
+        assert sl.is_critical(sl.parse_any(DENSE_18), timeout_seconds=5) is False
+
+
 class TestWitnessAssembly:
     def test_matches_sorting_oracle(self):
         rng = random.Random(20261018)
         for _ in range(150):
             G = sl.random_multigraph(rng, n_max=8, mu_max=3)
             chi, witness = sl.chromatic_index(G)
-            pairs, chosen = _search(G.n, G.edges, G.degrees, chi, None)
-            assert witness == witness_by_sorting(chi, pairs, chosen), sl.serialize(G)
+            masks = _search(G.n, G.edges, G.degrees, chi, None)
+            assert witness == witness_by_sorting(chi, G.edges, masks), sl.serialize(G)
             assert sl.validate_coloring(G, witness)
 
     def test_copies_in_serialized_order(self):

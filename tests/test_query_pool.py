@@ -1,0 +1,82 @@
+"""`chi` and `critical` on every graph of the benchmark's `queries` pool.
+
+Each query runs through `cli_main` with the benchmark's `--timeout 5` and must
+print the output recorded in `perfbench/golden/queries.json`.  Where that file
+holds no `chi` (the reference search ran out of its budget), the answer must
+be the maximum degree, proved by a witness that validates.  The pool generator
+`perfbench/graphs.py` runs from its source text, so nothing is written beside
+it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import sys
+from collections import Counter
+from pathlib import Path
+
+import steffenlab as sl
+from steffenlab.cli import cli_main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TIMEOUT = "5"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _run(argv: list[str], mgr: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(mgr)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(argv)
+    finally:
+        sys.stdin = saved
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _coloring_from_json(obj: dict) -> sl.EdgeColoring:
+    copies: Counter = Counter()
+    assignment = []
+    for color, cls in enumerate(obj["classes"], 1):
+        for u, v in cls:
+            assignment.append((((u, v), copies[u, v]), color))
+            copies[u, v] += 1
+    return sl.EdgeColoring(obj["k"], tuple(sorted(assignment)))
+
+
+def test_pool_answers_match_golden(tmp_path):
+    pool = runpy.run_path(str(PERFBENCH / "graphs.py"))
+    golden = json.loads((PERFBENCH / "golden" / "queries.json").read_text())["graphs"]
+    witness = tmp_path / "witness.json"
+    problems, queries, unanswered = [], 0, 0
+    for cls, index, mgr in pool["pool"]():
+        entry = golden[_digest(mgr)]
+        for cmd in ("chi", "critical"):
+            if cmd not in pool["CLASSES"][cls][1]:
+                continue
+            queries += 1
+            argv = [cmd, "-", "--timeout", TIMEOUT]
+            expected = entry["out"][cmd]
+            if expected is None:
+                unanswered += 1
+                argv += ["--witness-out", str(witness)]
+            rc, out, err = _run(argv, mgr)
+            if rc != 0:
+                problems.append(f"{cls} {index} {cmd}: exit {rc} {err.strip()}")
+            elif expected is not None:
+                if _digest(out) != expected:
+                    problems.append(f"{cls} {index} {cmd}: printed {out.strip()[:80]!r}")
+            else:
+                G = sl.parse_any(mgr)
+                coloring = _coloring_from_json(json.loads(witness.read_text()))
+                if int(out.split()[0]) != max(G.degrees) or not sl.validate_coloring(G, coloring):
+                    problems.append(f"{cls} {index} {cmd}: {out.split()[0]} not witnessed as Delta")
+    assert problems == []
+    assert (queries, unanswered) == (506, 4)  # no golden chi: dense 16, 30, 45, 56
