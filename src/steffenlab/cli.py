@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Graph arguments accept a file path or '-' for stdin; input may be MGR text
-or the JSON form.  Exit codes: 0 success, 1 a scan/suite found violations,
-2 usage, input or configuration errors (malformed graphs, non-positive
-timeouts, unknown config keys, unreadable or unwritable paths, JSON nested
-too deeply to parse).
+or the JSON form.  `--timeout` is the budget of the whole command: it
+becomes one deadline when the arguments are parsed.  Exit codes: 0 success,
+1 a scan/suite found violations, 2 usage, input or configuration errors
+(malformed graphs, non-positive timeouts, unknown config keys, unreadable or
+unwritable paths, JSON nested too deeply to parse, instances over a size
+cap) and timeouts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
-from .coloring import chromatic_index, extract_critical, is_critical
+from .coloring import chromatic_index, extract_critical
 from .errors import ConfigError, GraphError
 from .generators import mu_complete, mu_cycle, ring
 from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
@@ -48,7 +51,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_chi(args) -> int:
     G = _read_graph(args.graph)
     mode = "gs" if args.mode == "gs" else "search"
-    chi, witness = chromatic_index(G, mode=mode, timeout_seconds=args.timeout)
+    chi, witness = chromatic_index(G, mode=mode, deadline=args.deadline)
     print(chi)
     if args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
@@ -67,14 +70,14 @@ def _cmd_density(args) -> int:
 
 def _cmd_critical(args) -> int:
     G = _read_graph(args.graph)
-    chi, _ = chromatic_index(G, timeout_seconds=args.timeout)
-    crit = is_critical(G, chi=chi, timeout_seconds=args.timeout)
-    core = G if crit else extract_critical(G, timeout_seconds=args.timeout)
+    chi, _ = chromatic_index(G, deadline=args.deadline)
+    # one criticality pass: the critical subgraph is G itself iff G is critical
+    core = extract_critical(G, chi=chi, deadline=args.deadline)
     print(
         json.dumps(
             {
                 "chi": chi,
-                "isCritical": crit,
+                "isCritical": core == G,
                 "criticalSubgraph": to_json_obj(core),
             }
         )
@@ -90,7 +93,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_ring_find(args) -> int:
     G = _read_graph(args.graph)
-    found = find_ring_subgraph_with_chi(G, args.target, timeout_seconds=args.timeout)
+    found = find_ring_subgraph_with_chi(G, args.target, deadline=args.deadline)
     print(
         json.dumps(
             {"found": found is not None, "ring": None if found is None else found.to_json_obj()}
@@ -141,14 +144,14 @@ def _cmd_lemma_suite(args) -> int:
     return 1 if report.violation_count > 0 else 0
 
 
-def _positive_seconds(text: str) -> float:
+def _deadline_after(text: str) -> float:
     try:
         seconds = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not seconds > 0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return seconds
+    return time.monotonic() + seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", help="chromatic index with optional witness file")
     p.add_argument("graph")
     p.add_argument("--mode", choices=["search", "gs"], default="search")
-    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
+    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
+                   help="seconds for the whole command (default 60)", metavar="SECONDS")
     p.add_argument("--witness-out")
     p.set_defaults(func=_cmd_chi)
 
@@ -175,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical", help="criticality test and critical subgraph")
     p.add_argument("graph")
-    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
+    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
+                   help="seconds for the whole command (default 60)", metavar="SECONDS")
     p.set_defaults(func=_cmd_critical)
 
     p = sub.add_parser("partition", help="greedy shortest-cycle partition")
@@ -185,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ring-find", help="ring subgraph with a target chromatic index")
     p.add_argument("graph")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
+    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
+                   help="seconds for the whole command (default 60)", metavar="SECONDS")
     p.set_defaults(func=_cmd_ring_find)
 
     p = sub.add_parser("gen", help="emit a named family as MGR text")

@@ -10,6 +10,9 @@ slack), and a pair with no colors left for it ends the branch (forward
 checking).  Global color symmetry is broken by allowing a new color index
 only once all smaller indices already appear somewhere.  The search walks an
 explicit stack, so its depth is not bounded by Python's recursion limit.
+Each function takes `deadline`, one time.monotonic() instant or None, and
+hands it to every density call and decision it makes; its caller starts the
+budget.  A decision uses at most COLOR_CAP colors.
 """
 
 from __future__ import annotations
@@ -18,16 +21,12 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CoverageMismatch, PreconditionFailed, SolverTimeout
+from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from .invariants import bound_at_girth, density, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
-_TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock every 1024 search nodes
-
-
-def _deadline(timeout_seconds: float | None) -> float | None:
-    """Fresh per-decision deadline: the budget applies to each (G, k) call."""
-    return None if timeout_seconds is None else time.monotonic() + timeout_seconds
+_TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
+COLOR_CAP = 4096  # the most colors a decision may use: its witness costs about k^2
 
 
 @dataclass(frozen=True)
@@ -125,6 +124,8 @@ def _search(
     each `stack` frame a branched pair's position in `todo`, its entry, its
     untried color sets and the number of colors open before it.
     """
+    if k > COLOR_CAP:
+        raise InstanceTooLarge(f"coloring search needs k <= {COLOR_CAP}, got {k}")
     if max(degrees, default=0) > k:
         return None
     full = (1 << k) - 1
@@ -138,9 +139,9 @@ def _search(
     stack = []
     opened = nodes = 0
     while True:
-        nodes += 1
         if deadline is not None and not nodes & poll and time.monotonic() > deadline:
             raise SolverTimeout(f"k={k} decision exceeded budget")
+        nodes += 1
         if not todo:
             return masks
         least = k
@@ -190,7 +191,7 @@ def _color_sets(avail: int, m: int, opened: int, k: int):
 
 
 def chromatic_index(
-    G: Multigraph, mode: str = "search", timeout_seconds: float | None = None
+    G: Multigraph, mode: str = "search", deadline: float | None = None
 ) -> tuple[int, EdgeColoring]:
     """Exact chromatic index with a witness coloring.
 
@@ -200,8 +201,8 @@ def chromatic_index(
     k = Gamma, and a first decision that finds no Gamma-coloring raises
     PreconditionFailed("density-coloring") instead of climbing further.
     Density is skipped when the underlying simple graph is bipartite: then
-    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Otherwise it
-    gets the same time budget as each decision.
+    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Density and
+    every decision share the one `deadline`.
     """
     if mode not in ("search", "gs"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -212,9 +213,9 @@ def chromatic_index(
     if is_bipartite(G):
         gamma = delta_max
     else:
-        gamma = density(G, deadline=_deadline(timeout_seconds)).gamma
+        gamma = density(G, deadline=deadline).gamma
     for k in range(max(delta_max, gamma), delta_max + mu + 1):
-        witness = is_k_colorable(G, k, _deadline(timeout_seconds))
+        witness = is_k_colorable(G, k, deadline)
         if witness is not None:
             return k, witness
         if mode == "gs" and gamma >= delta_max + 2:
@@ -225,7 +226,7 @@ def chromatic_index(
 
 
 def is_critical(
-    G: Multigraph, chi: int | None = None, timeout_seconds: float | None = None
+    G: Multigraph, chi: int | None = None, deadline: float | None = None
 ) -> bool:
     """True iff removing any single copy of any pair lowers the chromatic index.
 
@@ -235,12 +236,12 @@ def is_critical(
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
     if chi is None:
-        chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
-    return _drop_keeping_chi(G, chi, timeout_seconds) is None
+        chi = chromatic_index(G, deadline=deadline)[0]
+    return _drop_keeping_chi(G, chi, deadline) is None
 
 
 def _drop_keeping_chi(
-    G: Multigraph, chi: int, timeout_seconds: float | None
+    G: Multigraph, chi: int, deadline: float | None
 ) -> Multigraph | None:
     """G minus one copy of the first pair, in serialized order, whose removal
     leaves chi' = chi, or None when every such removal lowers chi'.
@@ -255,22 +256,25 @@ def _drop_keeping_chi(
         degrees = list(G.degrees)
         degrees[u] -= 1
         degrees[v] -= 1
-        if _search(G.n, reduced, degrees, chi - 1, _deadline(timeout_seconds)) is None:
+        if _search(G.n, reduced, degrees, chi - 1, deadline) is None:
             return Multigraph(G.n, reduced)
     return None
 
 
-def extract_critical(G: Multigraph, timeout_seconds: float | None = None) -> Multigraph:
+def extract_critical(
+    G: Multigraph, chi: int | None = None, deadline: float | None = None
+) -> Multigraph:
     """Greedily delete copies whose removal preserves chi' until none remains.
 
     Scans pairs in serialized order for reproducibility; the result is a
-    critical subgraph with the same chromatic index.
+    critical subgraph with the same chromatic index, G itself iff G is critical.
     """
     if not G.edges:
-        raise PreconditionFailed("nonempty", "need at least one edge")
-    chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
+        raise PreconditionFailed("nonempty", "criticality needs at least one edge")
+    if chi is None:
+        chi = chromatic_index(G, deadline=deadline)[0]
     current = G
-    while (reduced := _drop_keeping_chi(current, chi, timeout_seconds)) is not None:
+    while (reduced := _drop_keeping_chi(current, chi, deadline)) is not None:
         current = reduced
     return current
 
@@ -280,7 +284,7 @@ def near_perfect_matching_decomposition(
     e: tuple[int, int],
     assume_critical: bool = False,
     chi: int | None = None,
-    timeout_seconds: float | None = None,
+    deadline: float | None = None,
 ) -> MatchingDecomposition:
     """Partition E(G-e) into chi'-1 near-perfect matchings.
 
@@ -292,16 +296,16 @@ def near_perfect_matching_decomposition(
     if G.mult(u, v) < 1:
         raise PreconditionFailed("edge-exists", f"pair ({u}, {v}) absent")
     if chi is None:
-        chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
+        chi = chromatic_index(G, deadline=deadline)[0]
     delta_max = max(G.degrees)
     if chi < delta_max + 2:
         raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
     if G.n % 2 == 0:
         raise PreconditionFailed("n-odd", f"n={G.n} is even")
-    if not assume_critical and not is_critical(G, chi=chi, timeout_seconds=timeout_seconds):
+    if not assume_critical and not is_critical(G, chi=chi, deadline=deadline):
         raise PreconditionFailed("critical", "graph is not critical")
     reduced = remove_edges(G, u, v, 1)
-    witness = is_k_colorable(reduced, chi - 1, _deadline(timeout_seconds))
+    witness = is_k_colorable(reduced, chi - 1, deadline)
     if witness is None:
         raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
     classes = witness.classes()
@@ -326,7 +330,7 @@ def degree_identity_check(
     G: Multigraph,
     chi: int | None = None,
     check_critical: bool = True,
-    timeout_seconds: float | None = None,
+    deadline: float | None = None,
 ) -> DegreeIdentityReport:
     """Residuals of d(v) = sum_{w != v}(chi'-1-d(w)) + 2, plus the min-degree bound.
 
@@ -335,11 +339,11 @@ def degree_identity_check(
     such g and reported "not-applicable" when no g qualifies.
     """
     if chi is None:
-        chi = chromatic_index(G, timeout_seconds=timeout_seconds)[0]
+        chi = chromatic_index(G, deadline=deadline)[0]
     delta_max = max(G.degrees, default=0)
     if chi < delta_max + 2:
         raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
-    if check_critical and not is_critical(G, chi=chi, timeout_seconds=timeout_seconds):
+    if check_critical and not is_critical(G, chi=chi, deadline=deadline):
         raise PreconditionFailed("critical", "graph is not critical")
     total = sum(G.degrees)
     residuals = []

@@ -34,7 +34,7 @@ class CoverageMismatch(GraphError):
 
 
 class InstanceTooLarge(GraphError):
-    """Input exceeds the configured exhaustive-enumeration cap."""
+    """Input exceeds an operation's size cap (vertices, cycles or colors)."""
 
 
 class NotShortestCycle(GraphError):
@@ -61,7 +61,7 @@ class PreconditionFailed(GraphError):
 
 
 class SolverTimeout(GraphError):
-    """A single (graph, k) colorability decision exceeded its time budget."""
+    """A density call or coloring decision ran past its record's or command's deadline."""
 
 
 class ConfigError(GraphError):

@@ -59,7 +59,7 @@ from .structure import (
 # JSON key -> (ScanConfig field, conversion) for every key but the required
 # `enumSpec`; `json_value` checks each value's JSON type against its conversion
 _CONFIG_KEYS = {
-    "solverTimeoutSeconds": ("solver_timeout_seconds", float),
+    "solverTimeoutSeconds": ("budget_seconds", float),
     "workers": ("workers", int),
     "outputPath": ("output_path", str),
     "ringCheck": ("ring_check", bool),
@@ -72,8 +72,12 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """A scan or lemma-suite run.  `budget_seconds` (`solverTimeoutSeconds`)
+    is one budget for all of a record's work, and in the lemma suite for a
+    corpus graph's or a random graph's fan-cap checks."""
+
     enum_spec: EnumSpec = field(default_factory=EnumSpec)
-    solver_timeout_seconds: float = 60.0
+    budget_seconds: float = 60.0
     workers: int = 1
     output_path: str = "scan.jsonl"
     ring_check: bool = True
@@ -86,7 +90,7 @@ class ScanConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         # written so that NaN, which JSON parsing accepts, fails it too
-        if not self.solver_timeout_seconds >= 1:
+        if not self.budget_seconds >= 1:
             raise ConfigError("solver timeout must be >= 1 second")
 
     def effective_checkpoint(self) -> str:
@@ -153,19 +157,18 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         "ringWitness": None,
         "status": "ok",
     }
-    timeout = config.solver_timeout_seconds
+    # one budget for the whole record: density, ascent, criticality and ring
+    deadline = time.monotonic() + config.budget_seconds
     try:
-        record["gamma"] = density(G, deadline=time.monotonic() + timeout).gamma
-        chi = chromatic_index(G, timeout_seconds=timeout)[0]
+        record["gamma"] = density(G, deadline=deadline).gamma
+        chi = chromatic_index(G, deadline=deadline)[0]
         record["chi"] = chi
         record["achievesBound"] = chi == record["steffenBound"]
         record["chiGEDeltaPlus2"] = chi >= delta_max + 2
-        record["isCritical"] = (
-            is_critical(G, chi=chi, timeout_seconds=timeout) if G.edges else False
-        )
+        record["isCritical"] = is_critical(G, chi=chi, deadline=deadline) if G.edges else False
         gate = _ring_gate(config.enum_spec.girth_min, g, mu, delta_max, chi)
         if config.ring_check and gate:
-            ring = find_ring_subgraph_with_chi(G, chi, timeout_seconds=timeout)
+            ring = find_ring_subgraph_with_chi(G, chi, deadline=deadline)
             record["ringFound"] = ring is not None
             record["ringWitness"] = None if ring is None else ring.to_json_obj()
     except SolverTimeout:
@@ -395,7 +398,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     bound; fan count <= 3 is asserted when the ring-theorem hypotheses are
     machine-checked to hold.
     """
-    timeout = config.solver_timeout_seconds
+    budget = config.budget_seconds
     digest = hashlib.sha256()
     violations: list[dict] = []
 
@@ -415,12 +418,13 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
         critical_stats["graphs"] += 1
         if not G.edges:
             continue
+        deadline = time.monotonic() + budget  # chi, criticality and every decomposition
         try:
-            chi = chromatic_index(G, timeout_seconds=timeout)[0]
+            chi = chromatic_index(G, deadline=deadline)[0]
             delta_max = max(G.degrees)
             if chi < delta_max + 2:
                 continue
-            if not is_critical(G, chi=chi, timeout_seconds=timeout):
+            if not is_critical(G, chi=chi, deadline=deadline):
                 continue
             critical_stats["criticalHighChi"] += 1
             digest.update(f"crit|{key}|{chi}\n".encode())
@@ -429,7 +433,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
                 continue
             for u, v, _ in G.edges:
                 dec = near_perfect_matching_decomposition(
-                    G, (u, v), assume_critical=True, chi=chi, timeout_seconds=timeout
+                    G, (u, v), assume_critical=True, chi=chi, deadline=deadline
                 )
                 critical_stats["decompositionsChecked"] += 1
                 if len(dec.classes) != chi - 1:
@@ -507,7 +511,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
                         }
                     )
                 fan_summary.append((v0, h, fan.t, len(fan.interior_vertices())))
-        _check_fan_cap(G, partition, fan_summary, index, violations, random_stats, timeout)
+        _check_fan_cap(G, partition, fan_summary, index, violations, random_stats, budget)
         digest.update(
             f"rand|{index}|{G.n}|{G.edge_count}|{len(partition.cycles)}"
             f"|{sorted(partition.v0)}|{fan_summary}\n".encode()
@@ -528,7 +532,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     return LemmaSuiteReport(payload)
 
 
-def _check_fan_cap(G, partition, fan_summary, index, violations, stats, timeout) -> None:
+def _check_fan_cap(G, partition, fan_summary, index, violations, stats, budget) -> None:
     """Assert t <= 3 for fans, but only when the ring-theorem hypotheses hold."""
     if not fan_summary or max(t for _, _, t, _ in fan_summary) <= 3:
         return
@@ -538,12 +542,13 @@ def _check_fan_cap(G, partition, fan_summary, index, violations, stats, timeout)
     mu = G.max_mult
     if mu < int(g) // 2 + 1:
         return
+    deadline = time.monotonic() + budget  # one budget for chi and criticality
     try:
-        chi = chromatic_index(G, timeout_seconds=timeout)[0]
+        chi = chromatic_index(G, deadline=deadline)[0]
         delta_max = max(G.degrees)
         if chi != bound_at_girth(delta_max, mu, int(g)) or chi < delta_max + 2:
             return
-        if not is_critical(G, chi=chi, timeout_seconds=timeout):
+        if not is_critical(G, chi=chi, deadline=deadline):
             return
     except SolverTimeout:
         return

@@ -263,8 +263,17 @@ def _ring_chi(mults: list[int]) -> int:
     return max(delta_max, ceil_div(sum(mults), g // 2))
 
 
+def _stepped(mults: list[int], steps: int) -> list[int]:
+    """`mults` after `steps` copy deletions, each from the first pair with copies to spare."""
+    out = []
+    for m in mults:
+        out.append(m - min(steps, m - 1))
+        steps -= m - out[-1]
+    return out
+
+
 def find_ring_subgraph_with_chi(
-    G: Multigraph, target: int, timeout_seconds: float | None = None
+    G: Multigraph, target: int, deadline: float | None = None
 ) -> RingSubgraph | None:
     """First ring subgraph (by canonical cycle order) with chromatic index `target`.
 
@@ -272,8 +281,9 @@ def find_ring_subgraph_with_chi(
     parallel copies on the cycle edges; chi' is monotone under copy deletion,
     so if the maximal ring overshoots, stepping copies off one at a time
     passes through every value down to the simple cycle and hits the target
-    exactly if it is reachable.  Each step takes chi' from the ring's closed
-    form; the solver checks the returned ring once.
+    exactly if it is reachable.  The first step that does is found by
+    bisection, each probe taking chi' from the ring's closed form; the
+    solver checks the returned ring once.
     """
     if target < 1:
         return None
@@ -281,16 +291,18 @@ def find_ring_subgraph_with_chi(
     for cyc in enumerate_cycles(view):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
+        lo, hi = 0, sum(m - 1 for m in mults)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _ring_chi(_stepped(mults, mid)) <= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        mults = _stepped(mults, lo)
         chi = _ring_chi(mults)
-        while chi > target and any(m > 1 for m in mults):
-            for i in range(g):
-                if mults[i] > 1:
-                    mults[i] -= 1
-                    break
-            chi = _ring_chi(mults)
         if chi == target:
             ring = RingSubgraph(cyc, tuple(mults), chi)
-            solved = chromatic_index(ring.to_multigraph(), timeout_seconds=timeout_seconds)[0]
+            solved = chromatic_index(ring.to_multigraph(), deadline=deadline)[0]
             if solved != chi:
                 raise RuntimeError(
                     f"ring {ring.to_json_obj()}: closed form gives {chi}, solver {solved}"

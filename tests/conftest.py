@@ -14,6 +14,29 @@ def petersen() -> sl.Multigraph:
 
 
 @pytest.fixture()
+def deadlines(monkeypatch) -> dict:
+    """The deadline of every coloring decision and density call, by name."""
+    import steffenlab.coloring as col
+    import steffenlab.scan as scan_mod
+
+    seen = {"_search": [], "density": []}
+    search, density = col._search, col.density
+
+    def search_spy(n, edges, degrees, k, deadline):
+        seen["_search"].append(deadline)
+        return search(n, edges, degrees, k, deadline)
+
+    def density_spy(G, deadline=None):
+        seen["density"].append(deadline)
+        return density(G, deadline=deadline)
+
+    monkeypatch.setattr(col, "_search", search_spy)
+    for module in (col, scan_mod):
+        monkeypatch.setattr(module, "density", density_spy)
+    return seen
+
+
+@pytest.fixture()
 def rng() -> random.Random:
     return random.Random(1234)
 

@@ -1,14 +1,18 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
 from steffenlab.cli import cli_main
+from steffenlab.coloring import COLOR_CAP
 
 
 # the CLI process imports the same package as the tests, also from a checkout
@@ -259,3 +263,65 @@ class TestErrors:
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
     def test_non_positive_timeout_exit_2(self, command, timeout, c53_file):
         assert cli_main(command + [c53_file, "--timeout", timeout]) == 2
+
+
+C53_WITH_PENDANT = sl.build(6, [(0, 1, 3), (0, 4, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 1)])
+
+
+class TestOneBudget:
+    # decisions: the ascent's one, then G - e for each pair; the pendant
+    # graph drops its pendant edge after six and its 3C5 core takes five more
+    @pytest.mark.parametrize(
+        "G, critical, decisions", [(sl.mu_cycle(5, 3), True, 6), (C53_WITH_PENDANT, False, 12)]
+    )
+    def test_critical_command_has_one_deadline(
+        self, G, critical, decisions, deadlines, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(sl.serialize(G)))
+        start = time.monotonic()
+        assert cli_main(["critical", "-", "--timeout", "9"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["chi"] == 8 and out["isCritical"] is critical
+        assert out["criticalSubgraph"]["edges"] == sl.to_json_obj(sl.mu_cycle(5, 3))["edges"]
+        assert len(deadlines["density"]) == 1 and len(deadlines["_search"]) == decisions
+        assert len(set(deadlines["_search"] + deadlines["density"])) == 1
+        assert start + 9 <= deadlines["_search"][0] <= time.monotonic() + 9
+
+    @pytest.mark.parametrize("mult", [1_000_000, 99999999999999999999])
+    def test_colors_over_the_cap_exit_2(self, mult, capsys, monkeypatch):
+        # without the cap the first took minutes and the second overflowed
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"n 3\ne 0 1 {mult}\ne 1 2 1\n"))
+        assert cli_main(["chi", "-", "--timeout", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: coloring search needs k <= {COLOR_CAP}, got {mult + 1}"
+        ]
+
+
+MULTS = st.one_of(st.integers(1, 4), st.integers(COLOR_CAP + 1, 10**30))
+
+
+@st.composite
+def mgr_texts(draw) -> str:
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return "".join([f"n {n}\n"] + [f"e {u} {v} {draw(MULTS)}\n" for u, v in chosen])
+
+
+COMMANDS = st.one_of(
+    st.sampled_from([["invariants"], ["density"], ["chi"], ["critical"], ["partition"]]),
+    st.builds(lambda t: ["ring-find", "--target", str(t)], st.one_of(st.integers(0, 12), MULTS)),
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None)
+    @given(command=COMMANDS, text=st.one_of(mgr_texts(), st.text(max_size=200)))
+    def test_only_exit_0_or_2(self, command, text):
+        saved, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli_main([command[0], "-", *command[1:]])
+        finally:
+            sys.stdin = saved
+        assert rc in (0, 2)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.coloring import _drop_keeping_chi, _search
-from steffenlab.errors import CoverageMismatch, PreconditionFailed
+from steffenlab.coloring import COLOR_CAP, _drop_keeping_chi, _search
+from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed
 from steffenlab.generators import EnumSpec, enumerate_with_keys
 from oracles import (
     brute_force_chi,
@@ -344,18 +344,18 @@ class TestStalledDecisions:
         for _ in range(151):
             G = sl.random_multigraph(rng, n_max=8, mu_max=3)
         assert (G.n, G.edge_count, max(G.degrees)) == (8, 47, 15)
-        chi, witness = sl.chromatic_index(G, timeout_seconds=3)
+        chi, witness = sl.chromatic_index(G, deadline=time.monotonic() + 3)
         assert chi == 15
         assert sl.validate_coloring(G, witness)
 
     def test_big_16_is_delta_colorable(self):
         G = sl.parse_any(BIG_16)
-        chi, witness = sl.chromatic_index(G, timeout_seconds=5)
+        chi, witness = sl.chromatic_index(G, deadline=time.monotonic() + 5)
         assert chi == max(G.degrees) == 27
         assert sl.validate_coloring(G, witness)
 
     def test_dense_18_is_not_critical(self):
-        assert sl.is_critical(sl.parse_any(DENSE_18), timeout_seconds=5) is False
+        assert sl.is_critical(sl.parse_any(DENSE_18), deadline=time.monotonic() + 5) is False
 
 
 class TestWitnessAssembly:
@@ -436,21 +436,25 @@ class TestDegreeIdentity:
 
 
 class TestTimeouts:
-    def test_expired_deadline_raises(self, monkeypatch):
-        import steffenlab.coloring as col
+    def test_expired_deadline_raises(self):
+        # a decision polls the clock at its first node, so a chain of small
+        # decisions cannot run on past a shared deadline
         from steffenlab.errors import SolverTimeout
 
-        monkeypatch.setattr(col, "_TIMEOUT_CHECK_MASK", 0)  # poll every node
         with pytest.raises(SolverTimeout):
             sl.is_k_colorable(sl.mu_cycle(5, 3), 8, deadline=0.0)
 
-    def test_chromatic_index_propagates_timeout(self, monkeypatch):
-        import steffenlab.coloring as col
+    def test_chromatic_index_propagates_timeout(self):
         from steffenlab.errors import SolverTimeout
 
-        monkeypatch.setattr(col, "_TIMEOUT_CHECK_MASK", 0)
         with pytest.raises(SolverTimeout):
-            sl.chromatic_index(sl.mu_cycle(5, 3), timeout_seconds=-1.0)
+            sl.chromatic_index(sl.mu_cycle(5, 3), deadline=time.monotonic() - 1.0)
+
+    def test_is_critical_honours_the_deadline(self):
+        from steffenlab.errors import SolverTimeout
+
+        with pytest.raises(SolverTimeout):
+            sl.is_critical(sl.mu_cycle(5, 3), deadline=time.monotonic() - 1)
 
     def test_density_honours_the_budget(self):
         from steffenlab.errors import SolverTimeout
@@ -458,7 +462,7 @@ class TestTimeouts:
         G = sl.mu_complete(21, 1)  # not bipartite; density alone visits 2^20 odd sets
         start = time.monotonic()
         with pytest.raises(SolverTimeout):
-            sl.chromatic_index(G, timeout_seconds=0.2)
+            sl.chromatic_index(G, deadline=time.monotonic() + 0.2)
         assert time.monotonic() - start < 2.0
         assert "density" not in G.memo
 
@@ -467,6 +471,22 @@ class TestTimeouts:
         chi, w = sl.chromatic_index(G)
         assert chi == 10 == max(G.degrees)  # K_6 is 1-factorable
         assert sl.validate_coloring(G, w)
+
+
+class TestColorCap:
+    def test_at_the_cap(self):
+        # a path, so bipartite: the ascent starts and ends at k = Delta
+        G = sl.build(3, [(0, 1, COLOR_CAP - 1), (1, 2, 1)])
+        chi, witness = sl.chromatic_index(G)
+        assert chi == COLOR_CAP
+        assert sl.validate_coloring(G, witness)
+
+    def test_over_the_cap(self):
+        G = sl.build(3, [(0, 1, COLOR_CAP), (1, 2, 1)])
+        with pytest.raises(InstanceTooLarge, match="k <= 4096, got 4097"):
+            sl.chromatic_index(G)
+        with pytest.raises(InstanceTooLarge):
+            sl.is_k_colorable(sl.mu_cycle(5, 3), COLOR_CAP + 1)
 
 
 class TestOddRingClosedForm:

@@ -244,7 +244,7 @@ class TestScanRuns:
                 output_path=str(tmp_path / f"w{workers}.jsonl"),
                 workers=workers,
                 ring_check=False,
-                solver_timeout_seconds=5,
+                budget_seconds=5,
             )
             assert pickle.loads(pickle.dumps(cfg)) == cfg
             summaries.append(run_scan(cfg).to_json_obj())
@@ -451,7 +451,7 @@ class TestConfig:
         cfg = ScanConfig.from_json_obj(json.loads(json.dumps(FULL_CONFIG_JSON)))
         assert cfg == ScanConfig(
             enum_spec=small_spec(),
-            solver_timeout_seconds=30.0,
+            budget_seconds=30.0,
             workers=2,
             output_path="x.jsonl",
             ring_check=False,
@@ -538,8 +538,8 @@ class TestConfig:
 
     def test_integral_timeout_is_a_number(self):
         cfg = ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "solverTimeoutSeconds": 7})
-        assert cfg.solver_timeout_seconds == 7.0
-        assert type(cfg.solver_timeout_seconds) is float
+        assert cfg.budget_seconds == 7.0
+        assert type(cfg.budget_seconds) is float
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -609,26 +609,22 @@ class TestTimeoutRecords:
         assert record["chi"] is None
         assert record["gamma"] == 8  # density finishes well within its budget
 
-    def test_density_gets_the_record_budget(self, monkeypatch):
-        import steffenlab.scan as scan_mod
-
-        deadlines = []
-        density = scan_mod.density
-
-        def spy(G, *args, **kwargs):
-            deadlines.append(kwargs.get("deadline"))
-            return density(G, *args, **kwargs)
-
-        monkeypatch.setattr(scan_mod, "density", spy)
-        cfg = ScanConfig(output_path="unused", solver_timeout_seconds=7)
+    def test_one_deadline_per_record(self, deadlines):
+        # density, the ascent, every G - e and the ring check share one deadline
+        cfg = ScanConfig(enum_spec=small_spec(girth_min=5), output_path="unused", budget_seconds=7)
         start = time.monotonic()
-        compute_record("k", sl.mu_cycle(5, 3), cfg)
-        assert len(deadlines) == 1 and math.isfinite(deadlines[0])
-        assert start + 7 <= deadlines[0] <= time.monotonic() + 7
+        record = compute_record("k", sl.mu_cycle(5, 3), cfg)
+        assert record["isCritical"] and record["ringFound"]
+        # 1 ascent decision, 5 G - e and 1 for the ring; density for the
+        # record, its chi' and the ring's chi'
+        assert len(deadlines["_search"]) == 7 and len(deadlines["density"]) == 3
+        assert len(set(deadlines["_search"] + deadlines["density"])) == 1
+        assert math.isfinite(deadlines["_search"][0])
+        assert start + 7 <= deadlines["_search"][0] <= time.monotonic() + 7
 
     def test_overrunning_density_times_out(self):
         G = sl.mu_complete(21, 1)  # density alone takes several seconds without a budget
-        cfg = ScanConfig(output_path="unused", solver_timeout_seconds=1)
+        cfg = ScanConfig(output_path="unused", budget_seconds=1)
         start = time.monotonic()
         record = compute_record("k", G, cfg)
         assert time.monotonic() - start < 3.0

@@ -254,6 +254,13 @@ class TestRingClosedForm:
         graphs = [sl.random_multigraph(rng, n_max=7, mu_max=4) for _ in range(200)]
         assert self.assert_same(graphs) > 300
 
+    def test_huge_multiplicity_steps_down_at_once(self):
+        # stepping off one copy at a time would take 10^20 steps
+        G = sl.build(3, [(0, 1, 10**20), (1, 2, 1), (0, 2, 1)])
+        assert sl.find_ring_subgraph_with_chi(G, 5).multiplicities == (3, 1, 1)
+        assert sl.find_ring_subgraph_with_chi(G, 3).multiplicities == (1, 1, 1)
+        assert sl.find_ring_subgraph_with_chi(G, 2) is None
+
     def test_solver_disagreement_raises(self, monkeypatch):
         import steffenlab.structure as structure_mod
 
