@@ -1,21 +1,24 @@
 """Named multigraph families, canonical forms, and exhaustive enumeration.
 
-Canonical forms: iterated neighborhood refinement partitions the vertices
-into structurally distinct classes; remaining symmetry is resolved by
-individualizing one vertex of the first non-singleton class and recursing,
-taking the minimum multiplicity-matrix key over all completions.  This is an
-exhaustive permutation search pruned to class-respecting relabelings, exact
-for every multigraph (n <= 10 keeps even the fully symmetric cases cheap).
+Canonical forms come from one individualization-refinement search
+(McKay, "Practical graph isomorphism", 1981; McKay & Piperno, 2014).
+Refinement splits the cells of an ordered vertex partition by sorted
+neighbor lists until it is stable; the search individualizes each vertex of
+the first non-singleton cell in turn, and the key is the least
+multiplicity-matrix key over the leaves.  Equal leaf keys give
+automorphisms, which cut branches that are images of branches already
+searched; the key is exact for every multigraph with n <= 12.
 
 Enumeration proceeds in two layers.  The simple-graph layer grows
 non-isomorphic simple graphs one edge at a time with canonical-key
 deduplication (girth constraints prune whole branches, since adding edges
 never increases girth).  The multiplicity layer is orderly (Read, 1978): for
-each simple representative S it computes Aut(S) once, as permutations of
-S's edge list, and keeps a multiplicity vector only if it is the lex-min of
-its orbit.  Isomorphic multigraphs have isomorphic underlying simple graphs,
-so each class comes from exactly one S and one orbit and is canonicalised
-exactly once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
+each simple representative S it takes Aut(S) once, as permutations of S's
+edge list, from the automorphisms the search finds while it labels S, and
+keeps a multiplicity vector only if it is the lex-min of its orbit.
+Isomorphic multigraphs have isomorphic underlying simple graphs, so each
+class comes from exactly one S and one orbit and is canonicalised exactly
+once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
 simple representative is an independent task: `class_keys` maps the
 multiplicity layer over the representatives with whatever `map` it is given,
 so a scan shards it over its worker pool.  A class travels as its key, and
@@ -38,7 +41,7 @@ from .errors import BadParameter, ConfigError, InstanceTooLarge
 from .invariants import INFINITE_GIRTH, bfs_dist, girth, simple_layer
 from .multigraph import Multigraph, build
 
-CANONICAL_N_CAP = 10
+CANONICAL_N_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,8 @@ class EnumSpec:
             raise ConfigError(f"bad vertex range {self.n_min}..{self.n_max}")
         if self.max_mu < 1 or self.girth_min < 3 or self.max_edge_copies < 0:
             raise ConfigError("max_mu >= 1, girth_min >= 3, max_edge_copies >= 0 required")
+        if self.n_max >= 2 and min(self.max_mu, self.max_edge_copies) > 255:
+            raise InstanceTooLarge("multiplicities above 255 not supported in keys")
 
     def to_json_obj(self) -> dict:
         return {
@@ -149,97 +154,127 @@ def ring(g: int, mults: list[int] | tuple[int, ...]) -> Multigraph:
     return build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)])
 
 
-def _refine(colors: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Stable neighborhood refinement of an integer vertex coloring."""
-    n = len(colors)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v])))
-            for v in range(n)
-        ]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [order[sigs[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(cells: list[list[int]], adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Refine an ordered vertex partition until it is stable or discrete.
+
+    Each round splits every non-singleton cell at once by its members'
+    sorted neighbor lists of (cell index, multiplicity), in list order.
+    """
+    n = len(adj)
+    lab = [0] * n
+    while len(cells) < n:
+        for i, cell in enumerate(cells):
+            i <<= 8  # (cell index, multiplicity < 256) as one integer
+            for v in cell:
+                lab[v] = i
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                sigs = [sorted([lab[u] + m for u, m in adj[v]]) for v in cell]
+                if sigs.count(sigs[0]) < len(sigs):
+                    prev = None
+                    for sig, v in sorted(zip(sigs, cell)):
+                        if sig != prev:
+                            out.append([v])
+                            prev = sig
+                        else:
+                            out[-1].append(v)
+                    continue
+            out.append(cell)
+        if len(out) == len(cells):
+            break
+        cells = out
+    return cells
 
 
-def _matrix_key(G: Multigraph, perm: list[int]) -> bytes:
-    """Row-major upper triangle of the relabeled multiplicity matrix."""
-    n = G.n
+# byte of pair (a, b), a < b, in the key of an n-vertex multigraph: _ROWS[n][a] + b
+_ROWS = [[(a * (2 * n - a - 1)) // 2 - a - 1 for a in range(n)] for n in range(CANONICAL_N_CAP + 1)]
+
+
+def _matrix_key(n: int, edges, order: list[int]) -> bytes:
+    """Row-major upper triangle of the multiplicity matrix, vertex order[p] as p."""
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    row = _ROWS[n]
     mat = bytearray((n * (n - 1)) // 2)
-    for u, v, m in G.edges:
-        a, b = perm[u], perm[v]
-        if a > b:
-            a, b = b, a
-        mat[(a * (2 * n - a - 1)) // 2 + (b - a - 1)] = m
+    for u, v, m in edges:
+        a, b = pos[u], pos[v]
+        mat[row[a] + b if a < b else row[b] + a] = m
     return bytes(mat)
 
 
-def _interchangeable(members: list[int], adj, mult_map) -> bool:
-    """True when every permutation of `members` (fixing the rest) is an automorphism.
+def _search(n: int, edges) -> tuple[bytes, list[dict[int, int]]]:
+    """The least leaf key of the multigraph on 0..n-1 with (u, v, mult) `edges`,
+    and automorphisms, as vertex maps, that generate its automorphism group.
 
-    Holds iff the members induce a uniform pattern among themselves and have
-    identical external neighborhoods; then one branch represents them all.
+    A node refines its partition and branches on each member of its first
+    non-singleton cell, which becomes a singleton cell after all others.  A
+    leaf whose key equals the first leaf's or the least one's gives an
+    automorphism gamma; when gamma fixes the two leaves' common ancestor and
+    maps the earlier leaf's branch there to the later one's, the later
+    branch is an image of a searched one and is left.  A node skips a child
+    in the orbit of a searched one under the automorphisms found that fix
+    the node.  No key is lost, and the comparisons with the first leaf find
+    generators of the whole group (McKay, "Practical graph isomorphism", 1981).
     """
-    mset = set(members)
-    first = members[0]
-    ext_first = sorted((u, m) for u, m in adj[first] if u not in mset)
-    for v in members[1:]:
-        if sorted((u, m) for u, m in adj[v] if u not in mset) != ext_first:
-            return False
-    internal = {
-        mult_map.get((min(a, b), max(a, b)), 0)
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    }
-    return len(internal) <= 1
-
-
-def _canonical_search(G: Multigraph, colors: list[int], adj) -> tuple[bytes, list[int]]:
-    colors = _refine(colors, adj)
-    n = G.n
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    split_class = None
-    for c in sorted(classes):
-        if len(classes[c]) > 1:
-            split_class = c
-            break
-    if split_class is None:
-        rank = {c: i for i, c in enumerate(sorted(classes))}
-        perm = [rank[colors[v]] for v in range(n)]
-        return _matrix_key(G, perm), perm
-    best: tuple[bytes, list[int]] | None = None
-    fresh = max(colors) + 1
-    members = classes[split_class]
-    if _interchangeable(members, adj, G.mult_map):
-        members = members[:1]
-    for v in members:
-        branch = colors[:]
-        branch[v] = fresh
-        cand = _canonical_search(G, branch, adj)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
-
-
-def _canonical_labeling(G: Multigraph) -> tuple[str, list[int]]:
-    """Canonical key string plus the relabeling that realizes it.
-
-    The key is the two-digit n, a dot, and the hex of the relabeled matrix.
-    """
-    if G.n > CANONICAL_N_CAP:
-        raise InstanceTooLarge(f"canonical form needs n <= {CANONICAL_N_CAP}, got {G.n}")
-    if G.max_mult > 255:
-        raise InstanceTooLarge("multiplicities above 255 not supported in keys")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-    for u, v, m in G.edges:
+    if n > CANONICAL_N_CAP:
+        raise InstanceTooLarge(f"canonical form needs n <= {CANONICAL_N_CAP}, got {n}")
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in edges:
+        if m > 255:
+            raise InstanceTooLarge("multiplicities above 255 not supported in keys")
         adj[u].append((v, m))
         adj[v].append((u, m))
-    key_bytes, perm = _canonical_search(G, [0] * G.n, adj)
-    return f"{G.n:02d}." + key_bytes.hex(), perm
+    cells = _refine([list(range(n))] if n else [], adj)
+    if len(cells) == n:
+        return _matrix_key(n, edges, [c[0] for c in cells]), []
+    gens: list[dict[int, int]] = []
+    first = best = None  # (key, vertex order, individualized vertices) of a leaf
+
+    def explore(cells: list[list[int]], seq: list[int]) -> int | None:
+        """Search below a node; the depth of the node to return to, or None."""
+        nonlocal first, best
+        if len(cells) == n:
+            order = [c[0] for c in cells]
+            key = _matrix_key(n, edges, order)
+            if first is None:
+                first = best = (key, order, seq)
+            elif key in (first[0], best[0]):
+                _, ref_order, ref_seq = first if key == first[0] else best
+                gamma = dict(zip(ref_order, order))
+                gens.append(gamma)
+                c = next(i for i, (x, y) in enumerate(zip(ref_seq, seq)) if x != y)
+                if gamma[ref_seq[c]] == seq[c] and all(gamma[x] == x for x in seq[:c]):
+                    return c
+            elif key < best[0]:
+                best = (key, order, seq)
+            return None
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        cell = cells[t]
+        done: set[int] = set()
+        for w in cell:
+            fixing = [g for g in gens if all(g[x] == x for x in seq)]
+            orbit = [w]
+            for x in orbit:
+                orbit += {g[x] for g in fixing} - set(orbit)
+            if not done.isdisjoint(orbit):
+                continue
+            child = cells[:t] + [[x for x in cell if x != w]] + cells[t + 1 :] + [[w]]
+            back = explore(_refine(child, adj), seq + [w])
+            if back is not None and back < len(seq):
+                return back
+            done.add(w)
+        return None
+
+    explore(cells, [])
+    return best[0], gens
+
+
+def _canonical_key(n: int, edges) -> str:
+    """Canonical key of the multigraph on 0..n-1 with (u, v, mult) `edges`, in
+    any order: the two-digit n, a dot, and the hex of the least leaf key."""
+    return f"{n:02d}." + _search(n, edges)[0].hex()
 
 
 def graph_from_key(key: str) -> Multigraph:
@@ -263,7 +298,7 @@ def graph_from_key(key: str) -> Multigraph:
 
 def canonical_form(G: Multigraph) -> str:
     """Isomorphism-class key: equal keys iff isomorphic with multiplicities."""
-    return _canonical_labeling(G)[0]
+    return _canonical_key(G.n, G.edges)
 
 
 def _is_connected(G: Multigraph) -> bool:
@@ -276,24 +311,21 @@ def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigrap
     Grown one edge at a time with canonical dedup; intermediate graphs may
     have isolated vertices (callers filter at emission).  Branches whose
     girth already dropped below girth_min are pruned: more edges never help.
+    A new edge uv closes cycles of length dist(u, v) + 1 and no shorter, so
+    it is added only between vertices at distance >= girth_min - 1.
     """
-    empty = build(n, [])
-    level: dict[str, Multigraph] = {_canonical_labeling(empty)[0]: empty}
+    empty = Multigraph(n, ())
+    level: dict[str, Multigraph] = {_canonical_key(n, ()): empty}
     yield empty
-    edge_budget = min(max_edges, n * (n - 1) // 2)
-    for _ in range(edge_budget):
+    for _ in range(min(max_edges, n * (n - 1) // 2)):
         nxt: dict[str, Multigraph] = {}
         for G in level.values():
-            present = set(G.pairs())
             for u in range(n):
+                near = bfs_dist(G.simple, range(n), u)
                 for v in range(u + 1, n):
-                    if (u, v) in present:
+                    if v in near and near[v] < girth_min - 1:
                         continue
-                    H = build(n, list(G.edges) + [(u, v, 1)])
-                    g = girth(H)
-                    if g != INFINITE_GIRTH and g < girth_min:
-                        continue
-                    key = _canonical_labeling(H)[0]
+                    key = _canonical_key(n, G.edges + ((u, v, 1),))
                     if key not in nxt:
                         nxt[key] = graph_from_key(key)
         level = nxt
@@ -309,64 +341,31 @@ def simple_representatives(spec: EnumSpec) -> Iterator[Multigraph]:
         for simple in _simple_graphs(n, spec.girth_min, spec.max_edge_copies):
             if not simple.edges or 0 in simple.degrees:
                 continue
-            g = girth(simple)
-            if g == INFINITE_GIRTH:
-                if spec.require_cycle:
-                    continue
-            elif g < spec.girth_min:
+            if spec.require_cycle and girth(simple) == INFINITE_GIRTH:
                 continue
             if spec.connected_only and not _is_connected(simple):
                 continue
             yield simple
 
 
-def _edge_automorphisms(S: Multigraph) -> list[tuple[int, ...]]:
-    """Every non-identity automorphism of simple S as a permutation of edge indices.
-
-    Refinement colors are invariant under automorphisms, so each vertex maps
-    into its own color class; the backtrack maps vertices smallest class
-    first and keeps adjacency to every already mapped vertex.  Entry i of a
-    permutation is the index in S.edges of the image of S.edges[i].
-    """
-    n = S.n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, m in S.edges:
-        adj[u].append((v, m))
-        adj[v].append((u, m))
-    colors = _refine([0] * n, adj)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    order = sorted(range(n), key=lambda v: (len(classes[colors[v]]), v))
-    nbrs = [frozenset(u for u, _ in adj[v]) for v in range(n)]
+def _aut_edge_perms(S: Multigraph) -> list[tuple[int, ...]]:
+    """Every automorphism of S that moves an edge, as a permutation of edge
+    indices: entry i is the index in S.edges of the image of S.edges[i].
+    The group is closed from the generators that labelling S finds."""
     index = {(u, v): i for i, (u, v, _) in enumerate(S.edges)}
+    gens = {
+        tuple(index[min(g[u], g[v]), max(g[u], g[v])] for u, v, _ in S.edges)
+        for g in _search(S.n, S.edges)[1]
+    }
     identity = tuple(range(len(S.edges)))
-    image = [-1] * n
-    taken = [False] * n
-    perms: list[tuple[int, ...]] = []
-
-    def extend(depth: int) -> None:
-        if depth == n:
-            perm = tuple(
-                index[(a, b) if a < b else (b, a)]
-                for a, b in ((image[u], image[v]) for u, v, _ in S.edges)
-            )
-            if perm != identity:
-                perms.append(perm)
-            return
-        v = order[depth]
-        for w in classes[colors[v]]:
-            if taken[w]:
-                continue
-            if all((x in nbrs[v]) == (image[x] in nbrs[w]) for x in order[:depth]):
-                image[v] = w
-                taken[w] = True
-                extend(depth + 1)
-                taken[w] = False
-        image[v] = -1
-
-    extend(0)
-    return perms
+    group, seen = [identity], {identity}
+    for p in group:
+        for g in gens:
+            q = tuple([p[i] for i in g])
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return sorted(seen - {identity})
 
 
 def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -397,13 +396,12 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
     comes out exactly once.
     """
     pairs = [(u, v) for u, v, _ in simple.edges]
-    images = [itemgetter(*perm) for perm in _edge_automorphisms(simple)]
+    images = [itemgetter(*perm) for perm in _aut_edge_perms(simple)]
     keys = []
     for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
         if any(image(vec) < vec for image in images):
             continue  # a smaller vector of the same orbit is kept instead
-        H = build(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)])
-        keys.append(_canonical_labeling(H)[0])
+        keys.append(_canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)]))
     return keys
 
 

@@ -12,9 +12,12 @@ criticality oracles are the library's previous loop, which builds every
 G - e as a graph, and the witness oracle is its previous assembly, which
 sorts the copies.  The static-order search is the library's previous
 colorability decision, which branches on pairs in a fixed order.  The
-enumeration oracle shares only the canonical key with the library (the key
-defines the classes) and canonicalises every candidate.  Slow on purpose;
-only run on small inputs.
+canonical-form oracle is the library's previous search: whole-partition
+refinement rounds on integer colors, a branch for every vertex of the target
+class unless the class is interchangeable, and no automorphism pruning; its
+automorphism oracle is the library's previous separate backtrack.  The
+enumeration oracle uses it for every key and canonicalises every
+candidate.  Slow on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from steffenlab.coloring import (
     is_k_colorable,
 )
 from steffenlab.errors import InstanceTooLarge, SolverTimeout
-from steffenlab.generators import _canonical_labeling
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build, remove_edges
 from steffenlab.structure import RingSubgraph, enumerate_cycles
@@ -226,10 +228,153 @@ def max_disjoint_paths_oracle(G: Multigraph, apex: int, interior: set[int], targ
     return best
 
 
+def refine_colors(colors: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Stable neighborhood refinement of an integer vertex coloring."""
+    n = len(colors)
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted((colors[u], m) for u, m in adj[v])))
+            for v in range(n)
+        ]
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [order[sigs[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _relabeled_matrix(G: Multigraph, perm: list[int]) -> bytes:
+    """Row-major upper triangle of the relabeled multiplicity matrix."""
+    n = G.n
+    mat = bytearray((n * (n - 1)) // 2)
+    for u, v, m in G.edges:
+        a, b = perm[u], perm[v]
+        if a > b:
+            a, b = b, a
+        mat[(a * (2 * n - a - 1)) // 2 + (b - a - 1)] = m
+    return bytes(mat)
+
+
+def _interchangeable(members: list[int], adj, mult_map) -> bool:
+    """True when every permutation of `members` (fixing the rest) is an automorphism.
+
+    Holds iff the members induce a uniform pattern among themselves and have
+    identical external neighborhoods; then one branch represents them all.
+    """
+    mset = set(members)
+    first = members[0]
+    ext_first = sorted((u, m) for u, m in adj[first] if u not in mset)
+    for v in members[1:]:
+        if sorted((u, m) for u, m in adj[v] if u not in mset) != ext_first:
+            return False
+    internal = {
+        mult_map.get((min(a, b), max(a, b)), 0)
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+    }
+    return len(internal) <= 1
+
+
+def _canonical_search(G: Multigraph, colors: list[int], adj) -> tuple[bytes, list[int]]:
+    colors = refine_colors(colors, adj)
+    n = G.n
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    split_class = None
+    for c in sorted(classes):
+        if len(classes[c]) > 1:
+            split_class = c
+            break
+    if split_class is None:
+        rank = {c: i for i, c in enumerate(sorted(classes))}
+        perm = [rank[colors[v]] for v in range(n)]
+        return _relabeled_matrix(G, perm), perm
+    best: tuple[bytes, list[int]] | None = None
+    fresh = max(colors) + 1
+    members = classes[split_class]
+    if _interchangeable(members, adj, G.mult_map):
+        members = members[:1]
+    for v in members:
+        branch = colors[:]
+        branch[v] = fresh
+        cand = _canonical_search(G, branch, adj)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def _adjacency(G: Multigraph) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for u, v, m in G.edges:
+        adj[u].append((v, m))
+        adj[v].append((u, m))
+    return adj
+
+
+def canonical_labeling(G: Multigraph) -> tuple[str, list[int]]:
+    """Canonical key string plus the relabeling that realizes it, by the
+    library's previous search.
+
+    The key is the two-digit n, a dot, and the hex of the relabeled matrix.
+    """
+    if G.max_mult > 255:
+        raise InstanceTooLarge("multiplicities above 255 not supported in keys")
+    key_bytes, perm = _canonical_search(G, [0] * G.n, _adjacency(G))
+    return f"{G.n:02d}." + key_bytes.hex(), perm
+
+
 def canonicalize(G: Multigraph) -> tuple[str, Multigraph]:
     """Canonical key plus G relabeled by the permutation that realizes it."""
-    key, perm = _canonical_labeling(G)
+    key, perm = canonical_labeling(G)
     return key, build(G.n, [(perm[u], perm[v], m) for u, v, m in G.edges])
+
+
+def edge_automorphisms_by_backtrack(S: Multigraph) -> list[tuple[int, ...]]:
+    """Every non-identity automorphism of simple S as a permutation of edge
+    indices, by the library's previous backtrack.
+
+    Refinement colors are invariant under automorphisms, so each vertex maps
+    into its own color class; the backtrack maps vertices smallest class
+    first and keeps adjacency to every already mapped vertex.  Entry i of a
+    permutation is the index in S.edges of the image of S.edges[i].
+    """
+    n = S.n
+    adj = _adjacency(S)
+    colors = refine_colors([0] * n, adj)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    order = sorted(range(n), key=lambda v: (len(classes[colors[v]]), v))
+    nbrs = [frozenset(u for u, _ in adj[v]) for v in range(n)]
+    index = {(u, v): i for i, (u, v, _) in enumerate(S.edges)}
+    identity = tuple(range(len(S.edges)))
+    image = [-1] * n
+    taken = [False] * n
+    perms: list[tuple[int, ...]] = []
+
+    def extend(depth: int) -> None:
+        if depth == n:
+            perm = tuple(
+                index[(a, b) if a < b else (b, a)]
+                for a, b in ((image[u], image[v]) for u, v, _ in S.edges)
+            )
+            if perm != identity:
+                perms.append(perm)
+            return
+        v = order[depth]
+        for w in classes[colors[v]]:
+            if taken[w]:
+                continue
+            if all((x in nbrs[v]) == (image[x] in nbrs[w]) for x in order[:depth]):
+                image[v] = w
+                taken[w] = True
+                extend(depth + 1)
+                taken[w] = False
+        image[v] = -1
+
+    extend(0)
+    return perms
 
 
 def enumerate_by_dedup(spec) -> list[tuple[str, Multigraph]]:

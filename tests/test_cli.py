@@ -171,6 +171,22 @@ class TestScanCommands:
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("copies, code", [(300, 2), (16, 0)])
+    def test_multiplicities_past_the_key_cap(self, tmp_path, copies, code):
+        # 300 copies of one pair cannot be keyed: refused before any enumeration
+        out = tmp_path / "scan.jsonl"
+        spec = {"nRange": [2, 2], "maxMu": 300, "girthMin": 3, "maxEdgeCopies": copies}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(out), "workers": 1}))
+        proc = run_cli(["scan", "--config", str(cfg_path)])
+        assert proc.returncode == code
+        if code:
+            assert "255" in proc.stderr and "Traceback" not in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1
+            assert not out.exists()
+        else:
+            assert json.loads(proc.stdout)["total"] == copies
+
     def test_config_error_is_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"enumSpec": {"nRange": [1, 99]}}))

@@ -1,13 +1,15 @@
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
 from steffenlab.errors import BadParameter, InstanceTooLarge
 from steffenlab.generators import (
     EnumSpec,
-    _edge_automorphisms,
+    _aut_edge_perms,
     _simple_graphs,
     class_keys,
     enumerate_with_keys,
@@ -15,7 +17,7 @@ from steffenlab.generators import (
     simple_representatives,
 )
 from steffenlab.invariants import is_bipartite
-from oracles import canonicalize, enumerate_by_dedup
+from oracles import canonical_labeling, canonicalize, edge_automorphisms_by_backtrack, enumerate_by_dedup
 
 
 class TestFamilies:
@@ -70,6 +72,27 @@ class TestFamilies:
             sl.ring(4, [1, 1, 1])
 
 
+def _icosahedron() -> sl.Multigraph:
+    # apex 0, upper pentagon 1..5, lower pentagon 6..10, apex 11
+    pairs = []
+    for i in range(5):
+        j = (i + 1) % 5
+        pairs += [(0, 1 + i), (6 + i, 11), (1 + i, 1 + j), (6 + i, 6 + j), (1 + i, 6 + i), (1 + i, 6 + j)]
+    return sl.build(12, [(min(a, b), max(a, b), 1) for a, b in pairs])
+
+
+# fully or highly symmetric graphs at the canonical cap n = 12
+SYMMETRIC_12 = {
+    "K12 mu 2": sl.mu_complete(12, 2),
+    "K6,6": sl.build(12, [(a, b, 1) for a in range(6) for b in range(6, 12)]),
+    "C12": sl.mu_cycle(12, 1),
+    "3K4": sl.build(
+        12, [(4 * k + a, 4 * k + b, 1) for k in range(3) for a in range(4) for b in range(a + 1, 4)]
+    ),
+    "icosahedron": _icosahedron(),
+}
+
+
 class TestCanonicalForm:
     def test_relabelings_collide(self):
         rng = random.Random(6)
@@ -103,7 +126,48 @@ class TestCanonicalForm:
 
     def test_cap(self):
         with pytest.raises(InstanceTooLarge):
-            sl.canonical_form(sl.build(11, [(0, 1, 1)]))
+            sl.canonical_form(sl.build(13, [(0, 1, 1)]))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_12))
+    def test_symmetric_graphs_at_the_cap(self, name):
+        G = SYMMETRIC_12[name]
+        start = time.monotonic()
+        key = sl.canonical_form(G)
+        assert time.monotonic() - start < 1.0
+        rng = random.Random(name)
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        H = sl.build(G.n, [(perm[u], perm[v], m) for u, v, m in G.edges])
+        assert sl.canonical_form(H) == key
+
+    def test_matches_oracle_on_random_multigraphs(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            G = sl.random_multigraph(rng, n_max=10, mu_max=rng.choice((1, 2, 4)))
+            assert sl.canonical_form(G) == canonical_labeling(G)[0], G
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sampled_from((0, 0, 0, 1, 2, 3, 4)),
+                    min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2,
+                ),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    def test_relabeling_and_oracle_property(self, drawn):
+        mults, perm = drawn
+        n = len(perm)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        G = sl.build(n, [(u, v, m) for (u, v), m in zip(pairs, mults) if m])
+        H = sl.build(n, [(perm[u], perm[v], m) for u, v, m in G.edges])
+        key = sl.canonical_form(G)
+        assert sl.canonical_form(H) == key
+        assert canonical_labeling(G)[0] == key
 
 
 class TestSimpleEnumeration:
@@ -205,9 +269,9 @@ class TestOrbitPruning:
 
         spec = ORACLE_SPECS["girth5-shaped"]
         calls = []
-        labeling = generators._canonical_labeling
+        labeling = generators._canonical_key
         monkeypatch.setattr(
-            generators, "_canonical_labeling", lambda G: calls.append(G) or labeling(G)
+            generators, "_canonical_key", lambda n, edges: calls.append(edges) or labeling(n, edges)
         )
         for simple in list(generators.simple_representatives(spec)):
             calls.clear()
@@ -231,17 +295,42 @@ class TestOrbitPruning:
             (sl.mu_complete(4, 1), 24),
             (sl.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]), 2),
             (sl.build(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (3, 5, 1)]), 8),
+            (SYMMETRIC_12["icosahedron"], 120),
         ],
     )
     def test_automorphism_counts(self, G, order):
-        perms = _edge_automorphisms(G)
+        perms = _aut_edge_perms(G)
         assert len(perms) == order - 1  # the identity is left out
         assert len(set(perms)) == len(perms)
         for perm in perms:
             assert sorted(perm) == list(range(len(G.edges)))
 
     def test_petersen_automorphisms(self, petersen):
-        assert len(_edge_automorphisms(petersen)) == 119
+        assert len(_aut_edge_perms(petersen)) == 119
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            EnumSpec(n_min=1, n_max=6, max_mu=3, girth_min=3, max_edge_copies=12),
+            EnumSpec(n_min=5, n_max=8, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True),
+        ],
+        ids=["full6", "girth5"],
+    )
+    def test_automorphisms_match_backtrack_oracle(self, spec):
+        for S in simple_representatives(spec):
+            assert set(_aut_edge_perms(S)) == set(edge_automorphisms_by_backtrack(S)), S
+
+
+class TestKeyCap:
+    def test_impossible_multiplicity_rejected_at_once(self):
+        with pytest.raises(InstanceTooLarge):
+            EnumSpec(n_min=2, n_max=2, max_mu=300, max_edge_copies=300)
+        # no pair, no multiplicity
+        EnumSpec(n_min=0, n_max=1, max_mu=300, max_edge_copies=300)
+
+    def test_copies_below_the_cap_keep_working(self):
+        spec = EnumSpec(n_min=2, n_max=2, max_mu=300, max_edge_copies=16)
+        assert len(class_keys(spec)[0]) == 16  # one pair, 1..16 copies
 
 
 class TestClassKeys:
