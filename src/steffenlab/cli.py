@@ -50,8 +50,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_chi(args) -> int:
     G = _read_graph(args.graph)
-    mode = "gs" if args.mode == "gs" else "search"
-    chi, witness = chromatic_index(G, mode=mode, deadline=args.deadline)
+    chi, witness = chromatic_index(G, mode=args.mode, deadline=args.deadline)
     print(chi)
     if args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:

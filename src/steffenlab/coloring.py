@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
-from .invariants import bound_at_girth, density, is_bipartite
+from .invariants import density, in_theorem_regime, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
@@ -279,6 +279,21 @@ def extract_critical(
     return current
 
 
+def _lemma_chi(
+    G: Multigraph, chi: int | None, critical_known: bool, deadline: float | None
+) -> int:
+    """chi'(G), or `chi` when given, once the structural lemmas' shared hypotheses
+    hold: chi' >= Delta + 2, and G critical unless the caller asserts it."""
+    if chi is None:
+        chi = chromatic_index(G, deadline=deadline)[0]
+    delta_max = max(G.degrees, default=0)
+    if chi < delta_max + 2:
+        raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
+    if not critical_known and not is_critical(G, chi=chi, deadline=deadline):
+        raise PreconditionFailed("critical", "graph is not critical")
+    return chi
+
+
 def near_perfect_matching_decomposition(
     G: Multigraph,
     e: tuple[int, int],
@@ -295,35 +310,22 @@ def near_perfect_matching_decomposition(
     u, v = min(e), max(e)
     if G.mult(u, v) < 1:
         raise PreconditionFailed("edge-exists", f"pair ({u}, {v}) absent")
-    if chi is None:
-        chi = chromatic_index(G, deadline=deadline)[0]
-    delta_max = max(G.degrees)
-    if chi < delta_max + 2:
-        raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
     if G.n % 2 == 0:
         raise PreconditionFailed("n-odd", f"n={G.n} is even")
-    if not assume_critical and not is_critical(G, chi=chi, deadline=deadline):
-        raise PreconditionFailed("critical", "graph is not critical")
+    chi = _lemma_chi(G, chi, assume_critical, deadline)
     reduced = remove_edges(G, u, v, 1)
     witness = is_k_colorable(reduced, chi - 1, deadline)
     if witness is None:
         raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
     classes = witness.classes()
-    want = (G.n - 1) // 2
     missed = []
     for cls in classes:
-        if len(cls) != want:
-            raise PreconditionFailed(
-                "near-perfect", f"class size {len(cls)} != {want}"
-            )
-        covered = {x for pair in cls for x in pair}
-        missing = sorted(set(range(G.n)) - covered)
+        # a class is a matching, so it misses one vertex iff it has (n-1)/2 edges
+        missing = sorted(set(range(G.n)).difference(*cls))
         if len(missing) != 1:
             raise PreconditionFailed("near-perfect", f"class misses {missing}")
         missed.append(missing[0])
-    return MatchingDecomposition(
-        tuple(tuple(cls) for cls in classes), tuple(missed)
-    )
+    return MatchingDecomposition(tuple(tuple(cls) for cls in classes), tuple(missed))
 
 
 def degree_identity_check(
@@ -334,26 +336,20 @@ def degree_identity_check(
 ) -> DegreeIdentityReport:
     """Residuals of d(v) = sum_{w != v}(chi'-1-d(w)) + 2, plus the min-degree bound.
 
-    The bound delta >= n*mu/g + 1 applies for every integer g >= 5 with
-    n >= g and chi' = Delta + ceil(mu / floor(g/2)); it is checked for all
-    such g and reported "not-applicable" when no g qualifies.
+    The bound delta >= n*mu/g + 1 applies for every integer g <= n at which
+    the values of G are in the theorem's regime (`in_theorem_regime`); it is
+    checked for all such g and reported "not-applicable" when no g qualifies.
     """
-    if chi is None:
-        chi = chromatic_index(G, deadline=deadline)[0]
-    delta_max = max(G.degrees, default=0)
-    if chi < delta_max + 2:
-        raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
-    if check_critical and not is_critical(G, chi=chi, deadline=deadline):
-        raise PreconditionFailed("critical", "graph is not critical")
+    chi = _lemma_chi(G, chi, not check_critical, deadline)
     total = sum(G.degrees)
     residuals = []
     for v in range(G.n):
         rhs = (G.n - 1) * (chi - 1) - (total - G.degrees[v]) + 2
         residuals.append(G.degrees[v] - rhs)
 
+    delta_max, delta_min = max(G.degrees), min(G.degrees)
     mu = G.max_mult
-    delta_min = min(G.degrees, default=0)
-    applicable = [g for g in range(5, G.n + 1) if chi == bound_at_girth(delta_max, mu, g)]
+    applicable = [g for g in range(5, G.n + 1) if in_theorem_regime(delta_max, mu, g, chi)]
     if not applicable:
         bound = "not-applicable"
     elif all(delta_min * g >= G.n * mu + g for g in applicable):

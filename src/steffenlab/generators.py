@@ -13,9 +13,9 @@ Enumeration proceeds in two layers.  The simple-graph layer grows
 non-isomorphic simple graphs one edge at a time with canonical-key
 deduplication (girth constraints prune whole branches, since adding edges
 never increases girth).  The multiplicity layer is orderly (Read, 1978): for
-each simple representative S it takes Aut(S) once, as permutations of S's
-edge list, from the automorphisms the search finds while it labels S, and
-keeps a multiplicity vector only if it is the lex-min of its orbit.
+each simple representative S it takes generators of Aut(S) on S's edge
+list from the search that labels S, and keeps a multiplicity vector only if
+no vector of its orbit, walked by the generators, is lex-smaller.
 Isomorphic multigraphs have isomorphic underlying simple graphs, so each
 class comes from exactly one S and one orbit and is canonicalised exactly
 once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
@@ -348,24 +348,30 @@ def simple_representatives(spec: EnumSpec) -> Iterator[Multigraph]:
             yield simple
 
 
-def _aut_edge_perms(S: Multigraph) -> list[tuple[int, ...]]:
-    """Every automorphism of S that moves an edge, as a permutation of edge
-    indices: entry i is the index in S.edges of the image of S.edges[i].
-    The group is closed from the generators that labelling S finds."""
+def _aut_edge_generators(S: Multigraph) -> list[tuple[int, ...]]:
+    """Generators of Aut(S) found by labelling S that move an edge, as edge index
+    permutations: entry i is the index in S.edges of the image of S.edges[i]."""
     index = {(u, v): i for i, (u, v, _) in enumerate(S.edges)}
     gens = {
         tuple(index[min(g[u], g[v]), max(g[u], g[v])] for u, v, _ in S.edges)
         for g in _search(S.n, S.edges)[1]
     }
-    identity = tuple(range(len(S.edges)))
-    group, seen = [identity], {identity}
-    for p in group:
-        for g in gens:
-            q = tuple([p[i] for i in g])
-            if q not in seen:
-                seen.add(q)
-                group.append(q)
-    return sorted(seen - {identity})
+    return sorted(gens - {tuple(range(len(S.edges)))})
+
+
+def _is_orbit_min(vec: tuple[int, ...], images: list[Callable]) -> bool:
+    """True iff no vector of the orbit of `vec` under the group that `images`
+    generate is lex-smaller; the walk stops at the first that is."""
+    orbit, seen = [vec], {vec}
+    for w in orbit:
+        for image in images:
+            x = image(w)
+            if x < vec:
+                return False
+            if x not in seen:
+                seen.add(x)
+                orbit.append(x)
+    return True
 
 
 def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -396,10 +402,10 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
     comes out exactly once.
     """
     pairs = [(u, v) for u, v, _ in simple.edges]
-    images = [itemgetter(*perm) for perm in _aut_edge_perms(simple)]
+    images = [itemgetter(*perm) for perm in _aut_edge_generators(simple)]
     keys = []
     for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
-        if any(image(vec) < vec for image in images):
+        if not _is_orbit_min(vec, images):
             continue  # a smaller vector of the same orbit is kept instead
         keys.append(_canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)]))
     return keys

@@ -13,7 +13,9 @@ distance, bipartiteness included, on the one BFS `bfs_dist`.
 `steffen_bound` and `chromatic_index` share one value per graph.  Girth and
 bipartiteness depend on the underlying simple graph alone, so a scan
 computes them once per simple representative and seeds each record's memo
-with them (`simple_layer`, `seed_simple_layer`).
+with them (`simple_layer`, `seed_simple_layer`).  The girth of an induced
+subgraph is memoised on the simple graph view, per vertex set, so a cycle
+partition, its verification and the short-cycle clauses share each BFS run.
 
 Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
@@ -90,7 +92,23 @@ def bound_at_girth(delta_max: int, mu: int, g: int) -> int:
     return delta_max + ceil_div(mu, g // 2)
 
 
+def in_theorem_regime(delta_max: int, mu: int, g: int | float, chi: int) -> bool:
+    """The main theorem's hypotheses on values: finite girth g >= 5, chi' >= Delta + 2
+    and chi' = Delta + ceil(mu / floor(g/2)).  A critical graph in it is an odd ring."""
+    if not 5 <= g < INFINITE_GIRTH:
+        return False
+    return chi >= delta_max + 2 and chi == bound_at_girth(delta_max, mu, int(g))
+
+
 def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
+    """Girth of the subgraph induced on `within`, memoised on the view per set."""
+    girths = view.girths
+    if within not in girths:
+        girths[within] = _bfs_girth(view, within)
+    return girths[within]
+
+
+def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
     """BFS from every root; min closed-walk bound over non-tree edges is exact."""
     best: int | float = INFINITE_GIRTH
     members = sorted(within)

@@ -10,13 +10,14 @@ and kept on it: the degree vector and the underlying simple graph as cached
 properties, and values computed elsewhere (girth, bipartiteness, density)
 in `memo`.  Like every cached property they live in the instance `__dict__`,
 so they take no part in equality, hashing or repr, and they travel with a
-pickled graph.
+pickled graph.  The simple graph keeps the girth of each induced subgraph
+asked about in `girths`, a field left out of equality, hashing and repr.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -106,6 +107,8 @@ class SimpleGraphView:
 
     n: int
     adj: tuple[frozenset[int], ...]
+    # girth of the induced subgraph on each vertex set asked about (subgraph_girth)
+    girths: dict = field(default_factory=dict, compare=False, repr=False)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

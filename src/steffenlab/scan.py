@@ -17,7 +17,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -28,7 +27,7 @@ from .coloring import (
     is_critical,
     near_perfect_matching_decomposition,
 )
-from .errors import ConfigError, SolverTimeout
+from .errors import ConfigError, PreconditionFailed, SolverTimeout
 from .generators import (
     EnumSpec,
     class_keys,
@@ -39,10 +38,10 @@ from .generators import (
 )
 from .invariants import (
     INFINITE_GIRTH,
-    bound_at_girth,
     check_short_cycle_properties,
     density,
     girth,
+    in_theorem_regime,
     seed_simple_layer,
     steffen_bound,
 )
@@ -177,11 +176,10 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
 
 
 def _ring_gate(girth_floor: int, g, mu: int, delta_max: int, chi: int) -> bool:
-    """Ring-containment hypothesis: configured floor g0 >= 5, girth >= 5 finite,
-    mu >= floor(g0/2)+1, and chi' = Delta + ceil(mu / floor(g0/2))."""
-    if girth_floor < 5 or g == INFINITE_GIRTH or g < 5:
-        return False
-    return mu >= girth_floor // 2 + 1 and chi == bound_at_girth(delta_max, mu, girth_floor)
+    """Ring-containment hypothesis: g >= 5 and the values in the theorem's
+    regime at the configured girth floor, not at g, which would fire the gate
+    on `full6` (floor 3) and change its report.  Acyclic graphs fail: chi' = Delta."""
+    return g >= 5 and in_theorem_regime(delta_max, mu, girth_floor, chi)
 
 
 def _record_line(record: dict) -> str:
@@ -339,6 +337,9 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     """
     if config.workers == 1:
         return _run_scan(config, map, map)
+    # imported here: the process pool machinery costs every CLI command its import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
         return _run_scan(config, pool.map, partial(pool.map, chunksize=16))
 
@@ -388,76 +389,64 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     """Two property suites with a byte-stable report.
 
     Critical suite (enumerated corpus + any extraGraphs): for every critical
-    graph with chi' >= Delta + 2, n must be odd, G-e must decompose into
-    chi'-1 near-perfect matchings for every pair, all degree-identity
-    residuals must vanish, and the min-degree bound must hold when its
-    hypotheses fire.
+    graph with chi' >= Delta + 2, G-e must decompose into chi'-1 near-perfect
+    matchings for every pair, all degree-identity residuals must vanish, and
+    the min-degree bound must hold when its hypotheses fire.  A failed
+    library precondition (n odd, say) is reported under its clause.
 
     Random suite (seeded sampler): cycle partitions re-verify, shortest-cycle
     neighborhood clauses hold, and every fan satisfies the interior-size
-    bound; fan count <= 3 is asserted when the ring-theorem hypotheses are
-    machine-checked to hold.
+    bound; fan count <= 3 is asserted when the graph is in the main
+    theorem's regime (`_critical_in_regime`).
     """
     budget = config.budget_seconds
     digest = hashlib.sha256()
     violations: list[dict] = []
 
-    critical_stats = {
-        "graphs": 0,
-        "criticalHighChi": 0,
-        "decompositionsChecked": 0,
-        "residualVectorsChecked": 0,
-        "minDegreeBoundsChecked": 0,
-    }
     corpus = [(k, G) for k, G in enumerate_with_keys(config.enum_spec)]
     for text in config.extra_graphs:
         G = parse_any(text)
         corpus.append((f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G))
     corpus.sort(key=lambda kv: kv[0])
+    critical_stats = {
+        "graphs": len(corpus),
+        "criticalHighChi": 0,
+        "decompositionsChecked": 0,
+        "residualVectorsChecked": 0,
+        "minDegreeBoundsChecked": 0,
+    }
     for key, G in corpus:
-        critical_stats["graphs"] += 1
-        if not G.edges:
-            continue
+        where = {"suite": "critical", "graphKey": key}
         deadline = time.monotonic() + budget  # chi, criticality and every decomposition
         try:
             chi = chromatic_index(G, deadline=deadline)[0]
-            delta_max = max(G.degrees)
-            if chi < delta_max + 2:
-                continue
-            if not is_critical(G, chi=chi, deadline=deadline):
+            high = chi >= max(G.degrees, default=0) + 2  # never for an edgeless graph
+            if not (high and is_critical(G, chi=chi, deadline=deadline)):
                 continue
             critical_stats["criticalHighChi"] += 1
             digest.update(f"crit|{key}|{chi}\n".encode())
-            if G.n % 2 == 0:
-                violations.append({"suite": "critical", "graphKey": key, "check": "n-odd"})
-                continue
             for u, v, _ in G.edges:
-                dec = near_perfect_matching_decomposition(
+                near_perfect_matching_decomposition(
                     G, (u, v), assume_critical=True, chi=chi, deadline=deadline
                 )
                 critical_stats["decompositionsChecked"] += 1
-                if len(dec.classes) != chi - 1:
-                    violations.append(
-                        {"suite": "critical", "graphKey": key, "check": "class-count"}
-                    )
             report = degree_identity_check(G, chi=chi, check_critical=False)
             critical_stats["residualVectorsChecked"] += 1
-            if any(r != 0 for r in report.residuals):
+            if any(report.residuals):
                 violations.append(
-                    {"suite": "critical", "graphKey": key, "check": "degree-identity",
-                     "residuals": list(report.residuals)}
+                    _violation(where, "degree-identity", residuals=list(report.residuals))
                 )
             if report.min_degree_bound != "not-applicable":
                 critical_stats["minDegreeBoundsChecked"] += 1
                 if report.min_degree_bound == "violated":
-                    violations.append(
-                        {"suite": "critical", "graphKey": key, "check": "min-degree-bound"}
-                    )
+                    violations.append(_violation(where, "min-degree-bound"))
         except SolverTimeout:
-            violations.append({"suite": "critical", "graphKey": key, "check": "timeout"})
+            violations.append(_violation(where, "timeout"))
+        except PreconditionFailed as exc:
+            violations.append(_violation(where, exc.clause))
 
     random_stats = {
-        "graphs": 0,
+        "graphs": config.random_graphs,
         "partitionsVerified": 0,
         "cyclesChecked": 0,
         "clauseViolations": 0,
@@ -468,50 +457,36 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     rng = random.Random(seed)
     for index in range(config.random_graphs):
         G = random_multigraph(rng, n_max=config.random_n_max, mu_max=config.random_mu_max)
-        random_stats["graphs"] += 1
+        where = {"suite": "random", "index": index}
         partition = cycle_partition(G)
-        problems = verify_cycle_partition(G, partition)
-        if problems:
-            violations.append(
-                {"suite": "random", "index": index, "check": "partition", "problems": problems}
-            )
+        if problems := verify_cycle_partition(G, partition):
+            violations.append(_violation(where, "partition", problems=problems))
             continue
         random_stats["partitionsVerified"] += 1
-        stages = partition.stage_vertex_sets(G.n)
-        for cyc, stage in zip(partition.cycles, stages):
+        for cyc, stage in zip(partition.cycles, partition.stage_vertex_sets(G.n)):
             random_stats["cyclesChecked"] += 1
-            clause_violations = check_short_cycle_properties(G, cyc, stage)
-            if clause_violations:
+            if clause_violations := check_short_cycle_properties(G, cyc, stage):
                 random_stats["clauseViolations"] += len(clause_violations)
                 violations.append(
-                    {
-                        "suite": "random",
-                        "index": index,
-                        "check": "short-cycle-clause",
-                        "violations": [v.to_json_obj() for v in clause_violations],
-                    }
+                    _violation(
+                        where,
+                        "short-cycle-clause",
+                        violations=[v.to_json_obj() for v in clause_violations],
+                    )
                 )
         fan_summary = []
         for v0 in sorted(partition.v0):
             for h in range(len(partition.cycles)):
-                fan = max_fan(G, partition, v0, h)
-                if fan is None:
+                if (fan := max_fan(G, partition, v0, h)) is None:
                     continue
                 random_stats["fansChecked"] += 1
                 if not fan_bound_check(fan, partition.cycles[h]):
                     random_stats["fanBoundViolations"] += 1
-                    violations.append(
-                        {
-                            "suite": "random",
-                            "index": index,
-                            "check": "fan-bound",
-                            "apex": v0,
-                            "cycle": h,
-                            "t": fan.t,
-                        }
-                    )
+                    violations.append(_violation(where, "fan-bound", apex=v0, cycle=h, t=fan.t))
                 fan_summary.append((v0, h, fan.t, len(fan.interior_vertices())))
-        _check_fan_cap(G, partition, fan_summary, index, violations, random_stats, budget)
+        if any(t > 3 for _, _, t, _ in fan_summary) and _critical_in_regime(G, budget):
+            random_stats["fanCapViolations"] += 1
+            violations.append(_violation(where, "fan-count-cap"))
         digest.update(
             f"rand|{index}|{G.n}|{G.edge_count}|{len(partition.cycles)}"
             f"|{sorted(partition.v0)}|{fan_summary}\n".encode()
@@ -532,25 +507,21 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     return LemmaSuiteReport(payload)
 
 
-def _check_fan_cap(G, partition, fan_summary, index, violations, stats, budget) -> None:
-    """Assert t <= 3 for fans, but only when the ring-theorem hypotheses hold."""
-    if not fan_summary or max(t for _, _, t, _ in fan_summary) <= 3:
-        return
-    g = girth(G)
-    if g == INFINITE_GIRTH or g < 5:
-        return
-    mu = G.max_mult
-    if mu < int(g) // 2 + 1:
-        return
+def _violation(where: dict, check: str, **details) -> dict:
+    """A report violation: the suite and graph in `where`, the check, its details."""
+    return {**where, "check": check, **details}
+
+
+def _critical_in_regime(G: Multigraph, budget: float) -> bool:
+    """True iff G is critical with values in the main theorem's regime, decided
+    within `budget` seconds (a timeout counts as False).  chi' <= Steffen's
+    bound, so the solver runs only when the bound itself is in the regime."""
+    values = (max(G.degrees), G.max_mult, girth(G))
+    if not in_theorem_regime(*values, steffen_bound(G)):
+        return False
     deadline = time.monotonic() + budget  # one budget for chi and criticality
     try:
         chi = chromatic_index(G, deadline=deadline)[0]
-        delta_max = max(G.degrees)
-        if chi != bound_at_girth(delta_max, mu, int(g)) or chi < delta_max + 2:
-            return
-        if not is_critical(G, chi=chi, deadline=deadline):
-            return
+        return in_theorem_regime(*values, chi) and is_critical(G, chi=chi, deadline=deadline)
     except SolverTimeout:
-        return
-    stats["fanCapViolations"] += 1
-    violations.append({"suite": "random", "index": index, "check": "fan-count-cap"})
+        return False

@@ -15,7 +15,8 @@ colorability decision, which branches on pairs in a fixed order.  The
 canonical-form oracle is the library's previous search: whole-partition
 refinement rounds on integer colors, a branch for every vertex of the target
 class unless the class is interchangeable, and no automorphism pruning; its
-automorphism oracle is the library's previous separate backtrack.  The
+automorphism oracle is the library's previous separate backtrack, and
+the group itself is closed from the library's generators.  The
 enumeration oracle uses it for every key and canonicalises every
 candidate.  Slow on purpose; only run on small inputs.
 """
@@ -32,6 +33,7 @@ from steffenlab.coloring import (
     is_k_colorable,
 )
 from steffenlab.errors import InstanceTooLarge, SolverTimeout
+from steffenlab.generators import _aut_edge_generators
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build, remove_edges
 from steffenlab.structure import RingSubgraph, enumerate_cycles
@@ -375,6 +377,23 @@ def edge_automorphisms_by_backtrack(S: Multigraph) -> list[tuple[int, ...]]:
 
     extend(0)
     return perms
+
+
+def aut_edge_perms(S: Multigraph) -> list[tuple[int, ...]]:
+    """Every non-identity automorphism of S as a permutation of edge indices:
+    the group closed from the generators the library's labelling finds.
+    The library walks orbits by the generators and never lists the group;
+    this closure checks that the generators generate all of it."""
+    gens = _aut_edge_generators(S)
+    identity = tuple(range(len(S.edges)))
+    group, seen = [identity], {identity}
+    for p in group:
+        for g in gens:
+            q = tuple([p[i] for i in g])
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return sorted(seen - {identity})
 
 
 def enumerate_by_dedup(spec) -> list[tuple[str, Multigraph]]:

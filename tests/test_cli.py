@@ -41,6 +41,14 @@ def c53_file(tmp_path):
     return str(path)
 
 
+def test_graph_commands_leave_the_process_pool_unloaded():
+    probe = "import sys, steffenlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=CLI_ENV
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
 class TestSubcommands:
     def test_invariants(self, c53_file):
         proc = run_cli(["invariants", c53_file])

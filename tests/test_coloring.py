@@ -408,8 +408,9 @@ class TestMatchingDecomposition:
 
     def test_rejects_even_order(self):
         G = sl.build(6, [(0, 1, 3), (2, 3, 3), (4, 5, 3)])
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed) as err:
             sl.near_perfect_matching_decomposition(G, (0, 1))
+        assert err.value.clause == "n-odd"  # parity is tested before chi' is needed
 
     def test_rejects_noncritical(self):
         G = sl.build(7, [(i, (i + 1) % 5, 3) for i in range(5)] + [(5, 6, 1)])

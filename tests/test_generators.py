@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -9,7 +10,6 @@ import steffenlab as sl
 from steffenlab.errors import BadParameter, InstanceTooLarge
 from steffenlab.generators import (
     EnumSpec,
-    _aut_edge_perms,
     _simple_graphs,
     class_keys,
     enumerate_with_keys,
@@ -17,7 +17,13 @@ from steffenlab.generators import (
     simple_representatives,
 )
 from steffenlab.invariants import is_bipartite
-from oracles import canonical_labeling, canonicalize, edge_automorphisms_by_backtrack, enumerate_by_dedup
+from oracles import (
+    aut_edge_perms,
+    canonical_labeling,
+    canonicalize,
+    edge_automorphisms_by_backtrack,
+    enumerate_by_dedup,
+)
 
 
 class TestFamilies:
@@ -278,6 +284,19 @@ class TestOrbitPruning:
             keys = generators.multiplicity_keys(spec, simple)
             assert len(calls) == len(keys) == len(set(keys))
 
+    def test_star_classes_are_multisets(self):
+        # Aut(K_{1,9}) has 9! elements; orbits are walked by its generators
+        from steffenlab.generators import multiplicity_keys
+
+        star = sl.build(10, [(0, v, 1) for v in range(1, 10)])
+        spec = EnumSpec(n_min=10, n_max=10, max_mu=3, max_edge_copies=27)
+        keys = multiplicity_keys(spec, star)
+        multisets = {tuple(sorted(m for _, _, m in graph_from_key(key).edges)) for key in keys}
+        assert len(keys) == len(multisets) == 55
+        assert multisets == {
+            tuple(sorted(c)) for c in itertools.combinations_with_replacement((1, 2, 3), 9)
+        }
+
     def test_graph_from_key_is_canonical_representative(self):
         rng = random.Random(11)
         for _ in range(80):
@@ -299,14 +318,14 @@ class TestOrbitPruning:
         ],
     )
     def test_automorphism_counts(self, G, order):
-        perms = _aut_edge_perms(G)
+        perms = aut_edge_perms(G)
         assert len(perms) == order - 1  # the identity is left out
         assert len(set(perms)) == len(perms)
         for perm in perms:
             assert sorted(perm) == list(range(len(G.edges)))
 
     def test_petersen_automorphisms(self, petersen):
-        assert len(_aut_edge_perms(petersen)) == 119
+        assert len(aut_edge_perms(petersen)) == 119
 
     @pytest.mark.parametrize(
         "spec",
@@ -318,7 +337,7 @@ class TestOrbitPruning:
     )
     def test_automorphisms_match_backtrack_oracle(self, spec):
         for S in simple_representatives(spec):
-            assert set(_aut_edge_perms(S)) == set(edge_automorphisms_by_backtrack(S)), S
+            assert set(aut_edge_perms(S)) == set(edge_automorphisms_by_backtrack(S)), S
 
 
 class TestKeyCap:

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import steffenlab as sl
-from steffenlab.errors import ConfigError
+from steffenlab.errors import ConfigError, PreconditionFailed
 from steffenlab.generators import EnumSpec, class_keys, graph_from_key
+from steffenlab.invariants import in_theorem_regime
 from steffenlab.scan import (
     RECORD_FIELDS,
     ScanConfig,
     ScanSummary,
+    _critical_in_regime,
     _record_for_key,
     _record_line,
     compute_record,
@@ -208,7 +210,8 @@ class TestScanRuns:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", InProcessPool)
+        # run_scan imports the pool class when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
         spec = small_spec(n_max=4)
         one = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "w1.jsonl"))
@@ -592,6 +595,59 @@ class TestLemmaSuite:
         assert report.payload["criticalSuite"]["criticalHighChi"] == 1
         assert report.payload["criticalSuite"]["decompositionsChecked"] == 5
         assert report.violation_count == 0
+
+
+    def test_precondition_failure_is_a_violation(self, tmp_path, monkeypatch):
+        import steffenlab.scan as scan_mod
+
+        def no_decomposition(*args, **kwargs):
+            raise PreconditionFailed("decomposition", "forced")
+
+        monkeypatch.setattr(scan_mod, "near_perfect_matching_decomposition", no_decomposition)
+        config = {
+            "enumSpec": EnumSpec(n_min=2, n_max=2, max_edge_copies=1).to_json_obj(),
+            "outputPath": str(tmp_path / "r.json"),
+            "randomGraphs": 0,
+            "extraGraphs": [sl.serialize(sl.mu_cycle(5, 3))],
+        }
+        report = run_lemma_suite(ScanConfig.from_json_obj(config), 7)
+        [violation] = report.payload["violations"]
+        assert violation["check"] == "decomposition"
+        assert violation["suite"] == "critical" and violation["graphKey"].startswith("extra.")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        from steffenlab.cli import cli_main
+
+        assert cli_main(["lemma-suite", "--config", str(path), "--seed", "7"]) == 1
+
+
+class TestTheoremRegime:
+    @pytest.mark.parametrize(
+        "G, values_in, regime",
+        [
+            # in by its own girth 9: chi' 12 = bound(9), but bound(5) = 13
+            (sl.mu_cycle(9, 5), True, True),
+            (sl.mu_cycle(5, 3), True, True),  # chi' = 8 = Delta + 2
+            (sl.mu_complete(3, 3), False, False),  # girth 3
+            # chi' = Delta + 1 = the bound; critical, and not a ring
+            (graph_from_key("07.010000000100010000000102000000000100010200"), False, False),
+            (sl.mu_cycle(7, 5), True, False),  # not critical
+        ],
+        ids=["5C9", "3C5", "3K3", "girth5-nonring", "5C7"],
+    )
+    def test_regime(self, G, values_in, regime):
+        chi = sl.chromatic_index(G)[0]
+        assert in_theorem_regime(max(G.degrees), G.max_mult, sl.girth(G), chi) is values_in
+        assert _critical_in_regime(G, 60) is regime
+
+    def test_solver_only_where_girth_and_mu_allow_the_regime(self, monkeypatch):
+        import steffenlab.scan as scan_mod
+
+        monkeypatch.setattr(scan_mod, "chromatic_index", None)  # any call fails
+        # girth 3; mu = floor(g/2) at g = 5 and at g = 7; acyclic
+        path = sl.build(3, [(0, 1, 4), (1, 2, 4)])
+        for G in (sl.mu_complete(3, 3), sl.mu_cycle(5, 2), sl.mu_cycle(7, 3), path):
+            assert _critical_in_regime(G, 60) is False
 
 
 class TestTimeoutRecords:

@@ -46,6 +46,22 @@ class TestCyclePartition:
         )
         assert any("girth" in p for p in sl.verify_cycle_partition(petersen, forged))
 
+    def test_checks_reuse_the_partitions_girth_runs(self, petersen, monkeypatch):
+        from steffenlab import invariants
+
+        G = sl.Multigraph(petersen.n, petersen.edges)  # a copy with nothing memoised
+        P = sl.cycle_partition(G)
+        runs = []
+        bfs = invariants._bfs_girth
+        monkeypatch.setattr(
+            invariants, "_bfs_girth", lambda view, within: runs.append(within) or bfs(view, within)
+        )
+        assert sl.verify_cycle_partition(G, P) == []
+        for cyc, stage in zip(P.cycles, P.stage_vertex_sets(G.n)):
+            assert sl.check_short_cycle_properties(G, cyc, stage) == []
+        assert sl.girth(G) == 5
+        assert runs == []
+
     def test_random_partitions_verify(self):
         rng = random.Random(3)
         for _ in range(60):
