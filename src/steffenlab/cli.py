@@ -37,8 +37,7 @@ def _load_config(path: str) -> ScanConfig:
         return ScanConfig.from_json_obj(json.load(fh))
 
 
-def _cmd_invariants(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_invariants(G, args) -> int:
     inv = basic_invariants(G).to_json_obj()
     g = girth(G)
     inv["girth"] = None if g == INFINITE_GIRTH else int(g)
@@ -48,8 +47,7 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _cmd_chi(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_chi(G, args) -> int:
     chi, witness = chromatic_index(G, mode=args.mode, deadline=args.deadline)
     print(chi)
     if args.witness_out:
@@ -60,15 +58,13 @@ def _cmd_chi(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_density(G, args) -> int:
     w = density(G)
     print(json.dumps({"gamma": w.gamma, "witness": list(w.witness)}))
     return 0
 
 
-def _cmd_critical(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_critical(G, args) -> int:
     chi, _ = chromatic_index(G, deadline=args.deadline)
     # one criticality pass: the critical subgraph is G itself iff G is critical
     core = extract_critical(G, chi=chi, deadline=args.deadline)
@@ -84,14 +80,12 @@ def _cmd_critical(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_partition(G, args) -> int:
     print(json.dumps(cycle_partition(G).to_json_obj()))
     return 0
 
 
-def _cmd_ring_find(args) -> int:
-    G = _read_graph(args.graph)
+def _cmd_ring_find(G, args) -> int:
     found = find_ring_subgraph_with_chi(G, args.target, deadline=args.deadline)
     print(
         json.dumps(
@@ -101,15 +95,17 @@ def _cmd_ring_find(args) -> int:
     return 0
 
 
+# gen family -> (builder, metavars of its two arguments, type of the second);
+# a ring's multiplicities are one comma-separated argument
+_FAMILIES = {
+    "mu-cycle": (mu_cycle, "G", "MU", int),
+    "mu-complete": (mu_complete, "N", "MU", int),
+    "ring": (lambda g, text: ring(g, [int(x) for x in text.split(",")]), "G", "M1,...,MG", str),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "mu-cycle":
-        G = mu_cycle(args.a, args.b)
-    elif args.family == "mu-complete":
-        G = mu_complete(args.a, args.b)
-    else:
-        mults = [int(x) for x in args.mults.split(",")]
-        G = ring(args.a, mults)
-    sys.stdout.write(serialize(G))
+    sys.stdout.write(serialize(_FAMILIES[args.family][0](args.a, args.b)))
     return 0
 
 
@@ -153,6 +149,25 @@ def _deadline_after(text: str) -> float:
     return time.monotonic() + seconds
 
 
+# `--timeout` for the graph commands that take a budget, as (flag, options)
+_TIMEOUT = ("--timeout", dict(dest="deadline", type=_deadline_after, default="60",
+                              help="seconds for the whole command (default 60)", metavar="SECONDS"))
+
+# the commands on one graph argument: name -> (help, handler, the options
+# after the graph argument, in help order); cli_main reads the graph once
+_GRAPH_COMMANDS = {
+    "invariants": ("degrees, multiplicity, girth, density, bound", _cmd_invariants, ()),
+    "chi": ("chromatic index with optional witness file", _cmd_chi,
+            (("--mode", dict(choices=["search", "gs"], default="search")), _TIMEOUT,
+             ("--witness-out", {}))),
+    "density": ("density and a witness vertex set", _cmd_density, ()),
+    "critical": ("criticality test and critical subgraph", _cmd_critical, (_TIMEOUT,)),
+    "partition": ("greedy shortest-cycle partition", _cmd_partition, ()),
+    "ring-find": ("ring subgraph with a target chromatic index", _cmd_ring_find,
+                  (("--target", dict(type=int, required=True)), _TIMEOUT)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steffenlab",
@@ -160,53 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="degrees, multiplicity, girth, density, bound")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("chi", help="chromatic index with optional witness file")
-    p.add_argument("graph")
-    p.add_argument("--mode", choices=["search", "gs"], default="search")
-    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
-                   help="seconds for the whole command (default 60)", metavar="SECONDS")
-    p.add_argument("--witness-out")
-    p.set_defaults(func=_cmd_chi)
-
-    p = sub.add_parser("density", help="density and a witness vertex set")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("critical", help="criticality test and critical subgraph")
-    p.add_argument("graph")
-    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
-                   help="seconds for the whole command (default 60)", metavar="SECONDS")
-    p.set_defaults(func=_cmd_critical)
-
-    p = sub.add_parser("partition", help="greedy shortest-cycle partition")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("ring-find", help="ring subgraph with a target chromatic index")
-    p.add_argument("graph")
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--timeout", dest="deadline", type=_deadline_after, default="60",
-                   help="seconds for the whole command (default 60)", metavar="SECONDS")
-    p.set_defaults(func=_cmd_ring_find)
+    for name, (help_text, handler, options) in _GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("graph")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("gen", help="emit a named family as MGR text")
     gen_sub = p.add_subparsers(dest="family", required=True)
-    g = gen_sub.add_parser("mu-cycle")
-    g.add_argument("a", type=int, metavar="G")
-    g.add_argument("b", type=int, metavar="MU")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("mu-complete")
-    g.add_argument("a", type=int, metavar="N")
-    g.add_argument("b", type=int, metavar="MU")
-    g.set_defaults(func=_cmd_gen)
-    g = gen_sub.add_parser("ring")
-    g.add_argument("a", type=int, metavar="G")
-    g.add_argument("mults", metavar="M1,...,MG")
-    g.set_defaults(func=_cmd_gen)
+    for family, (_, a, b, b_type) in _FAMILIES.items():
+        g = gen_sub.add_parser(family)
+        g.add_argument("a", type=int, metavar=a)
+        g.add_argument("b", type=b_type, metavar=b)
+        g.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("scan", help="run the enumeration scan from a JSON config")
     p.add_argument("--config", required=True)
@@ -227,6 +209,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.command in _GRAPH_COMMANDS:
+            return args.func(_read_graph(args.graph), args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

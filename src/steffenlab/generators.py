@@ -73,69 +73,80 @@ class EnumSpec:
         if self.n_max >= 2 and min(self.max_mu, self.max_edge_copies) > 255:
             raise InstanceTooLarge("multiplicities above 255 not supported in keys")
 
+    @property
+    def _n_range(self) -> list[int]:
+        return [self.n_min, self.n_max]
+
     def to_json_obj(self) -> dict:
-        return {
-            "nRange": [self.n_min, self.n_max],
-            "maxMu": self.max_mu,
-            "girthMin": self.girth_min,
-            "maxEdgeCopies": self.max_edge_copies,
-            "requireCycle": self.require_cycle,
-            "connectedOnly": self.connected_only,
-        }
+        return {key: getattr(self, name) for key, (name, _) in _SPEC_KEYS.items()}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "EnumSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"enumeration spec must be a JSON object, got {obj!r}")
-        # the keys are those to_json_obj writes
-        unknown = sorted(set(obj) - set(EnumSpec().to_json_obj()))
-        if unknown:
-            raise ConfigError(f"unknown enumeration spec key(s): {', '.join(unknown)}")
-        try:
-            n_range = obj["nRange"]
-            if type(n_range) is not list or len(n_range) != 2 or any(
-                type(x) is not int for x in n_range
-            ):
-                raise ConfigError(f"nRange must be two integers, got {n_range!r}")
-            return EnumSpec(
-                n_min=n_range[0],
-                n_max=n_range[1],
-                max_mu=json_value("maxMu", obj["maxMu"], int),
-                girth_min=json_value("girthMin", obj["girthMin"], int),
-                max_edge_copies=json_value("maxEdgeCopies", obj["maxEdgeCopies"], int),
-                require_cycle=json_value("requireCycle", obj.get("requireCycle", False), bool),
-                connected_only=json_value("connectedOnly", obj.get("connectedOnly", False), bool),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"bad enumeration spec: missing {exc}") from exc
+        values = json_fields("enumeration spec", obj, _SPEC_KEYS, _SPEC_REQUIRED)
+        n_min, n_max = values.pop("_n_range")
+        return EnumSpec(n_min, n_max, **values)
+
+
+# JSON key -> (EnumSpec attribute, kind) of every spec key, in the order
+# to_json_obj writes them; `nRange` is the pair (n_min, n_max)
+_SPEC_KEYS = {
+    "nRange": ("_n_range", list),
+    "maxMu": ("max_mu", int),
+    "girthMin": ("girth_min", int),
+    "maxEdgeCopies": ("max_edge_copies", int),
+    "requireCycle": ("require_cycle", bool),
+    "connectedOnly": ("connected_only", bool),
+}
+_SPEC_REQUIRED = ("nRange", "maxMu", "girthMin", "maxEdgeCopies")
 
 
 # what each conversion accepts, as (description, test of the parsed JSON
-# value); a bool is not an integer, and a number is never rounded to one
+# value); a bool is not an integer, and a number is never rounded to one.
+# `list` is an integer pair, as `nRange` is
 _JSON_KINDS = {
     bool: ("true or false", lambda x: type(x) is bool),
     int: ("an integer", lambda x: type(x) is int),
     float: ("a number", lambda x: type(x) in (int, float)),
     str: ("a string", lambda x: type(x) is str),
     tuple: ("a list of strings", lambda x: type(x) is list and all(type(s) is str for s in x)),
+    list: ("two integers", lambda x: type(x) is list and [type(i) for i in x] == [int, int]),
 }
 
 
-def json_value(key: str, value, kind: type):
+def json_value(key: str, value, kind):
     """`kind(value)` for a config value whose JSON type `kind` accepts, else
     ConfigError naming `key`: `"ringCheck": "false"` or `"workers": 2.7`
-    must not become True or 2."""
-    what, accepts = _JSON_KINDS[kind]
-    if not accepts(value):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    must not become True or 2.  A kind outside `_JSON_KINDS`, such as
+    `EnumSpec.from_json_obj`, reads and checks the value itself."""
+    if kind in _JSON_KINDS:
+        what, accepts = _JSON_KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
     return kind(value)
+
+
+def json_fields(what: str, obj, keys: dict, required: tuple[str, ...]) -> dict:
+    """The attributes a JSON config object sets: `keys` maps each JSON key to
+    its (attribute, kind), and an absent optional key keeps its default.  Not
+    an object, an unknown or missing key, or a value not of its kind is a
+    ConfigError, so a misspelt option cannot silently change a scan."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"bad {what}: missing {key!r}")
+    return {name: json_value(key, obj[key], kind)
+            for key, (name, kind) in keys.items() if key in obj}
 
 
 def mu_cycle(g: int, mu: int) -> Multigraph:
     """Cycle of length g with every edge duplicated mu times."""
     if g < 3 or mu < 1:
         raise BadParameter(f"need g >= 3 and mu >= 1, got g={g}, mu={mu}")
-    return build(g, [(i, (i + 1) % g, mu) for i in range(g)])
+    return ring(g, [mu] * g)
 
 
 def mu_complete(n: int, mu: int) -> Multigraph:

@@ -40,15 +40,10 @@ class Multigraph:
     def __post_init__(self):
         if self.n < 0:
             raise VertexOutOfRange(f"negative vertex count {self.n}")
-        prev = None
+        prev = (-1, -1)
         for u, v, m in self.edges:
-            if u == v:
-                raise LoopRejected(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise VertexOutOfRange(f"pair ({u}, {v}) outside 0..{self.n - 1} or unordered")
-            if m <= 0:
-                raise NonPositiveMultiplicity(f"pair ({u}, {v}) has multiplicity {m}")
-            if prev is not None and (u, v) <= prev:
+            _check_triple(self.n, u, v, m)
+            if u > v or (u, v) <= prev:
                 raise VertexOutOfRange(f"edge list not sorted/unique at ({u}, {v})")
             prev = (u, v)
 
@@ -143,16 +138,23 @@ class BasicInvariants:
         }
 
 
+def _check_triple(n: int, u: int, v: int, m: int, where: str = "") -> None:
+    """The contract of one (u, v, mult) triple on n vertices: no loop, both
+    endpoints in 0..n-1 and a positive multiplicity.  `where` prefixes the
+    message, as MGR parsing's line number does."""
+    if u == v:
+        raise LoopRejected(f"{where}loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"{where}edge ({u}, {v}) outside 0..{n - 1}")
+    if m <= 0:
+        raise NonPositiveMultiplicity(f"{where}edge ({u}, {v}) has multiplicity {m}")
+
+
 def build(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
     """Build a multigraph from (u, v, mult) triples; repeated pairs accumulate."""
     acc: dict[tuple[int, int], int] = {}
     for u, v, m in edges:
-        if u == v:
-            raise LoopRejected(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if m <= 0:
-            raise NonPositiveMultiplicity(f"edge ({u}, {v}) has multiplicity {m}")
+        _check_triple(n, u, v, m)
         key = (u, v) if u < v else (v, u)
         acc[key] = acc.get(key, 0) + m
     return Multigraph(n, tuple((u, v, acc[(u, v)]) for u, v in sorted(acc)))
@@ -240,12 +242,7 @@ def parse(text: str) -> Multigraph:
                 u, v, m = int(fields[1]), int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(f"non-integer field in {line!r}", lineno) from None
-            if u == v:
-                raise LoopRejected(f"line {lineno}: loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
-            if m <= 0:
-                raise NonPositiveMultiplicity(f"line {lineno}: multiplicity {m}")
+            _check_triple(n, u, v, m, f"line {lineno}: ")
             triples.append((u, v, m))
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", lineno)

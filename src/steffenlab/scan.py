@@ -33,7 +33,7 @@ from .generators import (
     class_keys,
     enumerate_with_keys,
     graph_from_key,
-    json_value,
+    json_fields,
     random_multigraph,
 )
 from .invariants import (
@@ -55,8 +55,8 @@ from .structure import (
 )
 
 
-# JSON key -> (ScanConfig field, conversion) for every key but the required
-# `enumSpec`; `json_value` checks each value's JSON type against its conversion
+# JSON key -> (ScanConfig field, kind) of every config key; `json_value`
+# checks each value's JSON type against its kind, and the spec is read last
 _CONFIG_KEYS = {
     "solverTimeoutSeconds": ("budget_seconds", float),
     "workers": ("workers", int),
@@ -66,6 +66,7 @@ _CONFIG_KEYS = {
     "randomNMax": ("random_n_max", int),
     "randomMuMax": ("random_mu_max", int),
     "extraGraphs": ("extra_graphs", tuple),
+    "enumSpec": ("enum_spec", EnumSpec.from_json_obj),
 }
 
 
@@ -97,20 +98,8 @@ class ScanConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ScanConfig":
-        """The config a JSON object describes.  `enumSpec` is required; an
-        absent optional key keeps the field's default; an unknown key or a
-        value of the wrong JSON type is an error, so a misspelt option
-        cannot silently change a scan."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"scan config must be a JSON object, got {obj!r}")
-        unknown = sorted(set(obj) - set(_CONFIG_KEYS) - {"enumSpec"})
-        if unknown:
-            raise ConfigError(f"unknown scan config key(s): {', '.join(unknown)}")
-        if "enumSpec" not in obj:
-            raise ConfigError("bad scan config: missing 'enumSpec'")
-        values = {name: json_value(key, obj[key], convert)
-                  for key, (name, convert) in _CONFIG_KEYS.items() if key in obj}
-        return ScanConfig(enum_spec=EnumSpec.from_json_obj(obj["enumSpec"]), **values)
+        """The config a JSON object describes; only `enumSpec` is required."""
+        return ScanConfig(**json_fields("scan config", obj, _CONFIG_KEYS, ("enumSpec",)))
 
 
 RECORD_FIELDS = (
@@ -136,7 +125,6 @@ RECORD_FIELDS = (
 def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
     """One ScanRecord as a JSON-ready dict with a fixed field order."""
     delta_max = max(G.degrees, default=0)
-    mu = G.max_mult
     g = girth(G)
     record: dict = {
         "graphKey": key,
@@ -144,7 +132,7 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         "m": G.edge_count,
         "Delta": delta_max,
         "delta": min(G.degrees, default=0),
-        "mu": mu,
+        "mu": G.max_mult,
         "girth": None if g == INFINITE_GIRTH else int(g),
         "gamma": None,
         "chi": None,
@@ -165,8 +153,7 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         record["achievesBound"] = chi == record["steffenBound"]
         record["chiGEDeltaPlus2"] = chi >= delta_max + 2
         record["isCritical"] = is_critical(G, chi=chi, deadline=deadline) if G.edges else False
-        gate = _ring_gate(config.enum_spec.girth_min, g, mu, delta_max, chi)
-        if config.ring_check and gate:
+        if _ring_gate(config, record):
             ring = find_ring_subgraph_with_chi(G, chi, deadline=deadline)
             record["ringFound"] = ring is not None
             record["ringWitness"] = None if ring is None else ring.to_json_obj()
@@ -175,11 +162,15 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
     return record
 
 
-def _ring_gate(girth_floor: int, g, mu: int, delta_max: int, chi: int) -> bool:
-    """Ring-containment hypothesis: g >= 5 and the values in the theorem's
+def _ring_gate(config: ScanConfig, record: dict) -> bool:
+    """Whether `config`'s ring check runs on a record, from the record's own
+    fields: g >= 5 (a null girth is infinite) and the values in the theorem's
     regime at the configured girth floor, not at g, which would fire the gate
     on `full6` (floor 3) and change its report.  Acyclic graphs fail: chi' = Delta."""
-    return g >= 5 and in_theorem_regime(delta_max, mu, girth_floor, chi)
+    if not config.ring_check or (record["girth"] or INFINITE_GIRTH) < 5:
+        return False
+    floor = config.enum_spec.girth_min
+    return in_theorem_regime(record["Delta"], record["mu"], floor, record["chi"])
 
 
 def _record_line(record: dict) -> str:
@@ -283,18 +274,22 @@ def read_spec_echo(path: str) -> dict:
         raise ConfigError(f"bad spec echo in checkpoint {path}: {exc}") from exc
 
 
-def _fold_report_prefix(path: str, keys: list[str], summary: ScanSummary) -> tuple[int, int]:
-    """Fold the longest valid prefix of the report into `summary`.
+def _fold_report_prefix(
+    config: ScanConfig, keys: list[str], summary: ScanSummary
+) -> tuple[int, int]:
+    """Fold the longest valid prefix of the config's report into `summary`.
 
     The prefix is made of complete lines, each a record whose key is the
-    next of `keys`.  A torn last line, a line that is not a record, or a key
-    out of order ends it.  Returns the number of records kept and their
-    byte length.
+    next of `keys` and whose ring fields are those `config` writes: an `ok`
+    record has a `ringFound` iff the config's ring gate fires on its own
+    fields.  A torn last line, a line that is not a record, a key out of
+    order, or ring fields of another `ringCheck` end it.  Returns the number
+    of records kept and their byte length.
     """
     count = size = 0
-    if not os.path.exists(path):
+    if not os.path.exists(config.output_path):
         return count, size
-    with open(path, "rb") as fh:
+    with open(config.output_path, "rb") as fh:
         for line in fh:
             if count == len(keys) or not line.endswith(b"\n"):
                 break
@@ -306,6 +301,8 @@ def _fold_report_prefix(path: str, keys: list[str], summary: ScanSummary) -> tup
                 not isinstance(record, dict)
                 or tuple(record) != RECORD_FIELDS
                 or record["graphKey"] != keys[count]
+                or (record["status"] == "ok"
+                    and (record["ringFound"] is None) == _ring_gate(config, record))
             ):
                 break
             _fold_record(summary, record)
@@ -355,7 +352,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     summary = ScanSummary()
     done = size = 0
     if resume:
-        done, size = _fold_report_prefix(config.output_path, keys, summary)
+        done, size = _fold_report_prefix(config, keys, summary)
     with open(config.output_path, "a", encoding="utf-8") as out:
         # cut the report back to its kept prefix before the checkpoint is
         # written, so a checkpoint never vouches for lines of another run
@@ -397,7 +394,8 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     Random suite (seeded sampler): cycle partitions re-verify, shortest-cycle
     neighborhood clauses hold, and every fan satisfies the interior-size
     bound; fan count <= 3 is asserted when the graph is in the main
-    theorem's regime (`_critical_in_regime`).
+    theorem's regime (`_critical_in_regime`).  A check of either suite that
+    runs out of its budget is a `timeout` violation.
     """
     budget = config.budget_seconds
     digest = hashlib.sha256()
@@ -484,9 +482,12 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
                     random_stats["fanBoundViolations"] += 1
                     violations.append(_violation(where, "fan-bound", apex=v0, cycle=h, t=fan.t))
                 fan_summary.append((v0, h, fan.t, len(fan.interior_vertices())))
-        if any(t > 3 for _, _, t, _ in fan_summary) and _critical_in_regime(G, budget):
-            random_stats["fanCapViolations"] += 1
-            violations.append(_violation(where, "fan-count-cap"))
+        try:
+            if any(t > 3 for _, _, t, _ in fan_summary) and _critical_in_regime(G, budget):
+                random_stats["fanCapViolations"] += 1
+                violations.append(_violation(where, "fan-count-cap"))
+        except SolverTimeout:
+            violations.append(_violation(where, "timeout"))
         digest.update(
             f"rand|{index}|{G.n}|{G.edge_count}|{len(partition.cycles)}"
             f"|{sorted(partition.v0)}|{fan_summary}\n".encode()
@@ -514,14 +515,11 @@ def _violation(where: dict, check: str, **details) -> dict:
 
 def _critical_in_regime(G: Multigraph, budget: float) -> bool:
     """True iff G is critical with values in the main theorem's regime, decided
-    within `budget` seconds (a timeout counts as False).  chi' <= Steffen's
-    bound, so the solver runs only when the bound itself is in the regime."""
+    within `budget` seconds, else SolverTimeout.  chi' <= Steffen's bound, so
+    the solver runs only when the bound itself is in the regime."""
     values = (max(G.degrees), G.max_mult, girth(G))
     if not in_theorem_regime(*values, steffen_bound(G)):
         return False
     deadline = time.monotonic() + budget  # one budget for chi and criticality
-    try:
-        chi = chromatic_index(G, deadline=deadline)[0]
-        return in_theorem_regime(*values, chi) and is_critical(G, chi=chi, deadline=deadline)
-    except SolverTimeout:
-        return False
+    chi = chromatic_index(G, deadline=deadline)[0]
+    return in_theorem_regime(*values, chi) and is_critical(G, chi=chi, deadline=deadline)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, NotShortestCycle, VertexNotInV0
 from .coloring import chromatic_index
+from .generators import ring
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -27,7 +28,7 @@ from .invariants import (
     simple_paths,
     subgraph_girth,
 )
-from .multigraph import Multigraph, SimpleGraphView, build
+from .multigraph import Multigraph, SimpleGraphView
 
 CYCLE_ENUMERATION_CAP = 10**6
 
@@ -81,10 +82,7 @@ class RingSubgraph:
 
     def to_multigraph(self) -> Multigraph:
         """Standalone ring on vertices 0..len-1 in cycle order."""
-        g = len(self.cycle)
-        return build(
-            g, [(i, (i + 1) % g, self.multiplicities[i]) for i in range(g)]
-        )
+        return ring(len(self.cycle), self.multiplicities)
 
     def to_json_obj(self) -> dict:
         return {

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -112,6 +114,25 @@ class TestSubcommands:
         obj = json.loads(proc.stdout)
         assert obj["found"] is True
         assert obj["ring"]["chi"] == 8
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("invariants", []),
+            ("chi", ["--mode", "--timeout", "--witness-out"]),
+            ("density", []),
+            ("critical", ["--timeout"]),
+            ("partition", []),
+            ("ring-find", ["--target", "--timeout"]),
+        ],
+    )
+    def test_graph_command_usage(self, command, options, capsys):
+        # one table declares the six commands: each takes the graph last,
+        # and its own options in this order
+        assert cli_main([command, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"--[a-z-]+", usage) == options
+        assert usage.split()[-1] == "graph"
 
     def test_json_input_accepted(self, tmp_path):
         path = tmp_path / "g.json"
@@ -349,3 +370,67 @@ class TestExitCodeContract:
         finally:
             sys.stdin = saved
         assert rc in (0, 2)
+
+
+# a valid scan and lemma-suite config small enough to run in well under a second
+TINY_CONFIG = {
+    "enumSpec": {"nRange": [1, 3], "maxMu": 2, "girthMin": 3, "maxEdgeCopies": 4,
+                 "requireCycle": False, "connectedOnly": False},
+    "solverTimeoutSeconds": 1,
+    "workers": 1,
+    "outputPath": "r.jsonl",
+    "ringCheck": True,
+    "randomGraphs": 3,
+    "randomNMax": 5,
+    "randomMuMax": 2,
+    "extraGraphs": ["n 2\ne 0 1 2\n"],
+}
+# every integer in -2..4, so that a valid draw stays small; strings cannot
+# name a path outside the working directory
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 4), st.floats(-2, 4), st.just(float("nan")),
+        st.text("ab.", max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def one_change_configs(draw) -> dict:
+    """TINY_CONFIG with one change to it or to its spec: a key's value
+    replaced by a drawn JSON value, an unknown key added, or a key dropped."""
+    config = json.loads(json.dumps(TINY_CONFIG))
+    target = draw(st.sampled_from([config, config["enumSpec"]]))
+    key = draw(st.sampled_from(sorted(target)))
+    change = draw(st.sampled_from(["replace", "add", "drop"]))
+    if change == "replace":
+        target[key] = draw(JSON_VALUES)
+    elif change == "add":
+        target[draw(st.text("xyz", min_size=1, max_size=3))] = draw(JSON_VALUES)
+    else:
+        del target[key]
+    return config
+
+
+class TestConfigExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from([["scan"], ["lemma-suite", "--seed", "0"]]),
+        config=one_change_configs(),
+    )
+    def test_only_exit_0_1_or_2(self, command, config):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # relative output paths land in the scratch directory
+            try:
+                Path("cfg.json").write_text(json.dumps(config))
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    rc = cli_main([command[0], "--config", "cfg.json", *command[1:]])
+            finally:
+                os.chdir(cwd)
+        assert rc in (0, 1, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
 from steffenlab.errors import (
+    GraphError,
     LoopRejected,
     NonPositiveMultiplicity,
     NotEnoughParallelEdges,
@@ -234,3 +235,68 @@ class TestSerialization:
         assert sl.parse(sl.serialize(G)) == G
         # bit-exact: serializing the parse reproduces the text
         assert sl.serialize(sl.parse(sl.serialize(G))) == sl.serialize(G)
+
+
+# endpoint and multiplicity fields that break the triple contract as often
+# as they keep it: loops, endpoints outside 0..n-1, and zero, negative or
+# non-integer multiplicities
+MGR_FIELDS = st.one_of(st.integers(-2, 6), st.sampled_from(["1.5", "x", "0x1", "1e3"]))
+JSON_FIELDS = st.one_of(
+    st.integers(-2, 6), st.sampled_from([1.5, 2.0, "1", True, None, [1]])
+)
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """MGR or JSON graph text with any mix of valid and invalid triples."""
+    n = draw(st.integers(-1, 5))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.lists(JSON_FIELDS, min_size=3, max_size=3), max_size=5))
+        return json.dumps({"n": n, "edges": edges})
+    edges = draw(st.lists(st.tuples(MGR_FIELDS, MGR_FIELDS, MGR_FIELDS), max_size=5))
+    return "".join([f"n {n}\n"] + [f"e {u} {v} {m}\n" for u, v, m in edges])
+
+
+class TestParseAnyContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(graph_texts(), st.text(max_size=200)))
+    def test_graph_or_graph_error(self, text):
+        try:
+            G = sl.parse_any(text)
+        except GraphError as exc:
+            if not text.lstrip().startswith("{") and isinstance(
+                exc, (LoopRejected, VertexOutOfRange, NonPositiveMultiplicity)
+            ):
+                # an MGR triple error names its line
+                assert re.match(r"line \d+: ", str(exc))
+            return
+        assert isinstance(G, sl.Multigraph)
+        assert all(0 <= u < v < G.n and m > 0 for u, v, m in G.edges)
+
+    @pytest.mark.parametrize(
+        "triple, error",
+        [
+            ((1, 1, 2), LoopRejected),
+            ((0, 3, 1), VertexOutOfRange),
+            ((-1, 2, 1), VertexOutOfRange),
+            ((0, 1, 0), NonPositiveMultiplicity),
+            ((0, 2, -4), NonPositiveMultiplicity),
+        ],
+    )
+    def test_every_input_checks_the_triple(self, triple, error):
+        u, v, m = triple
+        with pytest.raises(error, match=r"^line 2: "):
+            sl.parse_any(f"n 3\ne {u} {v} {m}\n")
+        with pytest.raises(error):
+            sl.parse_any(json.dumps({"n": 3, "edges": [list(triple)]}))
+        with pytest.raises(error):
+            sl.build(3, [triple])
+        with pytest.raises(error):
+            sl.Multigraph(3, (triple,))
+
+    @pytest.mark.parametrize(
+        "edges", [((1, 0, 1),), ((0, 1, 1), (0, 1, 2)), ((1, 2, 1), (0, 1, 1))]
+    )
+    def test_graph_value_edges_sorted_and_unique(self, edges):
+        with pytest.raises(VertexOutOfRange, match="not sorted/unique"):
+            sl.Multigraph(3, edges)

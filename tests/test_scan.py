@@ -449,6 +449,64 @@ class TestResume:
         assert out.read_bytes() == before
 
 
+# the n = 5 classes with girth >= 5, mu <= 4 and at most 16 copies: the
+# ring gate fires on one of their 497 records, that of 3C5 (line 491)
+RING_SPEC = EnumSpec(n_min=5, n_max=5, max_mu=4, girth_min=5, max_edge_copies=16)
+
+
+@pytest.fixture(scope="module")
+def ring_check_reports(tmp_path_factory):
+    """ringCheck -> (report lines, summary) of a fresh RING_SPEC scan."""
+    out = {}
+    for ring_check in (True, False):
+        path = tmp_path_factory.mktemp("ring") / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RING_SPEC, output_path=str(path), ring_check=ring_check)
+        summary = run_scan(cfg).to_json_obj()
+        out[ring_check] = path.read_bytes().splitlines(keepends=True), summary
+    return out
+
+
+class TestResumeAcrossRingCheck:
+    @pytest.mark.parametrize("first", [True, False], ids=["on-then-off", "off-then-on"])
+    def test_resumed_report_equals_a_fresh_one(self, tmp_path, ring_check_reports, first):
+        # the checkpoint echoes only the spec, so the kept prefix must end at
+        # the first record that this config's ring check writes otherwise
+        [fired] = [
+            i for i, line in enumerate(ring_check_reports[True][0])
+            if json.loads(line)["ringFound"] is not None
+        ]
+        assert ring_check_reports[False][1]["ringGateFired"] == 0
+        lines, _ = ring_check_reports[first]
+        fresh_lines, fresh_summary = ring_check_reports[not first]
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RING_SPEC, output_path=str(out), ring_check=not first)
+        out.write_bytes(b"".join(lines[: fired + 1]))
+        Path(cfg.effective_checkpoint()).write_text(spec_echo(RING_SPEC))
+        assert run_scan(cfg).to_json_obj() == fresh_summary
+        assert out.read_bytes() == b"".join(fresh_lines)
+
+    def test_same_ring_check_keeps_the_fired_record(
+        self, tmp_path, ring_check_reports, monkeypatch
+    ):
+        import steffenlab.scan as scan_mod
+
+        lines, summary = ring_check_reports[True]
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=RING_SPEC, output_path=str(out))
+        out.write_bytes(b"".join(lines[:-1]))  # line 491 included
+        Path(cfg.effective_checkpoint()).write_text(spec_echo(RING_SPEC))
+        computed = []
+        real = scan_mod.compute_record
+
+        def counting(key, G, config):
+            computed.append(key)
+            return real(key, G, config)
+
+        monkeypatch.setattr(scan_mod, "compute_record", counting)
+        assert run_scan(cfg).to_json_obj() == summary
+        assert out.read_bytes() == b"".join(lines) and len(computed) == 1
+
+
 class TestConfig:
     def test_json_roundtrip(self):
         cfg = ScanConfig.from_json_obj(json.loads(json.dumps(FULL_CONFIG_JSON)))
@@ -479,6 +537,13 @@ class TestConfig:
             EnumSpec.from_json_obj(spec)
         with pytest.raises(ConfigError, match="requireCycles"):
             ScanConfig.from_json_obj({**FULL_CONFIG_JSON, "enumSpec": spec})
+
+    @pytest.mark.parametrize("key", ["enumSpec", "nRange", "maxMu", "girthMin", "maxEdgeCopies"])
+    def test_missing_required_key_rejected(self, key):
+        spec = {k: v for k, v in FULL_CONFIG_JSON["enumSpec"].items() if k != key}
+        config = {k: v for k, v in {**FULL_CONFIG_JSON, "enumSpec": spec}.items() if k != key}
+        with pytest.raises(ConfigError, match=f"missing '{key}'"):
+            ScanConfig.from_json_obj(config)
 
     def test_readme_example_loads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -648,6 +713,46 @@ class TestTheoremRegime:
         path = sl.build(3, [(0, 1, 4), (1, 2, 4)])
         for G in (sl.mu_complete(3, 3), sl.mu_cycle(5, 2), sl.mu_cycle(7, 3), path):
             assert _critical_in_regime(G, 60) is False
+
+
+    def test_timeout_propagates(self, monkeypatch):
+        import steffenlab.scan as scan_mod
+        from steffenlab.errors import SolverTimeout
+
+        def always_slow(*a, **kw):
+            raise SolverTimeout("forced")
+
+        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        with pytest.raises(SolverTimeout):
+            _critical_in_regime(sl.mu_cycle(5, 3), 60)
+
+    def test_fan_cap_timeout_is_a_violation(self, tmp_path, monkeypatch):
+        import steffenlab.scan as scan_mod
+        from steffenlab.cli import cli_main
+        from steffenlab.errors import SolverTimeout
+        from steffenlab.structure import Fan
+
+        def always_slow(*a, **kw):
+            raise SolverTimeout("forced")
+
+        # 3C5 and a pendant vertex: its bound is in the regime, so the cap
+        # check asks the solver; the pendant vertex is the apex of a 4-fan
+        G = sl.build(6, [(0, 1, 3), (0, 4, 3), (1, 2, 3), (2, 3, 3), (3, 4, 3), (4, 5, 1)])
+        monkeypatch.setattr(scan_mod, "random_multigraph", lambda rng, **kw: G)
+        monkeypatch.setattr(scan_mod, "max_fan", lambda G, P, v0, h: Fan(v0, h, ((v0, 0),) * 4))
+        monkeypatch.setattr(scan_mod, "fan_bound_check", lambda fan, cycle: True)
+        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        config = {
+            "enumSpec": EnumSpec(n_min=1, n_max=1).to_json_obj(),  # no corpus graph
+            "outputPath": str(tmp_path / "r.json"),
+            "randomGraphs": 1,
+        }
+        report = run_lemma_suite(ScanConfig.from_json_obj(config), 0)
+        assert report.payload["violations"] == [{"suite": "random", "index": 0, "check": "timeout"}]
+        assert report.payload["randomSuite"]["fanCapViolations"] == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli_main(["lemma-suite", "--config", str(path), "--seed", "0"]) == 1
 
 
 class TestTimeoutRecords:
