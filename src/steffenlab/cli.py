@@ -18,10 +18,8 @@ import time
 
 from .coloring import chromatic_index, extract_critical
 from .errors import ConfigError, GraphError
-from .generators import mu_complete, mu_cycle, ring
 from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
 from .multigraph import basic_invariants, parse_any, serialize, to_json_obj
-from .scan import ScanConfig, run_lemma_suite, run_scan
 from .structure import cycle_partition, find_ring_subgraph_with_chi
 
 
@@ -32,7 +30,11 @@ def _read_graph(source: str):
         return parse_any(fh.read())
 
 
-def _load_config(path: str) -> ScanConfig:
+# `scan` and `generators` are imported by the commands that use them: the
+# graph commands load neither the enumerator nor the scan machinery
+def _load_config(path: str):
+    from .scan import ScanConfig
+
     with open(path, encoding="utf-8") as fh:
         return ScanConfig.from_json_obj(json.load(fh))
 
@@ -95,21 +97,30 @@ def _cmd_ring_find(G, args) -> int:
     return 0
 
 
-# gen family -> (builder, metavars of its two arguments, type of the second);
-# a ring's multiplicities are one comma-separated argument
+def _multiplicities(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+# gen family -> (its builder in `generators`, metavars of its two arguments,
+# type of the second); a ring's multiplicities are one comma-separated argument
 _FAMILIES = {
-    "mu-cycle": (mu_cycle, "G", "MU", int),
-    "mu-complete": (mu_complete, "N", "MU", int),
-    "ring": (lambda g, text: ring(g, [int(x) for x in text.split(",")]), "G", "M1,...,MG", str),
+    "mu-cycle": ("mu_cycle", "G", "MU", int),
+    "mu-complete": ("mu_complete", "N", "MU", int),
+    "ring": ("ring", "G", "M1,...,MG", _multiplicities),
 }
 
 
 def _cmd_gen(args) -> int:
-    sys.stdout.write(serialize(_FAMILIES[args.family][0](args.a, args.b)))
+    from . import generators
+
+    build = getattr(generators, _FAMILIES[args.family][0])
+    sys.stdout.write(serialize(build(args.a, args.b)))
     return 0
 
 
 def _cmd_scan(args) -> int:
+    from .scan import run_scan
+
     config = _load_config(args.config)
     try:
         summary = run_scan(config)
@@ -123,6 +134,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_lemma_suite(args) -> int:
+    from .scan import run_lemma_suite
+
     config = _load_config(args.config)
     report = run_lemma_suite(config, args.seed)
     with open(config.output_path, "w", encoding="utf-8") as fh:

@@ -242,12 +242,12 @@ def is_critical(
 
 def _drop_keeping_chi(
     G: Multigraph, chi: int, deadline: float | None
-) -> Multigraph | None:
-    """G minus one copy of the first pair, in serialized order, whose removal
-    leaves chi' = chi, or None when every such removal lowers chi'.
+) -> tuple[tuple[int, int, int], ...] | None:
+    """The edges of G minus one copy of the first pair, in serialized order,
+    whose removal leaves chi' = chi, or None when every such removal lowers chi'.
 
-    Each G - e is decided as an edge list and a degree vector; only the one
-    returned is built as a graph.
+    Each G - e is decided as an edge list and a degree vector, and no graph
+    is built for it.
     """
     edges = G.edges
     for i, (u, v, m) in enumerate(edges):
@@ -257,7 +257,7 @@ def _drop_keeping_chi(
         degrees[u] -= 1
         degrees[v] -= 1
         if _search(G.n, reduced, degrees, chi - 1, deadline) is None:
-            return Multigraph(G.n, reduced)
+            return reduced
     return None
 
 
@@ -275,7 +275,7 @@ def extract_critical(
         chi = chromatic_index(G, deadline=deadline)[0]
     current = G
     while (reduced := _drop_keeping_chi(current, chi, deadline)) is not None:
-        current = reduced
+        current = Multigraph(G.n, reduced)
     return current
 
 

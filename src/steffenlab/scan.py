@@ -87,8 +87,12 @@ class ScanConfig:
     extra_graphs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        # the lemma suite's sampler draws n from 4..randomNMax and multiplicities from 1..randomMuMax
+        limits = (("workers", self.workers, 1), ("randomGraphs", self.random_graphs, 0),
+                  ("randomNMax", self.random_n_max, 4), ("randomMuMax", self.random_mu_max, 1))
+        for key, value, least in limits:
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
         # written so that NaN, which JSON parsing accepts, fails it too
         if not self.budget_seconds >= 1:
             raise ConfigError("solver timeout must be >= 1 second")
@@ -171,6 +175,15 @@ def _ring_gate(config: ScanConfig, record: dict) -> bool:
         return False
     floor = config.enum_spec.girth_min
     return in_theorem_regime(record["Delta"], record["mu"], floor, record["chi"])
+
+
+# the types the scan writes in the fields that an `ok` record's fold and ring gate read
+_OK_FIELD_TYPES = {
+    **dict.fromkeys(("Delta", "mu", "gamma", "chi", "steffenBound"), (int,)),
+    **dict.fromkeys(("achievesBound", "chiGEDeltaPlus2", "isCritical"), (bool,)),
+    "girth": (int, type(None)),
+    "ringFound": (bool, type(None)),
+}
 
 
 def _record_line(record: dict) -> str:
@@ -283,8 +296,9 @@ def _fold_report_prefix(
     next of `keys` and whose ring fields are those `config` writes: an `ok`
     record has a `ringFound` iff the config's ring gate fires on its own
     fields.  A torn last line, a line that is not a record, a key out of
-    order, or ring fields of another `ringCheck` end it.  Returns the number
-    of records kept and their byte length.
+    order, an `ok` record with a read field not of the type the scan writes
+    (a null `chi`, say), or ring fields of another `ringCheck` end it.
+    Returns the number of records kept and their byte length.
     """
     count = size = 0
     if not os.path.exists(config.output_path):
@@ -302,13 +316,22 @@ def _fold_report_prefix(
                 or tuple(record) != RECORD_FIELDS
                 or record["graphKey"] != keys[count]
                 or (record["status"] == "ok"
-                    and (record["ringFound"] is None) == _ring_gate(config, record))
+                    and (any(type(record[k]) not in kinds for k, kinds in _OK_FIELD_TYPES.items())
+                         or (record["ringFound"] is None) == _ring_gate(config, record)))
             ):
                 break
             _fold_record(summary, record)
             count += 1
             size += len(line)
     return count, size
+
+
+# keys per record task of a pool scan.  A record of the girth >= 5 corpus
+# takes a worker about 0.25 ms, so in batches of 16 the parent process spends
+# more CPU sending tasks and taking results than on its own work; from about
+# 128 keys on that cost is flat, and far larger batches leave the end of the
+# scan waiting on the last one
+RECORD_BATCH = 128
 
 
 def run_scan(config: ScanConfig) -> ScanSummary:
@@ -327,10 +350,10 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     at the first task, and the report does not depend on their number.
     The multiplicity layer maps over the simple representatives, one per
     task, since a few of them hold most of the keys.  The records map over
-    the keys in chunks of 16; each task rebuilds its graph from the key and
-    seeds it with the girth and bipartiteness of the key's simple
-    representative, so the graphs are built one record at a time and only
-    keys, those shared pairs and records cross between processes.
+    the keys in batches of `RECORD_BATCH`; each record rebuilds its graph
+    from the key and seeds it with the girth and bipartiteness of the key's
+    simple representative, so the graphs are built one record at a time and
+    only keys, those shared pairs and records cross between processes.
     """
     if config.workers == 1:
         return _run_scan(config, map, map)
@@ -338,7 +361,7 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
-        return _run_scan(config, pool.map, partial(pool.map, chunksize=16))
+        return _run_scan(config, pool.map, partial(pool.map, chunksize=RECORD_BATCH))
 
 
 def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, NotShortestCycle, VertexNotInV0
 from .coloring import chromatic_index
-from .generators import ring
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -82,6 +81,8 @@ class RingSubgraph:
 
     def to_multigraph(self) -> Multigraph:
         """Standalone ring on vertices 0..len-1 in cycle order."""
+        from .generators import ring  # imported here: the enumerator is the CLI's largest import
+
         return ring(len(self.cycle), self.multiplicities)
 
     def to_json_obj(self) -> dict:

@@ -44,11 +44,18 @@ def c53_file(tmp_path):
 
 
 def test_graph_commands_leave_the_process_pool_unloaded():
-    probe = "import sys, steffenlab.cli; print('concurrent.futures.process' in sys.modules)"
+    # neither the pool nor the scan and enumeration modules; the package's
+    # names still resolve, each loading its module on first use
+    probe = (
+        "import sys, steffenlab as sl, steffenlab.cli\n"
+        "unloaded = ['concurrent.futures.process', 'steffenlab.scan', 'steffenlab.generators']\n"
+        "print([m for m in unloaded if m in sys.modules])\n"
+        "print(sl.run_scan.__name__, sl.EnumSpec.__name__)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=CLI_ENV
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", "run_scan EnumSpec"]
 
 
 class TestSubcommands:
@@ -216,11 +223,19 @@ class TestScanCommands:
         else:
             assert json.loads(proc.stdout)["total"] == copies
 
-    def test_config_error_is_exit_2(self, tmp_path):
+    def test_config_error_is_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"enumSpec": {"nRange": [1, 99]}}))
         proc = run_cli(["scan", "--config", str(cfg_path)])
         assert proc.returncode == 2
+        # lemma-suite values out of the sampler's range name their key
+        out = tmp_path / "suite.json"
+        spec = {"nRange": [3, 3], "maxMu": 1, "girthMin": 3, "maxEdgeCopies": 3}
+        for key, value in [("randomGraphs", -2), ("randomNMax", 3), ("randomMuMax", 0)]:
+            cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(out), key: value}))
+            assert cli_main(["lemma-suite", "--config", str(cfg_path), "--seed", "0"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {key} must be >= ")
+            assert not out.exists()
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ import os
 import pickle
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,6 +169,33 @@ class TestSimpleLayerOnce:
         assert sum("simple" in G.__dict__ for G in built) == 1
 
 
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process (a real pool
+    forks all of its processes at its first task).  The log holds the pool
+    sizes asked for and, per `map`, its function, item count and chunk size."""
+    log = SimpleNamespace(sizes=[], maps=[])
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            log.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            args = list(zip(*iterables))
+            log.maps.append((fn, len(args), chunksize))
+            return (fn(*a) for a in args)
+
+    # run_scan imports the pool class when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return log
+
+
 class TestScanRuns:
     def test_includes_3c5_when_budget_allows(self, tmp_path):
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15, require_cycle=True)
@@ -190,35 +218,31 @@ class TestScanRuns:
         assert s1.to_json_obj() == s2.to_json_obj()
 
     @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1)])
-    def test_pool_has_at_most_one_process_per_cpu(self, tmp_path, monkeypatch, cpus, size):
-        # a process pool forks all of its processes at its first task, so a
-        # stand-in pool records the size asked for and maps in this process
+    def test_pool_has_at_most_one_process_per_cpu(
+        self, tmp_path, monkeypatch, in_process_pool, cpus, size
+    ):
         import steffenlab.scan as scan_mod
 
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        # run_scan imports the pool class when it needs one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
         spec = small_spec(n_max=4)
         one = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "w1.jsonl"))
         many = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "wn.jsonl"), workers=100000)
         assert run_scan(one).to_json_obj() == run_scan(many).to_json_obj()
-        assert sizes == [size]
+        assert in_process_pool.sizes == [size]
         assert file_digest(one.output_path) == file_digest(many.output_path)
+
+    def test_record_tasks_are_batched(self, tmp_path, in_process_pool):
+        # a task per few records costs the parent process more than the records
+        from steffenlab.scan import RECORD_BATCH
+
+        cfg = ScanConfig(enum_spec=small_spec(), output_path=str(tmp_path / "w.jsonl"), workers=2)
+        total = run_scan(cfg).total
+        [tasks] = [
+            math.ceil(items / chunksize)
+            for fn, items, chunksize in in_process_pool.maps
+            if getattr(fn, "func", None) is _record_for_key
+        ]
+        assert total == 758 and tasks <= math.ceil(total / RECORD_BATCH)
 
     def test_sharded_enumeration_same_bytes_girth5(self, tmp_path):
         # girth >= 5 corpus shape on n 5..6: one record fires the ring gate
@@ -467,6 +491,26 @@ def ring_check_reports(tmp_path_factory):
 
 
 class TestResumeAcrossRingCheck:
+    @pytest.mark.parametrize("field, value", [("chi", None), ("Delta", None), ("isCritical", "no")])
+    def test_mistyped_field_ends_the_prefix(self, tmp_path, ring_check_reports, field, value):
+        # a null chi fails the fold, and under girth floor 5 a null Delta fails
+        # the ring gate; "no" would count as critical
+        from steffenlab.cli import cli_main
+
+        lines, _ = ring_check_reports[True]
+        cut = len(lines) // 2
+        record = json.loads(lines[cut])
+        assert record["status"] == "ok"
+        record[field] = value
+        bad = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"".join(lines[:cut] + [bad] + lines[cut + 1 :]))
+        Path(f"{out}.checkpoint").write_text(spec_echo(RING_SPEC))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"enumSpec": RING_SPEC.to_json_obj(), "outputPath": str(out)}))
+        assert cli_main(["scan", "--config", str(cfg_path)]) == 0
+        assert out.read_bytes() == b"".join(lines)
+
     @pytest.mark.parametrize("first", [True, False], ids=["on-then-off", "off-then-on"])
     def test_resumed_report_equals_a_fresh_one(self, tmp_path, ring_check_reports, first):
         # the checkpoint echoes only the spec, so the kept prefix must end at
@@ -612,6 +656,10 @@ class TestConfig:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             ScanConfig(enum_spec=small_spec(), workers=0)
+        for key, kw in [("randomGraphs", dict(random_graphs=-1)), ("randomNMax", dict(random_n_max=3)),
+                        ("randomMuMax", dict(random_mu_max=0))]:
+            with pytest.raises(ConfigError, match=key):
+                ScanConfig(enum_spec=small_spec(), **kw)
         with pytest.raises(ConfigError):
             ScanConfig.from_json_obj({"enumSpec": {"nRange": [1]}})
 
@@ -811,13 +859,13 @@ class TestTimeoutRecords:
 
 class TestExitCodeLogic:
     def test_violations_drive_exit_code(self, monkeypatch, tmp_path):
-        import steffenlab.cli as cli_mod
         from steffenlab.scan import ScanSummary
 
         bad = ScanSummary()
         bad.steffen_violations.append("somekey")
 
-        monkeypatch.setattr(cli_mod, "run_scan", lambda cfg: bad)
+        # the scan command imports run_scan when it runs
+        monkeypatch.setattr("steffenlab.scan.run_scan", lambda cfg: bad)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"enumSpec": small_spec().to_json_obj()}))
         from steffenlab.cli import cli_main
