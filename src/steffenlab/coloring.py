@@ -336,16 +336,13 @@ def degree_identity_check(
 ) -> DegreeIdentityReport:
     """Residuals of d(v) = sum_{w != v}(chi'-1-d(w)) + 2, plus the min-degree bound.
 
+    The residual of every vertex is the same number, 2|E| - (n-1)(chi'-1) - 2.
     The bound delta >= n*mu/g + 1 applies for every integer g <= n at which
     the values of G are in the theorem's regime (`in_theorem_regime`); it is
     checked for all such g and reported "not-applicable" when no g qualifies.
     """
     chi = _lemma_chi(G, chi, not check_critical, deadline)
-    total = sum(G.degrees)
-    residuals = []
-    for v in range(G.n):
-        rhs = (G.n - 1) * (chi - 1) - (total - G.degrees[v]) + 2
-        residuals.append(G.degrees[v] - rhs)
+    residual = sum(G.degrees) - (G.n - 1) * (chi - 1) - 2
 
     delta_max, delta_min = max(G.degrees), min(G.degrees)
     mu = G.max_mult
@@ -357,4 +354,4 @@ def degree_identity_check(
         bound = "holds"
     else:
         bound = "violated"
-    return DegreeIdentityReport(tuple(residuals), bound)
+    return DegreeIdentityReport((residual,) * G.n, bound)

@@ -296,8 +296,9 @@ def _fold_report_prefix(
     next of `keys` and whose ring fields are those `config` writes: an `ok`
     record has a `ringFound` iff the config's ring gate fires on its own
     fields.  A torn last line, a line that is not a record, a key out of
-    order, an `ok` record with a read field not of the type the scan writes
-    (a null `chi`, say), or ring fields of another `ringCheck` end it.
+    order, a status other than `ok` or `timeout`, an `ok` record with a read
+    field not of the type the scan writes (a null `chi`, say), or ring fields
+    of another `ringCheck` end it.
     Returns the number of records kept and their byte length.
     """
     count = size = 0
@@ -315,6 +316,7 @@ def _fold_report_prefix(
                 not isinstance(record, dict)
                 or tuple(record) != RECORD_FIELDS
                 or record["graphKey"] != keys[count]
+                or record["status"] not in ("ok", "timeout")
                 or (record["status"] == "ok"
                     and (any(type(record[k]) not in kinds for k, kinds in _OK_FIELD_TYPES.items())
                          or (record["ringFound"] is None) == _ring_gate(config, record)))

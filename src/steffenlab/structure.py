@@ -128,88 +128,63 @@ def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
 def max_fan(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
     """A fan from v0 to cycle h with the maximum number of paths, or None.
 
-    Computed as vertex-disjoint paths in the simple graph on V_0 + V(C_h)
-    with interior vertices restricted to V_0: unit vertex capacities off the
-    apex make augmenting BFS find the exact maximum.
+    Edmonds-Karp with unit vertex capacities off the apex, on vertex states
+    (v, entered) and (v, left).  The paths are kept as the vertices they use
+    and their steps u -> w, with interior vertices in V_0 and each path
+    stopping at its first vertex of C_h.  Each round takes a shortest
+    augmenting path, breadth-first from (v0, left) to an unused cycle
+    vertex, trying the moves in a fixed order: from an entered vertex,
+    leave it if unused, else go back along the step into it; from a left
+    vertex, go back into it if used, then step to its sorted neighbours.
     """
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
-    view = G.simple
+    adj = G.simple.adj
     cyc = P.cycles[h].vertex_set()
     zone = P.v0 | cyc
-
-    # node ids: 2*v = v_in, 2*v + 1 = v_out; source = v0_out, sink = 2*n
-    sink = 2 * G.n
-    cap: dict[tuple[int, int], int] = {}
-    for v in sorted(zone):
-        if v != v0:
-            cap[(2 * v, 2 * v + 1)] = 1
-    for u in sorted(zone):
-        if u in cyc:
-            continue  # paths stop at their first cycle vertex
-        for w in sorted(view.adj[u]):
-            if w in zone and w != v0:
-                cap[(2 * u + 1, 2 * w)] = 1
-    for x in sorted(cyc):
-        cap[(2 * x + 1, sink)] = 1
-
-    adj: dict[int, list[int]] = {}
-    flow: dict[tuple[int, int], int] = {}
-    for a, b in list(cap):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-        flow[(a, b)] = 0
-        flow.setdefault((b, a), 0)
-        cap.setdefault((b, a), 0)
-
-    source = 2 * v0 + 1
+    used: set[int] = set()  # vertices on a path, the apex excepted
+    steps: set[tuple[int, int]] = set()
     while True:
-        parent = {source: -1}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            if x == sink:
-                break
-            for y in adj.get(x, ()):
-                if y not in parent and cap.get((x, y), 0) - flow[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if sink not in parent:
+        parent: dict[tuple[int, bool], tuple[int, bool] | None] = {(v0, True): None}
+        queue = deque(parent)
+        end = None
+        while queue and end is None:
+            v, left = state = queue.popleft()
+            if left:
+                moves = [(v, False)] if v in used else []
+                moves += [(w, False) for w in sorted(adj[v])
+                          if w in zone and w != v0 and (v, w) not in steps]
+            else:
+                moves = [] if v in used else [(v, True)]
+                moves += [(u, True) for u in sorted(adj[v]) if (u, v) in steps]
+            for move in moves:
+                if move not in parent:
+                    parent[move] = state
+                    queue.append(move)
+                    if move[0] in cyc and move[0] not in used:
+                        end = move  # entered a cycle vertex no path reaches
+                        break
+        if end is None:
             break
-        node = sink
-        while node != source:
-            prev = parent[node]
-            flow[(prev, node)] += 1
-            flow[(node, prev)] -= 1
-            node = prev
+        used.add(end[0])  # the new path leaves its cycle vertex for the sink
+        while (prev := parent[end]) is not None:
+            (a, _), (b, b_left) = prev, end
+            if a == b:
+                (used.add if b_left else used.discard)(a)
+            elif b_left:
+                steps.discard((b, a))  # went back along the step b -> a
+            else:
+                steps.add((a, b))
+            end = prev
 
-    t = sum(flow[(2 * x + 1, sink)] for x in cyc if (2 * x + 1, sink) in flow)
-    if t == 0:
-        return None
-
-    paths: list[tuple[int, ...]] = []
-    for first in sorted(view.adj[v0]):
-        if first not in zone or flow.get((source, 2 * first), 0) <= 0:
-            continue
-        flow[(source, 2 * first)] -= 1
-        path = [v0, first]
-        node = first
-        while node not in cyc:
-            flow[(2 * node, 2 * node + 1)] -= 1
-            nxt = None
-            for y in sorted(view.adj[node]):
-                if y in zone and flow.get((2 * node + 1, 2 * y), 0) > 0:
-                    nxt = y
-                    break
-            assert nxt is not None, "flow decomposition lost the path"
-            flow[(2 * node + 1, 2 * nxt)] -= 1
-            path.append(nxt)
-            node = nxt
-        flow[(2 * node, 2 * node + 1)] -= 1
-        flow[(2 * node + 1, sink)] -= 1
-        paths.append(tuple(path))
-    assert len(paths) == t, "flow value and decomposed path count disagree"
-    return Fan(v0, h, tuple(sorted(paths)))
+    paths = []
+    for first in adj[v0]:
+        if (v0, first) in steps:
+            path = [v0, first]
+            while path[-1] not in cyc:
+                path.append(next(w for w in adj[path[-1]] if (path[-1], w) in steps))
+            paths.append(tuple(path))
+    return Fan(v0, h, tuple(sorted(paths))) if paths else None
 
 
 def fan_bound_check(F: Fan, C_h: CycleSeq) -> bool:

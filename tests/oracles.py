@@ -18,12 +18,15 @@ class unless the class is interchangeable, and no automorphism pruning; its
 automorphism oracle is the library's previous separate backtrack, and
 the group itself is closed from the library's generators.  The
 enumeration oracle uses it for every key and canonicalises every
-candidate.  Slow on purpose; only run on small inputs.
+candidate.  The whole-fan oracle is the library's previous `max_fan`: Edmonds-Karp
+on a split-vertex network with capacity and flow tables, then a separate
+flow decomposition.  Slow on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from itertools import combinations, permutations, product
 
 from steffenlab.coloring import (
@@ -32,11 +35,11 @@ from steffenlab.coloring import (
     chromatic_index,
     is_k_colorable,
 )
-from steffenlab.errors import InstanceTooLarge, SolverTimeout
+from steffenlab.errors import InstanceTooLarge, SolverTimeout, VertexNotInV0
 from steffenlab.generators import _aut_edge_generators
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build, remove_edges
-from steffenlab.structure import RingSubgraph, enumerate_cycles
+from steffenlab.structure import CyclePartition, Fan, RingSubgraph, enumerate_cycles
 
 
 def brute_force_chi(G: Multigraph) -> int:
@@ -228,6 +231,93 @@ def max_disjoint_paths_oracle(G: Multigraph, apex: int, interior: set[int], targ
 
     pack(0, set(), set())
     return best
+
+
+def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
+    """max_fan as a max flow on the split-vertex network, then a flow decomposition.
+
+    Computed as vertex-disjoint paths in the simple graph on V_0 + V(C_h)
+    with interior vertices restricted to V_0: unit vertex capacities off the
+    apex make augmenting BFS find the exact maximum.
+    """
+    if v0 not in P.v0:
+        raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
+    view = G.simple
+    cyc = P.cycles[h].vertex_set()
+    zone = P.v0 | cyc
+
+    # node ids: 2*v = v_in, 2*v + 1 = v_out; source = v0_out, sink = 2*n
+    sink = 2 * G.n
+    cap: dict[tuple[int, int], int] = {}
+    for v in sorted(zone):
+        if v != v0:
+            cap[(2 * v, 2 * v + 1)] = 1
+    for u in sorted(zone):
+        if u in cyc:
+            continue  # paths stop at their first cycle vertex
+        for w in sorted(view.adj[u]):
+            if w in zone and w != v0:
+                cap[(2 * u + 1, 2 * w)] = 1
+    for x in sorted(cyc):
+        cap[(2 * x + 1, sink)] = 1
+
+    adj: dict[int, list[int]] = {}
+    flow: dict[tuple[int, int], int] = {}
+    for a, b in list(cap):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        flow[(a, b)] = 0
+        flow.setdefault((b, a), 0)
+        cap.setdefault((b, a), 0)
+
+    source = 2 * v0 + 1
+    while True:
+        parent = {source: -1}
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            if x == sink:
+                break
+            for y in adj.get(x, ()):
+                if y not in parent and cap.get((x, y), 0) - flow[(x, y)] > 0:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            break
+        node = sink
+        while node != source:
+            prev = parent[node]
+            flow[(prev, node)] += 1
+            flow[(node, prev)] -= 1
+            node = prev
+
+    t = sum(flow[(2 * x + 1, sink)] for x in cyc if (2 * x + 1, sink) in flow)
+    if t == 0:
+        return None
+
+    paths: list[tuple[int, ...]] = []
+    for first in sorted(view.adj[v0]):
+        if first not in zone or flow.get((source, 2 * first), 0) <= 0:
+            continue
+        flow[(source, 2 * first)] -= 1
+        path = [v0, first]
+        node = first
+        while node not in cyc:
+            flow[(2 * node, 2 * node + 1)] -= 1
+            nxt = None
+            for y in sorted(view.adj[node]):
+                if y in zone and flow.get((2 * node + 1, 2 * y), 0) > 0:
+                    nxt = y
+                    break
+            assert nxt is not None, "flow decomposition lost the path"
+            flow[(2 * node + 1, 2 * nxt)] -= 1
+            path.append(nxt)
+            node = nxt
+        flow[(2 * node, 2 * node + 1)] -= 1
+        flow[(2 * node + 1, sink)] -= 1
+        paths.append(tuple(path))
+    assert len(paths) == t, "flow value and decomposed path count disagree"
+    return Fan(v0, h, tuple(sorted(paths)))
 
 
 def refine_colors(colors: list[int], adj: list[list[tuple[int, int]]]) -> list[int]:

@@ -58,6 +58,14 @@ def test_graph_commands_leave_the_process_pool_unloaded():
     assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", "run_scan EnumSpec"]
 
 
+def test_every_export_resolves():
+    # a misspelt or moved name in the lazy export table fails here, not at first use
+    listed = dir(sl)
+    for name in sl.__all__:
+        assert getattr(sl, name) is not None
+        assert name in listed
+
+
 class TestSubcommands:
     def test_invariants(self, c53_file):
         proc = run_cli(["invariants", c53_file])

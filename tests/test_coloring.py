@@ -436,6 +436,11 @@ class TestDegreeIdentity:
         with pytest.raises(PreconditionFailed):
             sl.degree_identity_check(sl.mu_cycle(5, 1))
 
+    def test_residual_off_the_identity(self):
+        # chi' = 9 is not 3C5's: 2|E| - (n-1)(chi'-1) - 2 = 30 - 32 - 2 at every vertex
+        report = sl.degree_identity_check(sl.mu_cycle(5, 3), chi=9, check_critical=False)
+        assert report.residuals == (-4,) * 5
+
 
 class TestTimeouts:
     def test_expired_deadline_raises(self):

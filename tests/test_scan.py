@@ -491,10 +491,14 @@ def ring_check_reports(tmp_path_factory):
 
 
 class TestResumeAcrossRingCheck:
-    @pytest.mark.parametrize("field, value", [("chi", None), ("Delta", None), ("isCritical", "no")])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chi", None), ("Delta", None), ("isCritical", "no"), ("status", "bogus"), ("status", None)],
+    )
     def test_mistyped_field_ends_the_prefix(self, tmp_path, ring_check_reports, field, value):
         # a null chi fails the fold, and under girth floor 5 a null Delta fails
-        # the ring gate; "no" would count as critical
+        # the ring gate; "no" would count as critical, and a status that is
+        # neither ok nor timeout would count as a timeout
         from steffenlab.cli import cli_main
 
         lines, _ = ring_check_reports[True]

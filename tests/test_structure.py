@@ -6,7 +6,12 @@ import steffenlab as sl
 from steffenlab.errors import VertexNotInV0
 from steffenlab.generators import EnumSpec, enumerate_with_keys
 from steffenlab.structure import enumerate_cycles
-from oracles import all_cycles_by_bfs_style, find_ring_by_solver, max_disjoint_paths_oracle
+from oracles import (
+    all_cycles_by_bfs_style,
+    find_ring_by_solver,
+    max_disjoint_paths_oracle,
+    max_fan_by_flow_network,
+)
 
 
 @pytest.fixture()
@@ -128,6 +133,37 @@ class TestMaxFan:
                         seen_interior |= interior
                         assert path[-1] not in seen_ends
                         seen_ends.add(path[-1])
+
+
+@pytest.fixture(scope="module")
+def seed42_graphs():
+    """The lemma suite's random graphs under its default config, seed 42."""
+    rng = random.Random(42)
+    return [sl.random_multigraph(rng, n_max=12, mu_max=3) for _ in range(1000)]
+
+
+class TestMaxFanAgainstFlowNetwork:
+    def test_every_seed42_fan(self, seed42_graphs):
+        count = 0
+        for G in seed42_graphs:
+            P = sl.cycle_partition(G)
+            for v0 in sorted(P.v0):
+                for h in range(len(P.cycles)):
+                    assert sl.max_fan(G, P, v0, h) == max_fan_by_flow_network(G, P, v0, h)
+                    count += 1
+        assert count == 2895
+
+    @pytest.mark.parametrize(
+        "index, v0, paths",
+        [
+            (6, 5, ((5, 10),)),  # the nearest exit, not (5, 6, 10)
+            (16, 5, ((5, 0), (5, 2), (5, 4))),
+            (730, 6, ((6, 1, 5), (6, 4, 3))),  # the second search steps back along 1 -> 3
+        ],
+    )
+    def test_pinned_seed42_fans(self, seed42_graphs, index, v0, paths):
+        G = seed42_graphs[index]
+        assert sl.max_fan(G, sl.cycle_partition(G), v0, 0) == sl.Fan(v0, 0, paths)
 
 
 class TestFanBound:
