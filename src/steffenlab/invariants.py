@@ -2,7 +2,10 @@
 
 Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
-girth, represented as math.inf.
+girth, represented as math.inf.  Girth takes the vertices in turn as roots of
+a BFS inside the vertices not yet taken, and searches only from a root with
+two neighbours among them, so it is linear on a cycle or a path numbered
+along it.
 
 Every simple-path search of the cycle layer, `structure.enumerate_cycles`
 included, runs on `simple_paths`, one walk over an explicit stack, and every
@@ -109,28 +112,32 @@ def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float
 
 
 def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
-    """BFS from every root; min closed-walk bound over non-tree edges is exact."""
+    """BFS from each root inside the vertices still alive, then drop the root; the
+    min closed-walk bound over non-tree edges is exact, as a shortest cycle's
+    least vertex still sees all of it.  A root with < 2 alive neighbours is on none."""
     best: int | float = INFINITE_GIRTH
-    members = sorted(within)
-    for root in members:
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if 2 * dist[x] >= best:
-                break
-            for y in view.adj[x]:
-                if y not in within:
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    cand = dist[x] + dist[y] + 1
-                    if cand < best:
-                        best = cand
+    alive = set(within)
+    for root in sorted(within):
+        if sum(y in alive for y in view.adj[root]) >= 2:
+            dist = {root: 0}
+            parent = {root: -1}
+            queue = deque([root])
+            while queue:
+                x = queue.popleft()
+                if 2 * dist[x] >= best:
+                    break
+                for y in view.adj[x]:
+                    if y not in alive:
+                        continue
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        parent[y] = x
+                        queue.append(y)
+                    elif parent[x] != y and parent[y] != x:
+                        cand = dist[x] + dist[y] + 1
+                        if cand < best:
+                            best = cand
+        alive.discard(root)
     return best
 
 

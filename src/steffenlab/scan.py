@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 
 from .coloring import (
     chromatic_index,
@@ -106,48 +106,31 @@ class ScanConfig:
         return ScanConfig(**json_fields("scan config", obj, _CONFIG_KEYS, ("enumSpec",)))
 
 
-RECORD_FIELDS = (
-    "graphKey",
-    "n",
-    "m",
-    "Delta",
-    "delta",
-    "mu",
-    "girth",
-    "gamma",
-    "chi",
-    "steffenBound",
-    "achievesBound",
-    "isCritical",
-    "chiGEDeltaPlus2",
-    "ringFound",
-    "ringWitness",
-    "status",
-)
+# each record field, in report order -> the JSON types an `ok` record holds
+# there; a `timeout` record may also hold null in any of them
+_RECORD_TYPES = {
+    "graphKey": (str,),
+    **dict.fromkeys(("n", "m", "Delta", "delta", "mu"), (int,)),
+    "girth": (int, type(None)),  # null when acyclic
+    **dict.fromkeys(("gamma", "chi", "steffenBound"), (int,)),
+    **dict.fromkeys(("achievesBound", "isCritical", "chiGEDeltaPlus2"), (bool,)),
+    "ringFound": (bool, type(None)),  # null unless the ring gate fires
+    "ringWitness": (dict, type(None)),
+    "status": (str,),
+}
+RECORD_FIELDS = tuple(_RECORD_TYPES)
 
 
 def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
-    """One ScanRecord as a JSON-ready dict with a fixed field order."""
+    """One ScanRecord as a JSON-ready dict in `RECORD_FIELDS` order."""
     delta_max = max(G.degrees, default=0)
     g = girth(G)
-    record: dict = {
-        "graphKey": key,
-        "n": G.n,
-        "m": G.edge_count,
-        "Delta": delta_max,
-        "delta": min(G.degrees, default=0),
-        "mu": G.max_mult,
-        "girth": None if g == INFINITE_GIRTH else int(g),
-        "gamma": None,
-        "chi": None,
-        "steffenBound": steffen_bound(G),
-        "achievesBound": None,
-        "isCritical": None,
-        "chiGEDeltaPlus2": None,
-        "ringFound": None,
-        "ringWitness": None,
-        "status": "ok",
-    }
+    record = dict.fromkeys(RECORD_FIELDS)
+    record.update(
+        graphKey=key, n=G.n, m=G.edge_count, Delta=delta_max, delta=min(G.degrees, default=0),
+        mu=G.max_mult, girth=None if g == INFINITE_GIRTH else int(g),
+        steffenBound=steffen_bound(G), status="ok",
+    )
     # one budget for the whole record: density, ascent, criticality and ring
     deadline = time.monotonic() + config.budget_seconds
     try:
@@ -177,17 +160,8 @@ def _ring_gate(config: ScanConfig, record: dict) -> bool:
     return in_theorem_regime(record["Delta"], record["mu"], floor, record["chi"])
 
 
-# the types the scan writes in the fields that an `ok` record's fold and ring gate read
-_OK_FIELD_TYPES = {
-    **dict.fromkeys(("Delta", "mu", "gamma", "chi", "steffenBound"), (int,)),
-    **dict.fromkeys(("achievesBound", "chiGEDeltaPlus2", "isCritical"), (bool,)),
-    "girth": (int, type(None)),
-    "ringFound": (bool, type(None)),
-}
-
-
 def _record_line(record: dict) -> str:
-    return json.dumps({k: record[k] for k in RECORD_FIELDS}, separators=(",", ":"))
+    return json.dumps(record, separators=(",", ":"))
 
 
 @dataclass
@@ -292,13 +266,12 @@ def _fold_report_prefix(
 ) -> tuple[int, int]:
     """Fold the longest valid prefix of the config's report into `summary`.
 
-    The prefix is made of complete lines, each a record whose key is the
-    next of `keys` and whose ring fields are those `config` writes: an `ok`
-    record has a `ringFound` iff the config's ring gate fires on its own
-    fields.  A torn last line, a line that is not a record, a key out of
-    order, a status other than `ok` or `timeout`, an `ok` record with a read
-    field not of the type the scan writes (a null `chi`, say), or ring fields
-    of another `ringCheck` end it.
+    The prefix is made of complete lines, each a record that a scan under
+    `config` writes: exactly `RECORD_FIELDS` in order, the next of `keys`,
+    status `ok` or `timeout`, every value of its `_RECORD_TYPES` type (a
+    `timeout` record may also hold null), and for `ok` the ring fields this
+    config's gate writes: a `ringFound` iff the gate fires on the record's own
+    fields.  The first line that is not such a record ends it.
     Returns the number of records kept and their byte length.
     """
     count = size = 0
@@ -310,16 +283,17 @@ def _fold_report_prefix(
                 break
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # not JSON, or nested too deeply to parse
                 break
             if (
                 not isinstance(record, dict)
                 or tuple(record) != RECORD_FIELDS
                 or record["graphKey"] != keys[count]
                 or record["status"] not in ("ok", "timeout")
+                or any(type(v) not in _RECORD_TYPES[k] and (v is not None or record["status"] == "ok")
+                       for k, v in record.items())
                 or (record["status"] == "ok"
-                    and (any(type(record[k]) not in kinds for k, kinds in _OK_FIELD_TYPES.items())
-                         or (record["ringFound"] is None) == _ring_gate(config, record)))
+                    and (record["ringFound"] is None) == _ring_gate(config, record))
             ):
                 break
             _fold_record(summary, record)
@@ -426,19 +400,22 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     digest = hashlib.sha256()
     violations: list[dict] = []
 
-    corpus = [(k, G) for k, G in enumerate_with_keys(config.enum_spec)]
-    for text in config.extra_graphs:
-        G = parse_any(text)
-        corpus.append((f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G))
-    corpus.sort(key=lambda kv: kv[0])
+    extras = [
+        (f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G)
+        for G in map(parse_any, config.extra_graphs)
+    ]
+    extras.sort(key=lambda kv: kv[0])
     critical_stats = {
-        "graphs": len(corpus),
+        "graphs": 0,
         "criticalHighChi": 0,
         "decompositionsChecked": 0,
         "residualVectorsChecked": 0,
         "minDegreeBoundsChecked": 0,
     }
-    for key, G in corpus:
+    # enumerated keys ("NN.") sort before extras ("extra."), so the corpus is
+    # walked in key order one graph at a time
+    for key, G in chain(enumerate_with_keys(config.enum_spec), extras):
+        critical_stats["graphs"] += 1
         where = {"suite": "critical", "graphKey": key}
         deadline = time.monotonic() + budget  # chi, criticality and every decomposition
         try:

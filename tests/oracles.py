@@ -4,7 +4,8 @@ These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
 breaking, the density oracles enumerate odd subsets directly (one of them
 is the library's previous kernel, kept to pin the witness tie-break), the
-cycle oracles enumerate vertex sequences, and the short-cycle clause oracle
+cycle oracles enumerate vertex sequences (the girth reference is the
+library's previous BFS from every root), and the short-cycle clause oracle
 finds outside paths among the permutations of the outside vertices.  The
 ring-search oracle is the library's previous search, which asks the solver
 for chi' at every step instead of using the ring's closed form.  The
@@ -150,6 +151,30 @@ def all_cycles_by_bfs_style(G: Multigraph) -> list[tuple[int, ...]]:
 def brute_force_girth(G: Multigraph) -> int | None:
     cycles = all_cycles_by_bfs_style(G)
     return len(cycles[0]) if cycles else None
+
+
+def girth_by_bfs_from_every_root(view, within: frozenset[int]) -> int | float:
+    """The library's previous induced-subgraph girth: a BFS inside `within` from
+    every root, the min closed-walk bound over non-tree edges."""
+    best: int | float = INFINITE_GIRTH
+    for root in sorted(within):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            if 2 * dist[x] >= best:
+                break
+            for y in view.adj[x]:
+                if y not in within:
+                    continue
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif parent[x] != y and parent[y] != x:
+                    best = min(best, dist[x] + dist[y] + 1)
+    return best
 
 
 def brute_force_shortest_cycle(G: Multigraph, within: set[int]) -> tuple[int, ...] | None:

@@ -19,6 +19,7 @@ from oracles import (
     brute_force_girth,
     brute_force_shortest_cycle,
     density_by_enumeration,
+    girth_by_bfs_from_every_root,
     short_cycle_violations_by_permutation,
 )
 
@@ -71,6 +72,34 @@ class TestGirth:
         assert (want is None) == (got == sl.INFINITE_GIRTH)
         if want is not None:
             assert got == want
+
+    def test_subgraph_girth_matches_bfs_from_every_root(self):
+        # random vertex sets inside random multigraphs, whose labels are random,
+        # so the least vertex of a shortest cycle falls anywhere
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            G = sl.random_multigraph(rng, n_max=12, mu_max=2)
+            keep = rng.random()
+            within = frozenset(v for v in range(G.n) if rng.random() < keep)
+            want = girth_by_bfs_from_every_root(G.simple, within)
+            assert invariants._bfs_girth(G.simple, within) == want
+
+    @pytest.mark.parametrize(
+        "edges, girth, starts",
+        [
+            ([(i, (i + 1) % 1500, 1) for i in range(1500)], 1500, 1),
+            ([(i, i + 1, 1) for i in range(1499)], sl.INFINITE_GIRTH, 0),
+        ],
+        ids=["cycle", "path"],
+    )
+    def test_retired_roots_start_no_bfs(self, monkeypatch, edges, girth, starts):
+        # each BFS makes one queue: a root left with fewer than two alive
+        # neighbours is on no cycle that a later root could find
+        queues = []
+        real = invariants.deque
+        monkeypatch.setattr(invariants, "deque", lambda *a: queues.append(1) or real(*a))
+        assert sl.girth(sl.build(1500, edges)) == girth
+        assert len(queues) == starts
 
 
 class TestShortestCycle:

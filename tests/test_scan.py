@@ -10,14 +10,16 @@ from types import SimpleNamespace
 import pytest
 
 import steffenlab as sl
-from steffenlab.errors import ConfigError, PreconditionFailed
+from steffenlab.errors import ConfigError, PreconditionFailed, SolverTimeout
 from steffenlab.generators import EnumSpec, class_keys, graph_from_key
 from steffenlab.invariants import in_theorem_regime
 from steffenlab.scan import (
     RECORD_FIELDS,
     ScanConfig,
     ScanSummary,
+    _RECORD_TYPES,
     _critical_in_regime,
+    _fold_report_prefix,
     _record_for_key,
     _record_line,
     compute_record,
@@ -84,6 +86,14 @@ class TestRecords:
         for line in lines[:20]:
             record = json.loads(line)
             assert tuple(record) == RECORD_FIELDS
+
+    def test_readme_lists_the_record_fields(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("Record fields, in report order", 1)[1].split("\n\n", 1)[0]
+        # each field's first mention, in order; the notes name values and other keys
+        names = paragraph.split("`")[1::2]
+        listed = list(dict.fromkeys(n for n in names if n in RECORD_FIELDS))
+        assert tuple(listed) == RECORD_FIELDS
 
     def test_records_sorted_by_key(self, tmp_path):
         cfg = ScanConfig(enum_spec=small_spec(), output_path=str(tmp_path / "o.jsonl"))
@@ -409,7 +419,19 @@ RESUME_CASES = {
     ),
     "other-spec-line": lambda lines, cut: b"".join(lines[:cut] + [_foreign_line()] + lines[cut:]),
     "unparsable-line": lambda lines, cut: b"".join(lines[:cut] + [b"{not json\n"] + lines[cut:]),
+    "deeply-nested-line": lambda lines, cut: b"".join(
+        lines[:cut] + [b"[" * 100_000 + b"\n"] + lines[cut:]
+    ),
 }
+
+
+def fits_record_types(record):
+    """Whether a report record holds `RECORD_FIELDS` in order, each value of its
+    `_RECORD_TYPES` type or, in a `timeout` record, null."""
+    nullable = record["status"] == "timeout"
+    return tuple(record) == RECORD_FIELDS and all(
+        type(v) in _RECORD_TYPES[k] or (nullable and v is None) for k, v in record.items()
+    )
 
 
 class TestResume:
@@ -493,19 +515,33 @@ def ring_check_reports(tmp_path_factory):
 class TestResumeAcrossRingCheck:
     @pytest.mark.parametrize(
         "field, value",
-        [("chi", None), ("Delta", None), ("isCritical", "no"), ("status", "bogus"), ("status", None)],
+        [
+            ("chi", None), ("Delta", None), ("isCritical", "no"), ("status", "bogus"),
+            ("status", None), ("n", "5"), ("m", None), ("delta", 2.5), ("ringWitness", 7),
+        ],
     )
     def test_mistyped_field_ends_the_prefix(self, tmp_path, ring_check_reports, field, value):
         # a null chi fails the fold, and under girth floor 5 a null Delta fails
         # the ring gate; "no" would count as critical, and a status that is
-        # neither ok nor timeout would count as a timeout
+        # neither ok nor timeout would count as a timeout; the fields that
+        # neither reads would be kept and differ from a fresh report
+        self.resume_past_damaged_line(tmp_path, ring_check_reports, {field: value})
+
+    def test_mistyped_timeout_line_ends_the_prefix(self, tmp_path, ring_check_reports):
+        # a timeout record may hold null, but not a value of another type
+        self.resume_past_damaged_line(tmp_path, ring_check_reports, {"status": "timeout", "n": "5"})
+
+    @staticmethod
+    def resume_past_damaged_line(tmp_path, ring_check_reports, changes):
+        """Resume through the CLI from the fresh report with `changes` made to
+        its middle `ok` line: the resumed report must equal the fresh one."""
         from steffenlab.cli import cli_main
 
         lines, _ = ring_check_reports[True]
         cut = len(lines) // 2
         record = json.loads(lines[cut])
         assert record["status"] == "ok"
-        record[field] = value
+        record.update(changes)
         bad = (json.dumps(record, separators=(",", ":")) + "\n").encode()
         out = tmp_path / "r.jsonl"
         out.write_bytes(b"".join(lines[:cut] + [bad] + lines[cut + 1 :]))
@@ -514,6 +550,31 @@ class TestResumeAcrossRingCheck:
         cfg_path.write_text(json.dumps({"enumSpec": RING_SPEC.to_json_obj(), "outputPath": str(out)}))
         assert cli_main(["scan", "--config", str(cfg_path)]) == 0
         assert out.read_bytes() == b"".join(lines)
+
+    def test_written_records_fit_the_record_types(
+        self, tmp_path, full_resume_report, ring_check_reports, monkeypatch
+    ):
+        import steffenlab.scan as scan_mod
+
+        lines = full_resume_report[0] + ring_check_reports[True][0] + ring_check_reports[False][0]
+        records = [json.loads(line) for line in lines]
+        assert all(fits_record_types(record) for record in records)
+        assert {record["ringFound"] for record in records} == {None, True}
+
+        def out_of_time(*args, **kwargs):
+            raise SolverTimeout("budget spent")
+
+        monkeypatch.setattr(scan_mod, "density", out_of_time)
+        G = sl.mu_cycle(5, 3)
+        record = json.loads(_record_line(compute_record("k", G, ScanConfig(output_path="unused"))))
+        assert record["status"] == "timeout" and record["chi"] is None
+        assert fits_record_types(record)
+        # and a resume keeps it, nulls and all
+        out = tmp_path / "r.jsonl"
+        out.write_text(_record_line(record) + "\n")
+        summary = ScanSummary()
+        assert _fold_report_prefix(ScanConfig(output_path=str(out)), ["k"], summary)[0] == 1
+        assert summary.timeouts == 1
 
     @pytest.mark.parametrize("first", [True, False], ids=["on-then-off", "off-then-on"])
     def test_resumed_report_equals_a_fresh_one(self, tmp_path, ring_check_reports, first):
