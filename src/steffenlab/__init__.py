@@ -14,7 +14,7 @@ _EXPORTS = {
     "invariants": "INFINITE_GIRTH CycleSeq DensityWitness ShortCycleViolation "
     "check_short_cycle_properties density girth shortest_cycle steffen_bound subgraph_girth",
     "coloring": "DegreeIdentityReport EdgeColoring MatchingDecomposition chromatic_index "
-    "degree_identity_check extract_critical is_critical is_k_colorable "
+    "chromatic_index_value degree_identity_check extract_critical is_critical is_k_colorable "
     "near_perfect_matching_decomposition validate_coloring",
     "structure": "CyclePartition Fan RingSubgraph cycle_partition enumerate_cycles "
     "fan_bound_check find_ring_subgraph_with_chi is_ring_graph max_fan verify_cycle_partition",

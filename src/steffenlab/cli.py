@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .coloring import chromatic_index, extract_critical
+from .coloring import chromatic_index, chromatic_index_value, extract_critical
 from .errors import ConfigError, GraphError
 from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
 from .multigraph import basic_invariants, parse_any, serialize, to_json_obj
@@ -67,7 +67,7 @@ def _cmd_density(G, args) -> int:
 
 
 def _cmd_critical(G, args) -> int:
-    chi, _ = chromatic_index(G, deadline=args.deadline)
+    chi = chromatic_index_value(G, deadline=args.deadline)
     # one criticality pass: the critical subgraph is G itself iff G is critical
     core = extract_critical(G, chi=chi, deadline=args.deadline)
     print(

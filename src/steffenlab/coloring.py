@@ -10,6 +10,9 @@ slack), and a pair with no colors left for it ends the branch (forward
 checking).  Global color symmetry is broken by allowing a new color index
 only once all smaller indices already appear somewhere.  The search walks an
 explicit stack, so its depth is not bounded by Python's recursion limit.
+`chromatic_index` turns the color masks of its feasible decision into a
+witness coloring; `chromatic_index_value` runs the same ascent for callers
+that keep chi' alone, and assembles none.
 Each function takes `deadline`, one time.monotonic() instant or None, and
 hands it to every density call and decision it makes; its caller starts the
 budget.  A decision uses at most COLOR_CAP colors.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
-from .invariants import density, in_theorem_regime, is_bipartite
+from .invariants import density_gamma, in_theorem_regime, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
@@ -85,8 +88,11 @@ def is_k_colorable(
 ) -> EdgeColoring | None:
     """A proper k-edge-coloring of G, or None.  Deterministic given (G, k)."""
     masks = _search(G.n, G.edges, G.degrees, k, deadline)
-    if masks is None:
-        return None
+    return None if masks is None else _witness(G, k, masks)
+
+
+def _witness(G: Multigraph, k: int, masks: list[int]) -> EdgeColoring:
+    """The coloring of G's copies by the color masks `_search` chose for its pairs."""
     # copies of a pair take its mask's colors lowest first, and walking the
     # pairs in serialized order lists the copies in ((u, v), copy) order
     assignment = []
@@ -204,20 +210,29 @@ def chromatic_index(
     Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Density and
     every decision share the one `deadline`.
     """
+    k, masks = _ascent(G, mode, deadline)
+    return k, _witness(G, k, masks)
+
+
+def chromatic_index_value(G: Multigraph, deadline: float | None = None) -> int:
+    """chi'(G) alone: the ascent of `chromatic_index`, with the same decisions
+    and deadline polls, but no witness coloring assembled."""
+    return _ascent(G, "search", deadline)[0]
+
+
+def _ascent(G: Multigraph, mode: str, deadline: float | None) -> tuple[int, list[int]]:
+    """chi'(G) and the color masks of its feasible decision (`chromatic_index`)."""
     if mode not in ("search", "gs"):
         raise ValueError(f"unknown mode {mode!r}")
     if not G.edges:
-        return 0, EdgeColoring(0, ())
+        return 0, []
     delta_max = max(G.degrees)
     mu = G.max_mult
-    if is_bipartite(G):
-        gamma = delta_max
-    else:
-        gamma = density(G, deadline=deadline).gamma
+    gamma = delta_max if is_bipartite(G) else density_gamma(G, deadline)
     for k in range(max(delta_max, gamma), delta_max + mu + 1):
-        witness = is_k_colorable(G, k, deadline)
-        if witness is not None:
-            return k, witness
+        masks = _search(G.n, G.edges, G.degrees, k, deadline)
+        if masks is not None:
+            return k, masks
         if mode == "gs" and gamma >= delta_max + 2:
             raise PreconditionFailed(
                 "density-coloring", f"no {gamma}-coloring found although Gamma={gamma}"
@@ -236,7 +251,7 @@ def is_critical(
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
     if chi is None:
-        chi = chromatic_index(G, deadline=deadline)[0]
+        chi = chromatic_index_value(G, deadline=deadline)
     return _drop_keeping_chi(G, chi, deadline) is None
 
 
@@ -247,18 +262,31 @@ def _drop_keeping_chi(
     whose removal leaves chi' = chi, or None when every such removal lowers chi'.
 
     Each G - e is decided as an edge list and a degree vector, and no graph
-    is built for it.
+    is built for it.  One that keeps a vertex of degree >= chi needs chi
+    colors, as `_search`'s degree test says, so it is settled before its
+    edge list is built.
     """
     edges = G.edges
-    for i, (u, v, m) in enumerate(edges):
-        kept = ((u, v, m - 1),) if m > 1 else ()
-        reduced = edges[:i] + kept + edges[i + 1 :]
-        degrees = list(G.degrees)
-        degrees[u] -= 1
-        degrees[v] -= 1
-        if _search(G.n, reduced, degrees, chi - 1, deadline) is None:
-            return reduced
+    degrees = G.degrees
+    at_chi = sum(d >= chi for d in degrees)
+    for i, (u, v, _) in enumerate(edges):
+        # G - e keeps no vertex of degree >= chi (only u and v lose one): search
+        if at_chi == (degrees[u] == chi) + (degrees[v] == chi):
+            left = list(degrees)
+            left[u] -= 1
+            left[v] -= 1
+            if _search(G.n, _less_one_copy(edges, i), left, chi - 1, deadline) is not None:
+                continue
+        return _less_one_copy(edges, i)
     return None
+
+
+def _less_one_copy(
+    edges: tuple[tuple[int, int, int], ...], i: int
+) -> tuple[tuple[int, int, int], ...]:
+    """`edges` with one copy of pair i removed, in serialized order."""
+    u, v, m = edges[i]
+    return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :]
 
 
 def extract_critical(
@@ -272,7 +300,7 @@ def extract_critical(
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
     if chi is None:
-        chi = chromatic_index(G, deadline=deadline)[0]
+        chi = chromatic_index_value(G, deadline=deadline)
     current = G
     while (reduced := _drop_keeping_chi(current, chi, deadline)) is not None:
         current = Multigraph(G.n, reduced)
@@ -285,7 +313,7 @@ def _lemma_chi(
     """chi'(G), or `chi` when given, once the structural lemmas' shared hypotheses
     hold: chi' >= Delta + 2, and G critical unless the caller asserts it."""
     if chi is None:
-        chi = chromatic_index(G, deadline=deadline)[0]
+        chi = chromatic_index_value(G, deadline=deadline)
     delta_max = max(G.degrees, default=0)
     if chi < delta_max + 2:
         raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")

@@ -24,7 +24,8 @@ multiplicity layer over the representatives with whatever `map` it is given,
 so a scan shards it over its worker pool.  A class travels as its key, and
 `graph_from_key` rebuilds the representative; girth and bipartiteness, which
 depend on the simple layer alone, are computed once per simple
-representative and travel with its keys.
+representative and travel with its keys, and so does each key's Gamma, read
+from the representative's one `odd_set_table`.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from heapq import merge
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import INFINITE_GIRTH, bfs_dist, girth, simple_layer
+from .invariants import INFINITE_GIRTH, bfs_dist, ceil_div, girth, simple_layer
 from .multigraph import Multigraph, build
 
 CANONICAL_N_CAP = 12
@@ -404,46 +405,99 @@ def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, 0)
 
 
-def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[str]:
-    """Canonical keys of the spec's classes whose underlying simple graph is `simple`.
+def odd_set_table(S: Multigraph) -> list[tuple[tuple[int, ...], int]]:
+    """Rows (E, d) from which `table_gamma` reads Gamma of every multigraph on
+    the pairs of S: E is the positions in S.edges of the pairs inside an odd
+    vertex set U, |U| >= 3, and d = |U| - 1.
+
+    An edge set keeps its least d, and a row is dropped when another row
+    (E', d') has E' ⊇ E and d' <= d: with positive multiplicities its value
+    ceil(2 x(E') / d') is at least the dropped row's.  Rows are ordered by d,
+    then by size, so a row's droppers come before it.
+    """
+    n = S.n
+    ends = [(1 << u) | (1 << v) for u, v, _ in S.edges]
+    least: dict[int, int] = {}  # bitmask of edge positions -> least d
+    for size in range(3, n + 1, 2):
+        for U in combinations(range(n), size):
+            within = sum(1 << u for u in U)
+            E = sum(1 << i for i, uv in enumerate(ends) if uv & within == uv)
+            least.setdefault(E, size - 1)
+    table: list[tuple[int, int]] = []
+    for E, d in sorted(least.items(), key=lambda row: (row[1], -row[0].bit_count())):
+        if not any(E & ~E2 == 0 and d2 <= d for E2, d2 in table):
+            table.append((E, d))
+    return [(tuple(i for i in range(len(ends)) if E >> i & 1), d) for E, d in table]
+
+
+def table_gamma(table: list[tuple[tuple[int, ...], int]], mults: tuple[int, ...]) -> int:
+    """Gamma of the multigraph whose pairs, in the table's order, have `mults`:
+    ceil(2 x(E) / d) at the row of largest x(E) / d, which is exact as
+    `odd_set_table` keeps a row at least as large as every odd set's value."""
+    best_inside, best_d = 0, 1
+    for E, d in table:
+        inside = 0
+        for i in E:
+            inside += mults[i]
+        if inside * best_d > best_inside * d:
+            best_inside, best_d = inside, d
+    return ceil_div(2 * best_inside, best_d)
+
+
+def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, int]]:
+    """(canonical key, Gamma) of the spec's classes whose underlying simple
+    graph is `simple`.
 
     Two multiplicity vectors on the edges of `simple` give isomorphic
     multigraphs iff an automorphism of `simple` carries one onto the other,
     so only the lex-min vector of each orbit is canonicalised, and each key
-    comes out exactly once.
+    comes out exactly once.  Every vector has the odd vertex sets of
+    `simple`, so Gamma is read from one `odd_set_table`.
     """
     pairs = [(u, v) for u, v, _ in simple.edges]
     images = [itemgetter(*perm) for perm in _aut_edge_generators(simple)]
+    table = odd_set_table(simple)
     keys = []
     for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
         if not _is_orbit_min(vec, images):
             continue  # a smaller vector of the same orbit is kept instead
-        keys.append(_canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)]))
+        key = _canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)])
+        keys.append((key, table_gamma(table, vec)))
     return keys
+
+
+def _seeded(shard: list[tuple[str, int]], layer: tuple, interned: dict) -> Iterator[tuple]:
+    """A shard's (key, seed) pairs in key order, each seed (girth, bipartite,
+    Gamma) the one tuple `interned` holds for its value."""
+    for key, gamma in sorted(shard):
+        seed = (*layer, gamma)
+        yield key, interned.setdefault(seed, seed)
 
 
 def class_keys(
     spec: EnumSpec, mapper: Callable = map
-) -> tuple[list[str], list[tuple[int | float, bool]]]:
-    """Canonical keys of the spec's classes, sorted, and aligned with them the
-    `simple_layer` (girth, bipartite) of each key's simple representative.
+) -> tuple[list[str], list[tuple[int | float, bool, int]]]:
+    """Canonical keys of the spec's classes, sorted, and aligned with them
+    each key's seed: the `simple_layer` (girth, bipartite) of its simple
+    representative and its own Gamma.
 
     `mapper` runs the multiplicity layer, one simple representative per task:
     the builtin `map` in process, or a pool's `map` to shard it.  Keys of
     different representatives never collide, so the merge is a merge of the
-    sorted shards.  The keys of one representative share its pair: a scan
-    seeds each record's memo with it instead of recomputing it per record.
+    sorted shards.  Equal seeds are one tuple, so a key costs the seed list
+    one reference; a scan seeds each record's memo with it
+    (`seed_simple_layer`) instead of computing the three per record.
     """
     simples = list(simple_representatives(spec))
     layers = [simple_layer(S) for S in simples]
     shards = mapper(partial(multiplicity_keys, spec), simples)
-    runs = [zip(sorted(shard), repeat(layer)) for shard, layer in zip(shards, layers)]
+    interned: dict[tuple, tuple] = {}
     keys: list[str] = []
-    key_layers: list[tuple[int | float, bool]] = []
-    for key, layer in merge(*runs):
+    seeds: list[tuple[int | float, bool, int]] = []
+    for key, seed in merge(*map(_seeded, shards, layers, repeat(interned))):
         keys.append(key)
-        key_layers.append(layer)
-    return keys, key_layers
+        seeds.append(seed)
+    return keys, seeds
 
 
 def enumerate_with_keys(spec: EnumSpec) -> Iterator[tuple[str, Multigraph]]:

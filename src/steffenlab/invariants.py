@@ -3,22 +3,27 @@
 Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
 girth, represented as math.inf.  Girth takes the vertices in turn as roots of
-a BFS inside the vertices not yet taken, and searches only from a root with
-two neighbours among them, so it is linear on a cycle or a path numbered
-along it.
+a BFS inside the vertices not yet taken, and drops with each root every
+vertex left with fewer than two neighbours among them (a 2-core peel), so a
+forest starts no BFS at any numbering and a cycle starts one.
 
 Every simple-path search of the cycle layer, `structure.enumerate_cycles`
 included, runs on `simple_paths`, one walk over an explicit stack, and every
 distance, bipartiteness included, on the one BFS `bfs_dist`.
 
-`girth`, `is_bipartite` and `density` are memoised on the graph
-(`Multigraph.memo`), as is the underlying simple graph, so a scan record,
-`steffen_bound` and `chromatic_index` share one value per graph.  Girth and
-bipartiteness depend on the underlying simple graph alone, so a scan
-computes them once per simple representative and seeds each record's memo
-with them (`simple_layer`, `seed_simple_layer`).  The girth of an induced
-subgraph is memoised on the simple graph view, per vertex set, so a cycle
-partition, its verification and the short-cycle clauses share each BFS run.
+`girth`, `is_bipartite`, `density` and its value alone, `density_gamma`,
+are memoised on the graph (`Multigraph.memo`), as is the underlying simple
+graph, so a scan record, `steffen_bound` and `chromatic_index` share one
+value per graph.  Girth and bipartiteness depend on the underlying simple
+graph alone, so a scan computes them once per simple representative and
+seeds each record's memo with them (`simple_layer`, `seed_simple_layer`).
+Gamma depends on the multiplicities too, but every multigraph on one simple
+graph S has S's odd vertex sets, so the multiplicity layer reads the Gamma
+of each class from one table of S's odd sets (`generators.odd_set_table`),
+and a scan seeds that value as well: no scan record enumerates odd sets for
+its graph.  The girth of an induced subgraph is memoised on the simple graph
+view, per vertex set, so a cycle partition, its verification and the
+short-cycle clauses share each BFS run.
 
 Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
@@ -114,30 +119,47 @@ def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float
 def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
     """BFS from each root inside the vertices still alive, then drop the root; the
     min closed-walk bound over non-tree edges is exact, as a shortest cycle's
-    least vertex still sees all of it.  A root with < 2 alive neighbours is on none."""
-    best: int | float = INFINITE_GIRTH
+    least vertex still sees all of it.  With each dropped root goes every alive
+    vertex left with fewer than 2 alive neighbours (a 2-core peel): such a
+    vertex is on no cycle of the alive vertices, and a shortest cycle keeps
+    all of its vertices until its least one is a root.  So only 2-core roots
+    search, and a forest starts no BFS at any numbering."""
+    adj = view.adj
     alive = set(within)
+    degree = {v: sum(y in alive for y in adj[v]) for v in alive}
+    doomed = [v for v in alive if degree[v] < 2]
+    best: int | float = INFINITE_GIRTH
     for root in sorted(within):
-        if sum(y in alive for y in view.adj[root]) >= 2:
-            dist = {root: 0}
-            parent = {root: -1}
-            queue = deque([root])
-            while queue:
-                x = queue.popleft()
-                if 2 * dist[x] >= best:
-                    break
-                for y in view.adj[x]:
-                    if y not in alive:
-                        continue
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        queue.append(y)
-                    elif parent[x] != y and parent[y] != x:
-                        cand = dist[x] + dist[y] + 1
-                        if cand < best:
-                            best = cand
-        alive.discard(root)
+        while doomed:
+            x = doomed.pop()
+            if x in alive:
+                alive.remove(x)
+                for y in adj[x]:
+                    if y in alive:
+                        degree[y] -= 1
+                        if degree[y] == 1:
+                            doomed.append(y)
+        if root not in alive:
+            continue
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            if 2 * dist[x] >= best:
+                break
+            for y in adj[x]:
+                if y not in alive:
+                    continue
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif parent[x] != y and parent[y] != x:
+                    cand = dist[x] + dist[y] + 1
+                    if cand < best:
+                        best = cand
+        doomed.append(root)
     return best
 
 
@@ -241,10 +263,12 @@ def simple_layer(G: Multigraph) -> tuple[int | float, bool]:
     return girth(G), is_bipartite(G)
 
 
-def seed_simple_layer(G: Multigraph, layer: tuple[int | float, bool]) -> None:
-    """Memoise on G the `simple_layer` of a graph whose underlying simple
-    graph is isomorphic to G's, so that G never computes them itself."""
-    G.memo["girth"], G.memo["bipartite"] = layer
+def seed_simple_layer(G: Multigraph, seed: tuple[int | float, bool, int]) -> None:
+    """Memoise on G a scan's seed: the `simple_layer` of a graph whose
+    underlying simple graph is isomorphic to G's, and Gamma(G) itself, read
+    from that graph's `generators.odd_set_table`.  G then computes none of
+    the three."""
+    G.memo["girth"], G.memo["bipartite"], G.memo["gamma"] = seed
 
 
 def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:
@@ -265,6 +289,15 @@ def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:
     if "density" not in memo:
         memo["density"] = _odd_set_density(G, deadline)
     return memo["density"]
+
+
+def density_gamma(G: Multigraph, deadline: float | None = None) -> int:
+    """Gamma(G) without a witness: the value a scan seeded (`seed_simple_layer`),
+    else `density(G).gamma`, memoised on G."""
+    memo = G.memo
+    if "gamma" not in memo:
+        memo["gamma"] = density(G, deadline).gamma
+    return memo["gamma"]
 
 
 def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:

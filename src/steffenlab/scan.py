@@ -22,7 +22,7 @@ from functools import partial
 from itertools import chain, islice
 
 from .coloring import (
-    chromatic_index,
+    chromatic_index_value,
     degree_identity_check,
     is_critical,
     near_perfect_matching_decomposition,
@@ -39,7 +39,7 @@ from .generators import (
 from .invariants import (
     INFINITE_GIRTH,
     check_short_cycle_properties,
-    density,
+    density_gamma,
     girth,
     in_theorem_regime,
     seed_simple_layer,
@@ -73,8 +73,9 @@ _CONFIG_KEYS = {
 @dataclass(frozen=True)
 class ScanConfig:
     """A scan or lemma-suite run.  `budget_seconds` (`solverTimeoutSeconds`)
-    is one budget for all of a record's work, and in the lemma suite for a
-    corpus graph's or a random graph's fan-cap checks."""
+    is one budget for all of a record's work (its Gamma comes from the
+    enumeration, outside it), and in the lemma suite for a corpus graph's or
+    a random graph's fan-cap checks."""
 
     enum_spec: EnumSpec = field(default_factory=EnumSpec)
     budget_seconds: float = 60.0
@@ -131,11 +132,12 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         mu=G.max_mult, girth=None if g == INFINITE_GIRTH else int(g),
         steffenBound=steffen_bound(G), status="ok",
     )
-    # one budget for the whole record: density, ascent, criticality and ring
+    # one budget for the whole record: density (unless seeded), ascent,
+    # criticality and ring
     deadline = time.monotonic() + config.budget_seconds
     try:
-        record["gamma"] = density(G, deadline=deadline).gamma
-        chi = chromatic_index(G, deadline=deadline)[0]
+        record["gamma"] = density_gamma(G, deadline=deadline)
+        chi = chromatic_index_value(G, deadline=deadline)
         record["chi"] = chi
         record["achievesBound"] = chi == record["steffenBound"]
         record["chiGEDeltaPlus2"] = chi >= delta_max + 2
@@ -228,11 +230,11 @@ def _fold_record(summary: ScanSummary, record: dict) -> None:
             summary.ring_violations.append(key)
 
 
-def _record_for_key(config: ScanConfig, key: str, layer: tuple[int | float, bool]) -> dict:
-    """The record of the class `key`; `layer` is its simple representative's
-    (girth, bipartite), which the graph takes instead of computing them."""
+def _record_for_key(config: ScanConfig, key: str, seed: tuple[int | float, bool, int]) -> dict:
+    """The record of the class `key`; `seed` is its (girth, bipartite, Gamma)
+    from `class_keys`, which the graph takes instead of computing them."""
     G = graph_from_key(key)
-    seed_simple_layer(G, layer)
+    seed_simple_layer(G, seed)
     return compute_record(key, G, config)
 
 
@@ -303,7 +305,7 @@ def _fold_report_prefix(
 
 
 # keys per record task of a pool scan.  A record of the girth >= 5 corpus
-# takes a worker about 0.25 ms, so in batches of 16 the parent process spends
+# takes a worker about 0.08 ms, so in batches of 16 the parent process spends
 # more CPU sending tasks and taking results than on its own work; from about
 # 128 keys on that cost is flat, and far larger batches leave the end of the
 # scan waiting on the last one
@@ -327,9 +329,9 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     The multiplicity layer maps over the simple representatives, one per
     task, since a few of them hold most of the keys.  The records map over
     the keys in batches of `RECORD_BATCH`; each record rebuilds its graph
-    from the key and seeds it with the girth and bipartiteness of the key's
-    simple representative, so the graphs are built one record at a time and
-    only keys, those shared pairs and records cross between processes.
+    from the key and seeds it with the key's seed from `class_keys` (girth,
+    bipartiteness, Gamma), so the graphs are built one record at a time and
+    only keys, those shared seeds and records cross between processes.
     """
     if config.workers == 1:
         return _run_scan(config, map, map)
@@ -346,7 +348,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     resume = os.path.exists(ckpt_path)
     if resume and read_spec_echo(ckpt_path) != spec.to_json_obj():
         raise ConfigError("checkpoint was written by a different enumeration spec")
-    keys, layers = class_keys(spec, shard_map)
+    keys, seeds = class_keys(spec, shard_map)
 
     summary = ScanSummary()
     done = size = 0
@@ -358,7 +360,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
         out.truncate(size)
         write_spec_echo(ckpt_path, spec)
         records = record_map(
-            partial(_record_for_key, config), islice(keys, done, None), islice(layers, done, None)
+            partial(_record_for_key, config), islice(keys, done, None), islice(seeds, done, None)
         )
         for record in records:
             out.write(_record_line(record) + "\n")
@@ -419,7 +421,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
         where = {"suite": "critical", "graphKey": key}
         deadline = time.monotonic() + budget  # chi, criticality and every decomposition
         try:
-            chi = chromatic_index(G, deadline=deadline)[0]
+            chi = chromatic_index_value(G, deadline=deadline)
             high = chi >= max(G.degrees, default=0) + 2  # never for an edgeless graph
             if not (high and is_critical(G, chi=chi, deadline=deadline)):
                 continue
@@ -523,5 +525,5 @@ def _critical_in_regime(G: Multigraph, budget: float) -> bool:
     if not in_theorem_regime(*values, steffen_bound(G)):
         return False
     deadline = time.monotonic() + budget  # one budget for chi and criticality
-    chi = chromatic_index(G, deadline=deadline)[0]
+    chi = chromatic_index_value(G, deadline=deadline)
     return in_theorem_regime(*values, chi) and is_critical(G, chi=chi, deadline=deadline)

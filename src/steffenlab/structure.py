@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, NotShortestCycle, VertexNotInV0
-from .coloring import chromatic_index
+from .coloring import chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -276,7 +276,7 @@ def find_ring_subgraph_with_chi(
         chi = _ring_chi(mults)
         if chi == target:
             ring = RingSubgraph(cyc, tuple(mults), chi)
-            solved = chromatic_index(ring.to_multigraph(), deadline=deadline)[0]
+            solved = chromatic_index_value(ring.to_multigraph(), deadline=deadline)
             if solved != chi:
                 raise RuntimeError(
                     f"ring {ring.to_json_obj()}: closed form gives {chi}, solver {solved}"

@@ -17,10 +17,10 @@ def petersen() -> sl.Multigraph:
 def deadlines(monkeypatch) -> dict:
     """The deadline of every coloring decision and density call, by name."""
     import steffenlab.coloring as col
-    import steffenlab.scan as scan_mod
+    import steffenlab.invariants as inv
 
     seen = {"_search": [], "density": []}
-    search, density = col._search, col.density
+    search, density = col._search, inv.density
 
     def search_spy(n, edges, degrees, k, deadline):
         seen["_search"].append(deadline)
@@ -31,8 +31,7 @@ def deadlines(monkeypatch) -> dict:
         return density(G, deadline=deadline)
 
     monkeypatch.setattr(col, "_search", search_spy)
-    for module in (col, scan_mod):
-        monkeypatch.setattr(module, "density", density_spy)
+    monkeypatch.setattr(inv, "density", density_spy)
     return seen
 
 

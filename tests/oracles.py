@@ -21,7 +21,9 @@ the group itself is closed from the library's generators.  The
 enumeration oracle uses it for every key and canonicalises every
 candidate.  The whole-fan oracle is the library's previous `max_fan`: Edmonds-Karp
 on a split-vertex network with capacity and flow tables, then a separate
-flow decomposition.  Slow on purpose; only run on small inputs.
+flow decomposition.  The odd-set table oracle lists the rows of every odd
+vertex set as edge sets and drops rows by comparing every pair of them.
+Slow on purpose; only run on small inputs.
 """
 
 from __future__ import annotations
@@ -88,6 +90,23 @@ def brute_force_density(G: Multigraph) -> int:
             )
             best = max(best, -(-2 * inside // (size - 1)))
     return best
+
+
+def odd_set_table_by_definition(S: Multigraph) -> set[tuple[frozenset[int], int]]:
+    """The rows of `odd_set_table` as a set of (edge positions, d): every odd
+    vertex set of size >= 3 gives (the positions of the pairs inside it,
+    size - 1); an edge set keeps its least d, and a row is dropped when
+    another row holds its edge set at a d no larger."""
+    least: dict[frozenset[int], int] = {}
+    for size in range(3, S.n + 1, 2):
+        for U in combinations(range(S.n), size):
+            E = frozenset(i for i, (u, v, _) in enumerate(S.edges) if u in U and v in U)
+            least[E] = min(least.get(E, size - 1), size - 1)
+    return {
+        (E, d)
+        for E, d in least.items()
+        if not any(E2 != E and E <= E2 and d2 <= d for E2, d2 in least.items())
+    }
 
 
 def density_by_enumeration(G: Multigraph, cap: int = 22) -> DensityWitness:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.coloring import COLOR_CAP, _drop_keeping_chi, _search
-from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed
+from steffenlab.coloring import COLOR_CAP, _drop_keeping_chi, _search, chromatic_index_value
+from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from steffenlab.generators import EnumSpec, enumerate_with_keys
 from oracles import (
     brute_force_chi,
@@ -140,9 +140,11 @@ class TestChromaticIndex:
         # fails at its first decision, while the ascent climbs to 9.
         from steffenlab import coloring
 
-        decide = coloring.is_k_colorable
+        decide = coloring._search
         monkeypatch.setattr(
-            coloring, "is_k_colorable", lambda G, k, *a: None if k == 8 else decide(G, k, *a)
+            coloring, "_search", lambda n, edges, degrees, k, *a: (
+                None if k == 8 else decide(n, edges, degrees, k, *a)
+            )
         )
         G = sl.mu_cycle(5, 3)
         with pytest.raises(PreconditionFailed) as info:
@@ -288,6 +290,16 @@ class TestCriticalityWithoutRebuild:
             4, [(2, 3, 1)]
         )
 
+    def test_degree_settles_before_a_search(self, monkeypatch):
+        # two disjoint K_{1,3}: every G - e keeps the other star's centre at
+        # degree chi' = 3, so each answer needs no search
+        from steffenlab import coloring
+
+        G = sl.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 5, 1), (4, 6, 1), (4, 7, 1)])
+        monkeypatch.setattr(coloring, "_search", None)  # any search fails
+        assert _drop_keeping_chi(G, 3, None) == G.edges[1:]
+        assert not sl.is_critical(G, chi=3)
+
     def test_no_graph_per_decision(self, monkeypatch):
         import steffenlab.coloring as col
         import steffenlab.multigraph as mg
@@ -304,6 +316,50 @@ class TestCriticalityWithoutRebuild:
         assert built == []
         assert sl.extract_critical(H) == core
         assert built == [core]  # only the G - e that was kept
+
+
+class TestValueOnlyAscent:
+    """chromatic_index_value runs the ascent of chromatic_index and builds no witness."""
+
+    def test_exhaustive_small_corpus(self, monkeypatch):
+        # every class on 2..5 vertices with mu <= 3 (10,687 classes): the same
+        # chi' from the same decisions, under the same deadline
+        from steffenlab import coloring
+
+        decisions = []
+        search = coloring._search
+
+        def logged(n, edges, degrees, k, deadline):
+            decisions.append((edges, k, deadline))
+            return search(n, edges, degrees, k, deadline)
+
+        monkeypatch.setattr(coloring, "_search", logged)
+        spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
+        deadline = time.monotonic() + 600
+        count = 0
+        for key, G in enumerate_with_keys(spec):
+            decisions.clear()
+            chi = chromatic_index_value(G, deadline)
+            value_decisions = decisions[:]
+            decisions.clear()
+            assert chi == sl.chromatic_index(G, deadline=deadline)[0], key
+            assert value_decisions == decisions, key
+            count += 1
+        assert count == 10687
+
+    @pytest.mark.parametrize(
+        "G", [sl.mu_cycle(5, 3), sl.mu_cycle(6, 2)], ids=["needs-density", "bipartite"]
+    )
+    def test_expired_deadline_raises(self, G):
+        with pytest.raises(SolverTimeout):
+            chromatic_index_value(G, deadline=time.monotonic() - 1.0)
+
+    def test_builds_no_witness(self, monkeypatch):
+        from steffenlab import coloring
+
+        monkeypatch.setattr(coloring, "EdgeColoring", None)  # any witness fails
+        assert chromatic_index_value(sl.mu_cycle(5, 3)) == 8
+        assert chromatic_index_value(sl.build(3, [])) == 0
 
 
 class TestDynamicOrderSearch:

@@ -14,7 +14,9 @@ from steffenlab.generators import (
     class_keys,
     enumerate_with_keys,
     graph_from_key,
+    odd_set_table,
     simple_representatives,
+    table_gamma,
 )
 from steffenlab.invariants import is_bipartite
 from oracles import (
@@ -23,6 +25,7 @@ from oracles import (
     canonicalize,
     edge_automorphisms_by_backtrack,
     enumerate_by_dedup,
+    odd_set_table_by_definition,
 )
 
 
@@ -291,7 +294,7 @@ class TestOrbitPruning:
         star = sl.build(10, [(0, v, 1) for v in range(1, 10)])
         spec = EnumSpec(n_min=10, n_max=10, max_mu=3, max_edge_copies=27)
         keys = multiplicity_keys(spec, star)
-        multisets = {tuple(sorted(m for _, _, m in graph_from_key(key).edges)) for key in keys}
+        multisets = {tuple(sorted(m for _, _, m in graph_from_key(key).edges)) for key, _ in keys}
         assert len(keys) == len(multisets) == 55
         assert multisets == {
             tuple(sorted(c)) for c in itertools.combinations_with_replacement((1, 2, 3), 9)
@@ -369,10 +372,61 @@ class TestClassKeys:
         for key, layer in zip(keys, layers):
             G = graph_from_key(key)
             assert G.memo == {}
-            assert layer == (sl.girth(G), is_bipartite(G)), key
-        kinds = {(g == sl.INFINITE_GIRTH, bipartite) for g, bipartite in layers}
+            assert layer == (sl.girth(G), is_bipartite(G), sl.density(G).gamma), key
+        kinds = {(g == sl.INFINITE_GIRTH, bipartite) for g, bipartite, _ in layers}
         assert kinds == {(True, True), (False, True), (False, False)}
-        # one pair per simple representative, shared by all of its keys
-        assert len({id(layer) for layer in layers}) == len(list(simple_representatives(spec)))
+        # equal seeds are one tuple, shared by all of their keys
+        assert len({id(layer) for layer in layers}) == len(set(layers))
         with ProcessPoolExecutor(max_workers=2) as pool:
             assert class_keys(spec, pool.map) == (keys, layers)
+
+
+FULL6_SPEC = EnumSpec(n_min=1, n_max=6, max_mu=3, girth_min=3, max_edge_copies=12)
+GIRTH5_SPEC = EnumSpec(
+    n_min=5, n_max=7, max_mu=4, girth_min=5, max_edge_copies=16, require_cycle=True
+)
+
+
+def simple_of(G):
+    return sl.build(G.n, [(u, v, 1) for u, v, _ in G.edges])
+
+
+class TestOddSetTable:
+    """Gamma read from one table per simple graph against the density kernel,
+    and the table's rows against their definition."""
+
+    @pytest.mark.parametrize("spec", [FULL6_SPEC, GIRTH5_SPEC], ids=["full6", "girth5"])
+    def test_seeds_match_density_on_every_class(self, spec):
+        keys, seeds = class_keys(spec)
+        assert len(keys) == {FULL6_SPEC: 18207, GIRTH5_SPEC: 19701}[spec]
+        for key, (_, _, gamma) in zip(keys, seeds):
+            assert gamma == sl.density(graph_from_key(key)).gamma, key
+
+    def test_seeded_random_multigraphs(self):
+        rng = random.Random(20261019)
+        for _ in range(2000):
+            G = sl.random_multigraph(rng, n_max=9, mu_max=3)
+            mults = tuple(m for _, _, m in G.edges)
+            assert table_gamma(odd_set_table(simple_of(G)), mults) == sl.density(G).gamma, (
+                sl.serialize(G)
+            )
+
+    def test_rows_match_definition(self):
+        rng = random.Random(5)
+        graphs = [*simple_representatives(FULL6_SPEC), *simple_representatives(GIRTH5_SPEC)]
+        graphs += [simple_of(sl.random_multigraph(rng, n_max=8, mu_max=1)) for _ in range(200)]
+        for S in graphs:
+            table = odd_set_table(S)
+            rows = {(frozenset(E), d) for E, d in table}
+            assert len(rows) == len(table)
+            assert rows == odd_set_table_by_definition(S), sl.serialize(S)
+
+    def test_small_and_edgeless_graphs(self):
+        assert odd_set_table(sl.build(2, [(0, 1, 1)])) == []
+        assert table_gamma([], ()) == 0
+        # n >= 3 without pairs: one row with no pair in it
+        assert odd_set_table(sl.build(3, [])) == [((), 2)]
+        # the triangle plus two isolated vertices keeps d = 2 for its three pairs
+        table = odd_set_table(sl.build(5, [(0, 1, 1), (0, 2, 1), (1, 2, 1)]))
+        assert table == [((0, 1, 2), 2)]
+        assert table_gamma(table, (1, 1, 1)) == 3

@@ -47,6 +47,13 @@ def clause_tuples(violations):
     return [(x.clause, x.vertices, x.value, x.limit) for x in violations]
 
 
+def interior_first(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The graph on positions 0..1499 with these pairs, relabelled so that
+    the odd positions come first, then the even ones."""
+    label = {p: i for i, p in enumerate([*range(1, 1500, 2), *range(0, 1500, 2)])}
+    return [(min(label[a], label[b]), max(label[a], label[b]), 1) for a, b in pairs]
+
+
 class TestGirth:
     def test_3c5(self):
         assert sl.girth(sl.mu_cycle(5, 3)) == 5
@@ -88,13 +95,17 @@ class TestGirth:
         "edges, girth, starts",
         [
             ([(i, (i + 1) % 1500, 1) for i in range(1500)], 1500, 1),
+            (interior_first([(i, (i + 1) % 1500) for i in range(1500)]), 1500, 1),
             ([(i, i + 1, 1) for i in range(1499)], sl.INFINITE_GIRTH, 0),
+            (interior_first([(i, i + 1) for i in range(1499)]), sl.INFINITE_GIRTH, 0),
+            # the binary tree on heap positions
+            (interior_first([((i - 1) // 2, i) for i in range(1, 1500)]), sl.INFINITE_GIRTH, 0),
         ],
-        ids=["cycle", "path"],
+        ids=["cycle", "cycle-odd-first", "path", "path-odd-first", "tree-odd-first"],
     )
     def test_retired_roots_start_no_bfs(self, monkeypatch, edges, girth, starts):
-        # each BFS makes one queue: a root left with fewer than two alive
-        # neighbours is on no cycle that a later root could find
+        # each BFS makes one queue: a vertex left with fewer than two alive
+        # neighbours is on no cycle, so only the 2-core's least vertex searches
         queues = []
         real = invariants.deque
         monkeypatch.setattr(invariants, "deque", lambda *a: queues.append(1) or real(*a))

@@ -150,6 +150,31 @@ class TestSimpleLayerOnce:
         # simple representative) and none for the 1,951 records
         assert len(calls) == enumeration
 
+    @pytest.mark.parametrize("ring_check", [True, False])
+    def test_records_build_no_witness_and_no_density(self, tmp_path, monkeypatch, ring_check):
+        import steffenlab.coloring as coloring
+        import steffenlab.invariants as invariants
+
+        witnesses, kernel = [], []
+        witness, odd_sets = coloring.EdgeColoring, invariants._odd_set_density
+        monkeypatch.setattr(
+            coloring, "EdgeColoring", lambda *a: witnesses.append(a) or witness(*a)
+        )
+        monkeypatch.setattr(
+            invariants, "_odd_set_density", lambda G, *a: kernel.append(G) or odd_sets(G, *a)
+        )
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(
+            enum_spec=GIRTH5_SPEC, workers=1, output_path=str(out), ring_check=ring_check
+        )
+        summary = run_scan(cfg)
+        assert summary.total == 1951 and summary.ring_found == ring_check
+        assert witnesses == []
+        # Gamma comes with each key: only the solver's check of a found ring
+        # computes a density, on the ring graph
+        assert len(kernel) == summary.ring_found
+        assert all(sl.girth(G) == G.n for G in kernel)
+
     def test_seeded_record_equals_fresh_record(self, monkeypatch):
         import steffenlab.invariants as invariants
 
@@ -564,7 +589,7 @@ class TestResumeAcrossRingCheck:
         def out_of_time(*args, **kwargs):
             raise SolverTimeout("budget spent")
 
-        monkeypatch.setattr(scan_mod, "density", out_of_time)
+        monkeypatch.setattr(scan_mod, "density_gamma", out_of_time)
         G = sl.mu_cycle(5, 3)
         record = json.loads(_record_line(compute_record("k", G, ScanConfig(output_path="unused"))))
         assert record["status"] == "timeout" and record["chi"] is None
@@ -821,7 +846,7 @@ class TestTheoremRegime:
     def test_solver_only_where_girth_and_mu_allow_the_regime(self, monkeypatch):
         import steffenlab.scan as scan_mod
 
-        monkeypatch.setattr(scan_mod, "chromatic_index", None)  # any call fails
+        monkeypatch.setattr(scan_mod, "chromatic_index_value", None)  # any call fails
         # girth 3; mu = floor(g/2) at g = 5 and at g = 7; acyclic
         path = sl.build(3, [(0, 1, 4), (1, 2, 4)])
         for G in (sl.mu_complete(3, 3), sl.mu_cycle(5, 2), sl.mu_cycle(7, 3), path):
@@ -835,7 +860,7 @@ class TestTheoremRegime:
         def always_slow(*a, **kw):
             raise SolverTimeout("forced")
 
-        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        monkeypatch.setattr(scan_mod, "chromatic_index_value", always_slow)
         with pytest.raises(SolverTimeout):
             _critical_in_regime(sl.mu_cycle(5, 3), 60)
 
@@ -854,7 +879,7 @@ class TestTheoremRegime:
         monkeypatch.setattr(scan_mod, "random_multigraph", lambda rng, **kw: G)
         monkeypatch.setattr(scan_mod, "max_fan", lambda G, P, v0, h: Fan(v0, h, ((v0, 0),) * 4))
         monkeypatch.setattr(scan_mod, "fan_bound_check", lambda fan, cycle: True)
-        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        monkeypatch.setattr(scan_mod, "chromatic_index_value", always_slow)
         config = {
             "enumSpec": EnumSpec(n_min=1, n_max=1).to_json_obj(),  # no corpus graph
             "outputPath": str(tmp_path / "r.json"),
@@ -876,7 +901,7 @@ class TestTimeoutRecords:
         def always_slow(*a, **kw):
             raise SolverTimeout("forced")
 
-        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        monkeypatch.setattr(scan_mod, "chromatic_index_value", always_slow)
         cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
         assert record["status"] == "timeout"
@@ -890,8 +915,8 @@ class TestTimeoutRecords:
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
         assert record["isCritical"] and record["ringFound"]
         # 1 ascent decision, 5 G - e and 1 for the ring; density for the
-        # record, its chi' and the ring's chi'
-        assert len(deadlines["_search"]) == 7 and len(deadlines["density"]) == 3
+        # record, whose chi' reads the memoised Gamma, and for the ring's chi'
+        assert len(deadlines["_search"]) == 7 and len(deadlines["density"]) == 2
         assert len(set(deadlines["_search"] + deadlines["density"])) == 1
         assert math.isfinite(deadlines["_search"][0])
         assert start + 7 <= deadlines["_search"][0] <= time.monotonic() + 7
@@ -912,7 +937,7 @@ class TestTimeoutRecords:
         def always_slow(*a, **kw):
             raise SolverTimeout("forced")
 
-        monkeypatch.setattr(scan_mod, "chromatic_index", always_slow)
+        monkeypatch.setattr(scan_mod, "chromatic_index_value", always_slow)
         summary = ScanSummary()
         cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)

@@ -316,7 +316,7 @@ class TestRingClosedForm:
     def test_solver_disagreement_raises(self, monkeypatch):
         import steffenlab.structure as structure_mod
 
-        monkeypatch.setattr(structure_mod, "chromatic_index", lambda G, **kw: (0, None))
+        monkeypatch.setattr(structure_mod, "chromatic_index_value", lambda G, **kw: 0)
         with pytest.raises(RuntimeError):
             sl.find_ring_subgraph_with_chi(sl.mu_cycle(5, 3), 8)
 
