@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
-from .invariants import density_gamma, in_theorem_regime, is_bipartite
+from .invariants import DENSITY_ENUMERATION_CAP, density_gamma, in_theorem_regime, is_bipartite
 from .multigraph import Multigraph, remove_edges
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
@@ -207,8 +207,10 @@ def chromatic_index(
     k = Gamma, and a first decision that finds no Gamma-coloring raises
     PreconditionFailed("density-coloring") instead of climbing further.
     Density is skipped when the underlying simple graph is bipartite: then
-    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Density and
-    every decision share the one `deadline`.
+    Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Mode "search"
+    also skips it above density's vertex cap, starting at Delta: any lower
+    bound on chi' gives the same first feasible k.  Density and every
+    decision share the one `deadline`.
     """
     k, masks = _ascent(G, mode, deadline)
     return k, _witness(G, k, masks)
@@ -228,7 +230,10 @@ def _ascent(G: Multigraph, mode: str, deadline: float | None) -> tuple[int, list
         return 0, []
     delta_max = max(G.degrees)
     mu = G.max_mult
-    gamma = delta_max if is_bipartite(G) else density_gamma(G, deadline)
+    if mode == "search" and G.n > DENSITY_ENUMERATION_CAP or is_bipartite(G):
+        gamma = delta_max
+    else:
+        gamma = density_gamma(G, deadline)
     for k in range(max(delta_max, gamma), delta_max + mu + 1):
         masks = _search(G.n, G.edges, G.degrees, k, deadline)
         if masks is not None:

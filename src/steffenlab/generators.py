@@ -314,7 +314,7 @@ def canonical_form(G: Multigraph) -> str:
 
 
 def _is_connected(G: Multigraph) -> bool:
-    return G.n == 0 or len(bfs_dist(G.simple, range(G.n), 0)) == G.n
+    return G.n == 0 or len(bfs_dist(G, range(G.n), 0)) == G.n
 
 
 def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigraph]:
@@ -333,7 +333,7 @@ def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigrap
         nxt: dict[str, Multigraph] = {}
         for G in level.values():
             for u in range(n):
-                near = bfs_dist(G.simple, range(n), u)
+                near = bfs_dist(G, range(n), u)
                 for v in range(u + 1, n):
                     if v in near and near[v] < girth_min - 1:
                         continue

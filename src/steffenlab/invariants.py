@@ -11,19 +11,19 @@ Every simple-path search of the cycle layer, `structure.enumerate_cycles`
 included, runs on `simple_paths`, one walk over an explicit stack, and every
 distance, bipartiteness included, on the one BFS `bfs_dist`.
 
-`girth`, `is_bipartite`, `density` and its value alone, `density_gamma`,
-are memoised on the graph (`Multigraph.memo`), as is the underlying simple
-graph, so a scan record, `steffen_bound` and `chromatic_index` share one
-value per graph.  Girth and bipartiteness depend on the underlying simple
-graph alone, so a scan computes them once per simple representative and
-seeds each record's memo with them (`simple_layer`, `seed_simple_layer`).
-Gamma depends on the multiplicities too, but every multigraph on one simple
-graph S has S's odd vertex sets, so the multiplicity layer reads the Gamma
-of each class from one table of S's odd sets (`generators.odd_set_table`),
-and a scan seeds that value as well: no scan record enumerates odd sets for
-its graph.  The girth of an induced subgraph is memoised on the simple graph
-view, per vertex set, so a cycle partition, its verification and the
-short-cycle clauses share each BFS run.
+`is_bipartite`, `density` and its value alone, `density_gamma`, are
+memoised on the graph (`Multigraph.memo`) by name, and the girth of each
+induced subgraph asked about by its vertex set, the whole graph's (`girth`)
+included.  So a scan record, `steffen_bound` and `chromatic_index` share
+one value per graph, and a cycle partition, its verification and the
+short-cycle clauses share each BFS run.  Girth and bipartiteness depend on
+the underlying simple graph alone, so a scan computes them once per simple
+representative and seeds each record's memo with them (`simple_layer`,
+`seed_simple_layer`).  Gamma depends on the multiplicities too, but every
+multigraph on one simple graph S has S's odd vertex sets, so the
+multiplicity layer reads the Gamma of each class from one table of S's odd
+sets (`generators.odd_set_table`), and a scan seeds that value as well: no
+scan record enumerates odd sets for its graph.
 
 Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
-from .multigraph import Multigraph, SimpleGraphView
+from .multigraph import Multigraph
 
 INFINITE_GIRTH = math.inf
 
@@ -108,15 +108,15 @@ def in_theorem_regime(delta_max: int, mu: int, g: int | float, chi: int) -> bool
     return chi >= delta_max + 2 and chi == bound_at_girth(delta_max, mu, int(g))
 
 
-def subgraph_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
-    """Girth of the subgraph induced on `within`, memoised on the view per set."""
-    girths = view.girths
-    if within not in girths:
-        girths[within] = _bfs_girth(view, within)
-    return girths[within]
+def subgraph_girth(G: Multigraph, within: frozenset[int]) -> int | float:
+    """Girth of the subgraph induced on `within`, memoised on G per vertex set."""
+    memo = G.memo
+    if within not in memo:
+        memo[within] = _bfs_girth(G, within)
+    return memo[within]
 
 
-def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
+def _bfs_girth(G: Multigraph, within: frozenset[int]) -> int | float:
     """BFS from each root inside the vertices still alive, then drop the root; the
     min closed-walk bound over non-tree edges is exact, as a shortest cycle's
     least vertex still sees all of it.  With each dropped root goes every alive
@@ -124,7 +124,7 @@ def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
     vertex is on no cycle of the alive vertices, and a shortest cycle keeps
     all of its vertices until its least one is a root.  So only 2-core roots
     search, and a forest starts no BFS at any numbering."""
-    adj = view.adj
+    adj = G.adj
     alive = set(within)
     degree = {v: sum(y in alive for y in adj[v]) for v in alive}
     doomed = [v for v in alive if degree[v] < 2]
@@ -165,13 +165,10 @@ def _bfs_girth(view: SimpleGraphView, within: frozenset[int]) -> int | float:
 
 def girth(G: Multigraph) -> int | float:
     """Length of a shortest cycle (>= 3) of the underlying simple graph, or inf."""
-    memo = G.memo
-    if "girth" not in memo:
-        memo["girth"] = subgraph_girth(G.simple, frozenset(range(G.n)))
-    return memo["girth"]
+    return subgraph_girth(G, frozenset(range(G.n)))
 
 
-def shortest_cycle(view: SimpleGraphView, within: frozenset[int] | set[int]) -> CycleSeq | None:
+def shortest_cycle(G: Multigraph, within: frozenset[int] | set[int]) -> CycleSeq | None:
     """Canonical shortest cycle of the subgraph induced on `within`, or None.
 
     Tie-break among minimum-length cycles: each cycle is rotated/reflected to
@@ -180,19 +177,19 @@ def shortest_cycle(view: SimpleGraphView, within: frozenset[int] | set[int]) -> 
     from the least start that has one.
     """
     within = frozenset(within)
-    g = subgraph_girth(view, within)
+    g = subgraph_girth(G, within)
     if g == INFINITE_GIRTH:
         return None
     for start in sorted(within):
-        closing = view.adj[start]
-        for path in simple_paths(view, start, {v for v in within if v > start}, g):
+        closing = G.adj[start]
+        for path in simple_paths(G, start, {v for v in within if v > start}, g):
             if len(path) == g and path[-1] in closing:
                 return CycleSeq(tuple(path))
     return None  # unreachable: finite girth guarantees a cycle
 
 
 def simple_paths(
-    view: SimpleGraphView, first: int, allowed: Container[int], most: int
+    G: Multigraph, first: int, allowed: Container[int], most: int
 ) -> Iterator[list[int]]:
     """Every simple path that starts at `first`, continues inside `allowed` and
     has at most `most` vertices, in lexicographic order (prefixes first).
@@ -201,7 +198,7 @@ def simple_paths(
     path may be as long as the graph.  Each path is yielded as the walker's
     own list, which the next step changes: callers copy what they keep.
     """
-    adj = view.adj
+    adj = G.adj
     steps: dict[int, list[int]] = {}  # sorted neighbours inside `allowed`, per vertex
     path = [first]
     on_path = {first}
@@ -226,13 +223,13 @@ def simple_paths(
             on_path.discard(path.pop())
 
 
-def bfs_dist(view: SimpleGraphView, allowed: Container[int], src: int) -> dict[int, int]:
+def bfs_dist(G: Multigraph, allowed: Container[int], src: int) -> dict[int, int]:
     """Hop distance from src to every vertex it reaches inside `allowed`."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         x = queue.popleft()
-        for y in view.adj[x]:
+        for y in G.adj[x]:
             if y in allowed and y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -253,7 +250,7 @@ def _two_colorable(G: Multigraph) -> bool:
     dist: dict[int, int] = {}
     for root in range(G.n):
         if root not in dist:
-            dist.update(bfs_dist(G.simple, range(G.n), root))
+            dist.update(bfs_dist(G, range(G.n), root))
     return all(dist[u] != dist[v] for u, v, _ in G.edges)
 
 
@@ -268,7 +265,8 @@ def seed_simple_layer(G: Multigraph, seed: tuple[int | float, bool, int]) -> Non
     underlying simple graph is isomorphic to G's, and Gamma(G) itself, read
     from that graph's `generators.odd_set_table`.  G then computes none of
     the three."""
-    G.memo["girth"], G.memo["bipartite"], G.memo["gamma"] = seed
+    memo = G.memo
+    memo[frozenset(range(G.n))], memo["bipartite"], memo["gamma"] = seed
 
 
 def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:
@@ -393,23 +391,22 @@ def check_short_cycle_properties(
     they always hold for genuine shortest cycles, so any violation is a bug).
     """
     within = frozenset(within)
-    view = G.simple
-    require_shortest_cycle(view, C, within)
+    require_shortest_cycle(G, C, within)
     cyc = C.vertex_set()
     outside = sorted(within - cyc)
-    ncount = {v: sum(1 for c in cyc if view.has_edge(v, c)) for v in outside}
+    ncount = {v: len(cyc & G.adj[v]) for v in outside}
     violations: list[ShortCycleViolation] = []
     for clause, least, k, limit in _SHORT_CYCLE_CLAUSES:
         if len(C) < least:
             continue
-        for p in _outside_paths(view, outside, k):
+        for p in _outside_paths(G, outside, k):
             value = sum(ncount[v] for v in p)
             if value > limit:
                 violations.append(ShortCycleViolation(clause, p, value, limit))
     return violations
 
 
-def require_shortest_cycle(view: SimpleGraphView, C: CycleSeq, within: frozenset[int]) -> None:
+def require_shortest_cycle(G: Multigraph, C: CycleSeq, within: frozenset[int]) -> None:
     """Raise NotShortestCycle unless C is a shortest cycle of the subgraph on `within`."""
     vs = C.vertices
     if len(vs) < 3 or len(set(vs)) != len(vs):
@@ -419,17 +416,17 @@ def require_shortest_cycle(view: SimpleGraphView, C: CycleSeq, within: frozenset
             raise NotShortestCycle(f"cycle vertex {v} outside the given vertex set")
     for i in range(len(vs)):
         u, v = vs[i], vs[(i + 1) % len(vs)]
-        if not view.has_edge(u, v):
+        if v not in G.adj[u]:
             raise NotShortestCycle(f"consecutive vertices {u}, {v} not adjacent")
-    g = subgraph_girth(view, within)
+    g = subgraph_girth(G, within)
     if g != len(vs):
         raise NotShortestCycle(f"cycle has length {len(vs)} but girth is {g}")
 
 
-def _outside_paths(view: SimpleGraphView, outside: list[int], k: int) -> Iterator[tuple[int, ...]]:
+def _outside_paths(G: Multigraph, outside: list[int], k: int) -> Iterator[tuple[int, ...]]:
     """All simple k-vertex paths inside `outside`, one orientation per path."""
     allowed = set(outside)
     for v in outside:
-        for p in simple_paths(view, v, allowed, k):
+        for p in simple_paths(G, v, allowed, k):
             if len(p) == k and p[0] <= p[-1]:
                 yield tuple(p)

@@ -6,12 +6,13 @@ address copies as (pair, copy index).  Graph values are immutable and safe
 to share between concurrent workers.
 
 Invariants that only depend on the graph value are computed once per graph
-and kept on it: the degree vector and the underlying simple graph as cached
-properties, and values computed elsewhere (girth, bipartiteness, density)
-in `memo`.  Like every cached property they live in the instance `__dict__`,
-so they take no part in equality, hashing or repr, and they travel with a
-pickled graph.  The simple graph keeps the girth of each induced subgraph
-asked about in `girths`, a field left out of equality, hashing and repr.
+and kept on it.  The degree vector, the edge count and the largest
+multiplicity are set by the loop that checks the triples; the pair map and
+the neighbour sets of the underlying simple graph (`adj`) are cached
+properties, built on first use; values computed elsewhere (girth per
+induced vertex set, bipartiteness, density) go in `memo`.  None of them
+takes part in equality, hashing or repr, and all of them travel with a
+pickled graph.
 """
 
 from __future__ import annotations
@@ -36,49 +37,44 @@ class Multigraph:
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
+    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    edge_count: int = field(init=False, compare=False, repr=False)
+    max_mult: int = field(init=False, compare=False, repr=False)
+    # values other modules compute once for this graph, by name or vertex set
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise VertexOutOfRange(f"negative vertex count {self.n}")
+        deg = [0] * self.n
+        count = top = 0
         prev = (-1, -1)
         for u, v, m in self.edges:
             _check_triple(self.n, u, v, m)
             if u > v or (u, v) <= prev:
                 raise VertexOutOfRange(f"edge list not sorted/unique at ({u}, {v})")
             prev = (u, v)
+            deg[u] += m
+            deg[v] += m
+            count += m
+            if m > top:
+                top = m
+        object.__setattr__(self, "degrees", tuple(deg))
+        object.__setattr__(self, "edge_count", count)
+        object.__setattr__(self, "max_mult", top)
 
     @cached_property
     def mult_map(self) -> dict[tuple[int, int], int]:
         return {(u, v): m for u, v, m in self.edges}
 
     @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for u, v, m in self.edges:
-            deg[u] += m
-            deg[v] += m
-        return tuple(deg)
-
-    @cached_property
-    def edge_count(self) -> int:
-        return sum(m for _, _, m in self.edges)
-
-    @cached_property
-    def max_mult(self) -> int:
-        return max((m for _, _, m in self.edges), default=0)
-
-    @cached_property
-    def simple(self) -> SimpleGraphView:
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets of the underlying simple graph: u ~ v iff mult(u, v) >= 1."""
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v, _ in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return SimpleGraphView(self.n, tuple(frozenset(s) for s in adj))
-
-    @cached_property
-    def memo(self) -> dict:
-        """Values other modules compute once for this graph, by name."""
-        return {}
+        return tuple(frozenset(s) for s in adj)
 
     def mult(self, u: int, v: int) -> int:
         if u > v:
@@ -94,28 +90,6 @@ class Multigraph:
         for u, v, m in self.edges:
             for i in range(m):
                 yield ((u, v), i)
-
-
-@dataclass(frozen=True)
-class SimpleGraphView:
-    """Underlying simple graph: u ~ v iff the source pair has multiplicity >= 1."""
-
-    n: int
-    adj: tuple[frozenset[int], ...]
-    # girth of the induced subgraph on each vertex set asked about (subgraph_girth)
-    girths: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
 
 @dataclass(frozen=True)
@@ -167,7 +141,7 @@ def basic_invariants(G: Multigraph) -> BasicInvariants:
         Delta=max(G.degrees, default=0),
         delta=min(G.degrees, default=0),
         mu=G.max_mult,
-        delta_simple=min((G.simple.degree(v) for v in range(G.n)), default=0),
+        delta_simple=min(map(len, G.adj), default=0),
     )
 
 

@@ -31,7 +31,6 @@ from .errors import ConfigError, PreconditionFailed, SolverTimeout
 from .generators import (
     EnumSpec,
     class_keys,
-    enumerate_with_keys,
     graph_from_key,
     json_fields,
     random_multigraph,
@@ -230,12 +229,17 @@ def _fold_record(summary: ScanSummary, record: dict) -> None:
             summary.ring_violations.append(key)
 
 
-def _record_for_key(config: ScanConfig, key: str, seed: tuple[int | float, bool, int]) -> dict:
-    """The record of the class `key`; `seed` is its (girth, bipartite, Gamma)
+def _seeded_graph(key: str, seed: tuple[int | float, bool, int]) -> Multigraph:
+    """The graph of the class `key`; `seed` is its (girth, bipartite, Gamma)
     from `class_keys`, which the graph takes instead of computing them."""
     G = graph_from_key(key)
     seed_simple_layer(G, seed)
-    return compute_record(key, G, config)
+    return G
+
+
+def _record_for_key(config: ScanConfig, key: str, seed: tuple[int | float, bool, int]) -> dict:
+    """The record of the class `key` with its seed from `class_keys`."""
+    return compute_record(key, _seeded_graph(key, seed), config)
 
 
 def write_spec_echo(path: str, spec: EnumSpec) -> None:
@@ -248,11 +252,7 @@ def write_spec_echo(path: str, spec: EnumSpec) -> None:
 
 
 def read_spec_echo(path: str) -> dict:
-    """The spec echo on the checkpoint's first line; later lines are ignored.
-
-    Checkpoints of earlier versions listed the finished keys after the echo;
-    the report itself now says which records are finished.
-    """
+    """The spec echo on the checkpoint's first line; later lines are ignored."""
     with open(path, "rb") as fh:
         header = fh.readline()
     if not header.startswith(b"# "):
@@ -415,8 +415,9 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
         "minDegreeBoundsChecked": 0,
     }
     # enumerated keys ("NN.") sort before extras ("extra."), so the corpus is
-    # walked in key order one graph at a time
-    for key, G in chain(enumerate_with_keys(config.enum_spec), extras):
+    # walked in key order one graph at a time, each seeded as a scan record is
+    keys, seeds = class_keys(config.enum_spec)
+    for key, G in chain(zip(keys, map(_seeded_graph, keys, seeds)), extras):
         critical_stats["graphs"] += 1
         where = {"suite": "critical", "graphKey": key}
         deadline = time.monotonic() + budget  # chi, criticality and every decomposition

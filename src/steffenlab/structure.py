@@ -6,8 +6,10 @@ disjoint paths from a V_0 vertex to one partition cycle, with all interior
 vertices in V_0.  A ring graph is a multigraph whose underlying simple graph
 is a single spanning cycle.
 
-Cycle enumeration walks `invariants.simple_paths`, and partition
-verification asks `invariants.require_shortest_cycle` about each stage.
+Each function reads the underlying simple graph from the multigraph's
+neighbour sets (`Multigraph.adj`).  Cycle enumeration walks
+`invariants.simple_paths`, and partition verification asks
+`invariants.require_shortest_cycle` about each stage.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .invariants import (
     simple_paths,
     subgraph_girth,
 )
-from .multigraph import Multigraph, SimpleGraphView
+from .multigraph import Multigraph
 
 CYCLE_ENUMERATION_CAP = 10**6
 
@@ -95,11 +97,10 @@ class RingSubgraph:
 
 def cycle_partition(G: Multigraph) -> CyclePartition:
     """Greedy shortest-cycle peeling with the canonical cycle tie-break."""
-    view = G.simple
     remaining = set(range(G.n))
     cycles: list[CycleSeq] = []
     while True:
-        cyc = shortest_cycle(view, remaining)
+        cyc = shortest_cycle(G, remaining)
         if cyc is None:
             break
         cycles.append(cyc)
@@ -109,16 +110,15 @@ def cycle_partition(G: Multigraph) -> CyclePartition:
 
 def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
     """Re-verify the partition invariants; returns human-readable problems."""
-    view = G.simple
     problems: list[str] = []
     remaining = set(range(G.n))
     for idx, cyc in enumerate(P.cycles):
         try:
-            require_shortest_cycle(view, cyc, frozenset(remaining))
+            require_shortest_cycle(G, cyc, frozenset(remaining))
         except NotShortestCycle as exc:
             problems.append(f"cycle {idx}: {exc}")
         remaining -= cyc.vertex_set()
-    if subgraph_girth(view, frozenset(remaining)) != INFINITE_GIRTH:
+    if subgraph_girth(G, frozenset(remaining)) != INFINITE_GIRTH:
         problems.append("remainder V_0 is not acyclic")
     if frozenset(remaining) != P.v0:
         problems.append("V_0 does not match the unpeeled remainder")
@@ -139,7 +139,7 @@ def max_fan(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
     """
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
-    adj = G.simple.adj
+    adj = G.adj
     cyc = P.cycles[h].vertex_set()
     zone = P.v0 | cyc
     used: set[int] = set()  # vertices on a path, the apex excepted
@@ -198,21 +198,21 @@ def is_ring_graph(G: Multigraph) -> bool:
     """True iff the underlying simple graph is one cycle spanning all vertices."""
     if G.n < 3:
         return False
-    view = G.simple
-    if any(view.degree(v) != 2 for v in range(G.n)):
+    if any(len(nbrs) != 2 for nbrs in G.adj):
         return False
     # connected 2-regular graph = single cycle
-    return len(bfs_dist(view, range(G.n), 0)) == G.n
+    return len(bfs_dist(G, range(G.n), 0)) == G.n
 
 
-def enumerate_cycles(view: SimpleGraphView) -> list[CycleSeq]:
-    """All simple cycles, canonically oriented, sorted by (length, sequence)."""
+def enumerate_cycles(G: Multigraph) -> list[CycleSeq]:
+    """All simple cycles of the underlying simple graph, canonically oriented,
+    sorted by (length, sequence)."""
     cycles: list[tuple[int, ...]] = []
-    for start in range(view.n):
-        closing = view.adj[start]
+    for start in range(G.n):
+        closing = G.adj[start]
         if sum(y > start for y in closing) < 2:
             continue  # a cycle leaves its least vertex by two higher neighbours
-        for path in simple_paths(view, start, range(start + 1, view.n), view.n):
+        for path in simple_paths(G, start, range(start + 1, G.n), G.n):
             if len(path) >= 3 and path[1] < path[-1] and path[-1] in closing:
                 cycles.append(tuple(path))
                 if len(cycles) > CYCLE_ENUMERATION_CAP:
@@ -261,8 +261,7 @@ def find_ring_subgraph_with_chi(
     """
     if target < 1:
         return None
-    view = G.simple
-    for cyc in enumerate_cycles(view):
+    for cyc in enumerate_cycles(G):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         lo, hi = 0, sum(m - 1 for m in mults)

@@ -172,7 +172,7 @@ def brute_force_girth(G: Multigraph) -> int | None:
     return len(cycles[0]) if cycles else None
 
 
-def girth_by_bfs_from_every_root(view, within: frozenset[int]) -> int | float:
+def girth_by_bfs_from_every_root(G: Multigraph, within: frozenset[int]) -> int | float:
     """The library's previous induced-subgraph girth: a BFS inside `within` from
     every root, the min closed-walk bound over non-tree edges."""
     best: int | float = INFINITE_GIRTH
@@ -184,7 +184,7 @@ def girth_by_bfs_from_every_root(view, within: frozenset[int]) -> int | float:
             x = queue.popleft()
             if 2 * dist[x] >= best:
                 break
-            for y in view.adj[x]:
+            for y in G.adj[x]:
                 if y not in within:
                     continue
                 if y not in dist:
@@ -286,7 +286,6 @@ def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -
     """
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
-    view = G.simple
     cyc = P.cycles[h].vertex_set()
     zone = P.v0 | cyc
 
@@ -299,7 +298,7 @@ def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -
     for u in sorted(zone):
         if u in cyc:
             continue  # paths stop at their first cycle vertex
-        for w in sorted(view.adj[u]):
+        for w in sorted(G.adj[u]):
             if w in zone and w != v0:
                 cap[(2 * u + 1, 2 * w)] = 1
     for x in sorted(cyc):
@@ -340,7 +339,7 @@ def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -
         return None
 
     paths: list[tuple[int, ...]] = []
-    for first in sorted(view.adj[v0]):
+    for first in sorted(G.adj[v0]):
         if first not in zone or flow.get((source, 2 * first), 0) <= 0:
             continue
         flow[(source, 2 * first)] -= 1
@@ -349,7 +348,7 @@ def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -
         while node not in cyc:
             flow[(2 * node, 2 * node + 1)] -= 1
             nxt = None
-            for y in sorted(view.adj[node]):
+            for y in sorted(G.adj[node]):
                 if y in zone and flow.get((2 * node + 1, 2 * y), 0) > 0:
                     nxt = y
                     break
@@ -595,7 +594,7 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
         g = len(mults)
         return chromatic_index(build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]))[0]
 
-    for cyc in enumerate_cycles(G.simple):
+    for cyc in enumerate_cycles(G):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         chi = ring_chi(mults)

@@ -313,6 +313,27 @@ class TestErrors:
         out = json.loads(capsys.readouterr().out)
         assert out == {"cycles": [list(range(1200))], "v0": []}
 
+    def test_long_odd_cycle_past_the_density_cap(self, tmp_path, capsys):
+        # the search ascent starts at Delta past density's cap; the commands
+        # that need Gamma itself still refuse the cycle
+        path = tmp_path / "cycle.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(1501, 1)))
+        assert cli_main(["chi", str(path)]) == 0
+        assert capsys.readouterr().out == "3\n"
+        assert cli_main(["ring-find", str(path), "--target", "3"]) == 0
+        ring = {"cycle": list(range(1501)), "multiplicities": [1] * 1501, "chi": 3}
+        assert json.loads(capsys.readouterr().out) == {"found": True, "ring": ring}
+        for command, *options in (("invariants",), ("density",), ("chi", "--mode", "gs")):
+            assert cli_main([command, str(path), *options]) == 2
+            assert "density enumeration needs n <= 22, got 1501" in capsys.readouterr().err
+
+    def test_multicycle_past_the_density_cap(self, tmp_path, capsys):
+        # 3C_23: chi' = max(Delta, ceil(69 / 11)) = 7 > Delta = 6
+        path = tmp_path / "3c23.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(23, 3)))
+        assert cli_main(["chi", str(path)]) == 0
+        assert capsys.readouterr().out == "7\n"
+
     def test_deeply_nested_json_exit_2(self, capsys, monkeypatch):
         # json.loads recurses once per nesting level
         text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}'

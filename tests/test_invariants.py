@@ -2,6 +2,7 @@ import pickle
 import random
 import time
 from collections import Counter
+from dataclasses import fields
 from itertools import permutations
 
 import pytest
@@ -88,8 +89,8 @@ class TestGirth:
             G = sl.random_multigraph(rng, n_max=12, mu_max=2)
             keep = rng.random()
             within = frozenset(v for v in range(G.n) if rng.random() < keep)
-            want = girth_by_bfs_from_every_root(G.simple, within)
-            assert invariants._bfs_girth(G.simple, within) == want
+            want = girth_by_bfs_from_every_root(G, within)
+            assert invariants._bfs_girth(G, within) == want
 
     @pytest.mark.parametrize(
         "edges, girth, starts",
@@ -118,31 +119,30 @@ class TestShortestCycle:
         edges = [(i, (i + 1) % 5, 1) for i in range(5)]
         edges += [(5 + i, 5 + (i + 1) % 6, 1) for i in range(6)]
         G = sl.build(11, edges)
-        cyc = sl.shortest_cycle(G.simple, frozenset(range(11)))
+        cyc = sl.shortest_cycle(G, frozenset(range(11)))
         assert cyc.vertices == (0, 1, 2, 3, 4)
 
     def test_petersen_canonical(self, petersen):
-        cyc = sl.shortest_cycle(petersen.simple, frozenset(range(10)))
+        cyc = sl.shortest_cycle(petersen, frozenset(range(10)))
         assert cyc.vertices == brute_force_shortest_cycle(petersen, set(range(10))) == (0, 1, 2, 3, 4)
 
     def test_tree_has_none(self):
         G = sl.build(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
-        assert sl.shortest_cycle(G.simple, frozenset(range(4))) is None
+        assert sl.shortest_cycle(G, frozenset(range(4))) is None
 
     def test_respects_within(self, petersen):
-        view = petersen.simple
-        cyc = sl.shortest_cycle(view, frozenset(range(5, 10)))
+        cyc = sl.shortest_cycle(petersen, frozenset(range(5, 10)))
         assert cyc.vertices == (5, 7, 9, 6, 8)
 
     def test_long_cycle(self):
-        cyc = sl.shortest_cycle(sl.mu_cycle(1500, 1).simple, frozenset(range(1500)))
+        cyc = sl.shortest_cycle(sl.mu_cycle(1500, 1), frozenset(range(1500)))
         assert cyc.vertices == tuple(range(1500))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, seed):
         G = sl.random_multigraph(random.Random(seed), n_max=8, mu_max=2)
-        got = sl.shortest_cycle(G.simple, frozenset(range(G.n)))
+        got = sl.shortest_cycle(G, frozenset(range(G.n)))
         want = brute_force_shortest_cycle(G, set(range(G.n)))
         assert (got.vertices if got else None) == want
 
@@ -158,7 +158,7 @@ class TestSimplePaths:
         first = rng.randrange(G.n)
         allowed = {v for v in range(G.n) if rng.random() < 0.8}
         most = rng.randint(1, G.n)
-        got = [tuple(p) for p in invariants.simple_paths(G.simple, first, allowed, most)]
+        got = [tuple(p) for p in invariants.simple_paths(G, first, allowed, most)]
         rest = sorted(allowed - {first})
         want = sorted(
             (first, *p)
@@ -273,18 +273,27 @@ class TestMemo:
 
     def test_one_density_and_one_girth_per_record(self, monkeypatch):
         kernel = self.count_calls(monkeypatch, "_odd_set_density")
-        bfs = self.count_calls(monkeypatch, "subgraph_girth")
+        bfs = self.count_calls(monkeypatch, "_bfs_girth")
         G = sl.mu_cycle(5, 3)  # not bipartite: chromatic_index needs density too
         record = compute_record("k", G, ScanConfig(output_path="unused"))
         assert (record["gamma"], record["chi"], record["girth"]) == (8, 8, 5)
         assert kernel == Counter({G: 1})
-        assert bfs == Counter({G.simple: 1})
+        assert bfs == Counter({G: 1})
+
+    def test_girth_and_shortest_cycle_share_one_bfs(self, monkeypatch):
+        bfs = self.count_calls(monkeypatch, "_bfs_girth")
+        G = sl.mu_cycle(7, 2)
+        assert sl.girth(G) == 7
+        assert sl.shortest_cycle(G, range(G.n)).vertices == tuple(range(7))
+        assert bfs == Counter({G: 1})
+        # the whole graph's girth is the memo's entry for its vertex set
+        assert G.memo == {frozenset(range(7)): 7}
 
     def test_cli_invariants_reuses_values(self, monkeypatch, tmp_path, capsys):
         from steffenlab.cli import cli_main
 
         kernel = self.count_calls(monkeypatch, "_odd_set_density")
-        bfs = self.count_calls(monkeypatch, "subgraph_girth")
+        bfs = self.count_calls(monkeypatch, "_bfs_girth")
         path = tmp_path / "g.mgr"
         path.write_text(sl.serialize(sl.mu_cycle(7, 2)))
         assert cli_main(["invariants", str(path)]) == 0
@@ -301,16 +310,22 @@ class TestMemo:
         assert two_coloring == Counter({G: 1})
 
     def test_memoised_graph_is_the_same_value(self):
+        # a graph's value is n and its edges: the counts, the memo and the
+        # neighbour sets take no part in it, and travel with a pickle
         G = sl.mu_cycle(5, 3)
         fresh = sl.build(5, G.edges)
-        sl.girth(G), sl.density(G), G.simple
+        sl.girth(G), sl.density(G), G.adj
         assert G.memo and not fresh.memo
+        assert [f.name for f in fields(sl.Multigraph) if f.compare] == ["n", "edges"]
         assert G == fresh and hash(G) == hash(fresh) and repr(G) == repr(fresh)
+        assert repr(G) == f"Multigraph(n=5, edges={G.edges!r})"
         back = pickle.loads(pickle.dumps(G))
         assert back == fresh and hash(back) == hash(fresh)
+        for name in ("degrees", "edge_count", "max_mult", "memo", "adj"):
+            assert back.__dict__[name] == G.__dict__[name]
         assert sl.density(back) == sl.density(fresh)
         assert sl.girth(back) == sl.girth(fresh) == 5
-        assert back.simple == fresh.simple
+        assert back.adj == fresh.adj
 
 
 class TestBipartite:

@@ -86,18 +86,22 @@ class TestBasicInvariants:
         assert inv.mu <= inv.Delta
 
 
+def simple_pairs(G):
+    """The pairs u < v of G's underlying simple graph, read from its neighbour sets."""
+    return sorted((u, v) for u in range(G.n) for v in G.adj[u] if u < v)
+
+
 class TestUnderlyingSimple:
     def test_3c5_gives_c5(self):
-        view = sl.mu_cycle(5, 3).simple
-        assert sorted(view.pairs()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert simple_pairs(sl.mu_cycle(5, 3)) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_2k5_gives_k5(self):
-        view = sl.mu_complete(5, 2).simple
-        assert len(list(view.pairs())) == 10
+        assert len(simple_pairs(sl.mu_complete(5, 2))) == 10
 
     def test_path_shape(self):
-        view = sl.build(3, [(0, 1, 3), (1, 2, 1)]).simple
-        assert sorted(view.pairs()) == [(0, 1), (1, 2)]
+        G = sl.build(3, [(0, 1, 3), (1, 2, 1)])
+        assert simple_pairs(G) == [(0, 1), (1, 2)]
+        assert G.adj == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
 
 
 class TestRemoveEdges:
@@ -109,7 +113,7 @@ class TestRemoveEdges:
     def test_full_removal_drops_pair(self):
         G = sl.remove_edges(sl.mu_cycle(5, 3), 0, 1, 3)
         assert G.mult(0, 1) == 0
-        assert sorted(G.simple.pairs()) == [(0, 4), (1, 2), (2, 3), (3, 4)]
+        assert simple_pairs(G) == [(0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_not_enough(self):
         with pytest.raises(NotEnoughParallelEdges):
@@ -300,3 +304,30 @@ class TestParseAnyContract:
     def test_graph_value_edges_sorted_and_unique(self, edges):
         with pytest.raises(VertexOutOfRange, match="not sorted/unique"):
             sl.Multigraph(3, edges)
+
+
+class TestGraphValue:
+    """A graph is checked, and its counts set, as it is made."""
+
+    @pytest.mark.parametrize(
+        "n, edges, error, message",
+        [
+            (3, ((1, 1, 2),), LoopRejected, "loop at vertex 1"),
+            (3, ((0, 3, 1),), VertexOutOfRange, "edge (0, 3) outside 0..2"),
+            (3, ((0, 1, 0),), NonPositiveMultiplicity, "edge (0, 1) has multiplicity 0"),
+            (3, ((1, 0, 1),), VertexOutOfRange, "edge list not sorted/unique at (1, 0)"),
+            (3, ((1, 2, 1), (0, 1, 1)), VertexOutOfRange, "edge list not sorted/unique at (0, 1)"),
+            (-1, (), VertexOutOfRange, "negative vertex count -1"),
+        ],
+    )
+    def test_bad_triples_keep_their_messages(self, n, edges, error, message):
+        with pytest.raises(error) as info:
+            sl.Multigraph(n, edges)
+        assert str(info.value) == message
+
+    def test_counts_come_from_the_triples(self):
+        # the largest multiplicity is not the last one
+        G = sl.Multigraph(4, ((0, 1, 3), (1, 2, 1), (2, 3, 2)))
+        assert (G.degrees, G.edge_count, G.max_mult) == ((3, 4, 3, 2), 6, 3)
+        empty = sl.Multigraph(2, ())
+        assert (empty.degrees, empty.edge_count, empty.max_mult) == ((0, 0), 0, 0)

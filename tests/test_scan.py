@@ -137,9 +137,9 @@ class TestSimpleLayerOnce:
         import steffenlab.invariants as invariants
 
         calls = []
-        bfs = invariants.subgraph_girth
+        bfs = invariants._bfs_girth
         monkeypatch.setattr(
-            invariants, "subgraph_girth", lambda view, within: calls.append(1) or bfs(view, within)
+            invariants, "_bfs_girth", lambda G, within: calls.append(1) or bfs(G, within)
         )
         class_keys(GIRTH5_SPEC)
         enumeration = len(calls)
@@ -182,7 +182,7 @@ class TestSimpleLayerOnce:
         keys, layers = class_keys(GIRTH5_SPEC)
         fresh = [compute_record(key, graph_from_key(key), cfg) for key in keys]
         computed = []
-        for name in ("subgraph_girth", "_two_colorable"):
+        for name in ("_bfs_girth", "_two_colorable"):
             original = getattr(invariants, name)
             monkeypatch.setattr(
                 invariants, name, lambda G, *a, f=original: computed.append(G) or f(G, *a)
@@ -199,9 +199,11 @@ class TestSimpleLayerOnce:
         assert seeded == fresh
         # no record graph computes its girth or bipartiteness; the ring
         # search, on the one gated record, 2-colors only the rings it tries
-        assert not any(G is H or G is H.__dict__.get("simple") for G in computed for H in built)
-        # and only that record builds the simple view
-        assert sum("simple" in G.__dict__ for G in built) == 1
+        assert not any(G is H for G in computed for H in built)
+        # and only that record builds the neighbour sets of its simple graph
+        with_adj = [i for i, G in enumerate(built) if "adj" in G.__dict__]
+        assert with_adj == [i for i, r in enumerate(seeded) if r["ringFound"] is not None]
+        assert len(with_adj) == 1
 
 
 @pytest.fixture()
@@ -799,6 +801,27 @@ class TestLemmaSuite:
         assert report.payload["criticalSuite"]["decompositionsChecked"] == 5
         assert report.violation_count == 0
 
+
+    def test_corpus_takes_the_enumeration_seeds(self, tmp_path, monkeypatch):
+        import steffenlab.invariants as invariants
+
+        kernel = []
+        odd_sets = invariants._odd_set_density
+        monkeypatch.setattr(
+            invariants, "_odd_set_density", lambda G, *a: kernel.append(G) or odd_sets(G, *a)
+        )
+        extra = sl.mu_cycle(5, 3)
+        cfg = ScanConfig(
+            enum_spec=EnumSpec(n_min=3, n_max=5, max_mu=3, girth_min=3, max_edge_copies=9),
+            output_path=str(tmp_path / "r.json"),
+            random_graphs=0,
+            extra_graphs=(sl.serialize(extra),),
+        )
+        report = run_lemma_suite(cfg, 7)
+        assert report.payload["criticalSuite"]["criticalHighChi"] > 1
+        # each corpus graph reads Gamma from its seed; the unseeded extra
+        # graph is the one that enumerates odd sets
+        assert kernel == [extra]
 
     def test_precondition_failure_is_a_violation(self, tmp_path, monkeypatch):
         import steffenlab.scan as scan_mod

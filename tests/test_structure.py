@@ -59,7 +59,7 @@ class TestCyclePartition:
         runs = []
         bfs = invariants._bfs_girth
         monkeypatch.setattr(
-            invariants, "_bfs_girth", lambda view, within: runs.append(within) or bfs(view, within)
+            invariants, "_bfs_girth", lambda G, within: runs.append(within) or bfs(G, within)
         )
         assert sl.verify_cycle_partition(G, P) == []
         for cyc, stage in zip(P.cycles, P.stage_vertex_sets(G.n)):
@@ -219,16 +219,16 @@ class TestCycleEnumeration:
         rng = random.Random(80)
         for _ in range(40):
             G = sl.random_multigraph(rng, n_max=7, mu_max=1)
-            got = [c.vertices for c in enumerate_cycles(G.simple)]
+            got = [c.vertices for c in enumerate_cycles(G)]
             assert got == all_cycles_by_bfs_style(G)
 
     def test_long_cycle(self):
         # the walk keeps its path on an explicit stack, not the call stack
-        (cycle,) = enumerate_cycles(sl.mu_cycle(1500, 1).simple)
+        (cycle,) = enumerate_cycles(sl.mu_cycle(1500, 1))
         assert cycle.vertices == tuple(range(1500))
 
     def test_petersen_cycle_count(self, petersen):
-        cycles = enumerate_cycles(petersen.simple)
+        cycles = enumerate_cycles(petersen)
         assert len(cycles) == len(all_cycles_by_bfs_style(petersen))
         assert [len(c) for c in cycles[:12]] == [5] * 12  # twelve 5-cycles
 
