@@ -230,7 +230,7 @@ def _ascent(G: Multigraph, mode: str, deadline: float | None) -> tuple[int, list
         return 0, []
     delta_max = max(G.degrees)
     mu = G.max_mult
-    if mode == "search" and G.n > DENSITY_ENUMERATION_CAP or is_bipartite(G):
+    if (mode == "search" and G.n > DENSITY_ENUMERATION_CAP) or is_bipartite(G):
         gamma = delta_max
     else:
         gamma = density_gamma(G, deadline)

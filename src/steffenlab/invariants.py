@@ -95,9 +95,19 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def bound_at_girth(delta_max: int, mu: int, g: int) -> int:
-    """Delta + ceil(mu / floor(g/2)): Steffen's bound for a finite girth g >= 3."""
-    return delta_max + ceil_div(mu, g // 2)
+def bound_at_girth(delta_max: int, mu: int, g: int | float) -> int:
+    """Delta + ceil(mu / floor(g/2)): Steffen's bound at girth g >= 3 or inf.
+
+    An infinite girth takes the g -> inf limit of the ceiling term, which is 1
+    for mu >= 1 (sound: Vizing gives chi' <= Delta + 1 when mu = 1, and
+    bipartite acyclic graphs have chi' = Delta anyway).  Edgeless graphs
+    (mu = 0) give Delta = 0.
+    """
+    if mu == 0:
+        return delta_max
+    if g == INFINITE_GIRTH:
+        return delta_max + 1
+    return delta_max + ceil_div(mu, int(g) // 2)
 
 
 def in_theorem_regime(delta_max: int, mu: int, g: int | float, chi: int) -> bool:
@@ -105,7 +115,7 @@ def in_theorem_regime(delta_max: int, mu: int, g: int | float, chi: int) -> bool
     and chi' = Delta + ceil(mu / floor(g/2)).  A critical graph in it is an odd ring."""
     if not 5 <= g < INFINITE_GIRTH:
         return False
-    return chi >= delta_max + 2 and chi == bound_at_girth(delta_max, mu, int(g))
+    return chi >= delta_max + 2 and chi == bound_at_girth(delta_max, mu, g)
 
 
 def subgraph_girth(G: Multigraph, within: frozenset[int]) -> int | float:
@@ -358,21 +368,9 @@ def _fewest_inside(gamma: int, d: int) -> int:
 
 
 def steffen_bound(G: Multigraph) -> int:
-    """Delta + ceil(mu / floor(g/2)); Delta + 1 for acyclic graphs with an edge.
-
-    The acyclic case takes the g -> inf limit of the ceiling term, which is 1
-    for mu >= 1 (sound: Vizing gives chi' <= Delta + 1 when mu = 1, and
-    bipartite acyclic graphs have chi' = Delta anyway).  Edgeless graphs
-    return Delta = 0.
-    """
-    delta_max = max(G.degrees, default=0)
-    mu = G.max_mult
-    if mu == 0:
-        return delta_max
-    g = girth(G)
-    if g == INFINITE_GIRTH:
-        return delta_max + 1
-    return bound_at_girth(delta_max, mu, int(g))
+    """Delta + ceil(mu / floor(g/2)); Delta + 1 for acyclic graphs with an edge
+    and 0 for edgeless ones (`bound_at_girth`)."""
+    return bound_at_girth(max(G.degrees, default=0), G.max_mult, girth(G))
 
 
 def check_short_cycle_properties(

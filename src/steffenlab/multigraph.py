@@ -41,7 +41,7 @@ class Multigraph:
     edge_count: int = field(init=False, compare=False, repr=False)
     max_mult: int = field(init=False, compare=False, repr=False)
     # values other modules compute once for this graph, by name or vertex set
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:

@@ -37,12 +37,12 @@ from .generators import (
 )
 from .invariants import (
     INFINITE_GIRTH,
+    bound_at_girth,
     check_short_cycle_properties,
     density_gamma,
     girth,
     in_theorem_regime,
     seed_simple_layer,
-    steffen_bound,
 )
 from .multigraph import Multigraph, parse_any, serialize
 from .structure import (
@@ -129,7 +129,7 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
     record.update(
         graphKey=key, n=G.n, m=G.edge_count, Delta=delta_max, delta=min(G.degrees, default=0),
         mu=G.max_mult, girth=None if g == INFINITE_GIRTH else int(g),
-        steffenBound=steffen_bound(G), status="ok",
+        steffenBound=bound_at_girth(delta_max, G.max_mult, g), status="ok",
     )
     # one budget for the whole record: density (unless seeded), ascent,
     # criticality and ring
@@ -523,7 +523,7 @@ def _critical_in_regime(G: Multigraph, budget: float) -> bool:
     within `budget` seconds, else SolverTimeout.  chi' <= Steffen's bound, so
     the solver runs only when the bound itself is in the regime."""
     values = (max(G.degrees), G.max_mult, girth(G))
-    if not in_theorem_regime(*values, steffen_bound(G)):
+    if not in_theorem_regime(*values, bound_at_girth(*values)):
         return False
     deadline = time.monotonic() + budget  # one budget for chi and criticality
     chi = chromatic_index_value(G, deadline=deadline)

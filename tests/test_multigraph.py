@@ -331,3 +331,12 @@ class TestGraphValue:
         assert (G.degrees, G.edge_count, G.max_mult) == ((3, 4, 3, 2), 6, 3)
         empty = sl.Multigraph(2, ())
         assert (empty.degrees, empty.edge_count, empty.max_mult) == ((0, 0), 0, 0)
+
+    def test_derived_values_are_not_arguments(self):
+        # a memo passed in would be trusted as this graph's girths and Gamma
+        with pytest.raises(TypeError):
+            sl.Multigraph(2, (), {})
+        with pytest.raises(TypeError):
+            sl.Multigraph(2, (), memo={})
+        with pytest.raises(TypeError):
+            sl.Multigraph(2, (), degrees=(0, 0))

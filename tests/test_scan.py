@@ -116,6 +116,20 @@ class TestRecords:
         assert record["ringFound"] is True
         assert record["status"] == "ok"
 
+    def test_record_reads_its_girth_once(self, monkeypatch):
+        import steffenlab.invariants as invariants
+
+        lookups = []
+        lookup = invariants.subgraph_girth
+        monkeypatch.setattr(
+            invariants, "subgraph_girth", lambda G, S: lookups.append(S) or lookup(G, S)
+        )
+        cfg = ScanConfig(enum_spec=GIRTH5_SPEC, output_path="unused", ring_check=False)
+        record = compute_record("k", sl.mu_cycle(5, 3), cfg)
+        # the Steffen bound is read at the record's girth, not looked up again
+        assert (record["girth"], record["steffenBound"]) == (5, 8)
+        assert lookups == [frozenset(range(5))]
+
     def test_gate_closed_below_girth_floor(self, petersen):
         # mu >= floor(g/2)+1 fails for Petersen: ringFound stays null
         spec = EnumSpec(n_min=5, n_max=10, max_mu=1, girth_min=5)
