@@ -9,8 +9,7 @@ from importlib import import_module
 
 # submodule -> the names it re-exports
 _EXPORTS = {
-    "multigraph": "BasicInvariants Multigraph basic_invariants build from_json_obj induced "
-    "parse parse_any remove_edges serialize to_json_obj",
+    "multigraph": "Multigraph build from_json_obj induced parse parse_any serialize to_json_obj",
     "invariants": "INFINITE_GIRTH CycleSeq DensityWitness ShortCycleViolation "
     "check_short_cycle_properties density girth shortest_cycle steffen_bound subgraph_girth",
     "coloring": "DegreeIdentityReport EdgeColoring MatchingDecomposition chromatic_index "

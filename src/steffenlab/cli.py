@@ -19,7 +19,7 @@ import time
 from .coloring import chromatic_index, chromatic_index_value, extract_critical
 from .errors import ConfigError, GraphError
 from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
-from .multigraph import basic_invariants, parse_any, serialize, to_json_obj
+from .multigraph import parse_any, serialize, to_json_obj
 from .structure import cycle_partition, find_ring_subgraph_with_chi
 
 
@@ -40,11 +40,14 @@ def _load_config(path: str):
 
 
 def _cmd_invariants(G, args) -> int:
-    inv = basic_invariants(G).to_json_obj()
     g = girth(G)
-    inv["girth"] = None if g == INFINITE_GIRTH else int(g)
-    inv["gamma"] = density(G).gamma
-    inv["steffenBound"] = steffen_bound(G)
+    inv = {
+        "n": G.n, "m": G.edge_count, "Delta": max(G.degrees, default=0),
+        "delta": min(G.degrees, default=0), "mu": G.max_mult,
+        "deltaSimple": min(map(len, G.adj), default=0),
+        "girth": None if g == INFINITE_GIRTH else int(g), "gamma": density(G).gamma,
+        "steffenBound": steffen_bound(G),
+    }
     print(json.dumps(inv))
     return 0
 

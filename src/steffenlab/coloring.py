@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from .invariants import DENSITY_ENUMERATION_CAP, density_gamma, in_theorem_regime, is_bipartite
-from .multigraph import Multigraph, remove_edges
+from .multigraph import Multigraph
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
 COLOR_CAP = 4096  # the most colors a decision may use: its witness costs about k^2
@@ -289,7 +289,7 @@ def _drop_keeping_chi(
 def _less_one_copy(
     edges: tuple[tuple[int, int, int], ...], i: int
 ) -> tuple[tuple[int, int, int], ...]:
-    """`edges` with one copy of pair i removed, in serialized order."""
+    """G - e: `edges` less one copy of pair i, in serialized order."""
     u, v, m = edges[i]
     return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :]
 
@@ -346,8 +346,8 @@ def near_perfect_matching_decomposition(
     if G.n % 2 == 0:
         raise PreconditionFailed("n-odd", f"n={G.n} is even")
     chi = _lemma_chi(G, chi, assume_critical, deadline)
-    reduced = remove_edges(G, u, v, 1)
-    witness = is_k_colorable(reduced, chi - 1, deadline)
+    reduced = _less_one_copy(G.edges, G.edges.index((u, v, G.mult(u, v))))
+    witness = is_k_colorable(Multigraph(G.n, reduced), chi - 1, deadline)
     if witness is None:
         raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
     classes = witness.classes()

@@ -17,10 +17,6 @@ class NonPositiveMultiplicity(GraphError):
     """An edge multiplicity was zero or negative."""
 
 
-class NotEnoughParallelEdges(GraphError):
-    """Asked to remove more parallel copies than a pair has."""
-
-
 class ParseError(GraphError):
     """Malformed MGR text or JSON graph.  MGR errors carry the 1-based line number."""
 

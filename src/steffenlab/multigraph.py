@@ -1,4 +1,4 @@
-"""Loopless multigraph values, basic invariants, and MGR text/JSON serialization.
+"""Loopless multigraph values and MGR text/JSON serialization.
 
 Vertices are dense integers 0..n-1.  Parallel edges are stored as a
 multiplicity per unordered pair, never as individual copies; colorings
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator
 from .errors import (
     LoopRejected,
     NonPositiveMultiplicity,
-    NotEnoughParallelEdges,
     ParseError,
     VertexOutOfRange,
 )
@@ -81,35 +80,11 @@ class Multigraph:
             u, v = v, u
         return self.mult_map.get((u, v), 0)
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for u, v, _ in self.edges:
-            yield (u, v)
-
     def copies(self) -> Iterator[tuple[tuple[int, int], int]]:
         """All parallel-edge copies as ((u, v), copy_index)."""
         for u, v, m in self.edges:
             for i in range(m):
                 yield ((u, v), i)
-
-
-@dataclass(frozen=True)
-class BasicInvariants:
-    n: int
-    m: int
-    Delta: int
-    delta: int
-    mu: int
-    delta_simple: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "Delta": self.Delta,
-            "delta": self.delta,
-            "mu": self.mu,
-            "deltaSimple": self.delta_simple,
-        }
 
 
 def _check_triple(n: int, u: int, v: int, m: int, where: str = "") -> None:
@@ -132,36 +107,6 @@ def build(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
         key = (u, v) if u < v else (v, u)
         acc[key] = acc.get(key, 0) + m
     return Multigraph(n, tuple((u, v, acc[(u, v)]) for u, v in sorted(acc)))
-
-
-def basic_invariants(G: Multigraph) -> BasicInvariants:
-    return BasicInvariants(
-        n=G.n,
-        m=G.edge_count,
-        Delta=max(G.degrees, default=0),
-        delta=min(G.degrees, default=0),
-        mu=G.max_mult,
-        delta_simple=min(map(len, G.adj), default=0),
-    )
-
-
-def remove_edges(G: Multigraph, u: int, v: int, count: int) -> Multigraph:
-    """Return a copy with `count` parallel copies removed from pair {u, v}."""
-    if u > v:
-        u, v = v, u
-    have = G.mult(u, v)
-    if count > have:
-        raise NotEnoughParallelEdges(f"pair ({u}, {v}) has {have} copies, asked to remove {count}")
-    if count < 0:
-        raise NonPositiveMultiplicity(f"cannot remove {count} copies")
-    out = []
-    for a, b, m in G.edges:
-        if (a, b) == (u, v):
-            if m - count > 0:
-                out.append((a, b, m - count))
-        else:
-            out.append((a, b, m))
-    return Multigraph(G.n, tuple(out))
 
 
 def induced(G: Multigraph, S: Iterable[int]) -> Multigraph:

@@ -14,11 +14,12 @@ neighbour sets (`Multigraph.adj`).  Cycle enumeration walks
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge, NotShortestCycle, VertexNotInV0
-from .coloring import chromatic_index_value
+from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout, VertexNotInV0
+from .coloring import _TIMEOUT_CHECK_MASK, chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -204,15 +205,24 @@ def is_ring_graph(G: Multigraph) -> bool:
     return len(bfs_dist(G, range(G.n), 0)) == G.n
 
 
-def enumerate_cycles(G: Multigraph) -> list[CycleSeq]:
+def _poll(deadline: float | None, count: int, what: str) -> None:
+    """SolverTimeout once `deadline` has passed, polled like the solver: at count 0, 1024, ..."""
+    if deadline is not None and not count & _TIMEOUT_CHECK_MASK and time.monotonic() > deadline:
+        raise SolverTimeout(f"{what} exceeded budget")
+
+
+def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[CycleSeq]:
     """All simple cycles of the underlying simple graph, canonically oriented,
-    sorted by (length, sequence)."""
+    sorted by (length, sequence).  The walk polls `deadline` (`_poll`)."""
     cycles: list[tuple[int, ...]] = []
+    walked = 0
     for start in range(G.n):
         closing = G.adj[start]
         if sum(y > start for y in closing) < 2:
             continue  # a cycle leaves its least vertex by two higher neighbours
         for path in simple_paths(G, start, range(start + 1, G.n), G.n):
+            _poll(deadline, walked, "cycle enumeration")
+            walked += 1
             if len(path) >= 3 and path[1] < path[-1] and path[-1] in closing:
                 cycles.append(tuple(path))
                 if len(cycles) > CYCLE_ENUMERATION_CAP:
@@ -257,11 +267,12 @@ def find_ring_subgraph_with_chi(
     passes through every value down to the simple cycle and hits the target
     exactly if it is reachable.  The first step that does is found by
     bisection, each probe taking chi' from the ring's closed form; the
-    solver checks the returned ring once.
+    solver checks the returned ring once.  The cycle walk and this loop poll `deadline`.
     """
     if target < 1:
         return None
-    for cyc in enumerate_cycles(G):
+    for tried, cyc in enumerate(enumerate_cycles(G, deadline)):
+        _poll(deadline, tried, "ring search")
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         lo, hi = 0, sum(m - 1 for m in mults)

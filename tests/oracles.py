@@ -10,10 +10,10 @@ finds outside paths among the permutations of the outside vertices.  The
 ring-search oracle is the library's previous search, which asks the solver
 for chi' at every step instead of using the ring's closed form.  The
 criticality oracles are the library's previous loop, which builds every
-G - e as a graph, and the witness oracle is its previous assembly, which
-sorts the copies.  The static-order search is the library's previous
-colorability decision, which branches on pairs in a fixed order.  The
-canonical-form oracle is the library's previous search: whole-partition
+G - e as a graph from the copies that remain, and the witness oracle is its
+previous assembly, which sorts the copies.  The static-order search is the
+library's previous colorability decision, which branches on pairs in a fixed
+order.  The canonical-form oracle is the library's previous search: whole-partition
 refinement rounds on integer colors, a branch for every vertex of the target
 class unless the class is interchangeable, and no automorphism pruning; its
 automorphism oracle is the library's previous separate backtrack, and
@@ -41,7 +41,7 @@ from steffenlab.coloring import (
 from steffenlab.errors import InstanceTooLarge, SolverTimeout, VertexNotInV0
 from steffenlab.generators import _aut_edge_generators
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
-from steffenlab.multigraph import Multigraph, build, remove_edges
+from steffenlab.multigraph import Multigraph, build
 from steffenlab.structure import CyclePartition, Fan, RingSubgraph, enumerate_cycles
 
 
@@ -563,7 +563,7 @@ def enumerate_by_dedup(spec) -> list[tuple[str, Multigraph]]:
                 continue
             if spec.connected_only and not _connected_by_search(S):
                 continue
-            pairs = list(S.pairs())
+            pairs = [(u, v) for u, v, _ in S.edges]
             for vec in product(range(1, spec.max_mu + 1), repeat=len(pairs)):
                 if sum(vec) > spec.max_edge_copies:
                     continue
@@ -611,11 +611,18 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
     return None
 
 
+def minus_one_copy(G: Multigraph, u: int, v: int) -> Multigraph:
+    """G - e for one copy e of the pair {u, v}, built from G's copies."""
+    copies = [pair for pair, _ in G.copies()]
+    copies.remove((min(u, v), max(u, v)))
+    return build(G.n, [(a, b, 1) for a, b in copies])
+
+
 def drop_keeping_chi_by_rebuild(G: Multigraph, chi: int) -> Multigraph | None:
     """G minus one copy of the first pair, in serialized order, whose removal
-    keeps chi' = chi, building each G - e with remove_edges."""
+    keeps chi' = chi, building each G - e with minus_one_copy."""
     for u, v, _ in G.edges:
-        reduced = remove_edges(G, u, v, 1)
+        reduced = minus_one_copy(G, u, v)
         if is_k_colorable(reduced, chi - 1) is None:
             return reduced
     return None

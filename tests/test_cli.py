@@ -272,6 +272,18 @@ class TestErrors:
         assert "density" in proc.stderr and "exceeded budget" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_ring_search_timeout_exit_2(self):
+        # 2K10 has 556,014 cycles: the cycle walk polls the command's deadline
+        gen = run_cli(["gen", "mu-complete", "10", "2"])
+        start = time.monotonic()
+        proc = run_cli(
+            ["ring-find", "-", "--target", "1000", "--timeout", "1"], stdin_text=gen.stdout
+        )
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 2
+        # the walk takes about 2 s, so the budget runs out in it or in the loop after
+        assert re.fullmatch(r"error: (cycle enumeration|ring search) exceeded budget\n", proc.stderr)
+
     def test_directory_as_graph_exit_2(self, tmp_path, capsys):
         assert cli_main(["chi", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -5,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
+from steffenlab.cli import cli_main
+from steffenlab.coloring import _less_one_copy
 from steffenlab.errors import (
     GraphError,
     LoopRejected,
     NonPositiveMultiplicity,
-    NotEnoughParallelEdges,
     ParseError,
     VertexOutOfRange,
 )
+from oracles import minus_one_copy
 
 
 def triples(n_max=7, mu_max=4):
@@ -68,22 +71,40 @@ class TestBuild:
 
 
 class TestBasicInvariants:
-    def test_3c5(self):
-        inv = sl.basic_invariants(sl.mu_cycle(5, 3))
-        assert (inv.n, inv.m, inv.Delta, inv.delta, inv.mu) == (5, 15, 6, 6, 3)
+    """The degree, size and multiplicity values that `invariants` prints."""
 
-    def test_2k5(self):
-        inv = sl.basic_invariants(sl.mu_complete(5, 2))
-        assert (inv.n, inv.m, inv.Delta, inv.delta, inv.mu) == (5, 20, 8, 8, 2)
+    @pytest.fixture()
+    def invariants(self, capsys, monkeypatch):
+        def run(G):
+            monkeypatch.setattr("sys.stdin", io.StringIO(sl.serialize(G)))
+            assert cli_main(["invariants", "-"]) == 0
+            return json.loads(capsys.readouterr().out)
 
-    def test_single_vertex(self):
-        inv = sl.basic_invariants(sl.build(1, []))
-        assert (inv.n, inv.m, inv.Delta, inv.delta, inv.mu) == (1, 0, 0, 0, 0)
+        return run
 
-    def test_ordering_chain(self):
-        inv = sl.basic_invariants(sl.build(4, [(0, 1, 3), (1, 2, 1)]))
-        assert inv.delta_simple <= inv.delta <= inv.Delta <= inv.m
-        assert inv.mu <= inv.Delta
+    def test_3c5(self, invariants):
+        assert list(invariants(sl.mu_cycle(5, 3)).items()) == [
+            ("n", 5), ("m", 15), ("Delta", 6), ("delta", 6), ("mu", 3), ("deltaSimple", 2),
+            ("girth", 5), ("gamma", 8), ("steffenBound", 8),
+        ]
+
+    def test_2k5(self, invariants):
+        assert invariants(sl.mu_complete(5, 2)) == {
+            "n": 5, "m": 20, "Delta": 8, "delta": 8, "mu": 2, "deltaSimple": 4,
+            "girth": 3, "gamma": 10, "steffenBound": 10,
+        }
+
+    def test_single_vertex(self, invariants):
+        assert invariants(sl.build(1, [])) == {
+            "n": 1, "m": 0, "Delta": 0, "delta": 0, "mu": 0, "deltaSimple": 0,
+            "girth": None, "gamma": 0, "steffenBound": 0,
+        }
+
+    def test_ordering_chain(self, invariants):
+        inv = invariants(sl.build(4, [(0, 1, 3), (1, 2, 1)]))
+        assert (inv["Delta"], inv["delta"], inv["mu"], inv["deltaSimple"]) == (4, 0, 3, 0)
+        assert inv["deltaSimple"] <= inv["delta"] <= inv["Delta"] <= inv["m"]
+        assert inv["mu"] <= inv["Delta"]
 
 
 def simple_pairs(G):
@@ -105,32 +126,34 @@ class TestUnderlyingSimple:
 
 
 class TestRemoveEdges:
+    """G - e as `coloring._less_one_copy` forms it: one copy of pair i fewer."""
+
+    @staticmethod
+    def less_one_copy(G, i):
+        return sl.Multigraph(G.n, _less_one_copy(G.edges, i))
+
     def test_partial_removal(self):
-        G = sl.remove_edges(sl.mu_cycle(5, 3), 0, 1, 1)
+        G = self.less_one_copy(sl.mu_cycle(5, 3), 0)  # pair 0 is (0, 1)
         assert G.edge_count == 14
         assert G.mult(0, 1) == 2
 
     def test_full_removal_drops_pair(self):
-        G = sl.remove_edges(sl.mu_cycle(5, 3), 0, 1, 3)
+        G = self.less_one_copy(sl.ring(5, [1, 3, 3, 3, 3]), 0)
         assert G.mult(0, 1) == 0
         assert simple_pairs(G) == [(0, 4), (1, 2), (2, 3), (3, 4)]
-
-    def test_not_enough(self):
-        with pytest.raises(NotEnoughParallelEdges):
-            sl.remove_edges(sl.mu_cycle(5, 3), 0, 2, 1)
 
     @given(triples())
     @settings(max_examples=60, deadline=None)
     def test_degrees_untouched_elsewhere(self, data):
         n, edges = data
         G = sl.build(n, edges)
-        if not G.edges:
-            return
-        u, v, _ = G.edges[0]
-        H = sl.remove_edges(G, u, v, 1)
-        for w in range(n):
-            if w not in (u, v):
-                assert H.degrees[w] == G.degrees[w]
+        for i, (u, v, m) in enumerate(G.edges):
+            H = self.less_one_copy(G, i)
+            assert H == minus_one_copy(G, u, v)
+            assert H.mult(u, v) == m - 1
+            assert [e for e in H.edges if e[:2] != (u, v)] == [*G.edges[:i], *G.edges[i + 1 :]]
+            for w in range(n):
+                assert H.degrees[w] == G.degrees[w] - (w in (u, v))
 
 
 class TestInduced:

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 
 import steffenlab as sl
-from steffenlab.errors import VertexNotInV0
-from steffenlab.generators import EnumSpec, enumerate_with_keys
+from steffenlab.coloring import chromatic_index_value
+from steffenlab.errors import SolverTimeout, VertexNotInV0
+from steffenlab.generators import EnumSpec, enumerate_with_keys, graph_from_key
+from steffenlab.invariants import in_theorem_regime
 from steffenlab.structure import enumerate_cycles
 from oracles import (
     all_cycles_by_bfs_style,
@@ -279,6 +282,58 @@ class TestFindRingSubgraph:
             ring = sl.find_ring_subgraph_with_chi(G, chi)
             if ring is not None:
                 assert sl.chromatic_index(ring.to_multigraph())[0] == chi
+
+
+class TestRingSearchDeadline:
+    """2K10 has 556,014 cycles: without a poll, its walk runs for seconds
+    past any budget."""
+
+    def test_expired_deadline_stops_the_cycle_walk(self):
+        G = sl.mu_complete(10, 2)
+        with pytest.raises(SolverTimeout, match="cycle enumeration exceeded budget"):
+            enumerate_cycles(G, deadline=time.monotonic() - 1.0)
+        with pytest.raises(SolverTimeout):
+            sl.find_ring_subgraph_with_chi(G, 1000, deadline=time.monotonic() - 1.0)
+
+    def test_expired_deadline_stops_the_cycle_loop(self, monkeypatch):
+        import steffenlab.structure as structure_mod
+
+        cycles = enumerate_cycles(sl.mu_complete(5, 2))
+        monkeypatch.setattr(structure_mod, "enumerate_cycles", lambda G, deadline: cycles)
+        with pytest.raises(SolverTimeout, match="ring search exceeded budget"):
+            sl.find_ring_subgraph_with_chi(
+                sl.mu_complete(5, 2), 1000, deadline=time.monotonic() - 1.0
+            )
+
+
+class TestTheoremReduction:
+    """A graph with g >= 5 that attains Steffen's bound with chi' >= Delta + 2,
+    critical or not, reduces by `extract_critical` to an odd ring with the same
+    chi', once the isolated vertices it leaves are dropped."""
+
+    @pytest.mark.parametrize(
+        "G, core",
+        [
+            (sl.mu_cycle(5, 3), sl.mu_cycle(5, 3)),
+            # 3C5 plus a disjoint edge, a record of the n <= 8 corpus
+            (graph_from_key("07.000000010000030000000300000300000303000000"), sl.mu_cycle(5, 3)),
+            # the non-critical rings in the regime with g = 5 and mu <= 6
+            (sl.mu_cycle(5, 4), sl.ring(5, [3, 4, 4, 4, 4])),
+            (sl.mu_cycle(5, 6), sl.ring(5, [5, 6, 6, 6, 6])),
+            # ... and with g = 7 and mu <= 5
+            (sl.mu_cycle(7, 5), sl.ring(7, [4, 5, 5, 5, 5, 5, 5])),
+        ],
+        ids=["3C5", "3C5-plus-edge", "4C5", "6C5", "5C7"],
+    )
+    def test_extract_critical_gives_an_odd_ring(self, G, core):
+        chi = chromatic_index_value(G)
+        assert in_theorem_regime(max(G.degrees), G.max_mult, sl.girth(G), chi)
+        reduced = sl.extract_critical(G, chi=chi)
+        H = sl.induced(reduced, [v for v in range(G.n) if reduced.degrees[v]])
+        assert sl.is_critical(H)
+        assert sl.is_ring_graph(H) and H.n % 2 == 1
+        assert chromatic_index_value(H) == chi
+        assert sl.canonical_form(H) == sl.canonical_form(core)  # up to rotation
 
 
 class TestRingClosedForm:
