@@ -16,11 +16,8 @@ import json
 import sys
 import time
 
-from .coloring import chromatic_index, chromatic_index_value, extract_critical
 from .errors import ConfigError, GraphError
-from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
 from .multigraph import parse_any, serialize, to_json_obj
-from .structure import cycle_partition, find_ring_subgraph_with_chi
 
 
 def _read_graph(source: str):
@@ -30,8 +27,10 @@ def _read_graph(source: str):
         return parse_any(fh.read())
 
 
-# `scan` and `generators` are imported by the commands that use them: the
-# graph commands load neither the enumerator nor the scan machinery
+# each command imports the modules it runs: `invariants` and `density` load
+# `invariants`, `chi` and `critical` also `coloring`, `partition` and
+# `ring-find` also `structure`, and only `gen`, `scan` and `lemma-suite` the
+# enumerator (`generators`, which a found ring also builds with) or `scan`
 def _load_config(path: str):
     from .scan import ScanConfig
 
@@ -40,6 +39,8 @@ def _load_config(path: str):
 
 
 def _cmd_invariants(G, args) -> int:
+    from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
+
     g = girth(G)
     inv = {
         "n": G.n, "m": G.edge_count, "Delta": max(G.degrees, default=0),
@@ -53,6 +54,8 @@ def _cmd_invariants(G, args) -> int:
 
 
 def _cmd_chi(G, args) -> int:
+    from .coloring import chromatic_index
+
     chi, witness = chromatic_index(G, mode=args.mode, deadline=args.deadline)
     print(chi)
     if args.witness_out:
@@ -64,12 +67,16 @@ def _cmd_chi(G, args) -> int:
 
 
 def _cmd_density(G, args) -> int:
+    from .invariants import density
+
     w = density(G)
     print(json.dumps({"gamma": w.gamma, "witness": list(w.witness)}))
     return 0
 
 
 def _cmd_critical(G, args) -> int:
+    from .coloring import chromatic_index_value, extract_critical
+
     chi = chromatic_index_value(G, deadline=args.deadline)
     # one criticality pass: the critical subgraph is G itself iff G is critical
     core = extract_critical(G, chi=chi, deadline=args.deadline)
@@ -86,11 +93,15 @@ def _cmd_critical(G, args) -> int:
 
 
 def _cmd_partition(G, args) -> int:
+    from .structure import cycle_partition
+
     print(json.dumps(cycle_partition(G).to_json_obj()))
     return 0
 
 
 def _cmd_ring_find(G, args) -> int:
+    from .structure import find_ring_subgraph_with_chi
+
     found = find_ring_subgraph_with_chi(G, args.target, deadline=args.deadline)
     print(
         json.dumps(

@@ -21,23 +21,24 @@ budget.  A decision uses at most COLOR_CAP colors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from .invariants import DENSITY_ENUMERATION_CAP, density_gamma, in_theorem_regime, is_bipartite
-from .multigraph import Multigraph
+from .multigraph import Multigraph, Value
 
 _TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
 COLOR_CAP = 4096  # the most colors a decision may use: its witness costs about k^2
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Value):
     """Assignment of a color in 1..k to every parallel copy ((u, v), copy_index)."""
 
-    k: int
-    assignment: tuple[tuple[tuple[tuple[int, int], int], int], ...]
+    _fields = ("k", "assignment")
+
+    def __init__(self, k: int, assignment: tuple[tuple[tuple[tuple[int, int], int], int], ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "assignment", assignment)
 
     def classes(self) -> list[list[tuple[int, int]]]:
         """Color classes 1..k, each a sorted list of pairs."""
@@ -50,18 +51,25 @@ class EdgeColoring:
         return {"k": self.k, "classes": [[[u, v] for u, v in cls] for cls in self.classes()]}
 
 
-@dataclass(frozen=True)
-class MatchingDecomposition:
+class MatchingDecomposition(Value):
     """Color classes of G-e that are all near-perfect matchings."""
 
-    classes: tuple[tuple[tuple[int, int], ...], ...]
-    missed_vertex: tuple[int, ...]
+    _fields = ("classes", "missed_vertex")
+
+    def __init__(
+        self, classes: tuple[tuple[tuple[int, int], ...], ...], missed_vertex: tuple[int, ...]
+    ):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "missed_vertex", missed_vertex)
 
 
-@dataclass(frozen=True)
-class DegreeIdentityReport:
-    residuals: tuple[int, ...]
-    min_degree_bound: str  # "holds" | "violated" | "not-applicable"
+class DegreeIdentityReport(Value):
+    _fields = ("residuals", "min_degree_bound")
+
+    def __init__(self, residuals: tuple[int, ...], min_degree_bound: str):
+        # min_degree_bound is "holds", "violated" or "not-applicable"
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "min_degree_bound", min_degree_bound)
 
 
 def validate_coloring(G: Multigraph, coloring: EdgeColoring) -> bool:

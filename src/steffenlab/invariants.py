@@ -37,11 +37,10 @@ import math
 import time
 from collections import deque
 from collections.abc import Container, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
-from .multigraph import Multigraph
+from .multigraph import Multigraph, Value
 
 INFINITE_GIRTH = math.inf
 
@@ -50,11 +49,13 @@ DENSITY_ENUMERATION_CAP = 22
 _DENSITY_POLL_SUBSETS = 1024  # poll the deadline every 1024 enumerated sets
 
 
-@dataclass(frozen=True)
-class CycleSeq:
+class CycleSeq(Value):
     """A simple cycle as an ordered vertex sequence (consecutive + wraparound adjacent)."""
 
-    vertices: tuple[int, ...]
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[int, ...]):
+        object.__setattr__(self, "vertices", vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -63,24 +64,28 @@ class CycleSeq:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class DensityWitness:
-    gamma: int
-    witness: tuple[int, ...]
+class DensityWitness(Value):
+    _fields = ("gamma", "witness")
+
+    def __init__(self, gamma: int, witness: tuple[int, ...]):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "witness", witness)
 
 
 # (clause, least cycle length, outside path vertices, most C-neighbours), in report order
 _SHORT_CYCLE_CLAUSES = ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2))
 
 
-@dataclass(frozen=True)
-class ShortCycleViolation:
+class ShortCycleViolation(Value):
     """One failed clause of the shortest-cycle neighborhood bounds."""
 
-    clause: int
-    vertices: tuple[int, ...]
-    value: int
-    limit: int
+    _fields = ("clause", "vertices", "value", "limit")
+
+    def __init__(self, clause: int, vertices: tuple[int, ...], value: int, limit: int):
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "limit", limit)
 
     def to_json_obj(self) -> dict:
         return {

@@ -5,22 +5,23 @@ multiplicity per unordered pair, never as individual copies; colorings
 address copies as (pair, copy index).  Graph values are immutable and safe
 to share between concurrent workers.
 
-Invariants that only depend on the graph value are computed once per graph
-and kept on it.  The degree vector, the edge count and the largest
-multiplicity are set by the loop that checks the triples; the pair map and
-the neighbour sets of the underlying simple graph (`adj`) are cached
-properties, built on first use; values computed elsewhere (girth per
-induced vertex set, bipartiteness, density) go in `memo`.  None of them
-takes part in equality, hashing or repr, and all of them travel with a
-pickled graph.
+A `Multigraph` is a `Value`: two graphs are equal, hash alike and print
+alike exactly when their vertex counts and edge triples are equal, and no
+attribute can be assigned after construction.  Invariants that only depend
+on the graph value are computed once per graph and kept on it.  The degree
+vector, the edge count and the largest multiplicity are set by the
+constructor's loop that checks the triples; the pair map and the neighbour
+sets of the underlying simple graph (`adj`) are cached properties, built on
+first use; values computed elsewhere (girth per induced vertex set,
+bipartiteness, density) go in `memo`.  None of them takes part in equality,
+hashing or repr, and all of them travel with a pickled graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import (
     LoopRejected,
@@ -30,26 +31,51 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Value:
+    """An immutable value: equal, hashed and shown by the attributes `_fields`
+    names, in that order, as a frozen dataclass is.  Each subclass sets its
+    attributes in its own `__init__` with `object.__setattr__` (on CPython
+    3.11, reading `self.__dict__` there would give each instance a dict
+    object of its own); any later assignment or deletion raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Multigraph(Value):
     """A loopless multigraph: vertex count plus sorted (u, v, mult) triples, u < v."""
 
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
-    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    edge_count: int = field(init=False, compare=False, repr=False)
-    max_mult: int = field(init=False, compare=False, repr=False)
-    # values other modules compute once for this graph, by name or vertex set
-    memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise VertexOutOfRange(f"negative vertex count {self.n}")
-        deg = [0] * self.n
+    def __init__(self, n: int, edges: tuple[tuple[int, int, int], ...]):
+        if n < 0:
+            raise VertexOutOfRange(f"negative vertex count {n}")
+        deg = [0] * n
         count = top = 0
         prev = (-1, -1)
-        for u, v, m in self.edges:
-            _check_triple(self.n, u, v, m)
+        for u, v, m in edges:
+            _check_triple(n, u, v, m)
             if u > v or (u, v) <= prev:
                 raise VertexOutOfRange(f"edge list not sorted/unique at ({u}, {v})")
             prev = (u, v)
@@ -58,9 +84,13 @@ class Multigraph:
             count += m
             if m > top:
                 top = m
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(deg))
         object.__setattr__(self, "edge_count", count)
         object.__setattr__(self, "max_mult", top)
+        # values other modules compute once for this graph, by name or vertex set
+        object.__setattr__(self, "memo", {})
 
     @cached_property
     def mult_map(self) -> dict[tuple[int, int], int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout, VertexNotInV0
 from .coloring import _TIMEOUT_CHECK_MASK, chromatic_index_value
@@ -30,15 +30,17 @@ from .invariants import (
     simple_paths,
     subgraph_girth,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, Value
 
 CYCLE_ENUMERATION_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CyclePartition:
-    cycles: tuple[CycleSeq, ...]
-    v0: frozenset[int]
+class CyclePartition(Value):
+    _fields = ("cycles", "v0")
+
+    def __init__(self, cycles: tuple[CycleSeq, ...], v0: frozenset[int]):
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "v0", v0)
 
     def stage_vertex_sets(self, n: int) -> list[frozenset[int]]:
         """Vertex set each cycle was extracted from: stage i excludes cycles < i."""
@@ -56,13 +58,15 @@ class CyclePartition:
         }
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """t internally disjoint paths from `apex` in V_0 to cycle `cycle_index`."""
 
-    apex: int
-    cycle_index: int
-    paths: tuple[tuple[int, ...], ...]
+    _fields = ("apex", "cycle_index", "paths")
+
+    def __init__(self, apex: int, cycle_index: int, paths: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "cycle_index", cycle_index)
+        object.__setattr__(self, "paths", paths)
 
     @property
     def t(self) -> int:
@@ -76,11 +80,13 @@ class Fan:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class RingSubgraph:
-    cycle: CycleSeq
-    multiplicities: tuple[int, ...]
-    chi: int
+class RingSubgraph(Value):
+    _fields = ("cycle", "multiplicities", "chi")
+
+    def __init__(self, cycle: CycleSeq, multiplicities: tuple[int, ...], chi: int):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "chi", chi)
 
     def to_multigraph(self) -> Multigraph:
         """Standalone ring on vertices 0..len-1 in cycle order."""
@@ -214,8 +220,19 @@ def _poll(deadline: float | None, count: int, what: str) -> None:
 def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[CycleSeq]:
     """All simple cycles of the underlying simple graph, canonically oriented,
     sorted by (length, sequence).  The walk polls `deadline` (`_poll`)."""
-    cycles: list[tuple[int, ...]] = []
-    walked = 0
+    return [CycleSeq(c) for c in chain.from_iterable(_cycles_by_length(G, deadline))]
+
+
+def _cycles_by_length(G: Multigraph, deadline: float | None) -> list[list[tuple[int, ...]]]:
+    """The cycles of `enumerate_cycles` as vertex tuples, one list per length.
+
+    Each list is already in sequence order: the walk takes the least vertex
+    of a cycle as its start in increasing order, and `simple_paths` yields
+    each start's paths in lexicographic order.  So nothing is sorted after
+    the walk, which polls `deadline` at its first path and every 1,024th.
+    """
+    by_length: list[list[tuple[int, ...]]] = [[] for _ in range(G.n + 1)]
+    found = walked = 0
     for start in range(G.n):
         closing = G.adj[start]
         if sum(y > start for y in closing) < 2:
@@ -224,13 +241,13 @@ def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[Cycle
             _poll(deadline, walked, "cycle enumeration")
             walked += 1
             if len(path) >= 3 and path[1] < path[-1] and path[-1] in closing:
-                cycles.append(tuple(path))
-                if len(cycles) > CYCLE_ENUMERATION_CAP:
+                by_length[len(path)].append(tuple(path))
+                found += 1
+                if found > CYCLE_ENUMERATION_CAP:
                     raise InstanceTooLarge(
                         f"more than {CYCLE_ENUMERATION_CAP} cycles in the underlying graph"
                     )
-    cycles.sort(key=lambda c: (len(c), c))
-    return [CycleSeq(c) for c in cycles]
+    return by_length
 
 
 def _ring_chi(mults: list[int]) -> int:
@@ -265,16 +282,21 @@ def find_ring_subgraph_with_chi(
     parallel copies on the cycle edges; chi' is monotone under copy deletion,
     so if the maximal ring overshoots, stepping copies off one at a time
     passes through every value down to the simple cycle and hits the target
-    exactly if it is reachable.  The first step that does is found by
-    bisection, each probe taking chi' from the ring's closed form; the
-    solver checks the returned ring once.  The cycle walk and this loop poll `deadline`.
+    exactly if it is reachable.  A cycle whose maximal ring is already below
+    the target is skipped; otherwise the first step that reaches it is found
+    by bisection, each probe taking chi' from the ring's closed form; the
+    solver checks the returned ring once.  The cycle walk and this loop poll
+    `deadline`.
     """
     if target < 1:
         return None
-    for tried, cyc in enumerate(enumerate_cycles(G, deadline)):
+    cycles = chain.from_iterable(_cycles_by_length(G, deadline))
+    for tried, cyc in enumerate(cycles):
         _poll(deadline, tried, "ring search")
         g = len(cyc)
-        mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
+        mults = [G.mult(cyc[i], cyc[(i + 1) % g]) for i in range(g)]
+        if _ring_chi(mults) < target:
+            continue  # stepping copies off only lowers chi'
         lo, hi = 0, sum(m - 1 for m in mults)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -285,7 +307,7 @@ def find_ring_subgraph_with_chi(
         mults = _stepped(mults, lo)
         chi = _ring_chi(mults)
         if chi == target:
-            ring = RingSubgraph(cyc, tuple(mults), chi)
+            ring = RingSubgraph(CycleSeq(cyc), tuple(mults), chi)
             solved = chromatic_index_value(ring.to_multigraph(), deadline=deadline)
             if solved != chi:
                 raise RuntimeError(

@@ -43,19 +43,36 @@ def c53_file(tmp_path):
     return str(path)
 
 
-def test_graph_commands_leave_the_process_pool_unloaded():
-    # neither the pool nor the scan and enumeration modules; the package's
-    # names still resolve, each loading its module on first use
+def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
+    # each graph command loads the modules it runs and no more: none loads
+    # dataclasses, typing, the pool or the scan and enumeration modules, and
+    # the package's names still resolve, each loading its module on first
+    # use; under -S, `site` imports nothing before the probe
     probe = (
-        "import sys, steffenlab as sl, steffenlab.cli\n"
-        "unloaded = ['concurrent.futures.process', 'steffenlab.scan', 'steffenlab.generators']\n"
-        "print([m for m in unloaded if m in sys.modules])\n"
-        "print(sl.run_scan.__name__, sl.EnumSpec.__name__)\n"
+        "import sys\n"
+        "from steffenlab.cli import cli_main\n"
+        "watched = ['dataclasses', 'typing', 'concurrent.futures.process'] + [\n"
+        "    'steffenlab.' + m for m in ('invariants', 'coloring', 'structure', 'scan', 'generators')]\n"
+        "print('import', [m for m in watched if m in sys.modules], file=sys.stderr)\n"
+        "for command in ('invariants', 'chi', 'critical', 'partition'):\n"
+        "    assert cli_main([command, sys.argv[1]]) == 0\n"
+        "    print(command, [m for m in watched if m in sys.modules], file=sys.stderr)\n"
+        "import steffenlab as sl\n"
+        "print(sl.run_scan.__name__, sl.EnumSpec.__name__, file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=CLI_ENV
+        [sys.executable, "-S", "-c", probe, c53_file], capture_output=True, text=True, env=CLI_ENV
     )
-    assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", "run_scan EnumSpec"]
+    assert proc.returncode == 0, proc.stderr
+    solver = "'steffenlab.invariants', 'steffenlab.coloring'"
+    assert proc.stderr.splitlines() == [
+        "import []",
+        "invariants ['steffenlab.invariants']",
+        f"chi [{solver}]",
+        f"critical [{solver}]",
+        f"partition [{solver}, 'steffenlab.structure']",
+        "run_scan EnumSpec",
+    ]
 
 
 def test_every_export_resolves():

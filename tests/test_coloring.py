@@ -308,8 +308,10 @@ class TestCriticalityWithoutRebuild:
         H = sl.build(6, [*G.edges, (0, 5, 1)])  # 3C5 plus a pendant edge
         core = sl.build(6, G.edges)
         built = []
-        init = mg.Multigraph.__post_init__
-        monkeypatch.setattr(mg.Multigraph, "__post_init__", lambda G: built.append(G) or init(G))
+        init = mg.Multigraph.__init__
+        monkeypatch.setattr(
+            mg.Multigraph, "__init__", lambda G, *args: built.append(G) or init(G, *args)
+        )
         assert sl.is_critical(G, chi=8)
         assert not sl.is_critical(H, chi=8)
         assert built == []

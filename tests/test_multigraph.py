@@ -363,3 +363,21 @@ class TestGraphValue:
             sl.Multigraph(2, (), memo={})
         with pytest.raises(TypeError):
             sl.Multigraph(2, (), degrees=(0, 0))
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (sl.mu_cycle(5, 3), "edges"),
+            (sl.mu_cycle(5, 3), "memo"),
+            (sl.CycleSeq((0, 1, 2)), "vertices"),
+            (sl.EdgeColoring(1, ((((0, 1), 0), 1),)), "k"),
+        ],
+        ids=["Multigraph.edges", "Multigraph.memo", "CycleSeq", "EdgeColoring"],
+    )
+    def test_fields_refuse_assignment(self, value, name):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before

@@ -218,10 +218,12 @@ class TestRingRecognition:
 
 
 class TestCycleEnumeration:
-    def test_matches_oracle(self):
+    def test_matches_oracle(self, petersen):
+        # 2K7 and the Petersen graph have cycles of every length from their
+        # girth up, from every start vertex but the last few
         rng = random.Random(80)
-        for _ in range(40):
-            G = sl.random_multigraph(rng, n_max=7, mu_max=1)
+        graphs = [sl.random_multigraph(rng, n_max=7, mu_max=1) for _ in range(40)]
+        for G in [*graphs, sl.mu_complete(7, 2), petersen]:
             got = [c.vertices for c in enumerate_cycles(G)]
             assert got == all_cycles_by_bfs_style(G)
 
@@ -298,8 +300,8 @@ class TestRingSearchDeadline:
     def test_expired_deadline_stops_the_cycle_loop(self, monkeypatch):
         import steffenlab.structure as structure_mod
 
-        cycles = enumerate_cycles(sl.mu_complete(5, 2))
-        monkeypatch.setattr(structure_mod, "enumerate_cycles", lambda G, deadline: cycles)
+        cycles = structure_mod._cycles_by_length(sl.mu_complete(5, 2), None)
+        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda G, deadline: cycles)
         with pytest.raises(SolverTimeout, match="ring search exceeded budget"):
             sl.find_ring_subgraph_with_chi(
                 sl.mu_complete(5, 2), 1000, deadline=time.monotonic() - 1.0
