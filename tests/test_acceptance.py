@@ -92,6 +92,7 @@ def test_criterion_3_steffen_inequality(full6_scan):
     assert summary.total == len(records) > 18000
     assert summary.timeouts == 0
     assert summary.steffen_violations == []
+    assert summary.theorem_violations == []
     for record in records:
         assert record["chi"] <= record["steffenBound"]
     print(f"PASS criterion 3: 0 girth-bound violations over {summary.total} graphs (n<=6, mu<=3, <=12 copies)")
@@ -113,6 +114,7 @@ def test_criterion_5_ring_containment(girth5_scan):
     _, summary, records = girth5_scan
     assert summary.timeouts == 0
     assert summary.ring_violations == []
+    assert summary.theorem_violations == []
     fired = 0
     for record in records:
         if record["mu"] >= 3 and record["chi"] == record["Delta"] + _ceil_div(record["mu"], 2):

@@ -75,6 +75,37 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     ]
 
 
+def test_only_the_lemma_suite_loads_hashlib(tmp_path):
+    # only the lemma suite's digests hash: a scan, with one worker or with a
+    # pool, loads neither hashlib nor OpenSSL's _hashlib; under -S, `site`
+    # imports neither before the probe
+    spec = sl.EnumSpec(n_min=5, n_max=6, max_mu=2, girth_min=5, require_cycle=True)
+    args = []
+    for command, keys in (("scan", {"workers": 1}), ("scan", {"workers": 2}),
+                          ("lemma-suite", {"randomGraphs": 3})):
+        path = tmp_path / f"{len(args)}.json"
+        out = str(tmp_path / f"{len(args)}.out")
+        path.write_text(json.dumps({"enumSpec": spec.to_json_obj(), "outputPath": out, **keys}))
+        args += [command, str(path)]
+    probe = (
+        "import sys\n"
+        "from steffenlab.cli import cli_main\n"
+        "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    seed = ['--seed', '0'] if command == 'lemma-suite' else []\n"
+        "    assert cli_main([command, '--config', config, *seed]) == 0\n"
+        "    print(command, [m for m in ('hashlib', '_hashlib') if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *args], capture_output=True, text=True, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "scan []",
+        "scan []",
+        "lemma-suite ['hashlib', '_hashlib']",
+    ]
+
+
 def test_every_export_resolves():
     # a misspelt or moved name in the lazy export table fails here, not at first use
     listed = dir(sl)

@@ -19,6 +19,7 @@ from steffenlab.scan import (
     ScanSummary,
     _RECORD_TYPES,
     _critical_in_regime,
+    _fold_record,
     _fold_report_prefix,
     _record_for_key,
     _record_line,
@@ -930,6 +931,64 @@ class TestTheoremRegime:
         assert cli_main(["lemma-suite", "--config", str(path), "--seed", "0"]) == 1
 
 
+# 3C5 plus a disjoint edge: g 5, Delta 6, mu 3 and chi' 8 = Delta + 2, the
+# bound at g = 5 (at g = 3 it is 9); not critical, and not a ring
+THREE_C5_PLUS_EDGE = "07.000000010000030000000300000300000303000000"
+THREE_C5 = "05.03000003000300030300"
+FOUR_C6 = "06.040000000404000000000400040400"  # Delta 8, mu 4, g 6: the bound is 10
+
+
+class TestTheoremCheck:
+    """Under `ringCheck`, a critical `ok` record in the theorem's regime at its
+    own girth must be an odd ring, else its key is in `theoremViolations`."""
+
+    @staticmethod
+    def record(key, **changes):
+        # under girth floor 3 the ring gate fires on none of these records
+        config = ScanConfig(enum_spec=small_spec(), output_path="unused")
+        return {**compute_record(key, graph_from_key(key), config), **changes}
+
+    @staticmethod
+    def fold(record, ring_check=True):
+        summary = ScanSummary()
+        _fold_record(summary, record, ring_check)
+        return summary
+
+    def test_non_ring_is_a_violation(self):
+        summary = self.fold(self.record(THREE_C5_PLUS_EDGE, isCritical=True))
+        assert summary.theorem_violations == [THREE_C5_PLUS_EDGE]
+        assert summary.to_json_obj()["violationCount"] == 1
+        assert list(summary.to_json_obj())[-3:] == [
+            "ringViolations", "theoremViolations", "violationCount"
+        ]
+
+    def test_even_ring_is_a_violation(self):
+        G = graph_from_key(FOUR_C6)
+        assert sl.is_ring_graph(G) and G.n == 6
+        summary = self.fold(self.record(FOUR_C6, chi=10, isCritical=True))
+        assert summary.theorem_violations == [FOUR_C6]
+
+    def test_odd_ring_holds(self):
+        record = self.record(THREE_C5)
+        assert record["isCritical"] and record["chi"] == 8
+        assert self.fold(record).theorem_violations == []
+
+    def test_only_under_ring_check_and_at_a_finite_girth(self):
+        record = self.record(THREE_C5_PLUS_EDGE, isCritical=True)
+        assert self.fold(record, ring_check=False).theorem_violations == []
+        assert self.fold({**record, "girth": None}).theorem_violations == []
+
+    def test_scan_and_its_resume_check_every_record(self, tmp_path, monkeypatch):
+        import steffenlab.scan as scan_mod
+
+        monkeypatch.setattr(scan_mod, "is_ring_graph", lambda G: False)
+        spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
+        cfg = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "r.jsonl"))
+        assert run_scan(cfg).theorem_violations == [THREE_C5]
+        # the second run folds every record from the first run's report
+        assert run_scan(cfg).theorem_violations == [THREE_C5]
+
+
 class TestTimeoutRecords:
     def test_timeout_marks_record(self, monkeypatch):
         import steffenlab.scan as scan_mod
@@ -978,9 +1037,7 @@ class TestTimeoutRecords:
         summary = ScanSummary()
         cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
-        from steffenlab.scan import _fold_record
-
-        _fold_record(summary, record)
+        _fold_record(summary, record, True)
         assert summary.timeouts == 1 and summary.ok == 0
 
 

@@ -338,6 +338,21 @@ class TestTheoremReduction:
         assert sl.canonical_form(H) == sl.canonical_form(core)  # up to rotation
 
 
+class TestHypothesisWitnesses:
+    """Each hypothesis of the main theorem is needed: without it, a graph that
+    meets the others need not be an odd ring."""
+
+    def test_chi_at_least_delta_plus_2_is_needed(self):
+        # a record of the girth >= 5 corpus: critical, g = 5, and it attains
+        # Steffen's bound, but with chi' = Delta + 1
+        G = graph_from_key("07.010000000100010000000102000000000100010200")
+        assert (sl.girth(G), max(G.degrees), G.max_mult) == (5, 3, 2)
+        chi = chromatic_index_value(G)
+        assert sl.steffen_bound(G) == chi == max(G.degrees) + 1 == 4
+        assert sl.is_critical(G, chi=chi)
+        assert not sl.is_ring_graph(G)
+
+
 class TestRingClosedForm:
     """The closed-form search finds the solver search's ring for every target."""
 
