@@ -9,7 +9,8 @@ from importlib import import_module
 
 # submodule -> the names it re-exports
 _EXPORTS = {
-    "multigraph": "Multigraph build from_json_obj induced parse parse_any serialize to_json_obj",
+    "multigraph": "Multigraph build from_json_obj induced parse parse_any ring serialize "
+    "to_json_obj",
     "invariants": "INFINITE_GIRTH CycleSeq DensityWitness ShortCycleViolation "
     "check_short_cycle_properties density girth shortest_cycle steffen_bound subgraph_girth",
     "coloring": "DegreeIdentityReport EdgeColoring MatchingDecomposition chromatic_index "
@@ -18,7 +19,7 @@ _EXPORTS = {
     "structure": "CyclePartition Fan RingSubgraph cycle_partition enumerate_cycles "
     "fan_bound_check find_ring_subgraph_with_chi is_ring_graph max_fan verify_cycle_partition",
     "generators": "EnumSpec canonical_form enumerate_with_keys mu_complete mu_cycle "
-    "random_multigraph ring",
+    "random_multigraph",
     "scan": "LemmaSuiteReport ScanConfig ScanSummary run_lemma_suite run_scan",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

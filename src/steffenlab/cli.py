@@ -30,7 +30,7 @@ def _read_graph(source: str):
 # each command imports the modules it runs: `invariants` and `density` load
 # `invariants`, `chi` and `critical` also `coloring`, `partition` and
 # `ring-find` also `structure`, and only `gen`, `scan` and `lemma-suite` the
-# enumerator (`generators`, which a found ring also builds with) or `scan`
+# enumerator (`generators`) or `scan`
 def _load_config(path: str):
     from .scan import ScanConfig
 

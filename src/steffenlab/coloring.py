@@ -36,10 +36,6 @@ class EdgeColoring(Value):
 
     _fields = ("k", "assignment")
 
-    def __init__(self, k: int, assignment: tuple[tuple[tuple[tuple[int, int], int], int], ...]):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "assignment", assignment)
-
     def classes(self) -> list[list[tuple[int, int]]]:
         """Color classes 1..k, each a sorted list of pairs."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.k)]
@@ -56,20 +52,12 @@ class MatchingDecomposition(Value):
 
     _fields = ("classes", "missed_vertex")
 
-    def __init__(
-        self, classes: tuple[tuple[tuple[int, int], ...], ...], missed_vertex: tuple[int, ...]
-    ):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "missed_vertex", missed_vertex)
-
 
 class DegreeIdentityReport(Value):
-    _fields = ("residuals", "min_degree_bound")
+    """Per-vertex degree identity residuals; `min_degree_bound` is "holds",
+    "violated" or "not-applicable"."""
 
-    def __init__(self, residuals: tuple[int, ...], min_degree_bound: str):
-        # min_degree_bound is "holds", "violated" or "not-applicable"
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "min_degree_bound", min_degree_bound)
+    _fields = ("residuals", "min_degree_bound")
 
 
 def validate_coloring(G: Multigraph, coloring: EdgeColoring) -> bool:

@@ -57,7 +57,7 @@ class PreconditionFailed(GraphError):
 
 
 class SolverTimeout(GraphError):
-    """A density call or coloring decision ran past its record's or command's deadline."""
+    """Density, a coloring decision, cycle enumeration or a ring search outran its deadline."""
 
 
 class ConfigError(GraphError):

@@ -39,8 +39,8 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import INFINITE_GIRTH, bfs_dist, ceil_div, girth, simple_layer
-from .multigraph import Multigraph, build
+from .invariants import INFINITE_GIRTH, bfs_dist, ceil_div, girth, is_connected, simple_layer
+from .multigraph import Multigraph, build, ring
 
 CANONICAL_N_CAP = 12
 
@@ -155,15 +155,6 @@ def mu_complete(n: int, mu: int) -> Multigraph:
     if n < 2 or mu < 1:
         raise BadParameter(f"need n >= 2 and mu >= 1, got n={n}, mu={mu}")
     return build(n, [(u, v, mu) for u in range(n) for v in range(u + 1, n)])
-
-
-def ring(g: int, mults: list[int] | tuple[int, ...]) -> Multigraph:
-    """Ring graph: cycle of length g with consecutive pair i of multiplicity mults[i]."""
-    if g < 3 or len(mults) != g:
-        raise BadParameter(f"need g >= 3 and exactly g multiplicities, got g={g}")
-    if any(m < 1 for m in mults):
-        raise BadParameter("all ring multiplicities must be >= 1")
-    return build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)])
 
 
 def _refine(cells: list[list[int]], adj: list[list[tuple[int, int]]]) -> list[list[int]]:
@@ -313,10 +304,6 @@ def canonical_form(G: Multigraph) -> str:
     return _canonical_key(G.n, G.edges)
 
 
-def _is_connected(G: Multigraph) -> bool:
-    return G.n == 0 or len(bfs_dist(G, range(G.n), 0)) == G.n
-
-
 def _simple_graphs(n: int, girth_min: int, max_edges: int) -> Iterator[Multigraph]:
     """Non-isomorphic simple graphs on exactly n labeled-canonical vertices.
 
@@ -355,7 +342,7 @@ def simple_representatives(spec: EnumSpec) -> Iterator[Multigraph]:
                 continue
             if spec.require_cycle and girth(simple) == INFINITE_GIRTH:
                 continue
-            if spec.connected_only and not _is_connected(simple):
+            if spec.connected_only and not is_connected(simple):
                 continue
             yield simple
 

@@ -54,9 +54,6 @@ class CycleSeq(Value):
 
     _fields = ("vertices",)
 
-    def __init__(self, vertices: tuple[int, ...]):
-        object.__setattr__(self, "vertices", vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -67,10 +64,6 @@ class CycleSeq(Value):
 class DensityWitness(Value):
     _fields = ("gamma", "witness")
 
-    def __init__(self, gamma: int, witness: tuple[int, ...]):
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "witness", witness)
-
 
 # (clause, least cycle length, outside path vertices, most C-neighbours), in report order
 _SHORT_CYCLE_CLAUSES = ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2))
@@ -80,12 +73,6 @@ class ShortCycleViolation(Value):
     """One failed clause of the shortest-cycle neighborhood bounds."""
 
     _fields = ("clause", "vertices", "value", "limit")
-
-    def __init__(self, clause: int, vertices: tuple[int, ...], value: int, limit: int):
-        object.__setattr__(self, "clause", clause)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "limit", limit)
 
     def to_json_obj(self) -> dict:
         return {
@@ -249,6 +236,11 @@ def bfs_dist(G: Multigraph, allowed: Container[int], src: int) -> dict[int, int]
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
+
+
+def is_connected(G: Multigraph) -> bool:
+    """True iff one BFS from vertex 0 reaches every vertex (the empty graph is connected)."""
+    return G.n == 0 or len(bfs_dist(G, range(G.n), 0)) == G.n
 
 
 def is_bipartite(G: Multigraph) -> bool:

@@ -1,9 +1,11 @@
-"""Loopless multigraph values and MGR text/JSON serialization.
+"""Immutable values, loopless multigraphs and MGR text/JSON serialization.
 
-Vertices are dense integers 0..n-1.  Parallel edges are stored as a
+The graphs, cycles, colorings, partitions, fans and rings the package
+returns are `Value`s, made from their fields by position and never changed
+after.  Vertices are dense integers 0..n-1.  Parallel edges are stored as a
 multiplicity per unordered pair, never as individual copies; colorings
-address copies as (pair, copy index).  Graph values are immutable and safe
-to share between concurrent workers.
+address copies as (pair, copy index).  Graph values are safe to share
+between concurrent workers.
 
 A `Multigraph` is a `Value`: two graphs are equal, hash alike and print
 alike exactly when their vertex counts and edge triples are equal, and no
@@ -24,6 +26,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .errors import (
+    BadParameter,
     LoopRejected,
     NonPositiveMultiplicity,
     ParseError,
@@ -32,14 +35,22 @@ from .errors import (
 
 
 class Value:
-    """An immutable value: equal, hashed and shown by the attributes `_fields`
-    names, in that order, as a frozen dataclass is.  Each subclass sets its
-    attributes in its own `__init__` with `object.__setattr__` (on CPython
-    3.11, reading `self.__dict__` there would give each instance a dict
-    object of its own); any later assignment or deletion raises
-    AttributeError."""
+    """An immutable value, as a frozen dataclass is: made from, equal, hashed
+    and shown by the attributes `_fields` names, in that order.  `__init__`
+    takes one value per field, by position, and sets each with
+    `object.__setattr__` (on CPython 3.11, reading `self.__dict__` there
+    would give each instance a dict object of its own); any later
+    assignment or deletion raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -84,8 +95,7 @@ class Multigraph(Value):
             count += m
             if m > top:
                 top = m
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        Value.__init__(self, n, edges)
         object.__setattr__(self, "degrees", tuple(deg))
         object.__setattr__(self, "edge_count", count)
         object.__setattr__(self, "max_mult", top)
@@ -137,6 +147,15 @@ def build(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
         key = (u, v) if u < v else (v, u)
         acc[key] = acc.get(key, 0) + m
     return Multigraph(n, tuple((u, v, acc[(u, v)]) for u, v in sorted(acc)))
+
+
+def ring(g: int, mults: list[int] | tuple[int, ...]) -> Multigraph:
+    """Ring graph: cycle of length g with consecutive pair i of multiplicity mults[i]."""
+    if g < 3 or len(mults) != g:
+        raise BadParameter(f"need g >= 3 and exactly g multiplicities, got g={g}")
+    if any(m < 1 for m in mults):
+        raise BadParameter("all ring multiplicities must be >= 1")
+    return build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)])
 
 
 def induced(G: Multigraph, S: Iterable[int]) -> Multigraph:

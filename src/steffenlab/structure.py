@@ -23,24 +23,20 @@ from .coloring import _TIMEOUT_CHECK_MASK, chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
-    bfs_dist,
     ceil_div,
+    is_connected,
     require_shortest_cycle,
     shortest_cycle,
     simple_paths,
     subgraph_girth,
 )
-from .multigraph import Multigraph, Value
+from .multigraph import Multigraph, Value, ring
 
 CYCLE_ENUMERATION_CAP = 10**6
 
 
 class CyclePartition(Value):
     _fields = ("cycles", "v0")
-
-    def __init__(self, cycles: tuple[CycleSeq, ...], v0: frozenset[int]):
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "v0", v0)
 
     def stage_vertex_sets(self, n: int) -> list[frozenset[int]]:
         """Vertex set each cycle was extracted from: stage i excludes cycles < i."""
@@ -63,11 +59,6 @@ class Fan(Value):
 
     _fields = ("apex", "cycle_index", "paths")
 
-    def __init__(self, apex: int, cycle_index: int, paths: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "cycle_index", cycle_index)
-        object.__setattr__(self, "paths", paths)
-
     @property
     def t(self) -> int:
         return len(self.paths)
@@ -83,15 +74,8 @@ class Fan(Value):
 class RingSubgraph(Value):
     _fields = ("cycle", "multiplicities", "chi")
 
-    def __init__(self, cycle: CycleSeq, multiplicities: tuple[int, ...], chi: int):
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "chi", chi)
-
     def to_multigraph(self) -> Multigraph:
         """Standalone ring on vertices 0..len-1 in cycle order."""
-        from .generators import ring  # imported here: the enumerator is the CLI's largest import
-
         return ring(len(self.cycle), self.multiplicities)
 
     def to_json_obj(self) -> dict:
@@ -118,16 +102,16 @@ def cycle_partition(G: Multigraph) -> CyclePartition:
 def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
     """Re-verify the partition invariants; returns human-readable problems."""
     problems: list[str] = []
-    remaining = set(range(G.n))
-    for idx, cyc in enumerate(P.cycles):
+    remaining = frozenset(range(G.n))
+    for idx, (cyc, stage) in enumerate(zip(P.cycles, P.stage_vertex_sets(G.n))):
         try:
-            require_shortest_cycle(G, cyc, frozenset(remaining))
+            require_shortest_cycle(G, cyc, stage)
         except NotShortestCycle as exc:
             problems.append(f"cycle {idx}: {exc}")
-        remaining -= cyc.vertex_set()
-    if subgraph_girth(G, frozenset(remaining)) != INFINITE_GIRTH:
+        remaining = stage - cyc.vertex_set()
+    if subgraph_girth(G, remaining) != INFINITE_GIRTH:
         problems.append("remainder V_0 is not acyclic")
-    if frozenset(remaining) != P.v0:
+    if remaining != P.v0:
         problems.append("V_0 does not match the unpeeled remainder")
     return problems
 
@@ -203,12 +187,8 @@ def fan_bound_check(F: Fan, C_h: CycleSeq) -> bool:
 
 def is_ring_graph(G: Multigraph) -> bool:
     """True iff the underlying simple graph is one cycle spanning all vertices."""
-    if G.n < 3:
-        return False
-    if any(len(nbrs) != 2 for nbrs in G.adj):
-        return False
-    # connected 2-regular graph = single cycle
-    return len(bfs_dist(G, range(G.n), 0)) == G.n
+    # a connected 2-regular graph is one cycle
+    return G.n >= 3 and all(len(nbrs) == 2 for nbrs in G.adj) and is_connected(G)
 
 
 def _poll(deadline: float | None, count: int, what: str) -> None:

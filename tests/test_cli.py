@@ -47,16 +47,17 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     # each graph command loads the modules it runs and no more: none loads
     # dataclasses, typing, the pool or the scan and enumeration modules, and
     # the package's names still resolve, each loading its module on first
-    # use; under -S, `site` imports nothing before the probe
+    # use; `ring-find` finds a ring and builds it without the enumerator;
+    # under -S, `site` imports nothing before the probe
     probe = (
         "import sys\n"
         "from steffenlab.cli import cli_main\n"
         "watched = ['dataclasses', 'typing', 'concurrent.futures.process'] + [\n"
         "    'steffenlab.' + m for m in ('invariants', 'coloring', 'structure', 'scan', 'generators')]\n"
         "print('import', [m for m in watched if m in sys.modules], file=sys.stderr)\n"
-        "for command in ('invariants', 'chi', 'critical', 'partition'):\n"
-        "    assert cli_main([command, sys.argv[1]]) == 0\n"
-        "    print(command, [m for m in watched if m in sys.modules], file=sys.stderr)\n"
+        "for command in ('invariants', 'chi', 'critical', 'partition', 'ring-find --target 8'):\n"
+        "    assert cli_main([*command.split(), sys.argv[1]]) == 0\n"
+        "    print(command.split()[0], [m for m in watched if m in sys.modules], file=sys.stderr)\n"
         "import steffenlab as sl\n"
         "print(sl.run_scan.__name__, sl.EnumSpec.__name__, file=sys.stderr)\n"
     )
@@ -71,6 +72,7 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
         f"chi [{solver}]",
         f"critical [{solver}]",
         f"partition [{solver}, 'steffenlab.structure']",
+        f"ring-find [{solver}, 'steffenlab.structure']",
         "run_scan EnumSpec",
     ]
 

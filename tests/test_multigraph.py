@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from steffenlab.errors import (
     ParseError,
     VertexOutOfRange,
 )
+from steffenlab.multigraph import Value
 from oracles import minus_one_copy
 
 
@@ -329,6 +331,22 @@ class TestParseAnyContract:
             sl.Multigraph(3, edges)
 
 
+# one value of each `Value` class, made by position as the package makes them
+_C5 = sl.CycleSeq((0, 1, 2, 3, 4))
+VALUES = [
+    sl.mu_cycle(5, 3),
+    sl.CycleSeq((0, 1, 2)),
+    sl.EdgeColoring(1, ((((0, 1), 0), 1),)),
+    sl.DensityWitness(8, (0, 1, 2, 3, 4)),
+    sl.ShortCycleViolation(1, (0, 1, 2, 3, 4), 2, 1),
+    sl.MatchingDecomposition((((0, 1),), ((1, 2),), ((0, 2),)), (2, 0, 1)),
+    sl.DegreeIdentityReport((0, 0, 0), "not-applicable"),
+    sl.CyclePartition((_C5,), frozenset({5})),
+    sl.Fan(5, 0, ((5, 0), (5, 6, 2))),
+    sl.RingSubgraph(_C5, (3, 3, 3, 3, 3), 8),
+]
+
+
 class TestGraphValue:
     """A graph is checked, and its counts set, as it is made."""
 
@@ -369,10 +387,9 @@ class TestGraphValue:
         [
             (sl.mu_cycle(5, 3), "edges"),
             (sl.mu_cycle(5, 3), "memo"),
-            (sl.CycleSeq((0, 1, 2)), "vertices"),
-            (sl.EdgeColoring(1, ((((0, 1), 0), 1),)), "k"),
+            *((value, value._fields[0]) for value in VALUES[1:]),
         ],
-        ids=["Multigraph.edges", "Multigraph.memo", "CycleSeq", "EdgeColoring"],
+        ids=["Multigraph.edges", "Multigraph.memo", *(type(v).__name__ for v in VALUES[1:])],
     )
     def test_fields_refuse_assignment(self, value, name):
         before = getattr(value, name)
@@ -381,3 +398,28 @@ class TestGraphValue:
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
+
+    def test_one_value_of_each_class(self):
+        assert sorted(type(v).__name__ for v in VALUES) == sorted(
+            cls.__name__ for cls in Value.__subclasses__()
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_values_are_made_compared_shown_and_pickled_by_their_fields(self, value):
+        cls, fields = type(value), [getattr(value, name) for name in value._fields]
+        twin = cls(*fields)
+        assert twin == value and hash(twin) == hash(value)
+        # another class with the same fields, or any one field changed, is unequal
+        assert type("Other", (cls,), {})(*fields) != value
+        for i in range(len(fields)):
+            changed = cls.__new__(cls)
+            Value.__init__(changed, *fields[:i], object(), *fields[i + 1:])
+            assert changed != value
+        shown = ", ".join(f"{name}={field!r}" for name, field in zip(value._fields, fields))
+        assert repr(value) == f"{cls.__name__}({shown})"
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is cls and copy == value
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
