@@ -57,12 +57,15 @@ def _cmd_chi(G, args) -> int:
     from .coloring import chromatic_index
 
     chi, witness = chromatic_index(G, mode=args.mode, deadline=args.deadline)
-    print(chi)
+    lines = [chi]
+    # the witness file is written before anything is printed, so a path that
+    # cannot be opened leaves stdout empty
     if args.witness_out:
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             json.dump(witness.to_json_obj(), fh)
             fh.write("\n")
-        print(args.witness_out)
+        lines.append(args.witness_out)
+    print(*lines, sep="\n")
     return 0
 
 
@@ -78,7 +81,8 @@ def _cmd_critical(G, args) -> int:
     from .coloring import chromatic_index_value, extract_critical
 
     chi = chromatic_index_value(G, deadline=args.deadline)
-    # one criticality pass: the critical subgraph is G itself iff G is critical
+    # one criticality pass: extraction walks the pairs once, resuming where it
+    # last took a copy, and its core is G itself iff G is critical
     core = extract_critical(G, chi=chi, deadline=args.deadline)
     print(
         json.dumps(

@@ -13,6 +13,9 @@ explicit stack, so its depth is not bounded by Python's recursion limit.
 `chromatic_index` turns the color masks of its feasible decision into a
 witness coloring; `chromatic_index_value` runs the same ascent for callers
 that keep chi' alone, and assembles none.
+Criticality decides each G - e on a bare edge list, in one walk over the
+pairs that never returns to a pair whose removal lowered chi': that removal
+lowers chi' in every subgraph too (`_reductions`).
 Each function takes `deadline`, one time.monotonic() instant or None, and
 hands it to every density call and decision it makes; its caller starts the
 budget.  A decision uses at most COLOR_CAP colors.
@@ -21,14 +24,16 @@ budget.  A decision uses at most COLOR_CAP colors.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from itertools import combinations
 
-from .errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
+from .errors import (DEADLINE_POLL_INTERVAL, CoverageMismatch, InstanceTooLarge,
+                     PreconditionFailed, SolverTimeout)
 from .invariants import DENSITY_ENUMERATION_CAP, density_gamma, in_theorem_regime, is_bipartite
 from .multigraph import Multigraph, Value
 
-_TIMEOUT_CHECK_MASK = 0x3FF  # poll the clock at the first and every 1024th search node
 COLOR_CAP = 4096  # the most colors a decision may use: its witness costs about k^2
+_Edges = tuple[tuple[int, int, int], ...]  # (u, v, mult) triples in serialized order
 
 
 class EdgeColoring(Value):
@@ -103,11 +108,7 @@ def _witness(G: Multigraph, k: int, masks: list[int]) -> EdgeColoring:
 
 
 def _search(
-    n: int,
-    edges: tuple[tuple[int, int, int], ...],
-    degrees: tuple[int, ...] | list[int],
-    k: int,
-    deadline: float | None,
+    n: int, edges: _Edges, degrees: tuple[int, ...] | list[int], k: int, deadline: float | None
 ) -> list[int] | None:
     """The decision behind `is_k_colorable`, on a bare edge list.
 
@@ -131,7 +132,7 @@ def _search(
     if max(degrees, default=0) > k:
         return None
     full = (1 << k) - 1
-    poll = _TIMEOUT_CHECK_MASK
+    poll = DEADLINE_POLL_INTERVAL - 1
     todo = sorted(
         ((i, u, v, k - m) for i, (u, v, m) in enumerate(edges)),
         key=lambda entry: -(degrees[entry[1]] + degrees[entry[2]]),
@@ -248,43 +249,40 @@ def is_critical(
 
     Single-copy deletion suffices: deleting more copies only lowers chi'
     further, and vertex deletion is edge deletion plus isolated vertices.
+    So G is critical iff the walk of `extract_critical` takes no copy.
+    """
+    return next(_reductions(G, chi, deadline), None) is None
+
+
+def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Iterator[_Edges]:
+    """The edges of G after each copy `extract_critical` takes, in order.
+
+    The walk goes through the pairs in serialized order.  It takes a copy of
+    the current pair while that removal leaves chi' = chi (by default chi'(G)),
+    and moves on once the removal lowers chi': it then lowers chi' in every
+    later subgraph too, since G' ⊆ G makes G' - e ⊆ G - e.  Each G - e is an
+    edge list and a degree vector, and no graph is built for it; one that keeps
+    a vertex of degree >= chi needs chi colors and is settled without a search.
     """
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
     if chi is None:
         chi = chromatic_index_value(G, deadline=deadline)
-    return _drop_keeping_chi(G, chi, deadline) is None
+    edges, degrees, i = G.edges, G.degrees, 0
+    while i < len(edges):
+        u, v, _ = edges[i]
+        left = list(degrees)
+        left[u] -= 1
+        left[v] -= 1
+        reduced = _less_one_copy(edges, i)
+        if max(left) >= chi or _search(G.n, reduced, left, chi - 1, deadline) is None:
+            edges, degrees = reduced, left
+            yield edges
+        else:
+            i += 1
 
 
-def _drop_keeping_chi(
-    G: Multigraph, chi: int, deadline: float | None
-) -> tuple[tuple[int, int, int], ...] | None:
-    """The edges of G minus one copy of the first pair, in serialized order,
-    whose removal leaves chi' = chi, or None when every such removal lowers chi'.
-
-    Each G - e is decided as an edge list and a degree vector, and no graph
-    is built for it.  One that keeps a vertex of degree >= chi needs chi
-    colors, as `_search`'s degree test says, so it is settled before its
-    edge list is built.
-    """
-    edges = G.edges
-    degrees = G.degrees
-    at_chi = sum(d >= chi for d in degrees)
-    for i, (u, v, _) in enumerate(edges):
-        # G - e keeps no vertex of degree >= chi (only u and v lose one): search
-        if at_chi == (degrees[u] == chi) + (degrees[v] == chi):
-            left = list(degrees)
-            left[u] -= 1
-            left[v] -= 1
-            if _search(G.n, _less_one_copy(edges, i), left, chi - 1, deadline) is not None:
-                continue
-        return _less_one_copy(edges, i)
-    return None
-
-
-def _less_one_copy(
-    edges: tuple[tuple[int, int, int], ...], i: int
-) -> tuple[tuple[int, int, int], ...]:
+def _less_one_copy(edges: _Edges, i: int) -> _Edges:
     """G - e: `edges` less one copy of pair i, in serialized order."""
     u, v, m = edges[i]
     return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :]
@@ -297,15 +295,13 @@ def extract_critical(
 
     Scans pairs in serialized order for reproducibility; the result is a
     critical subgraph with the same chromatic index, G itself iff G is critical.
+    The scan is one pass (`_reductions`): it decides each pair once, plus once
+    per copy it takes, and builds one graph, the result.
     """
-    if not G.edges:
-        raise PreconditionFailed("nonempty", "criticality needs at least one edge")
-    if chi is None:
-        chi = chromatic_index_value(G, deadline=deadline)
-    current = G
-    while (reduced := _drop_keeping_chi(current, chi, deadline)) is not None:
-        current = Multigraph(G.n, reduced)
-    return current
+    edges = G.edges
+    for edges in _reductions(G, chi, deadline):
+        pass
+    return G if edges is G.edges else Multigraph(G.n, edges)
 
 
 def _lemma_chi(

@@ -60,5 +60,11 @@ class SolverTimeout(GraphError):
     """Density, a coloring decision, cycle enumeration or a ring search outran its deadline."""
 
 
+# a deadline is polled once every this many steps (search nodes, enumerated
+# odd sets, walked paths, tried rings); a power of two, so the solver's hot
+# loop tests it as a bit mask
+DEADLINE_POLL_INTERVAL = 1024
+
+
 class ConfigError(GraphError):
     """Invalid scan or suite configuration."""

@@ -39,14 +39,12 @@ from collections import deque
 from collections.abc import Container, Iterator
 from itertools import accumulate, combinations
 
-from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
+from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, SolverTimeout
 from .multigraph import Multigraph, Value
 
 INFINITE_GIRTH = math.inf
 
 DENSITY_ENUMERATION_CAP = 22
-
-_DENSITY_POLL_SUBSETS = 1024  # poll the deadline every 1024 enumerated sets
 
 
 class CycleSeq(Value):
@@ -325,7 +323,7 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
     best_gamma = 0
     best_set: tuple[int, ...] = (0, 1, 2)
     visited = 0
-    poll_at = _DENSITY_POLL_SUBSETS
+    poll_at = DEADLINE_POLL_INTERVAL
     for size in range(3, n + 1, 2):
         d = size - 1
         # no subset of this size can beat the incumbent: skip the whole size
@@ -339,7 +337,7 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
             lo = T[-1] + 1
             visited += n - lo
             if visited >= poll_at:
-                poll_at = visited + _DENSITY_POLL_SUBSETS
+                poll_at = visited + DEADLINE_POLL_INTERVAL
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverTimeout(f"density on n={n} exceeded budget")
             w = [0] * n

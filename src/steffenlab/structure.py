@@ -18,8 +18,9 @@ import time
 from collections import deque
 from itertools import chain
 
-from .errors import InstanceTooLarge, NotShortestCycle, SolverTimeout, VertexNotInV0
-from .coloring import _TIMEOUT_CHECK_MASK, chromatic_index_value
+from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle,
+                     SolverTimeout, VertexNotInV0)
+from .coloring import chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -192,8 +193,8 @@ def is_ring_graph(G: Multigraph) -> bool:
 
 
 def _poll(deadline: float | None, count: int, what: str) -> None:
-    """SolverTimeout once `deadline` has passed, polled like the solver: at count 0, 1024, ..."""
-    if deadline is not None and not count & _TIMEOUT_CHECK_MASK and time.monotonic() > deadline:
+    """SolverTimeout past `deadline`, polled at each multiple of DEADLINE_POLL_INTERVAL."""
+    if deadline is not None and not count % DEADLINE_POLL_INTERVAL and time.monotonic() > deadline:
         raise SolverTimeout(f"{what} exceeded budget")
 
 

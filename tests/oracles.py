@@ -32,13 +32,13 @@ import time
 from collections import deque
 from itertools import combinations, permutations, product
 
-from steffenlab.coloring import (
-    _TIMEOUT_CHECK_MASK,
-    EdgeColoring,
-    chromatic_index,
-    is_k_colorable,
+from steffenlab.coloring import EdgeColoring, chromatic_index, is_k_colorable
+from steffenlab.errors import (
+    DEADLINE_POLL_INTERVAL,
+    InstanceTooLarge,
+    SolverTimeout,
+    VertexNotInV0,
 )
-from steffenlab.errors import InstanceTooLarge, SolverTimeout, VertexNotInV0
 from steffenlab.generators import _aut_edge_generators
 from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build
@@ -700,7 +700,7 @@ def search_static_order(
     def dfs(i: int, next_new: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0:
+        if deadline is not None and nodes % DEADLINE_POLL_INTERVAL == 0:
             if time.monotonic() > deadline:
                 raise SolverTimeout(f"k={k} decision exceeded budget")
         if i == p:

@@ -345,6 +345,18 @@ class TestErrors:
         assert cli_main(["scan", "--config", str(cfg_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_unwritable_witness_prints_nothing(self, tmp_path, capsys):
+        # the witness is written before chi' is printed, so a failed command
+        # leaves stdout empty
+        path = tmp_path / "c5.mgr"
+        path.write_text(sl.serialize(sl.mu_cycle(5, 1)))
+        out = tmp_path / "missing" / "w.json"
+        assert cli_main(["chi", str(path), "--witness-out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
     def test_long_path_chi(self, tmp_path, capsys):
         # the colouring search keeps its path on an explicit stack
         G = sl.build(1500, [(i, i + 1, 1) for i in range(1499)])
@@ -420,10 +432,11 @@ C53_WITH_PENDANT = sl.build(6, [(0, 1, 3), (0, 4, 3), (1, 2, 3), (2, 3, 3), (3, 
 
 
 class TestOneBudget:
-    # decisions: the ascent's one, then G - e for each pair; the pendant
-    # graph drops its pendant edge after six and its 3C5 core takes five more
+    # decisions: the ascent's one, then G - e for each pair once; the pendant
+    # graph drops its pendant edge, its last pair, at the sixth, and the walk
+    # does not return to the five 3C5 pairs that already lowered chi'
     @pytest.mark.parametrize(
-        "G, critical, decisions", [(sl.mu_cycle(5, 3), True, 6), (C53_WITH_PENDANT, False, 12)]
+        "G, critical, decisions", [(sl.mu_cycle(5, 3), True, 6), (C53_WITH_PENDANT, False, 7)]
     )
     def test_critical_command_has_one_deadline(
         self, G, critical, decisions, deadlines, capsys, monkeypatch

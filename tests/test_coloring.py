@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.coloring import COLOR_CAP, _drop_keeping_chi, _search, chromatic_index_value
+from steffenlab.coloring import COLOR_CAP, _reductions, _search, chromatic_index_value
 from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from steffenlab.generators import EnumSpec, enumerate_with_keys
 from oracles import (
@@ -257,10 +257,10 @@ class TestCriticalityWithoutRebuild:
         for key, G in enumerate_with_keys(spec):
             chi = sl.chromatic_index(G)[0]
             want = drop_keeping_chi_by_rebuild(G, chi)
-            assert _drop_keeping_chi(G, chi, None) == (want and want.edges), key
+            assert next(_reductions(G, chi, None), None) == (want and want.edges), key
             assert sl.is_critical(G, chi=chi) == (want is None), key
             critical += want is None
-            # extraction repeats the same step; its full comparison on the
+            # extraction resumes the same walk; its full comparison on the
             # classes with at most 12 copies keeps the test short
             if want is not None and G.edge_count <= 12:
                 assert sl.extract_critical(G) == extract_critical_by_rebuild(G), key
@@ -298,7 +298,8 @@ class TestCriticalityWithoutRebuild:
 
         G = sl.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 5, 1), (4, 6, 1), (4, 7, 1)])
         monkeypatch.setattr(coloring, "_search", None)  # any search fails
-        assert _drop_keeping_chi(G, 3, None) == G.edges[1:]
+        walk = _reductions(G, 3, None)
+        assert [next(walk) for _ in range(3)] == [G.edges[1:], G.edges[2:], G.edges[3:]]
         assert not sl.is_critical(G, chi=3)
 
     def test_no_graph_per_decision(self, monkeypatch):
@@ -317,6 +318,28 @@ class TestCriticalityWithoutRebuild:
         assert built == []
         assert sl.extract_critical(H) == core
         assert built == [core]  # only the G - e that was kept
+        # copies go from two pairs, one of which vanishes: still one graph
+        K = sl.build(6, [(0, 1, 4), *G.edges[1:], (0, 5, 1)])
+        built.clear()
+        assert sl.extract_critical(K, chi=8) == core
+        assert built == [core]
+
+    def test_one_decision_per_pair_and_removed_copy(self, monkeypatch):
+        # a pair that lowered chi' still lowers it in every subgraph, so the
+        # walk never decides a pair again after it moves past it
+        from steffenlab import coloring
+
+        G = sl.parse_any(DENSE_18)
+        chi = chromatic_index_value(G)
+        calls = []
+        search = coloring._search
+        monkeypatch.setattr(
+            coloring, "_search", lambda *args: calls.append(args) or search(*args)
+        )
+        core = sl.extract_critical(G, chi=chi)
+        assert len(calls) <= len(G.edges) + G.edge_count - core.edge_count
+        monkeypatch.setattr(coloring, "_search", search)
+        assert core == extract_critical_by_rebuild(G)
 
 
 class TestValueOnlyAscent:
