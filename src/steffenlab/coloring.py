@@ -23,12 +23,11 @@ budget.  A decision uses at most COLOR_CAP colors.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from itertools import combinations
 
 from .errors import (DEADLINE_POLL_INTERVAL, CoverageMismatch, InstanceTooLarge,
-                     PreconditionFailed, SolverTimeout)
+                     PreconditionFailed, check_deadline)
 from .invariants import DENSITY_ENUMERATION_CAP, density_gamma, in_theorem_regime, is_bipartite
 from .multigraph import Multigraph, Value
 
@@ -142,8 +141,8 @@ def _search(
     stack = []
     opened = nodes = 0
     while True:
-        if deadline is not None and not nodes & poll and time.monotonic() > deadline:
-            raise SolverTimeout(f"k={k} decision exceeded budget")
+        if deadline is not None and not nodes & poll:
+            check_deadline(deadline, f"k={k} decision")
         nodes += 1
         if not todo:
             return masks

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a time budget."""
+
+import time
 
 
 class GraphError(Exception):
@@ -64,6 +66,12 @@ class SolverTimeout(GraphError):
 # odd sets, walked paths, tried rings); a power of two, so the solver's hot
 # loop tests it as a bit mask
 DEADLINE_POLL_INTERVAL = 1024
+
+
+def check_deadline(deadline: float | None, what: str) -> None:
+    """SolverTimeout(f"{what} exceeded budget") once time.monotonic() is past `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout(f"{what} exceeded budget")
 
 
 class ConfigError(GraphError):

@@ -24,8 +24,8 @@ multiplicity layer over the representatives with whatever `map` it is given,
 so a scan shards it over its worker pool.  A class travels as its key, and
 `graph_from_key` rebuilds the representative; girth and bipartiteness, which
 depend on the simple layer alone, are computed once per simple
-representative and travel with its keys, and so does each key's Gamma, read
-from the representative's one `odd_set_table`.
+representative and travel with its keys, and so does each key's Gamma
+(`invariants.odd_set_table`).
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from heapq import merge
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import INFINITE_GIRTH, bfs_dist, ceil_div, girth, is_connected, simple_layer
+from .invariants import (INFINITE_GIRTH, bfs_dist, girth, is_connected, odd_set_table,
+                         simple_layer, table_gamma)
 from .multigraph import Multigraph, build, ring
 
 CANONICAL_N_CAP = 12
@@ -392,45 +393,6 @@ def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, 0)
 
 
-def odd_set_table(S: Multigraph) -> list[tuple[tuple[int, ...], int]]:
-    """Rows (E, d) from which `table_gamma` reads Gamma of every multigraph on
-    the pairs of S: E is the positions in S.edges of the pairs inside an odd
-    vertex set U, |U| >= 3, and d = |U| - 1.
-
-    An edge set keeps its least d, and a row is dropped when another row
-    (E', d') has E' ⊇ E and d' <= d: with positive multiplicities its value
-    ceil(2 x(E') / d') is at least the dropped row's.  Rows are ordered by d,
-    then by size, so a row's droppers come before it.
-    """
-    n = S.n
-    ends = [(1 << u) | (1 << v) for u, v, _ in S.edges]
-    least: dict[int, int] = {}  # bitmask of edge positions -> least d
-    for size in range(3, n + 1, 2):
-        for U in combinations(range(n), size):
-            within = sum(1 << u for u in U)
-            E = sum(1 << i for i, uv in enumerate(ends) if uv & within == uv)
-            least.setdefault(E, size - 1)
-    table: list[tuple[int, int]] = []
-    for E, d in sorted(least.items(), key=lambda row: (row[1], -row[0].bit_count())):
-        if not any(E & ~E2 == 0 and d2 <= d for E2, d2 in table):
-            table.append((E, d))
-    return [(tuple(i for i in range(len(ends)) if E >> i & 1), d) for E, d in table]
-
-
-def table_gamma(table: list[tuple[tuple[int, ...], int]], mults: tuple[int, ...]) -> int:
-    """Gamma of the multigraph whose pairs, in the table's order, have `mults`:
-    ceil(2 x(E) / d) at the row of largest x(E) / d, which is exact as
-    `odd_set_table` keeps a row at least as large as every odd set's value."""
-    best_inside, best_d = 0, 1
-    for E, d in table:
-        inside = 0
-        for i in E:
-            inside += mults[i]
-        if inside * best_d > best_inside * d:
-            best_inside, best_d = inside, d
-    return ceil_div(2 * best_inside, best_d)
-
-
 def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, int]]:
     """(canonical key, Gamma) of the spec's classes whose underlying simple
     graph is `simple`.
@@ -438,8 +400,7 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, int
     Two multiplicity vectors on the edges of `simple` give isomorphic
     multigraphs iff an automorphism of `simple` carries one onto the other,
     so only the lex-min vector of each orbit is canonicalised, and each key
-    comes out exactly once.  Every vector has the odd vertex sets of
-    `simple`, so Gamma is read from one `odd_set_table`.
+    comes out exactly once.  Gamma is read from one `odd_set_table`.
     """
     pairs = [(u, v) for u, v, _ in simple.edges]
     images = [itemgetter(*perm) for perm in _aut_edge_generators(simple)]

@@ -22,8 +22,8 @@ representative and seeds each record's memo with them (`simple_layer`,
 `seed_simple_layer`).  Gamma depends on the multiplicities too, but every
 multigraph on one simple graph S has S's odd vertex sets, so the
 multiplicity layer reads the Gamma of each class from one table of S's odd
-sets (`generators.odd_set_table`), and a scan seeds that value as well: no
-scan record enumerates odd sets for its graph.
+sets (`invariants.odd_set_table`, read by `table_gamma`), and a scan seeds
+that value as well: no scan record enumerates odd sets for its graph.
 
 Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
@@ -34,12 +34,11 @@ sum of the s largest degrees (2|E(G[S])| <= sum of the degrees in S).
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from collections.abc import Container, Iterator
 from itertools import accumulate, combinations
 
-from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, SolverTimeout
+from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, check_deadline
 from .multigraph import Multigraph, Value
 
 INFINITE_GIRTH = math.inf
@@ -268,7 +267,7 @@ def simple_layer(G: Multigraph) -> tuple[int | float, bool]:
 def seed_simple_layer(G: Multigraph, seed: tuple[int | float, bool, int]) -> None:
     """Memoise on G a scan's seed: the `simple_layer` of a graph whose
     underlying simple graph is isomorphic to G's, and Gamma(G) itself, read
-    from that graph's `generators.odd_set_table`.  G then computes none of
+    from that graph's `invariants.odd_set_table`.  G then computes none of
     the three."""
     memo = G.memo
     memo[frozenset(range(G.n))], memo["bipartite"], memo["gamma"] = seed
@@ -338,8 +337,7 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
             visited += n - lo
             if visited >= poll_at:
                 poll_at = visited + DEADLINE_POLL_INTERVAL
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SolverTimeout(f"density on n={n} exceeded budget")
+                check_deadline(deadline, f"density on n={n}")
             w = [0] * n
             inside = 0
             for x in T:
@@ -360,6 +358,45 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
 def _fewest_inside(gamma: int, d: int) -> int:
     """Least e with ceil(2e / d) >= gamma: sets with fewer inner edges cannot tie."""
     return (gamma - 1) * d // 2 + 1
+
+
+def odd_set_table(S: Multigraph) -> list[tuple[tuple[int, ...], int]]:
+    """Rows (E, d) from which `table_gamma` reads Gamma of every multigraph on
+    the pairs of S: E is the positions in S.edges of the pairs inside an odd
+    vertex set U, |U| >= 3, and d = |U| - 1.
+
+    An edge set keeps its least d, and a row is dropped when another row
+    (E', d') has E' ⊇ E and d' <= d: with positive multiplicities its value
+    ceil(2 x(E') / d') is at least the dropped row's.  Rows are ordered by d,
+    then by size, so a row's droppers come before it.
+    """
+    n = S.n
+    ends = [(1 << u) | (1 << v) for u, v, _ in S.edges]
+    least: dict[int, int] = {}  # bitmask of edge positions -> least d
+    for size in range(3, n + 1, 2):
+        for U in combinations(range(n), size):
+            within = sum(1 << u for u in U)
+            E = sum(1 << i for i, uv in enumerate(ends) if uv & within == uv)
+            least.setdefault(E, size - 1)
+    table: list[tuple[int, int]] = []
+    for E, d in sorted(least.items(), key=lambda row: (row[1], -row[0].bit_count())):
+        if not any(E & ~E2 == 0 and d2 <= d for E2, d2 in table):
+            table.append((E, d))
+    return [(tuple(i for i in range(len(ends)) if E >> i & 1), d) for E, d in table]
+
+
+def table_gamma(table: list[tuple[tuple[int, ...], int]], mults: tuple[int, ...]) -> int:
+    """Gamma of the multigraph whose pairs, in the table's order, have `mults`:
+    ceil(2 x(E) / d) at the row of largest x(E) / d, which is exact as
+    `odd_set_table` keeps a row at least as large as every odd set's value."""
+    best_inside, best_d = 0, 1
+    for E, d in table:
+        inside = 0
+        for i in E:
+            inside += mults[i]
+        if inside * best_d > best_inside * d:
+            best_inside, best_d = inside, d
+    return ceil_div(2 * best_inside, best_d)
 
 
 def steffen_bound(G: Multigraph) -> int:

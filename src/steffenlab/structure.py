@@ -14,12 +14,11 @@ neighbour sets (`Multigraph.adj`).  Cycle enumeration walks
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from itertools import chain
 
-from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle,
-                     SolverTimeout, VertexNotInV0)
+from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, VertexNotInV0,
+                     check_deadline)
 from .coloring import chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
@@ -192,15 +191,9 @@ def is_ring_graph(G: Multigraph) -> bool:
     return G.n >= 3 and all(len(nbrs) == 2 for nbrs in G.adj) and is_connected(G)
 
 
-def _poll(deadline: float | None, count: int, what: str) -> None:
-    """SolverTimeout past `deadline`, polled at each multiple of DEADLINE_POLL_INTERVAL."""
-    if deadline is not None and not count % DEADLINE_POLL_INTERVAL and time.monotonic() > deadline:
-        raise SolverTimeout(f"{what} exceeded budget")
-
-
 def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[CycleSeq]:
     """All simple cycles of the underlying simple graph, canonically oriented,
-    sorted by (length, sequence).  The walk polls `deadline` (`_poll`)."""
+    sorted by (length, sequence).  The walk polls `deadline`."""
     return [CycleSeq(c) for c in chain.from_iterable(_cycles_by_length(G, deadline))]
 
 
@@ -219,7 +212,8 @@ def _cycles_by_length(G: Multigraph, deadline: float | None) -> list[list[tuple[
         if sum(y > start for y in closing) < 2:
             continue  # a cycle leaves its least vertex by two higher neighbours
         for path in simple_paths(G, start, range(start + 1, G.n), G.n):
-            _poll(deadline, walked, "cycle enumeration")
+            if not walked % DEADLINE_POLL_INTERVAL:
+                check_deadline(deadline, "cycle enumeration")
             walked += 1
             if len(path) >= 3 and path[1] < path[-1] and path[-1] in closing:
                 by_length[len(path)].append(tuple(path))
@@ -273,7 +267,8 @@ def find_ring_subgraph_with_chi(
         return None
     cycles = chain.from_iterable(_cycles_by_length(G, deadline))
     for tried, cyc in enumerate(cycles):
-        _poll(deadline, tried, "ring search")
+        if not tried % DEADLINE_POLL_INTERVAL:
+            check_deadline(deadline, "ring search")
         g = len(cyc)
         mults = [G.mult(cyc[i], cyc[(i + 1) % g]) for i in range(g)]
         if _ring_chi(mults) < target:

@@ -77,6 +77,25 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     ]
 
 
+def test_odd_set_table_loads_no_enumerator():
+    # Gamma's table lives beside density, so a solver that reads it does not
+    # pull in the enumerator; under -S, `site` imports nothing before the probe
+    probe = (
+        "import sys\n"
+        "from steffenlab.invariants import odd_set_table, table_gamma\n"
+        "from steffenlab.multigraph import ring\n"
+        "table = odd_set_table(ring(5, [1] * 5))\n"
+        "assert table_gamma(table, (3,) * 5) == 8\n"
+        "print([m for m in sys.modules if m.startswith('steffenlab.')], file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=CLI_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'steffenlab.invariants'" in proc.stderr
+    assert "'steffenlab.generators'" not in proc.stderr
+
+
 def test_only_the_lemma_suite_loads_hashlib(tmp_path):
     # only the lemma suite's digests hash: a scan, with one worker or with a
     # pool, loads neither hashlib nor OpenSSL's _hashlib; under -S, `site`

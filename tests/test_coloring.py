@@ -553,6 +553,25 @@ class TestTimeouts:
         assert time.monotonic() - start < 2.0
         assert "density" not in G.memo
 
+    def test_every_timeout_message(self, monkeypatch):
+        # the four messages a caller can see, each raised by an expired
+        # deadline; perfbench scores a timed-out query by their words
+        import steffenlab.structure as structure_mod
+
+        def message(call, *args):
+            with pytest.raises(SolverTimeout) as caught:
+                call(*args, deadline=time.monotonic() - 1.0)
+            return str(caught.value)
+
+        K52 = sl.mu_complete(5, 2)
+        assert message(sl.is_k_colorable, sl.mu_cycle(5, 3), 8) == "k=8 decision exceeded budget"
+        assert message(sl.density, sl.mu_complete(14, 1)) == "density on n=14 exceeded budget"
+        assert message(sl.enumerate_cycles, K52) == "cycle enumeration exceeded budget"
+        # the walk polls before the loop over its cycles: hand the loop the walk's result
+        cycles = structure_mod._cycles_by_length(K52, None)
+        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda G, deadline: cycles)
+        assert message(sl.find_ring_subgraph_with_chi, K52, 1000) == "ring search exceeded budget"
+
     def test_doubled_even_complete_is_class_one(self):
         G = sl.mu_complete(6, 2)
         chi, w = sl.chromatic_index(G)

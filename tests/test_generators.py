@@ -14,11 +14,9 @@ from steffenlab.generators import (
     class_keys,
     enumerate_with_keys,
     graph_from_key,
-    odd_set_table,
     simple_representatives,
-    table_gamma,
 )
-from steffenlab.invariants import is_bipartite
+from steffenlab.invariants import is_bipartite, odd_set_table, table_gamma
 from oracles import (
     aut_edge_perms,
     canonical_labeling,
