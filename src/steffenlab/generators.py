@@ -22,10 +22,9 @@ once (McKay, "Isomorph-free exhaustive generation", 1998).  Each
 simple representative is an independent task: `class_keys` maps the
 multiplicity layer over the representatives with whatever `map` it is given,
 so a scan shards it over its worker pool.  A class travels as its key, and
-`graph_from_key` rebuilds the representative; girth and bipartiteness, which
-depend on the simple layer alone, are computed once per simple
-representative and travel with its keys, and so does each key's Gamma
-(`invariants.odd_set_table`).
+`graph_from_key` rebuilds the representative; each key travels with its
+seed (girth, bipartite, Gamma), which the task makes from its simple
+representative with `invariants.seeder`.
 """
 
 from __future__ import annotations
@@ -34,13 +33,11 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from heapq import merge
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BadParameter, ConfigError, InstanceTooLarge
-from .invariants import (INFINITE_GIRTH, bfs_dist, girth, is_connected, odd_set_table,
-                         simple_layer, table_gamma)
+from .invariants import INFINITE_GIRTH, Seed, bfs_dist, girth, is_connected, seeder
 from .multigraph import Multigraph, build, ring
 
 CANONICAL_N_CAP = 12
@@ -393,58 +390,45 @@ def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
     yield from fill(0, 0)
 
 
-def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, int]]:
-    """(canonical key, Gamma) of the spec's classes whose underlying simple
-    graph is `simple`.
+def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, Seed]]:
+    """(canonical key, seed) of the spec's classes whose underlying simple
+    graph is `simple`, sorted; each seed is `invariants.seeder`'s.
 
     Two multiplicity vectors on the edges of `simple` give isomorphic
     multigraphs iff an automorphism of `simple` carries one onto the other,
     so only the lex-min vector of each orbit is canonicalised, and each key
-    comes out exactly once.  Gamma is read from one `odd_set_table`.
+    comes out exactly once.
     """
     pairs = [(u, v) for u, v, _ in simple.edges]
     images = [itemgetter(*perm) for perm in _aut_edge_generators(simple)]
-    table = odd_set_table(simple)
+    seed = seeder(simple)
     keys = []
     for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
         if not _is_orbit_min(vec, images):
             continue  # a smaller vector of the same orbit is kept instead
         key = _canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)])
-        keys.append((key, table_gamma(table, vec)))
-    return keys
+        keys.append((key, seed(vec)))
+    return sorted(keys)
 
 
-def _seeded(shard: list[tuple[str, int]], layer: tuple, interned: dict) -> Iterator[tuple]:
-    """A shard's (key, seed) pairs in key order, each seed (girth, bipartite,
-    Gamma) the one tuple `interned` holds for its value."""
-    for key, gamma in sorted(shard):
-        seed = (*layer, gamma)
-        yield key, interned.setdefault(seed, seed)
-
-
-def class_keys(
-    spec: EnumSpec, mapper: Callable = map
-) -> tuple[list[str], list[tuple[int | float, bool, int]]]:
+def class_keys(spec: EnumSpec, mapper: Callable = map) -> tuple[list[str], list[Seed]]:
     """Canonical keys of the spec's classes, sorted, and aligned with them
-    each key's seed: the `simple_layer` (girth, bipartite) of its simple
-    representative and its own Gamma.
+    each key's seed (girth, bipartite, Gamma) from `multiplicity_keys`.
 
     `mapper` runs the multiplicity layer, one simple representative per task:
     the builtin `map` in process, or a pool's `map` to shard it.  Keys of
     different representatives never collide, so the merge is a merge of the
     sorted shards.  Equal seeds are one tuple, so a key costs the seed list
     one reference; a scan seeds each record's memo with it
-    (`seed_simple_layer`) instead of computing the three per record.
+    (`invariants.seed_memo`) instead of computing the three per record.
     """
-    simples = list(simple_representatives(spec))
-    layers = [simple_layer(S) for S in simples]
-    shards = mapper(partial(multiplicity_keys, spec), simples)
-    interned: dict[tuple, tuple] = {}
+    shards = mapper(partial(multiplicity_keys, spec), simple_representatives(spec))
+    interned: dict[Seed, Seed] = {}
     keys: list[str] = []
-    seeds: list[tuple[int | float, bool, int]] = []
-    for key, seed in merge(*map(_seeded, shards, layers, repeat(interned))):
+    seeds: list[Seed] = []
+    for key, seed in merge(*shards):
         keys.append(key)
-        seeds.append(seed)
+        seeds.append(interned.setdefault(seed, seed))
     return keys, seeds
 
 

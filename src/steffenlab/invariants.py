@@ -17,13 +17,12 @@ induced subgraph asked about by its vertex set, the whole graph's (`girth`)
 included.  So a scan record, `steffen_bound` and `chromatic_index` share
 one value per graph, and a cycle partition, its verification and the
 short-cycle clauses share each BFS run.  Girth and bipartiteness depend on
-the underlying simple graph alone, so a scan computes them once per simple
-representative and seeds each record's memo with them (`simple_layer`,
-`seed_simple_layer`).  Gamma depends on the multiplicities too, but every
-multigraph on one simple graph S has S's odd vertex sets, so the
-multiplicity layer reads the Gamma of each class from one table of S's odd
-sets (`invariants.odd_set_table`, read by `table_gamma`), and a scan seeds
-that value as well: no scan record enumerates odd sets for its graph.
+the underlying simple graph alone, and every multigraph on one simple graph
+S has S's odd vertex sets, so `seeder` makes each class's scan seed from S:
+S's girth and bipartiteness and the class's Gamma, read from one table of
+S's odd sets (`odd_set_table`, read by `table_gamma`).  A scan seeds each
+record's memo with it (`seed_memo`): no scan record computes its girth or
+bipartiteness or enumerates odd sets for its graph.
 
 Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Container, Iterator
+from collections.abc import Callable, Container, Iterator
 from itertools import accumulate, combinations
 
 from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, check_deadline
@@ -44,6 +43,9 @@ from .multigraph import Multigraph, Value
 INFINITE_GIRTH = math.inf
 
 DENSITY_ENUMERATION_CAP = 22
+
+# a class's scan seed, made by `seeder`: (girth, bipartite, Gamma)
+Seed = tuple[int | float, bool, int]
 
 
 class CycleSeq(Value):
@@ -258,16 +260,9 @@ def _two_colorable(G: Multigraph) -> bool:
     return all(dist[u] != dist[v] for u, v, _ in G.edges)
 
 
-def simple_layer(G: Multigraph) -> tuple[int | float, bool]:
-    """(girth, bipartite): the invariants G shares with every multigraph on
-    an isomorphic underlying simple graph."""
-    return girth(G), is_bipartite(G)
-
-
-def seed_simple_layer(G: Multigraph, seed: tuple[int | float, bool, int]) -> None:
-    """Memoise on G a scan's seed: the `simple_layer` of a graph whose
-    underlying simple graph is isomorphic to G's, and Gamma(G) itself, read
-    from that graph's `invariants.odd_set_table`.  G then computes none of
+def seed_memo(G: Multigraph, seed: Seed) -> None:
+    """Memoise on G its seed (girth, bipartite, Gamma), made by `seeder` on a
+    simple graph isomorphic to G's underlying one; G then computes none of
     the three."""
     memo = G.memo
     memo[frozenset(range(G.n))], memo["bipartite"], memo["gamma"] = seed
@@ -294,7 +289,7 @@ def density(G: Multigraph, deadline: float | None = None) -> DensityWitness:
 
 
 def density_gamma(G: Multigraph, deadline: float | None = None) -> int:
-    """Gamma(G) without a witness: the value a scan seeded (`seed_simple_layer`),
+    """Gamma(G) without a witness: the value a scan seeded (`seed_memo`),
     else `density(G).gamma`, memoised on G."""
     memo = G.memo
     if "gamma" not in memo:
@@ -397,6 +392,23 @@ def table_gamma(table: list[tuple[tuple[int, ...], int]], mults: tuple[int, ...]
         if inside * best_d > best_inside * d:
             best_inside, best_d = inside, d
     return ceil_div(2 * best_inside, best_d)
+
+
+def seeder(S: Multigraph) -> Callable[[tuple[int, ...]], Seed]:
+    """The seeds of the multigraphs on the pairs of the simple graph S: a
+    function from their multiplicities, in S.edges order, to (girth,
+    bipartite, Gamma), with S's own girth and bipartiteness, which they all
+    share, and Gamma read from S's one `odd_set_table`.  Equal seeds are one
+    tuple."""
+    table = odd_set_table(S)
+    layer = girth(S), is_bipartite(S)
+    seeds: dict[int, Seed] = {}
+
+    def seed(mults: tuple[int, ...]) -> Seed:
+        gamma = table_gamma(table, mults)
+        return seeds.setdefault(gamma, (*layer, gamma))
+
+    return seed
 
 
 def steffen_bound(G: Multigraph) -> int:

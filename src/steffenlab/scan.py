@@ -7,7 +7,10 @@ order, and the worker count only picks the `map` that computes them (see
 checkpoint beside it holds one line, the echo of the enumeration spec that
 wrote the report.  A re-run keeps the longest prefix of complete report
 lines whose keys follow the enumeration's key order and reproduces the
-remaining tail byte for byte.
+remaining tail byte for byte.  The parent process merges keys, writes lines
+and folds them: a record's graph is built, from its key and seed, only
+where the record is computed, and every check of the summary reads a
+line's own fields, so a kept line is folded as a fresh one is.
 """
 
 from __future__ import annotations
@@ -36,19 +39,19 @@ from .generators import (
 )
 from .invariants import (
     INFINITE_GIRTH,
+    Seed,
     bound_at_girth,
     check_short_cycle_properties,
     density_gamma,
     girth,
     in_theorem_regime,
-    seed_simple_layer,
+    seed_memo,
 )
 from .multigraph import Multigraph, parse_any, serialize
 from .structure import (
     cycle_partition,
     fan_bound_check,
     find_ring_subgraph_with_chi,
-    is_ring_graph,
     max_fan,
     verify_cycle_partition,
 )
@@ -208,10 +211,12 @@ class ScanSummary:
 
 
 def _fold_record(summary: ScanSummary, record: dict, ring_check: bool) -> None:
-    """Count `record` into `summary`.  With `ring_check`, it also checks the
-    main theorem: a critical record in its regime at the record's own girth
-    (a null girth is infinite, never in it) is an odd ring, judged on the
-    graph rebuilt from its key, so a resumed prefix is checked too."""
+    """Count `record` into `summary`, from its own fields alone, so a resumed
+    prefix is checked as a fresh record is.  With `ring_check`, it also checks
+    the main theorem: a critical record in its regime at the record's own
+    girth (a null girth is infinite, never in it) is an odd ring, that is, its
+    girth is its odd n, since a shortest cycle through every vertex has no
+    chord."""
     summary.total += 1
     if record["status"] != "ok":
         summary.timeouts += 1
@@ -234,27 +239,21 @@ def _fold_record(summary: ScanSummary, record: dict, ring_check: bool) -> None:
             summary.ring_found += 1
         else:
             summary.ring_violations.append(key)
-    if (
-        ring_check
-        and record["isCritical"]
-        and in_theorem_regime(
-            record["Delta"], record["mu"], record["girth"] or INFINITE_GIRTH, record["chi"]
-        )
-    ):
-        G = graph_from_key(key)
-        if not (is_ring_graph(G) and G.n % 2):
-            summary.theorem_violations.append(key)
+    g, n = record["girth"] or INFINITE_GIRTH, record["n"]
+    in_regime = in_theorem_regime(record["Delta"], record["mu"], g, record["chi"])
+    if ring_check and record["isCritical"] and in_regime and not (g == n and n % 2):
+        summary.theorem_violations.append(key)
 
 
-def _seeded_graph(key: str, seed: tuple[int | float, bool, int]) -> Multigraph:
+def _seeded_graph(key: str, seed: Seed) -> Multigraph:
     """The graph of the class `key`; `seed` is its (girth, bipartite, Gamma)
     from `class_keys`, which the graph takes instead of computing them."""
     G = graph_from_key(key)
-    seed_simple_layer(G, seed)
+    seed_memo(G, seed)
     return G
 
 
-def _record_for_key(config: ScanConfig, key: str, seed: tuple[int | float, bool, int]) -> dict:
+def _record_for_key(config: ScanConfig, key: str, seed: Seed) -> dict:
     """The record of the class `key` with its seed from `class_keys`."""
     return compute_record(key, _seeded_graph(key, seed), config)
 

@@ -7,8 +7,9 @@ is the library's previous kernel, kept to pin the witness tie-break), the
 cycle oracles enumerate vertex sequences (the girth reference is the
 library's previous BFS from every root), and the short-cycle clause oracle
 finds outside paths among the permutations of the outside vertices.  The
-ring-search oracle is the library's previous search, which asks the solver
-for chi' at every step instead of using the ring's closed form.  The
+ring-search oracle is the library's previous search over the cycle oracle's
+own cycles, which asks the solver for chi' at every step instead of using
+the ring's closed form.  The
 criticality oracles are the library's previous loop, which builds every
 G - e as a graph from the copies that remain, and the witness oracle is its
 previous assembly, which sorts the copies.  The static-order search is the
@@ -40,9 +41,9 @@ from steffenlab.errors import (
     VertexNotInV0,
 )
 from steffenlab.generators import _aut_edge_generators
-from steffenlab.invariants import INFINITE_GIRTH, DensityWitness, girth
+from steffenlab.invariants import INFINITE_GIRTH, CycleSeq, DensityWitness, girth
 from steffenlab.multigraph import Multigraph, build
-from steffenlab.structure import CyclePartition, Fan, RingSubgraph, enumerate_cycles
+from steffenlab.structure import CyclePartition, Fan, RingSubgraph
 
 
 def brute_force_chi(G: Multigraph) -> int:
@@ -594,7 +595,7 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
         g = len(mults)
         return chromatic_index(build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]))[0]
 
-    for cyc in enumerate_cycles(G):
+    for cyc in map(CycleSeq, all_cycles_by_bfs_style(G)):
         g = len(cyc)
         mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
         chi = ring_chi(mults)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import steffenlab as sl
 from steffenlab.coloring import COLOR_CAP, _reductions, _search, chromatic_index_value
 from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
-from steffenlab.generators import EnumSpec, enumerate_with_keys
+from steffenlab.generators import EnumSpec, enumerate_with_keys, graph_from_key
 from oracles import (
     brute_force_chi,
     drop_keeping_chi_by_rebuild,
@@ -384,6 +384,37 @@ class TestValueOnlyAscent:
         monkeypatch.setattr(coloring, "EdgeColoring", None)  # any witness fails
         assert chromatic_index_value(sl.mu_cycle(5, 3)) == 8
         assert chromatic_index_value(sl.build(3, [])) == 0
+
+
+# the Petersen graph minus a vertex: the first known graph with chi' > max(Delta, Gamma)
+PETERSEN_MINUS_VERTEX = "09.010000000000000101000100000000000001000100010000010100010000010001000000"
+
+
+class TestPetersenMinusVertex:
+    def test_key_and_values(self, petersen):
+        # vertex 0 and its edges go (u < v in every triple), the rest move down by one
+        minus_0 = sl.build(9, [(u - 1, v - 1, 1) for u, v, _ in petersen.edges if u])
+        assert sl.canonical_form(minus_0) == PETERSEN_MINUS_VERTEX
+        G = graph_from_key(PETERSEN_MINUS_VERTEX)
+        assert (G.n, max(G.degrees), sl.density(G).gamma) == (9, 3, 3)
+        assert sl.chromatic_index(G)[0] == 4
+        assert sl.is_critical(G) is True
+
+    def test_two_decisions(self, monkeypatch):
+        # the ascent starts at max(Delta, Gamma) = 3, which is refuted
+        from steffenlab import coloring
+
+        decisions = []
+        search = coloring._search
+
+        def logged(n, edges, degrees, k, deadline):
+            masks = search(n, edges, degrees, k, deadline)
+            decisions.append((k, masks is not None))
+            return masks
+
+        monkeypatch.setattr(coloring, "_search", logged)
+        assert chromatic_index_value(graph_from_key(PETERSEN_MINUS_VERTEX)) == 4
+        assert decisions == [(3, False), (4, True)]
 
 
 class TestDynamicOrderSearch:

@@ -978,15 +978,43 @@ class TestTheoremCheck:
         assert self.fold(record, ring_check=False).theorem_violations == []
         assert self.fold({**record, "girth": None}).theorem_violations == []
 
-    def test_scan_and_its_resume_check_every_record(self, tmp_path, monkeypatch):
-        import steffenlab.scan as scan_mod
+    def test_resume_judges_the_kept_lines(self, tmp_path):
+        # the verdict is read from a kept line's own `girth` and `n`: a 3C5
+        # line that claims n = 7 is a critical record in the regime that is
+        # no odd ring
+        spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
+        out = tmp_path / "r.jsonl"
+        cfg = ScanConfig(enum_spec=spec, output_path=str(out))
+        assert run_scan(cfg).theorem_violations == []
+        lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        (at,) = [i for i, line in enumerate(lines) if json.loads(line)["graphKey"] == THREE_C5]
+        lines[at] = lines[at].replace('"n":5,', '"n":7,', 1)
+        assert json.loads(lines[at])["n"] == 7
+        out.write_text("".join(lines), encoding="utf-8")
+        summary = run_scan(cfg)
+        assert summary.total == len(lines)
+        assert summary.theorem_violations == [THREE_C5]
+        assert out.read_text(encoding="utf-8") == "".join(lines)  # every line was kept
 
-        monkeypatch.setattr(scan_mod, "is_ring_graph", lambda G: False)
+    def test_folding_a_report_builds_no_graph(self, tmp_path, monkeypatch):
+        from steffenlab.multigraph import Multigraph
+
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
         cfg = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "r.jsonl"))
-        assert run_scan(cfg).theorem_violations == [THREE_C5]
-        # the second run folds every record from the first run's report
-        assert run_scan(cfg).theorem_violations == [THREE_C5]
+        want = run_scan(cfg)
+        assert want.critical > 0
+        keys = class_keys(spec)[0]
+        built = []
+        init = Multigraph.__init__
+        monkeypatch.setattr(
+            Multigraph, "__init__", lambda G, *a: built.append(a) or init(G, *a)
+        )
+        summary = ScanSummary()
+        assert _fold_report_prefix(cfg, keys, summary)[0] == len(keys)
+        assert summary == want
+        assert built == []
+        graph_from_key(THREE_C5)  # the spy sees every graph that is built
+        assert len(built) == 1
 
 
 class TestTimeoutRecords:
