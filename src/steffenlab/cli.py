@@ -4,9 +4,9 @@ Graph arguments accept a file path or '-' for stdin; input may be MGR text
 or the JSON form.  `--timeout` is the budget of the whole command: it
 becomes one deadline when the arguments are parsed.  Exit codes: 0 success,
 1 a scan/suite found violations, 2 usage, input or configuration errors
-(malformed graphs, non-positive timeouts, unknown config keys, unreadable or
-unwritable paths, JSON nested too deeply to parse, instances over a size
-cap) and timeouts.
+(malformed graphs, non-positive timeouts, configs that are not JSON or have
+unknown keys, unreadable or unwritable paths, JSON nested too deeply to
+parse, instances over a size cap) and timeouts.
 """
 
 from __future__ import annotations
@@ -28,14 +28,18 @@ def _read_graph(source: str):
 
 
 # each command imports the modules it runs: `invariants` and `density` load
-# `invariants`, `chi` and `critical` also `coloring`, `partition` and
-# `ring-find` also `structure`, and only `gen`, `scan` and `lemma-suite` the
-# enumerator (`generators`) or `scan`
+# `invariants`, `chi` and `critical` also `coloring`, `partition` `invariants`
+# and `structure`, `ring-find` also `coloring` once it finds a ring, and only
+# `gen`, `scan` and `lemma-suite` the enumerator (`generators`) or `scan`
 def _load_config(path: str):
     from .scan import ScanConfig
 
     with open(path, encoding="utf-8") as fh:
-        return ScanConfig.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    return ScanConfig.from_json_obj(obj)
 
 
 def _cmd_invariants(G, args) -> int:

@@ -13,9 +13,9 @@ explicit stack, so its depth is not bounded by Python's recursion limit.
 `chromatic_index` turns the color masks of its feasible decision into a
 witness coloring; `chromatic_index_value` runs the same ascent for callers
 that keep chi' alone, and assembles none.
-Criticality decides each G - e on a bare edge list, in one walk over the
-pairs that never returns to a pair whose removal lowered chi': that removal
-lowers chi' in every subgraph too (`_reductions`).
+Criticality and the matching decomposition decide each G - e on a bare edge
+list; criticality walks the pairs once, never returning to a pair whose
+removal lowered chi', as it lowers chi' in every subgraph too (`_reductions`).
 Each function takes `deadline`, one time.monotonic() instant or None, and
 hands it to every density call and decision it makes; its caller starts the
 budget.  A decision uses at most COLOR_CAP colors.
@@ -23,7 +23,7 @@ budget.  A decision uses at most COLOR_CAP colors.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import combinations
 
 from .errors import (DEADLINE_POLL_INTERVAL, CoverageMismatch, InstanceTooLarge,
@@ -88,15 +88,15 @@ def is_k_colorable(
 ) -> EdgeColoring | None:
     """A proper k-edge-coloring of G, or None.  Deterministic given (G, k)."""
     masks = _search(G.n, G.edges, G.degrees, k, deadline)
-    return None if masks is None else _witness(G, k, masks)
+    return None if masks is None else _witness(G.edges, k, masks)
 
 
-def _witness(G: Multigraph, k: int, masks: list[int]) -> EdgeColoring:
-    """The coloring of G's copies by the color masks `_search` chose for its pairs."""
+def _witness(edges: _Edges, k: int, masks: list[int]) -> EdgeColoring:
+    """The coloring of the copies of `edges` by the color masks `_search` chose for them."""
     # copies of a pair take its mask's colors lowest first, and walking the
     # pairs in serialized order lists the copies in ((u, v), copy) order
     assignment = []
-    for pair, mask in zip(G.edges, masks):
+    for pair, mask in zip(edges, masks):
         copy = 0
         while mask:
             low = mask & -mask
@@ -209,7 +209,7 @@ def chromatic_index(
     decision share the one `deadline`.
     """
     k, masks = _ascent(G, mode, deadline)
-    return k, _witness(G, k, masks)
+    return k, _witness(G.edges, k, masks)
 
 
 def chromatic_index_value(G: Multigraph, deadline: float | None = None) -> int:
@@ -269,11 +269,7 @@ def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Itera
         chi = chromatic_index_value(G, deadline=deadline)
     edges, degrees, i = G.edges, G.degrees, 0
     while i < len(edges):
-        u, v, _ = edges[i]
-        left = list(degrees)
-        left[u] -= 1
-        left[v] -= 1
-        reduced = _less_one_copy(edges, i)
+        reduced, left = _less_one_copy(edges, degrees, i)
         if max(left) >= chi or _search(G.n, reduced, left, chi - 1, deadline) is None:
             edges, degrees = reduced, left
             yield edges
@@ -281,10 +277,13 @@ def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Itera
             i += 1
 
 
-def _less_one_copy(edges: _Edges, i: int) -> _Edges:
-    """G - e: `edges` less one copy of pair i, in serialized order."""
+def _less_one_copy(edges: _Edges, degrees: Sequence[int], i: int) -> tuple[_Edges, list[int]]:
+    """G - e: `edges` less one copy of pair i, in serialized order, and its degrees."""
     u, v, m = edges[i]
-    return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :]
+    left = list(degrees)
+    left[u] -= 1
+    left[v] -= 1
+    return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :], left
 
 
 def extract_critical(
@@ -328,8 +327,8 @@ def near_perfect_matching_decomposition(
     """Partition E(G-e) into chi'-1 near-perfect matchings.
 
     Requires G critical with chi' >= Delta + 2 and n odd.  Any proper
-    (chi'-1)-coloring of G-e works: the edge count forces every class to
-    have exactly (n-1)/2 edges, each missing a single vertex.
+    (chi'-1)-coloring of G-e works, here the decision `is_critical` makes on
+    its edge list: every class has (n-1)/2 edges, so misses one vertex.
     """
     u, v = min(e), max(e)
     if G.mult(u, v) < 1:
@@ -337,11 +336,11 @@ def near_perfect_matching_decomposition(
     if G.n % 2 == 0:
         raise PreconditionFailed("n-odd", f"n={G.n} is even")
     chi = _lemma_chi(G, chi, assume_critical, deadline)
-    reduced = _less_one_copy(G.edges, G.edges.index((u, v, G.mult(u, v))))
-    witness = is_k_colorable(Multigraph(G.n, reduced), chi - 1, deadline)
-    if witness is None:
+    reduced, left = _less_one_copy(G.edges, G.degrees, G.edges.index((u, v, G.mult(u, v))))
+    masks = _search(G.n, reduced, left, chi - 1, deadline)
+    if masks is None:
         raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
-    classes = witness.classes()
+    classes = _witness(reduced, chi - 1, masks).classes()
     missed = []
     for cls in classes:
         # a class is a matching, so it misses one vertex iff it has (n-1)/2 edges

@@ -36,7 +36,7 @@ from heapq import merge
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .errors import BadParameter, ConfigError, InstanceTooLarge
+from .errors import BadParameter, ConfigError, InstanceTooLarge, ParseError
 from .invariants import INFINITE_GIRTH, Seed, bfs_dist, girth, is_connected, seeder
 from .multigraph import Multigraph, build, ring
 
@@ -282,11 +282,16 @@ def graph_from_key(key: str) -> Multigraph:
     """The canonical representative: the graph whose matrix key is `key`.
 
     Equals any member of the class relabeled by its canonical labeling, so
-    workers can ship keys alone.
+    workers can ship keys alone.  A key is the vertex count n, a dot and
+    exactly n(n-1)/2 hex bytes, else ParseError.
     """
     head, _, body = key.partition(".")
-    n = int(head)
-    mat = bytes.fromhex(body)
+    try:
+        n, mat = int(head), bytes.fromhex(body)
+        if not head.isdecimal() or not 2 * len(mat) == len(body) == n * (n - 1):
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"not a class key: {key!r}") from None
     edges = []
     i = 0
     for u in range(n):

@@ -210,12 +210,12 @@ class ScanSummary:
         }
 
 
-def _fold_record(summary: ScanSummary, record: dict, ring_check: bool) -> None:
+def _fold_record(summary: ScanSummary, record: dict) -> None:
     """Count `record` into `summary`, from its own fields alone, so a resumed
-    prefix is checked as a fresh record is.  With `ring_check`, it also checks
-    the main theorem: a critical record in its regime at the record's own
-    girth (a null girth is infinite, never in it) is an odd ring, that is, its
-    girth is its odd n, since a shortest cycle through every vertex has no
+    prefix is checked as a fresh record is.  Every `ok` record is checked
+    against the main theorem: a critical record in its regime at the record's
+    own girth (a null girth is infinite, never in it) is an odd ring, that is,
+    its girth is its odd n, since a shortest cycle through every vertex has no
     chord."""
     summary.total += 1
     if record["status"] != "ok":
@@ -241,7 +241,7 @@ def _fold_record(summary: ScanSummary, record: dict, ring_check: bool) -> None:
             summary.ring_violations.append(key)
     g, n = record["girth"] or INFINITE_GIRTH, record["n"]
     in_regime = in_theorem_regime(record["Delta"], record["mu"], g, record["chi"])
-    if ring_check and record["isCritical"] and in_regime and not (g == n and n % 2):
+    if record["isCritical"] and in_regime and not (g == n and n % 2):
         summary.theorem_violations.append(key)
 
 
@@ -314,7 +314,7 @@ def _fold_report_prefix(
                     and (record["ringFound"] is None) == _ring_gate(config, record))
             ):
                 break
-            _fold_record(summary, record, config.ring_check)
+            _fold_record(summary, record)
             count += 1
             size += len(line)
     return count, size
@@ -381,7 +381,7 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
         for record in records:
             out.write(_record_line(record) + "\n")
             out.flush()
-            _fold_record(summary, record, config.ring_check)
+            _fold_record(summary, record)
     return summary
 
 

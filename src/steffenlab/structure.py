@@ -19,7 +19,6 @@ from itertools import chain
 
 from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, VertexNotInV0,
                      check_deadline)
-from .coloring import chromatic_index_value
 from .invariants import (
     INFINITE_GIRTH,
     CycleSeq,
@@ -283,6 +282,9 @@ def find_ring_subgraph_with_chi(
         mults = _stepped(mults, lo)
         chi = _ring_chi(mults)
         if chi == target:
+            # the solver is loaded only here, to re-check a ring that was found
+            from .coloring import chromatic_index_value
+
             ring = RingSubgraph(CycleSeq(cyc), tuple(mults), chi)
             solved = chromatic_index_value(ring.to_multigraph(), deadline=deadline)
             if solved != chi:

@@ -77,6 +77,31 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     ]
 
 
+@pytest.mark.parametrize(
+    "command, solver", [("partition", False), ("ring-find --target 8", True)]
+)
+def test_structure_loads_the_solver_only_to_recheck_a_ring(c53_file, command, solver):
+    # a command alone in its process: `partition` colors nothing, and
+    # `ring-find` re-checks the ring it finds on 3C5 with the solver; under
+    # -S, `site` imports nothing before the probe
+    probe = (
+        "import json, sys\n"
+        "from steffenlab.cli import cli_main\n"
+        "assert cli_main(sys.argv[2:] + [sys.argv[1]]) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('steffenlab.')]), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, c53_file, *command.split()],
+        capture_output=True, text=True, env=CLI_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr)
+    assert "steffenlab.invariants" in loaded and "steffenlab.structure" in loaded
+    assert ("steffenlab.coloring" in loaded) == solver
+    if solver:
+        assert json.loads(proc.stdout)["found"]
+
+
 def test_odd_set_table_loads_no_enumerator():
     # Gamma's table lives beside density, so a solver that reads it does not
     # pull in the enumerator; under -S, `site` imports nothing before the probe
@@ -313,6 +338,15 @@ class TestScanCommands:
             assert cli_main(["lemma-suite", "--config", str(cfg_path), "--seed", "0"]) == 2
             assert capsys.readouterr().err.startswith(f"config error: {key} must be >= ")
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["scan"], ["lemma-suite", "--seed", "0"]])
+    def test_config_that_is_not_json_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{bad")
+        assert cli_main([command[0], "--config", str(cfg_path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg_path} is not JSON: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestErrors:

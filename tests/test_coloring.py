@@ -251,9 +251,11 @@ class TestCriticalityWithoutRebuild:
     the oracle builds every G - e with minus_one_copy."""
 
     def test_exhaustive_small_corpus(self):
-        # every class on 2..5 vertices with mu <= 3 (10,687 classes)
+        # every class on 2..5 vertices with mu <= 3 (10,687 classes); on the
+        # critical ones with chi' >= Delta + 2, every pair's decomposition
+        # also colors G - e as the built graph's decision does
         spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
-        critical = 0
+        critical = high = pairs = 0
         for key, G in enumerate_with_keys(spec):
             chi = sl.chromatic_index(G)[0]
             want = drop_keeping_chi_by_rebuild(G, chi)
@@ -264,7 +266,16 @@ class TestCriticalityWithoutRebuild:
             # classes with at most 12 copies keeps the test short
             if want is not None and G.edge_count <= 12:
                 assert sl.extract_critical(G) == extract_critical_by_rebuild(G), key
-        assert critical == 1262
+            if want is None and chi >= max(G.degrees) + 2:
+                high += 1
+                for u, v, _ in G.edges:
+                    dec = sl.near_perfect_matching_decomposition(
+                        G, (u, v), assume_critical=True, chi=chi
+                    )
+                    built = sl.is_k_colorable(minus_one_copy(G, u, v), chi - 1)
+                    assert dec.classes == tuple(map(tuple, built.classes())), (key, u, v)
+                    pairs += 1
+        assert (critical, high, pairs) == (1262, 157, 1445)
 
     @pytest.mark.parametrize(
         "G",
@@ -512,6 +523,26 @@ class TestMatchingDecomposition:
         for cls, miss in zip(dec.classes, dec.missed_vertex):
             covered = {x for pair in cls for x in pair}
             assert covered == set(range(5)) - {miss}
+
+    def test_one_decision_and_no_graph(self, monkeypatch):
+        # with chi' given, G - e is one decision on its edge list
+        import steffenlab.multigraph as mg
+        from steffenlab import coloring
+
+        G = sl.mu_cycle(5, 3)
+        calls, built = [], []
+        search, init = coloring._search, mg.Multigraph.__init__
+        monkeypatch.setattr(coloring, "_search", lambda *args: calls.append(args) or search(*args))
+        monkeypatch.setattr(
+            mg.Multigraph, "__init__", lambda H, *args: built.append(H) or init(H, *args)
+        )
+        dec = sl.near_perfect_matching_decomposition(G, (1, 2), assume_critical=True, chi=8)
+        assert len(dec.classes) == 7
+        assert built == []
+        ((n, edges, degrees, k, deadline),) = calls
+        assert (n, k, deadline) == (5, 7, None)
+        assert edges == minus_one_copy(G, 1, 2).edges
+        assert list(degrees) == [6, 5, 5, 6, 6]
 
     def test_rejects_chi_delta_plus_1(self):
         with pytest.raises(PreconditionFailed) as err:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.errors import BadParameter, InstanceTooLarge
+from steffenlab.errors import BadParameter, InstanceTooLarge, ParseError
 from steffenlab.generators import (
     EnumSpec,
     _simple_graphs,
@@ -304,6 +304,17 @@ class TestOrbitPruning:
         spec = ORACLE_SPECS["full6-shaped"]
         for key, G in enumerate_with_keys(spec):
             assert canonicalize(G) == (key, G)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["03.0101010101", "03.01", "03.0101zz", "03.0101  ", "-3.010101010101", "3_0.", "03",
+         ""],
+    )
+    def test_graph_from_key_refuses_a_malformed_key(self, key):
+        # a key is n, a dot and exactly n(n-1)/2 hex bytes: a longer body is
+        # not silently cut, nor a shorter one an IndexError
+        with pytest.raises(ParseError):
+            graph_from_key(key)
 
     @pytest.mark.parametrize(
         "G, order",

@@ -1,0 +1,45 @@
+"""The package's layers, pinned: the modules each module imports from inside
+the package when it is loaded.  Imports inside functions load a module only
+when they run (each CLI command, `structure`'s solver re-check of a ring), so
+they are not counted.  A new import across layers at load time fails here and
+becomes a reviewed change of this table.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).parents[1] / "src" / "steffenlab"
+
+BASE = {"errors", "invariants", "multigraph"}
+LAYERS = {
+    "__init__": set(),
+    "errors": set(),
+    "multigraph": {"errors"},
+    "invariants": {"errors", "multigraph"},
+    "coloring": BASE,
+    "structure": BASE,
+    "generators": BASE,
+    "scan": BASE | {"coloring", "structure", "generators"},
+    "cli": {"errors", "multigraph"},
+}
+
+
+def load_time_imports(path: Path) -> set[str]:
+    """The package modules a module's top-level statements import; the
+    package imports itself only relatively (`from .x import y`)."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_every_module_is_pinned():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_load_time_imports(module):
+    assert load_time_imports(PACKAGE / f"{module}.py") == LAYERS[module]

@@ -128,11 +128,15 @@ class TestUnderlyingSimple:
 
 
 class TestRemoveEdges:
-    """G - e as `coloring._less_one_copy` forms it: one copy of pair i fewer."""
+    """G - e as `coloring._less_one_copy` forms it: one copy of pair i fewer,
+    with the degree vector of the result."""
 
     @staticmethod
     def less_one_copy(G, i):
-        return sl.Multigraph(G.n, _less_one_copy(G.edges, i))
+        edges, degrees = _less_one_copy(G.edges, G.degrees, i)
+        H = sl.Multigraph(G.n, edges)
+        assert degrees == list(H.degrees)
+        return H
 
     def test_partial_removal(self):
         G = self.less_one_copy(sl.mu_cycle(5, 3), 0)  # pair 0 is (0, 1)

@@ -939,8 +939,9 @@ FOUR_C6 = "06.040000000404000000000400040400"  # Delta 8, mu 4, g 6: the bound i
 
 
 class TestTheoremCheck:
-    """Under `ringCheck`, a critical `ok` record in the theorem's regime at its
-    own girth must be an odd ring, else its key is in `theoremViolations`."""
+    """A critical `ok` record in the theorem's regime at its own girth must be
+    an odd ring, else its key is in `theoremViolations`; `ringCheck` gates
+    only the ring search."""
 
     @staticmethod
     def record(key, **changes):
@@ -949,9 +950,9 @@ class TestTheoremCheck:
         return {**compute_record(key, graph_from_key(key), config), **changes}
 
     @staticmethod
-    def fold(record, ring_check=True):
+    def fold(record):
         summary = ScanSummary()
-        _fold_record(summary, record, ring_check)
+        _fold_record(summary, record)
         return summary
 
     def test_non_ring_is_a_violation(self):
@@ -973,18 +974,27 @@ class TestTheoremCheck:
         assert record["isCritical"] and record["chi"] == 8
         assert self.fold(record).theorem_violations == []
 
-    def test_only_under_ring_check_and_at_a_finite_girth(self):
+    def test_only_at_a_finite_girth(self):
+        # a record whose ring search did not run is judged all the same
         record = self.record(THREE_C5_PLUS_EDGE, isCritical=True)
-        assert self.fold(record, ring_check=False).theorem_violations == []
+        assert record["ringFound"] is None
+        assert self.fold(record).theorem_violations == [THREE_C5_PLUS_EDGE]
         assert self.fold({**record, "girth": None}).theorem_violations == []
 
     def test_resume_judges_the_kept_lines(self, tmp_path):
+        self.resume_with_a_false_n(tmp_path, ring_check=True)
+
+    def test_resume_judges_the_kept_lines_without_ring_check(self, tmp_path):
+        self.resume_with_a_false_n(tmp_path, ring_check=False)
+
+    @staticmethod
+    def resume_with_a_false_n(tmp_path, ring_check):
         # the verdict is read from a kept line's own `girth` and `n`: a 3C5
         # line that claims n = 7 is a critical record in the regime that is
         # no odd ring
         spec = EnumSpec(n_min=5, n_max=5, max_mu=3, girth_min=5, max_edge_copies=15)
         out = tmp_path / "r.jsonl"
-        cfg = ScanConfig(enum_spec=spec, output_path=str(out))
+        cfg = ScanConfig(enum_spec=spec, output_path=str(out), ring_check=ring_check)
         assert run_scan(cfg).theorem_violations == []
         lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
         (at,) = [i for i, line in enumerate(lines) if json.loads(line)["graphKey"] == THREE_C5]
@@ -1065,7 +1075,7 @@ class TestTimeoutRecords:
         summary = ScanSummary()
         cfg = ScanConfig(enum_spec=small_spec(), output_path="unused")
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
-        _fold_record(summary, record, True)
+        _fold_record(summary, record)
         assert summary.timeouts == 1 and summary.ok == 0
 
 

@@ -386,9 +386,8 @@ class TestRingClosedForm:
         assert sl.find_ring_subgraph_with_chi(G, 2) is None
 
     def test_solver_disagreement_raises(self, monkeypatch):
-        import steffenlab.structure as structure_mod
-
-        monkeypatch.setattr(structure_mod, "chromatic_index_value", lambda G, **kw: 0)
+        # the ring search imports the solver's chi' where it re-checks a ring
+        monkeypatch.setattr("steffenlab.coloring.chromatic_index_value", lambda G, **kw: 0)
         with pytest.raises(RuntimeError):
             sl.find_ring_subgraph_with_chi(sl.mu_cycle(5, 3), 8)
 
