@@ -28,9 +28,9 @@ def _read_graph(source: str):
 
 
 # each command imports the modules it runs: `invariants` and `density` load
-# `invariants`, `chi` and `critical` also `coloring`, `partition` `invariants`
-# and `structure`, `ring-find` also `coloring` once it finds a ring, and only
-# `gen`, `scan` and `lemma-suite` the enumerator (`generators`) or `scan`
+# `invariants`, `chi` and `critical` also `coloring`, `partition` and
+# `ring-find` also `structure` and no `coloring`, and only `gen`, `scan` and
+# `lemma-suite` the enumerator (`generators`) or `scan`
 def _load_config(path: str):
     from .scan import ScanConfig
 

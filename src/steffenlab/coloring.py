@@ -261,7 +261,7 @@ def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Itera
     and moves on once the removal lowers chi': it then lowers chi' in every
     later subgraph too, since G' ⊆ G makes G' - e ⊆ G - e.  Each G - e is an
     edge list and a degree vector, and no graph is built for it; one that keeps
-    a vertex of degree >= chi needs chi colors and is settled without a search.
+    a vertex of degree >= chi needs chi colors, and `_search` settles it at entry.
     """
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
@@ -270,7 +270,7 @@ def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Itera
     edges, degrees, i = G.edges, G.degrees, 0
     while i < len(edges):
         reduced, left = _less_one_copy(edges, degrees, i)
-        if max(left) >= chi or _search(G.n, reduced, left, chi - 1, deadline) is None:
+        if _search(G.n, reduced, left, chi - 1, deadline) is None:
             edges, degrees = reduced, left
             yield edges
         else:

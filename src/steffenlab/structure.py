@@ -225,16 +225,15 @@ def _cycles_by_length(G: Multigraph, deadline: float | None) -> list[list[tuple[
 
 
 def _ring_chi(mults: list[int]) -> int:
-    """chi' of the ring with multiplicities `mults` around its cycle, in closed form.
+    """chi' of the ring with multiplicities `mults` around its cycle, in closed form:
+    max(Delta, ceil(m / floor(g/2))).
 
-    An even ring is bipartite, so chi' = Delta (Koenig).  An odd ring has
-    chi' = max(Delta, ceil(m / floor(g/2))): the whole vertex set is a
-    density witness.
+    An odd ring's whole vertex set is a density witness.  An even ring is
+    bipartite, so chi' = Delta (Koenig), and the formula agrees: Delta is at
+    least 2m/g, the mean of the g degrees.
     """
     g = len(mults)
     delta_max = max(mults[i - 1] + mults[i] for i in range(g))
-    if g % 2 == 0:
-        return delta_max
     return max(delta_max, ceil_div(sum(mults), g // 2))
 
 
@@ -258,9 +257,9 @@ def find_ring_subgraph_with_chi(
     passes through every value down to the simple cycle and hits the target
     exactly if it is reachable.  A cycle whose maximal ring is already below
     the target is skipped; otherwise the first step that reaches it is found
-    by bisection, each probe taking chi' from the ring's closed form; the
-    solver checks the returned ring once.  The cycle walk and this loop poll
-    `deadline`.
+    by bisection, each probe taking chi' from the ring's closed form, which
+    the tests check against the solver.  The cycle walk and this loop poll
+    `deadline`; no colouring decision is made.
     """
     if target < 1:
         return None
@@ -280,16 +279,6 @@ def find_ring_subgraph_with_chi(
             else:
                 lo = mid + 1
         mults = _stepped(mults, lo)
-        chi = _ring_chi(mults)
-        if chi == target:
-            # the solver is loaded only here, to re-check a ring that was found
-            from .coloring import chromatic_index_value
-
-            ring = RingSubgraph(CycleSeq(cyc), tuple(mults), chi)
-            solved = chromatic_index_value(ring.to_multigraph(), deadline=deadline)
-            if solved != chi:
-                raise RuntimeError(
-                    f"ring {ring.to_json_obj()}: closed form gives {chi}, solver {solved}"
-                )
-            return ring
+        if _ring_chi(mults) == target:
+            return RingSubgraph(CycleSeq(cyc), tuple(mults), target)
     return None

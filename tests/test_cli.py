@@ -47,7 +47,7 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     # each graph command loads the modules it runs and no more: none loads
     # dataclasses, typing, the pool or the scan and enumeration modules, and
     # the package's names still resolve, each loading its module on first
-    # use; `ring-find` finds a ring and builds it without the enumerator;
+    # use; `ring-find` finds a ring without the enumerator;
     # under -S, `site` imports nothing before the probe
     probe = (
         "import sys\n"
@@ -77,13 +77,11 @@ def test_graph_commands_leave_the_process_pool_unloaded(c53_file):
     ]
 
 
-@pytest.mark.parametrize(
-    "command, solver", [("partition", False), ("ring-find --target 8", True)]
-)
-def test_structure_loads_the_solver_only_to_recheck_a_ring(c53_file, command, solver):
+@pytest.mark.parametrize("command", ["partition", "ring-find --target 8"])
+def test_structure_commands_load_no_solver(c53_file, command):
     # a command alone in its process: `partition` colors nothing, and
-    # `ring-find` re-checks the ring it finds on 3C5 with the solver; under
-    # -S, `site` imports nothing before the probe
+    # `ring-find` takes the chi' of the ring it finds on 3C5 from its closed
+    # form; under -S, `site` imports nothing before the probe
     probe = (
         "import json, sys\n"
         "from steffenlab.cli import cli_main\n"
@@ -97,8 +95,8 @@ def test_structure_loads_the_solver_only_to_recheck_a_ring(c53_file, command, so
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stderr)
     assert "steffenlab.invariants" in loaded and "steffenlab.structure" in loaded
-    assert ("steffenlab.coloring" in loaded) == solver
-    if solver:
+    assert "steffenlab.coloring" not in loaded
+    if command.startswith("ring-find"):
         assert json.loads(proc.stdout)["found"]
 
 
@@ -424,8 +422,7 @@ class TestErrors:
         assert sl.validate_coloring(G, coloring)
 
     def test_long_cycle_ring_find(self, tmp_path, capsys):
-        # the ring search finds the cycle itself, and the solver that checks
-        # the returned ring walks it without recursion
+        # the ring search finds the cycle itself, walking it without recursion
         path = tmp_path / "cycle.mgr"
         path.write_text(sl.serialize(sl.mu_cycle(1200, 1)))
         assert cli_main(["ring-find", str(path), "--target", "2"]) == 0
@@ -512,6 +509,24 @@ class TestOneBudget:
         assert capsys.readouterr().err.splitlines() == [
             f"error: coloring search needs k <= {COLOR_CAP}, got {mult + 1}"
         ]
+
+    @pytest.mark.parametrize(
+        "G, target, mults",
+        [
+            (sl.mu_cycle(7, 9), 21, [9] * 7),
+            (sl.mu_cycle(7, 10), 24, [10] * 7),
+            (sl.build(3, [(0, 1, 10**20), (1, 2, 1), (0, 2, 1)]), 4097, [4095, 1, 1]),
+        ],
+        ids=["9C7", "10C7", "triangle"],
+    )
+    def test_ring_find_colors_nothing(self, G, target, mults, capsys, monkeypatch):
+        # a found ring's chi' is its closed form: the solver's ascent runs out
+        # of a minute on 9C7 and 10C7, and needs more colors than its cap on
+        # the triangle
+        monkeypatch.setattr("sys.stdin", io.StringIO(sl.serialize(G)))
+        assert cli_main(["ring-find", "-", "--target", str(target), "--timeout", "5"]) == 0
+        ring = {"cycle": list(range(len(mults))), "multiplicities": mults, "chi": target}
+        assert json.loads(capsys.readouterr().out) == {"found": True, "ring": ring}
 
 
 MULTS = st.one_of(st.integers(1, 4), st.integers(COLOR_CAP + 1, 10**30))

@@ -302,16 +302,15 @@ class TestCriticalityWithoutRebuild:
             4, [(2, 3, 1)]
         )
 
-    def test_degree_settles_before_a_search(self, monkeypatch):
+    def test_degree_settles_before_a_search(self):
         # two disjoint K_{1,3}: every G - e keeps the other star's centre at
-        # degree chi' = 3, so each answer needs no search
-        from steffenlab import coloring
-
+        # degree chi' = 3, so the decision's entry test answers each one; a
+        # search would poll the spent deadline at its first node and raise
         G = sl.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 5, 1), (4, 6, 1), (4, 7, 1)])
-        monkeypatch.setattr(coloring, "_search", None)  # any search fails
-        walk = _reductions(G, 3, None)
+        spent = time.monotonic() - 1
+        walk = _reductions(G, 3, spent)
         assert [next(walk) for _ in range(3)] == [G.edges[1:], G.edges[2:], G.edges[3:]]
-        assert not sl.is_critical(G, chi=3)
+        assert not sl.is_critical(G, chi=3, deadline=spent)
 
     def test_no_graph_per_decision(self, monkeypatch):
         import steffenlab.multigraph as mg

@@ -185,10 +185,8 @@ class TestSimpleLayerOnce:
         summary = run_scan(cfg)
         assert summary.total == 1951 and summary.ring_found == ring_check
         assert witnesses == []
-        # Gamma comes with each key: only the solver's check of a found ring
-        # computes a density, on the ring graph
-        assert len(kernel) == summary.ring_found
-        assert all(sl.girth(G) == G.n for G in kernel)
+        # Gamma comes with each key, and a found ring's chi' is its closed form
+        assert kernel == []
 
     def test_seeded_record_equals_fresh_record(self, monkeypatch):
         import steffenlab.invariants as invariants
@@ -1042,16 +1040,20 @@ class TestTimeoutRecords:
         assert record["chi"] is None
         assert record["gamma"] == 8  # density finishes well within its budget
 
-    def test_one_deadline_per_record(self, deadlines):
-        # density, the ascent, every G - e and the ring check share one deadline
+    def test_one_deadline_per_record(self, deadlines, monkeypatch):
+        # density, the ascent, every G - e and the ring search share one deadline
+        import steffenlab.structure as structure
+
+        polls, check = [], structure.check_deadline
+        monkeypatch.setattr(structure, "check_deadline", lambda d, w: polls.append(d) or check(d, w))
         cfg = ScanConfig(enum_spec=small_spec(girth_min=5), output_path="unused", budget_seconds=7)
         start = time.monotonic()
         record = compute_record("k", sl.mu_cycle(5, 3), cfg)
         assert record["isCritical"] and record["ringFound"]
-        # 1 ascent decision, 5 G - e and 1 for the ring; density for the
-        # record, whose chi' reads the memoised Gamma, and for the ring's chi'
-        assert len(deadlines["_search"]) == 7 and len(deadlines["density"]) == 2
-        assert len(set(deadlines["_search"] + deadlines["density"])) == 1
+        # 1 ascent decision and 5 G - e; density for the record, whose chi'
+        # reads the memoised Gamma; the ring search polls and decides nothing
+        assert len(deadlines["_search"]) == 6 and len(deadlines["density"]) == 1 and polls
+        assert len(set(deadlines["_search"] + deadlines["density"] + polls)) == 1
         assert math.isfinite(deadlines["_search"][0])
         assert start + 7 <= deadlines["_search"][0] <= time.monotonic() + 7
 

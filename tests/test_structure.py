@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from steffenlab.coloring import chromatic_index_value
 from steffenlab.errors import SolverTimeout, VertexNotInV0
 from steffenlab.generators import EnumSpec, enumerate_with_keys, graph_from_key
 from steffenlab.invariants import in_theorem_regime
-from steffenlab.structure import enumerate_cycles
+from steffenlab.structure import _ring_chi, enumerate_cycles
 from oracles import (
     all_cycles_by_bfs_style,
     find_ring_by_solver,
@@ -385,11 +386,14 @@ class TestRingClosedForm:
         assert sl.find_ring_subgraph_with_chi(G, 3).multiplicities == (1, 1, 1)
         assert sl.find_ring_subgraph_with_chi(G, 2) is None
 
-    def test_solver_disagreement_raises(self, monkeypatch):
-        # the ring search imports the solver's chi' where it re-checks a ring
-        monkeypatch.setattr("steffenlab.coloring.chromatic_index_value", lambda G, **kw: 0)
-        with pytest.raises(RuntimeError):
-            sl.find_ring_subgraph_with_chi(sl.mu_cycle(5, 3), 8)
+    def test_closed_form_on_every_small_ring(self):
+        # every multiplicity vector, not only one per rotation and reflection:
+        # 3,779 rings, odd and even
+        vectors = [(g, mults) for g in range(3, 8) for mults in product(range(1, 4), repeat=g)]
+        vectors += [(9, mults) for mults in product(range(1, 3), repeat=9)]
+        assert len(vectors) == 3779
+        for g, mults in vectors:
+            assert _ring_chi(mults) == chromatic_index_value(sl.ring(g, mults)), mults
 
 
 class TestEvenRingsBipartite:
