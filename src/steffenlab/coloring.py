@@ -10,6 +10,8 @@ slack), and a pair with no colors left for it ends the branch (forward
 checking).  Global color symmetry is broken by allowing a new color index
 only once all smaller indices already appear somewhere.  The search walks an
 explicit stack, so its depth is not bounded by Python's recursion limit.
+A branched pair takes its first color set directly, and the iterator over
+its other sets is built only once the search backtracks to it.
 `chromatic_index` turns the color masks of its feasible decision into a
 witness coloring; `chromatic_index_value` runs the same ascent for callers
 that keep chi' alone, and assembles none.
@@ -124,7 +126,10 @@ def _search(
     one color set is forced.  A pair of negative slack sends the search
     back.  `todo` holds the unassigned pairs as (index, u, v, k - mult), and
     each `stack` frame a branched pair's position in `todo`, its entry, its
-    untried color sets and the number of colors open before it.
+    untried color sets and the number of colors open before it.  Those sets
+    are None until the search first backtracks to the frame; undoing its
+    mask then restores the colors free at branching, and `_color_sets` of
+    these and the frame's open count, less the first set, replaces None.
     """
     if k > COLOR_CAP:
         raise InstanceTooLarge(f"coloring search needs k <= {COLOR_CAP}, got {k}")
@@ -157,14 +162,31 @@ def _search(
             entry = todo.pop(best)
             i, u, v, cap = entry
             avail = full & ~(used[u] | used[v])
-            options = iter((avail,)) if least == 0 else _color_sets(avail, k - cap, opened, k)
-            stack.append((best, entry, options, opened))
+            # never 0: slack >= 0 leaves m colors in avail, which holds every
+            # color not yet opened
+            if least:
+                mask, rest = _first_set(avail, k - cap, opened, k), None
+            else:
+                mask, rest = avail, _NO_OTHER
+            masks[i] = mask
+            used[u] |= mask
+            used[v] |= mask
+            stack.append((best, entry, rest, opened))
+            opened = max(opened, mask.bit_length())
+            continue
         while stack:
-            pos, entry, options, before = stack[-1]
-            i, u, v, _ = entry
+            pos, entry, rest, before = stack[-1]
+            i, u, v, cap = entry
             used[u] ^= masks[i]
             used[v] ^= masks[i]
-            masks[i] = mask = next(options, 0)
+            if rest is None:
+                # first backtrack here: used is back to its value at
+                # branching, so this is the frame's own order, less the
+                # first set, already tried
+                rest = _color_sets(full & ~(used[u] | used[v]), k - cap, before, k)
+                next(rest)
+                stack[-1] = (pos, entry, rest, before)
+            masks[i] = mask = next(rest, 0)
             if mask:
                 used[u] |= mask
                 used[v] |= mask
@@ -176,10 +198,25 @@ def _search(
             return None
 
 
+_NO_OTHER = iter(())  # a forced pair's other color sets: none, ever
+
+
+def _first_set(avail: int, m: int, opened: int, k: int) -> int:
+    """The first mask `_color_sets(avail, m, opened, k)` yields, or 0 when it
+    yields none: the lowest opened colors of `avail`, up to m of them, then
+    the next new indices in order."""
+    old = avail & ((1 << opened) - 1)
+    while old.bit_count() > m:
+        old ^= 1 << (old.bit_length() - 1)
+    m -= old.bit_count()
+    return 0 if m > k - opened else old | ((1 << m) - 1) << opened
+
+
 def _color_sets(avail: int, m: int, opened: int, k: int):
     """The masks of m colors from `avail` a pair may take, fewest new colors
     first.  Colors not yet `opened` anywhere are interchangeable, so new ones
-    are only ever the next indices in order (symmetry break)."""
+    are only ever the next indices in order (symmetry break).  This is the
+    one definition of the order; `_first_set` is its first element."""
     old_bits = []
     old = avail & ((1 << opened) - 1)
     while old:

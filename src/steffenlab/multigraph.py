@@ -152,7 +152,9 @@ def build(n: int, edges: Iterable[tuple[int, int, int]]) -> Multigraph:
 def ring(g: int, mults: list[int] | tuple[int, ...]) -> Multigraph:
     """Ring graph: cycle of length g with consecutive pair i of multiplicity mults[i]."""
     if g < 3 or len(mults) != g:
-        raise BadParameter(f"need g >= 3 and exactly g multiplicities, got g={g}")
+        raise BadParameter(
+            f"need g >= 3 and exactly g multiplicities, got g={g} and {len(mults)} multiplicities"
+        )
     if any(m < 1 for m in mults):
         raise BadParameter("all ring multiplicities must be >= 1")
     return build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)])

@@ -164,8 +164,9 @@ def _ring_gate(config: ScanConfig, record: dict) -> bool:
     return in_theorem_regime(record["Delta"], record["mu"], floor, record["chi"])
 
 
-def _record_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+# one compact encoder for every report line: json.dumps builds a new one per
+# call whenever an argument is not its default
+_record_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass

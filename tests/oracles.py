@@ -619,12 +619,14 @@ def minus_one_copy(G: Multigraph, u: int, v: int) -> Multigraph:
     return build(G.n, [(a, b, 1) for a, b in copies])
 
 
-def drop_keeping_chi_by_rebuild(G: Multigraph, chi: int) -> Multigraph | None:
+def drop_keeping_chi_by_rebuild(
+    G: Multigraph, chi: int, deadline: float | None = None
+) -> Multigraph | None:
     """G minus one copy of the first pair, in serialized order, whose removal
     keeps chi' = chi, building each G - e with minus_one_copy."""
     for u, v, _ in G.edges:
         reduced = minus_one_copy(G, u, v)
-        if is_k_colorable(reduced, chi - 1) is None:
+        if is_k_colorable(reduced, chi - 1, deadline) is None:
             return reduced
     return None
 
@@ -633,9 +635,9 @@ def is_critical_by_rebuild(G: Multigraph, chi: int) -> bool:
     return drop_keeping_chi_by_rebuild(G, chi) is None
 
 
-def extract_critical_by_rebuild(G: Multigraph) -> Multigraph:
-    chi = chromatic_index(G)[0]
-    while (reduced := drop_keeping_chi_by_rebuild(G, chi)) is not None:
+def extract_critical_by_rebuild(G: Multigraph, deadline: float | None = None) -> Multigraph:
+    chi = chromatic_index(G, deadline=deadline)[0]
+    while (reduced := drop_keeping_chi_by_rebuild(G, chi, deadline)) is not None:
         G = reduced
     return G
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from itertools import product
@@ -6,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab.coloring import COLOR_CAP, _reductions, _search, chromatic_index_value
+from steffenlab.coloring import (
+    COLOR_CAP,
+    _color_sets,
+    _first_set,
+    _reductions,
+    _search,
+    chromatic_index_value,
+)
 from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
 from steffenlab.generators import EnumSpec, enumerate_with_keys, graph_from_key
 from oracles import (
@@ -248,7 +257,11 @@ class TestCriticality:
 
 class TestCriticalityWithoutRebuild:
     """is_critical and extract_critical decide each G - e as an edge list;
-    the oracle builds every G - e with minus_one_copy."""
+    the oracle builds every G - e with minus_one_copy.  Each class gets one
+    budget far above its cost, so a search that loses a pruning rule fails
+    by running out of it."""
+
+    BUDGET_SECONDS = 10.0
 
     def test_exhaustive_small_corpus(self):
         # every class on 2..5 vertices with mu <= 3 (10,687 classes); on the
@@ -257,22 +270,24 @@ class TestCriticalityWithoutRebuild:
         spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
         critical = high = pairs = 0
         for key, G in enumerate_with_keys(spec):
-            chi = sl.chromatic_index(G)[0]
-            want = drop_keeping_chi_by_rebuild(G, chi)
-            assert next(_reductions(G, chi, None), None) == (want and want.edges), key
-            assert sl.is_critical(G, chi=chi) == (want is None), key
+            deadline = time.monotonic() + self.BUDGET_SECONDS
+            chi = sl.chromatic_index(G, deadline=deadline)[0]
+            want = drop_keeping_chi_by_rebuild(G, chi, deadline)
+            assert next(_reductions(G, chi, deadline), None) == (want and want.edges), key
+            assert sl.is_critical(G, chi=chi, deadline=deadline) == (want is None), key
             critical += want is None
             # extraction resumes the same walk; its full comparison on the
             # classes with at most 12 copies keeps the test short
             if want is not None and G.edge_count <= 12:
-                assert sl.extract_critical(G) == extract_critical_by_rebuild(G), key
+                got = sl.extract_critical(G, deadline=deadline)
+                assert got == extract_critical_by_rebuild(G, deadline), key
             if want is None and chi >= max(G.degrees) + 2:
                 high += 1
                 for u, v, _ in G.edges:
                     dec = sl.near_perfect_matching_decomposition(
-                        G, (u, v), assume_critical=True, chi=chi
+                        G, (u, v), assume_critical=True, chi=chi, deadline=deadline
                     )
-                    built = sl.is_k_colorable(minus_one_copy(G, u, v), chi - 1)
+                    built = sl.is_k_colorable(minus_one_copy(G, u, v), chi - 1, deadline)
                     assert dec.classes == tuple(map(tuple, built.classes())), (key, u, v)
                     pairs += 1
         assert (critical, high, pairs) == (1262, 157, 1445)
@@ -433,28 +448,79 @@ class TestDynamicOrderSearch:
     pruning rule fails by running out of it."""
 
     BUDGET_SECONDS = 10.0
+    # the sha256 of every witness the corpus walk below gets, in its order
+    WITNESS_DIGEST = "d4ea4f62307b9796f67bf770737cba8f0348336293c692b3ba550ba0254e3065"
 
     def _decides_like_oracle(self, G, k):
         witness = sl.is_k_colorable(G, k, time.monotonic() + self.BUDGET_SECONDS)
         want = search_static_order(G.n, G.edges, G.degrees, k, None)
         assert (witness is None) == (want is None), (sl.serialize(G), k)
         assert witness is None or sl.validate_coloring(G, witness)
-        return witness is not None
+        return witness
 
     def test_exhaustive_small_corpus(self):
         # every class on 2..5 vertices with mu <= 3 (10,687 classes): each k
-        # in Delta..Delta+mu, then each G - e at chi' - 1
+        # in Delta..Delta+mu, then each G - e at chi' - 1; the digest pins
+        # the witnesses themselves, not only which decisions are feasible
         spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
         ascent = 0
+        digest = hashlib.sha256()
+
+        def decide(G, k):
+            witness = self._decides_like_oracle(G, k)
+            obj = None if witness is None else witness.to_json_obj()
+            digest.update(json.dumps(obj).encode() + b"\n")
+            return witness is not None
+
         for _, G in enumerate_with_keys(spec):
             delta = max(G.degrees)
             ks = range(delta, delta + G.max_mult + 1)
-            feasible = [self._decides_like_oracle(G, k) for k in ks]
+            feasible = [decide(G, k) for k in ks]
             ascent += len(feasible)
             chi = delta + feasible.index(True)
             for u, v, _ in G.edges:
-                self._decides_like_oracle(minus_one_copy(G, u, v), chi - 1)
+                decide(minus_one_copy(G, u, v), chi - 1)
         assert ascent == 41924
+        assert digest.hexdigest() == self.WITNESS_DIGEST
+
+
+class TestColorSets:
+    """A branched pair takes its first color set from `_first_set`, and
+    `_color_sets` gives the rest only once the search backtracks to it."""
+
+    def test_first_set_is_first_of_color_sets(self):
+        for k in range(1, 8):
+            for avail in range(1 << k):
+                for m in range(1, k + 1):
+                    for opened in range(k + 1):
+                        want = next(_color_sets(avail, m, opened, k), 0)
+                        assert _first_set(avail, m, opened, k) == want, (avail, m, opened, k)
+
+    @staticmethod
+    def _built(monkeypatch, G, k):
+        from steffenlab import coloring
+
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _color_sets(*args)
+
+        monkeypatch.setattr(coloring, "_color_sets", counted)
+        return _search(G.n, G.edges, G.degrees, k, None), built
+
+    def test_first_path_builds_no_iterator(self, monkeypatch):
+        masks, built = self._built(monkeypatch, sl.mu_cycle(5, 1), 3)
+        assert masks == [1, 2, 2, 1, 4] and built == []
+
+    def test_backtrack_keeps_the_witness(self, monkeypatch):
+        # the smallest searched decision of the girth >= 5 scan whose first
+        # path dead-ends: a G - e of its criticality walk, feasible at k = 3
+        G = sl.parse_any("n 6\ne 0 2 1\ne 1 4 2\ne 1 5 1\ne 2 3 2\ne 3 5 1\n")
+        masks, built = self._built(monkeypatch, G, 3)
+        assert len(built) == 1
+        assert masks == [4, 5, 2, 3, 4]
+        assert sl.validate_coloring(G, sl.is_k_colorable(G, 3))
 
 
 class TestStalledDecisions:

@@ -72,7 +72,7 @@ class TestFamilies:
             sl.mu_cycle(2, 1)
         with pytest.raises(BadParameter):
             sl.mu_complete(1, 1)
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match=r"got g=4 and 3 multiplicities"):
             sl.ring(4, [1, 1, 1])
 
 
