@@ -20,7 +20,7 @@ _EXPORTS = {
     "fan_bound_check find_ring_subgraph_with_chi is_ring_graph max_fan verify_cycle_partition",
     "generators": "EnumSpec canonical_form enumerate_with_keys mu_complete mu_cycle "
     "random_multigraph",
-    "scan": "LemmaSuiteReport ScanConfig ScanSummary run_lemma_suite run_scan",
+    "scan": "ScanConfig ScanSummary run_lemma_suite run_scan",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "errors")

@@ -6,7 +6,7 @@ becomes one deadline when the arguments are parsed.  Exit codes: 0 success,
 1 a scan/suite found violations, 2 usage, input or configuration errors
 (malformed graphs, non-positive timeouts, configs that are not JSON or have
 unknown keys, unreadable or unwritable paths, JSON nested too deeply to
-parse, instances over a size cap) and timeouts.
+parse, instances over a size cap) and timeouts, 130 an interrupt (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -143,14 +143,7 @@ def _cmd_gen(args) -> int:
 def _cmd_scan(args) -> int:
     from .scan import run_scan
 
-    config = _load_config(args.config)
-    try:
-        summary = run_scan(config)
-    except KeyboardInterrupt:
-        # each record is flushed as a whole line and the checkpoint holds the
-        # spec echo: re-running the same config resumes from the report
-        print("interrupted; partial results flushed", file=sys.stderr)
-        return 130
+    summary = run_scan(_load_config(args.config))
     print(json.dumps(summary.to_json_obj(), indent=2))
     return 1 if summary.violation_count > 0 else 0
 
@@ -160,18 +153,9 @@ def _cmd_lemma_suite(args) -> int:
 
     config = _load_config(args.config)
     report = run_lemma_suite(config, args.seed)
-    with open(config.output_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_text())
-    print(
-        json.dumps(
-            {
-                "violationCount": report.violation_count,
-                "digest": report.payload["digest"],
-                "report": config.output_path,
-            }
-        )
-    )
-    return 1 if report.violation_count > 0 else 0
+    print(json.dumps({"violationCount": report["violationCount"], "digest": report["digest"],
+                      "report": config.output_path}))
+    return 1 if report["violationCount"] > 0 else 0
 
 
 def _deadline_after(text: str) -> float:
@@ -259,6 +243,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # each scan record is flushed as a whole line and the checkpoint holds
+        # the spec echo: re-running the same config resumes from the report
+        flushed = "; partial results flushed" if args.command == "scan" else ""
+        print(f"interrupted{flushed}", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

@@ -74,10 +74,10 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """A scan or lemma-suite run.  `budget_seconds` (`solverTimeoutSeconds`)
-    is one budget for all of a record's work (its Gamma comes from the
-    enumeration, outside it), and in the lemma suite for a corpus graph's or
-    a random graph's fan-cap checks."""
+    """A scan or lemma-suite run; `workers` picks the maps of both (`_mapped`).
+    `budget_seconds` (`solverTimeoutSeconds`) is one budget for all of a
+    record's work (its Gamma comes from the enumeration, outside it), and in
+    the lemma suite for a corpus graph's or a random graph's checks."""
 
     enum_spec: EnumSpec = field(default_factory=EnumSpec)
     budget_seconds: float = 60.0
@@ -321,11 +321,12 @@ def _fold_report_prefix(
     return count, size
 
 
-# keys per record task of a pool scan.  A record of the girth >= 5 corpus
-# takes a worker about 0.08 ms, so in batches of 16 the parent process spends
-# more CPU sending tasks and taking results than on its own work; from about
-# 128 keys on that cost is flat, and far larger batches leave the end of the
-# scan waiting on the last one
+# keys per record task of a pool scan or lemma suite.  A scan record of the
+# girth >= 5 corpus takes a worker about 0.05 ms (its 19,701 records of n
+# 5..7 take 1.0-1.1 s serially on a 2-vCPU Xeon VM), so in batches of 16
+# the parent process spends more CPU sending tasks and taking results than
+# on its own work; from about 128 keys on that cost is flat, and far larger
+# batches leave the end of the run waiting on the last one
 RECORD_BATCH = 128
 
 
@@ -339,24 +340,37 @@ def run_scan(config: ScanConfig) -> ScanSummary:
     remaining records are appended.  Each record is one write and one flush,
     so an interrupt leaves whole lines only.
 
-    The worker count only chooses the `map` that runs the scan's two
-    phases: the builtin `map` for one worker, a process pool's for more.
-    The pool has at most one process per CPU: it forks all of its processes
-    at the first task, and the report does not depend on their number.
-    The multiplicity layer maps over the simple representatives, one per
-    task, since a few of them hold most of the keys.  The records map over
-    the keys in batches of `RECORD_BATCH`; each record rebuilds its graph
+    The worker count only chooses the maps that run the scan's two phases
+    (`_mapped`).  The multiplicity layer maps over the simple
+    representatives, one per task, since a few of them hold most of the
+    keys.  The records map over the keys; each record rebuilds its graph
     from the key and seeds it with the key's seed from `class_keys` (girth,
     bipartiteness, Gamma), so the graphs are built one record at a time and
     only keys, those shared seeds and records cross between processes.
     """
-    if config.workers == 1:
-        return _run_scan(config, map, map)
+    return _mapped(config.workers, partial(_run_scan, config))
+
+
+def _mapped(workers: int, run):
+    """`run(shard_map, record_map)` on the maps `workers` picks: the builtin
+    `map` for one worker; for more, a process pool's, the record map taking
+    items in batches of `RECORD_BATCH`.  The pool has at most one process per
+    CPU, all forked at its first task; no result depends on their number."""
+    if workers == 1:
+        return run(map, map)
     # imported here: the process pool machinery costs every CLI command its import
     from concurrent.futures import ProcessPoolExecutor
+    from signal import SIG_IGN, SIGINT, signal
 
-    with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
-        return _run_scan(config, pool.map, partial(pool.map, chunksize=RECORD_BATCH))
+    # the processes ignore Ctrl-C, which a terminal sends them too (an idle
+    # one would print a traceback); the parent stops the run
+    size = min(workers, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(size, initializer=signal, initargs=(SIGINT, SIG_IGN))
+    try:
+        return run(pool.map, partial(pool.map, chunksize=RECORD_BATCH))
+    finally:
+        # a run that stops early, interrupted or failed, drops its queued tasks
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
@@ -386,22 +400,8 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     return summary
 
 
-@dataclass
-class LemmaSuiteReport:
-    """Deterministic JSON report for the structural-lemma property suites."""
-
-    payload: dict
-
-    @property
-    def violation_count(self) -> int:
-        return self.payload["violationCount"]
-
-    def to_text(self) -> str:
-        return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
-
-
-def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
-    """Two property suites with a byte-stable report.
+def run_lemma_suite(config: ScanConfig, seed: int) -> dict:
+    """Two property suites: writes their byte-stable report to `outputPath`, returns it.
 
     Critical suite (enumerated corpus + any extraGraphs): for every critical
     graph with chi' >= Delta + 2, G-e must decompose into chi'-1 near-perfect
@@ -415,6 +415,55 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     theorem's regime (`_critical_in_regime`).  A check of either suite that
     runs out of its budget is a `timeout` violation.
     """
+    payload = _mapped(config.workers, partial(_run_lemma_suite, config, seed))
+    # written only once both suites are done: an interrupted run leaves no report
+    with open(config.output_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
+
+
+def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list, str]:
+    """The critical suite on one graph: its counts, its violations and its
+    digest line, which is empty unless G is critical with chi' >= Delta + 2.
+    One deadline covers chi', criticality and every decomposition."""
+    counts = {"graphs": 1}
+    violations = []
+    line = ""
+    where = {"suite": "critical", "graphKey": key}
+    deadline = time.monotonic() + budget
+    try:
+        chi = chromatic_index_value(G, deadline=deadline)
+        high = chi >= max(G.degrees, default=0) + 2  # never for an edgeless graph
+        if not (high and is_critical(G, chi=chi, deadline=deadline)):
+            return counts, violations, line
+        counts.update(criticalHighChi=1, decompositionsChecked=0)
+        line = f"crit|{key}|{chi}\n"
+        for u, v, _ in G.edges:
+            near_perfect_matching_decomposition(
+                G, (u, v), assume_critical=True, chi=chi, deadline=deadline
+            )
+            counts["decompositionsChecked"] += 1
+        report = degree_identity_check(G, chi=chi, check_critical=False)
+        counts["residualVectorsChecked"] = 1
+        if any(report.residuals):
+            violations.append(_violation(where, "degree-identity", residuals=list(report.residuals)))
+        if report.min_degree_bound != "not-applicable":
+            counts["minDegreeBoundsChecked"] = 1
+            if report.min_degree_bound == "violated":
+                violations.append(_violation(where, "min-degree-bound"))
+    except SolverTimeout:
+        violations.append(_violation(where, "timeout"))
+    except PreconditionFailed as exc:
+        violations.append(_violation(where, exc.clause))
+    return counts, violations, line
+
+
+def _critical_for_key(budget: float, key: str, seed: Seed) -> tuple[dict, list, str]:
+    """The critical suite on the class `key` with its seed from `class_keys`."""
+    return _critical_checks(budget, key, _seeded_graph(key, seed))
+
+
+def _run_lemma_suite(config: ScanConfig, seed: int, shard_map, record_map) -> dict:
     # imported here: hashlib maps OpenSSL's libcrypto, about 3.5 MB of a scan's
     # peak resident memory and 4 ms of import, and a scan hashes nothing
     import hashlib
@@ -423,51 +472,21 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
     digest = hashlib.sha256()
     violations: list[dict] = []
 
-    extras = [
-        (f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G)
-        for G in map(parse_any, config.extra_graphs)
-    ]
-    extras.sort(key=lambda kv: kv[0])
-    critical_stats = {
-        "graphs": 0,
-        "criticalHighChi": 0,
-        "decompositionsChecked": 0,
-        "residualVectorsChecked": 0,
-        "minDegreeBoundsChecked": 0,
-    }
-    # enumerated keys ("NN.") sort before extras ("extra."), so the corpus is
-    # walked in key order one graph at a time, each seeded as a scan record is
-    keys, seeds = class_keys(config.enum_spec)
-    for key, G in chain(zip(keys, map(_seeded_graph, keys, seeds)), extras):
-        critical_stats["graphs"] += 1
-        where = {"suite": "critical", "graphKey": key}
-        deadline = time.monotonic() + budget  # chi, criticality and every decomposition
-        try:
-            chi = chromatic_index_value(G, deadline=deadline)
-            high = chi >= max(G.degrees, default=0) + 2  # never for an edgeless graph
-            if not (high and is_critical(G, chi=chi, deadline=deadline)):
-                continue
-            critical_stats["criticalHighChi"] += 1
-            digest.update(f"crit|{key}|{chi}\n".encode())
-            for u, v, _ in G.edges:
-                near_perfect_matching_decomposition(
-                    G, (u, v), assume_critical=True, chi=chi, deadline=deadline
-                )
-                critical_stats["decompositionsChecked"] += 1
-            report = degree_identity_check(G, chi=chi, check_critical=False)
-            critical_stats["residualVectorsChecked"] += 1
-            if any(report.residuals):
-                violations.append(
-                    _violation(where, "degree-identity", residuals=list(report.residuals))
-                )
-            if report.min_degree_bound != "not-applicable":
-                critical_stats["minDegreeBoundsChecked"] += 1
-                if report.min_degree_bound == "violated":
-                    violations.append(_violation(where, "min-degree-bound"))
-        except SolverTimeout:
-            violations.append(_violation(where, "timeout"))
-        except PreconditionFailed as exc:
-            violations.append(_violation(where, exc.clause))
+    extras = sorted(
+        ((f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G)
+         for G in map(parse_any, config.extra_graphs)), key=lambda kv: kv[0]
+    )
+    critical_stats = dict.fromkeys(("graphs", "criticalHighChi", "decompositionsChecked",
+                                    "residualVectorsChecked", "minDegreeBoundsChecked"), 0)
+    # enumerated keys ("NN.") sort before extras ("extra."), so the results
+    # fold in key order: the corpus's from the record map, then the extras'
+    keys, seeds = class_keys(config.enum_spec, shard_map)
+    corpus = record_map(partial(_critical_for_key, budget), keys, seeds)
+    for counts, found, line in chain(corpus, (_critical_checks(budget, *kv) for kv in extras)):
+        for name, count in counts.items():
+            critical_stats[name] += count
+        violations += found
+        digest.update(line.encode())
 
     random_stats = {
         "graphs": config.random_graphs,
@@ -519,7 +538,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
             f"|{sorted(partition.v0)}|{fan_summary}\n".encode()
         )
 
-    payload = {
+    return {
         "seed": seed,
         "enumSpec": config.enum_spec.to_json_obj(),
         "randomGraphs": config.random_graphs,
@@ -531,7 +550,6 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> LemmaSuiteReport:
         "violationCount": len(violations),
         "digest": digest.hexdigest(),
     }
-    return LemmaSuiteReport(payload)
 
 
 def _violation(where: dict, check: str, **details) -> dict:

@@ -169,10 +169,11 @@ def test_criterion_6_matching_decompositions(full6_scan, tmp_path):
         output_path=str(tmp_path / "suite.json"),
         extra_graphs=extras,
         random_graphs=0,
+        workers=WORKERS,
     )
     report = run_lemma_suite(suite_cfg, 0)
-    stats = report.payload["criticalSuite"]
-    assert report.payload["violations"] == []
+    stats = report["criticalSuite"]
+    assert report["violations"] == []
     assert stats["criticalHighChi"] >= 6  # 4 triangle classes + 3C_5 + 5K_3 at least
     assert stats["decompositionsChecked"] >= stats["criticalHighChi"]
     assert stats["residualVectorsChecked"] == stats["criticalHighChi"]
@@ -193,17 +194,19 @@ def test_criterion_6_matching_decompositions(full6_scan, tmp_path):
     print(f"PASS criterion 6: decomposition + degree identity + min-degree bound clean on {count} critical graphs")
 
 
-def test_criterion_7_property_suites_golden(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_criterion_7_property_suites_golden(tmp_path, workers):
     cfg = ScanConfig(
         enum_spec=EnumSpec(n_min=3, n_max=3, max_mu=3, girth_min=3, max_edge_copies=9),
         output_path=str(tmp_path / "lemma42.json"),
         random_graphs=1000,
         random_n_max=12,
         random_mu_max=3,
+        workers=workers,
     )
     report = run_lemma_suite(cfg, 42)
-    assert report.violation_count == 0
-    stats = report.payload["randomSuite"]
+    assert report["violationCount"] == 0
+    stats = report["randomSuite"]
     assert stats["graphs"] == 1000
     assert stats["partitionsVerified"] == 1000
     assert stats["clauseViolations"] == 0
@@ -211,8 +214,8 @@ def test_criterion_7_property_suites_golden(tmp_path):
     assert stats["fanCapViolations"] == 0
     golden = GOLDEN_DIR / "lemma_suite_seed42.json"
     assert golden.exists(), "golden report missing; regenerate via tools in README"
-    assert report.to_text() == golden.read_text()
-    print("PASS criterion 7: 1000-graph property suite clean; seed-42 report matches the golden file byte for byte")
+    assert Path(cfg.output_path).read_bytes() == golden.read_bytes()
+    print(f"PASS criterion 7: 1000-graph property suite clean; seed-42 report at workers {workers} matches the golden file byte for byte")
 
 
 def test_criterion_8_solver_oracle_sweep():

@@ -121,33 +121,32 @@ def test_odd_set_table_loads_no_enumerator():
 
 def test_only_the_lemma_suite_loads_hashlib(tmp_path):
     # only the lemma suite's digests hash: a scan, with one worker or with a
-    # pool, loads neither hashlib nor OpenSSL's _hashlib; under -S, `site`
-    # imports neither before the probe
+    # pool, loads neither hashlib nor OpenSSL's _hashlib, and with one worker
+    # neither command loads the process pool; each command runs in a fresh
+    # process, and under -S `site` imports none of these before the probe
     spec = sl.EnumSpec(n_min=5, n_max=6, max_mu=2, girth_min=5, require_cycle=True)
-    args = []
-    for command, keys in (("scan", {"workers": 1}), ("scan", {"workers": 2}),
-                          ("lemma-suite", {"randomGraphs": 3})):
-        path = tmp_path / f"{len(args)}.json"
-        out = str(tmp_path / f"{len(args)}.out")
-        path.write_text(json.dumps({"enumSpec": spec.to_json_obj(), "outputPath": out, **keys}))
-        args += [command, str(path)]
     probe = (
         "import sys\n"
         "from steffenlab.cli import cli_main\n"
-        "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
-        "    seed = ['--seed', '0'] if command == 'lemma-suite' else []\n"
-        "    assert cli_main([command, '--config', config, *seed]) == 0\n"
-        "    print(command, [m for m in ('hashlib', '_hashlib') if m in sys.modules], file=sys.stderr)\n"
+        "seed = ['--seed', '0'] if sys.argv[1] == 'lemma-suite' else []\n"
+        "assert cli_main([sys.argv[1], '--config', sys.argv[2], *seed]) == 0\n"
+        "watched = ('hashlib', '_hashlib', 'concurrent.futures.process')\n"
+        "print([m for m in watched if m in sys.modules], file=sys.stderr)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe, *args], capture_output=True, text=True, env=CLI_ENV
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "scan []",
-        "scan []",
-        "lemma-suite ['hashlib', '_hashlib']",
-    ]
+    for command, workers, loaded in (
+        ("scan", 1, []),
+        ("scan", 2, ["concurrent.futures.process"]),
+        ("lemma-suite", 1, ["hashlib", "_hashlib"]),
+    ):
+        path = tmp_path / f"{command}{workers}.json"
+        path.write_text(json.dumps({"enumSpec": spec.to_json_obj(), "workers": workers,
+                                    "outputPath": f"{path}.out", "randomGraphs": 3}))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, command, str(path)],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [str(loaded)], command
 
 
 def test_every_export_resolves():
@@ -266,19 +265,23 @@ class TestScanCommands:
         assert len(lines) == summary["total"]
 
     def test_lemma_suite_command(self, tmp_path):
+        # the seed-42 golden file's config, with the sampler's defaults, on a pool
         cfg = {
             "enumSpec": {"nRange": [3, 3], "maxMu": 3, "girthMin": 3, "maxEdgeCopies": 9},
             "outputPath": str(tmp_path / "suite.json"),
-            "randomGraphs": 20,
+            "workers": 2,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         proc = run_cli(["lemma-suite", "--config", str(cfg_path), "--seed", "42"])
         assert proc.returncode == 0
-        out = json.loads(proc.stdout)
-        assert out["violationCount"] == 0
-        report = json.loads(open(cfg["outputPath"]).read())
+        golden = Path(__file__).parent / "data" / "lemma_suite_seed42.json"
+        assert Path(cfg["outputPath"]).read_bytes() == golden.read_bytes()
+        report = json.loads(golden.read_text())
         assert report["seed"] == 42
+        assert json.loads(proc.stdout) == {
+            "violationCount": 0, "digest": report["digest"], "report": cfg["outputPath"]
+        }
 
     def test_unknown_spec_key_is_exit_2(self, tmp_path):
         # a misspelt requireCycle would otherwise scan 5 classes instead of 1
@@ -395,6 +398,28 @@ class TestErrors:
         cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(tmp_path)}))
         assert cli_main(["scan", "--config", str(cfg_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, target, message", [
+        (["scan"], "steffenlab.scan.run_scan", "interrupted; partial results flushed"),
+        # the random suite runs last, after the whole corpus
+        (["lemma-suite", "--seed", "0"], "steffenlab.scan.random_multigraph", "interrupted"),
+        (["chi"], "steffenlab.coloring.chromatic_index", "interrupted"),
+    ])
+    def test_interrupt_is_exit_130(self, tmp_path, capsys, monkeypatch, c53_file,
+                                   command, target, message):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(target, interrupted)
+        out = tmp_path / "out.json"
+        cfg_path = tmp_path / "cfg.json"
+        spec = {"nRange": [3, 3], "maxMu": 3, "girthMin": 3, "maxEdgeCopies": 9}
+        cfg_path.write_text(json.dumps({"enumSpec": spec, "outputPath": str(out)}))
+        where = [c53_file] if command == ["chi"] else ["--config", str(cfg_path)]
+        assert cli_main([command[0], *where, *command[1:]]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()  # a lemma suite writes its report only when done
 
     def test_unwritable_witness_prints_nothing(self, tmp_path, capsys):
         # the witness is written before chi' is printed, so a failed command

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import signal
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from steffenlab.scan import (
     _critical_in_regime,
     _fold_record,
     _fold_report_prefix,
+    _mapped,
     _record_for_key,
     _record_line,
     compute_record,
@@ -223,25 +225,23 @@ class TestSimpleLayerOnce:
 def in_process_pool(monkeypatch):
     """Replace the process pool by one that maps in this process (a real pool
     forks all of its processes at its first task).  The log holds the pool
-    sizes asked for and, per `map`, its function, item count and chunk size."""
-    log = SimpleNamespace(sizes=[], maps=[])
+    sizes asked for, per `map` its function, item count and chunk size, and
+    the arguments of each shutdown."""
+    log = SimpleNamespace(sizes=[], maps=[], shutdowns=[])
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             log.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, **options):
+            log.shutdowns.append(options)
 
         def map(self, fn, *iterables, chunksize=1):
             args = list(zip(*iterables))
             log.maps.append((fn, len(args), chunksize))
             return (fn(*a) for a in args)
 
-    # run_scan imports the pool class when it needs one
+    # `_mapped` imports the pool class when it needs one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return log
 
@@ -280,6 +280,21 @@ class TestScanRuns:
         assert run_scan(one).to_json_obj() == run_scan(many).to_json_obj()
         assert in_process_pool.sizes == [size]
         assert file_digest(one.output_path) == file_digest(many.output_path)
+
+    def test_pool_processes_ignore_ctrl_c(self):
+        # a terminal's Ctrl-C reaches every process of the group: only the
+        # parent stops, so an idle pool process prints no traceback
+        handlers = _mapped(2, lambda shard_map, record_map: list(
+            record_map(signal.getsignal, [signal.SIGINT] * 2)))
+        assert handlers == [signal.SIG_IGN] * 2
+
+    def test_interrupted_pool_run_drops_its_queued_tasks(self, in_process_pool):
+        def interrupted(shard_map, record_map):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _mapped(2, interrupted)
+        assert in_process_pool.shutdowns == [{"cancel_futures": True}]
 
     def test_record_tasks_are_batched(self, tmp_path, in_process_pool):
         # a task per few records costs the parent process more than the records
@@ -778,10 +793,12 @@ class TestLemmaSuite:
             random_n_max=10,
         )
         rep1 = run_lemma_suite(cfg, 42)
+        text1 = Path(cfg.output_path).read_bytes()
         rep2 = run_lemma_suite(cfg, 42)
-        assert rep1.to_text() == rep2.to_text()
-        assert rep1.violation_count == 0
-        assert rep1.payload["randomSuite"]["graphs"] == 80
+        assert Path(cfg.output_path).read_bytes() == text1
+        assert rep1 == rep2 == json.loads(text1)
+        assert rep1["violationCount"] == 0
+        assert rep1["randomSuite"]["graphs"] == 80
 
     def test_seed_changes_digest(self, tmp_path):
         cfg = ScanConfig(
@@ -789,7 +806,7 @@ class TestLemmaSuite:
             output_path=str(tmp_path / "r.json"),
             random_graphs=30,
         )
-        assert run_lemma_suite(cfg, 1).payload["digest"] != run_lemma_suite(cfg, 2).payload["digest"]
+        assert run_lemma_suite(cfg, 1)["digest"] != run_lemma_suite(cfg, 2)["digest"]
 
     def test_triangle_family_checked(self, tmp_path):
         cfg = ScanConfig(
@@ -799,8 +816,8 @@ class TestLemmaSuite:
         )
         report = run_lemma_suite(cfg, 7)
         # triangles with min multiplicity >= 2: (2,2,2),(3,2,2),(3,3,2),(3,3,3)
-        assert report.payload["criticalSuite"]["criticalHighChi"] == 4
-        assert report.violation_count == 0
+        assert report["criticalSuite"]["criticalHighChi"] == 4
+        assert report["violationCount"] == 0
 
     def test_extra_graphs_included(self, tmp_path):
         cfg = ScanConfig(
@@ -810,10 +827,40 @@ class TestLemmaSuite:
             extra_graphs=(sl.serialize(sl.mu_cycle(5, 3)),),
         )
         report = run_lemma_suite(cfg, 7)
-        assert report.payload["criticalSuite"]["criticalHighChi"] == 1
-        assert report.payload["criticalSuite"]["decompositionsChecked"] == 5
-        assert report.violation_count == 0
+        assert report["criticalSuite"]["criticalHighChi"] == 1
+        assert report["criticalSuite"]["decompositionsChecked"] == 5
+        assert report["violationCount"] == 0
 
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corpus_runs_on_the_record_map(self, tmp_path, in_process_pool, workers):
+        # the corpus is mapped as a scan's records are: in batches on a pool,
+        # with the builtin map for one worker
+        from steffenlab.scan import RECORD_BATCH, _critical_for_key
+
+        cfg = ScanConfig(enum_spec=small_spec(), output_path=str(tmp_path / "r.json"),
+                         random_graphs=0, workers=workers)
+        report = run_lemma_suite(cfg, 7)
+        corpus = [(items, chunksize) for fn, items, chunksize in in_process_pool.maps
+                  if getattr(fn, "func", None) is _critical_for_key]
+        if workers == 1:
+            assert in_process_pool.sizes == [] and in_process_pool.maps == []
+        else:
+            assert corpus == [(report["criticalSuite"]["graphs"], RECORD_BATCH)]
+        assert report["criticalSuite"]["graphs"] == 758
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        reports = []
+        for workers in (1, 2):
+            cfg = ScanConfig(
+                enum_spec=small_spec(), output_path=str(tmp_path / f"w{workers}.json"),
+                random_graphs=60, random_n_max=5, random_mu_max=3, workers=workers,
+                extra_graphs=(sl.serialize(sl.mu_cycle(5, 3)), sl.serialize(sl.mu_complete(3, 5))),
+            )
+            run_lemma_suite(cfg, 3)
+            reports.append(Path(cfg.output_path).read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["criticalSuite"]["graphs"] == 760
 
     def test_corpus_takes_the_enumeration_seeds(self, tmp_path, monkeypatch):
         import steffenlab.invariants as invariants
@@ -831,7 +878,7 @@ class TestLemmaSuite:
             extra_graphs=(sl.serialize(extra),),
         )
         report = run_lemma_suite(cfg, 7)
-        assert report.payload["criticalSuite"]["criticalHighChi"] > 1
+        assert report["criticalSuite"]["criticalHighChi"] > 1
         # each corpus graph reads Gamma from its seed; the unseeded extra
         # graph is the one that enumerates odd sets
         assert kernel == [extra]
@@ -850,7 +897,7 @@ class TestLemmaSuite:
             "extraGraphs": [sl.serialize(sl.mu_cycle(5, 3))],
         }
         report = run_lemma_suite(ScanConfig.from_json_obj(config), 7)
-        [violation] = report.payload["violations"]
+        [violation] = report["violations"]
         assert violation["check"] == "decomposition"
         assert violation["suite"] == "critical" and violation["graphKey"].startswith("extra.")
         path = tmp_path / "cfg.json"
@@ -922,8 +969,8 @@ class TestTheoremRegime:
             "randomGraphs": 1,
         }
         report = run_lemma_suite(ScanConfig.from_json_obj(config), 0)
-        assert report.payload["violations"] == [{"suite": "random", "index": 0, "check": "timeout"}]
-        assert report.payload["randomSuite"]["fanCapViolations"] == 0
+        assert report["violations"] == [{"suite": "random", "index": 0, "check": "timeout"}]
+        assert report["randomSuite"]["fanCapViolations"] == 0
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert cli_main(["lemma-suite", "--config", str(path), "--seed", "0"]) == 1
