@@ -35,6 +35,7 @@ from .multigraph import Multigraph, Value
 
 COLOR_CAP = 4096  # the most colors a decision may use: its witness costs about k^2
 _Edges = tuple[tuple[int, int, int], ...]  # (u, v, mult) triples in serialized order
+_Decision = tuple[_Edges, list[int] | None]  # G - e and its color masks, if colorable
 
 
 class EdgeColoring(Value):
@@ -287,11 +288,12 @@ def is_critical(
     further, and vertex deletion is edge deletion plus isolated vertices.
     So G is critical iff the walk of `extract_critical` takes no copy.
     """
-    return next(_reductions(G, chi, deadline), None) is None
+    return all(masks is not None for _, masks in _reductions(G, chi, deadline))
 
 
-def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Iterator[_Edges]:
-    """The edges of G after each copy `extract_critical` takes, in order.
+def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Iterator[_Decision]:
+    """Each decision of the walk of `extract_critical`, in order: G - e and the
+    masks of a (chi - 1)-coloring of it, or None when the walk takes the copy.
 
     The walk goes through the pairs in serialized order.  It takes a copy of
     the current pair while that removal leaves chi' = chi (by default chi'(G)),
@@ -307,9 +309,10 @@ def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Itera
     edges, degrees, i = G.edges, G.degrees, 0
     while i < len(edges):
         reduced, left = _less_one_copy(edges, degrees, i)
-        if _search(G.n, reduced, left, chi - 1, deadline) is None:
+        masks = _search(G.n, reduced, left, chi - 1, deadline)
+        yield reduced, masks
+        if masks is None:
             edges, degrees = reduced, left
-            yield edges
         else:
             i += 1
 
@@ -333,10 +336,8 @@ def extract_critical(
     The scan is one pass (`_reductions`): it decides each pair once, plus once
     per copy it takes, and builds one graph, the result.
     """
-    edges = G.edges
-    for edges in _reductions(G, chi, deadline):
-        pass
-    return G if edges is G.edges else Multigraph(G.n, edges)
+    taken = [edges for edges, masks in _reductions(G, chi, deadline) if masks is None]
+    return Multigraph(G.n, taken[-1]) if taken else G
 
 
 def _lemma_chi(
@@ -377,11 +378,16 @@ def near_perfect_matching_decomposition(
     masks = _search(G.n, reduced, left, chi - 1, deadline)
     if masks is None:
         raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
-    classes = _witness(reduced, chi - 1, masks).classes()
+    return _near_perfect_classes(G.n, reduced, chi - 1, masks)
+
+
+def _near_perfect_classes(n: int, edges: _Edges, k: int, masks: list[int]) -> MatchingDecomposition:
+    """The classes of the k-coloring `masks` of `edges`, each near-perfect on n vertices."""
+    classes = _witness(edges, k, masks).classes()
     missed = []
     for cls in classes:
         # a class is a matching, so it misses one vertex iff it has (n-1)/2 edges
-        missing = sorted(set(range(G.n)).difference(*cls))
+        missing = sorted(set(range(n)).difference(*cls))
         if len(missing) != 1:
             raise PreconditionFailed("near-perfect", f"class misses {missing}")
         missed.append(missing[0])

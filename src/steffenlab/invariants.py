@@ -9,7 +9,7 @@ forest starts no BFS at any numbering and a cycle starts one.
 
 Every simple-path search of the cycle layer, `structure.enumerate_cycles`
 included, runs on `simple_paths`, one walk over an explicit stack, and every
-distance, bipartiteness included, on the one BFS `bfs_dist`.
+distance, girth's levels and bipartiteness included, on the one BFS `bfs_dist`.
 
 `is_bipartite`, `density` and its value alone, `density_gamma`, are
 memoised on the graph (`Multigraph.memo`) by name, and the girth of each
@@ -118,13 +118,11 @@ def subgraph_girth(G: Multigraph, within: frozenset[int]) -> int | float:
 
 
 def _bfs_girth(G: Multigraph, within: frozenset[int]) -> int | float:
-    """BFS from each root inside the vertices still alive, then drop the root; the
-    min closed-walk bound over non-tree edges is exact, as a shortest cycle's
-    least vertex still sees all of it.  With each dropped root goes every alive
-    vertex left with fewer than 2 alive neighbours (a 2-core peel): such a
-    vertex is on no cycle of the alive vertices, and a shortest cycle keeps
-    all of its vertices until its least one is a root.  So only 2-core roots
-    search, and a forest starts no BFS at any numbering."""
+    """The least closed walk over the roots' BFS levels (`bfs_dist`): a vertex
+    on level d with two neighbours on level d - 1 closes one of 2d edges, else
+    one with a neighbour on level d one of 2d + 1.  It is exact, as a shortest
+    cycle's least vertex sees it all at its distances along it, and the 2-core
+    peel keeps the cycle's vertices alive until that vertex is a root."""
     adj = G.adj
     alive = set(within)
     degree = {v: sum(y in alive for y in adj[v]) for v in alive}
@@ -142,24 +140,16 @@ def _bfs_girth(G: Multigraph, within: frozenset[int]) -> int | float:
                             doomed.append(y)
         if root not in alive:
             continue
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if 2 * dist[x] >= best:
+        # levels in BFS order; every alive neighbour of a reached vertex is reached
+        dist = bfs_dist(G, alive, root)
+        for y, d in dist.items():
+            if 2 * d >= best:
                 break
-            for y in adj[x]:
-                if y not in alive:
-                    continue
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    cand = dist[x] + dist[y] + 1
-                    if cand < best:
-                        best = cand
+            levels = [dist.get(x) for x in adj[y]]
+            if levels.count(d - 1) > 1:
+                best = 2 * d
+            elif d in levels:
+                best = 2 * d + 1
         doomed.append(root)
     return best
 

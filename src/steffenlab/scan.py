@@ -19,15 +19,17 @@ import json
 import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 
 from .coloring import (
+    _near_perfect_classes,
+    _reductions,
     chromatic_index_value,
     degree_identity_check,
     is_critical,
-    near_perfect_matching_decomposition,
 )
 from .errors import ConfigError, PreconditionFailed, SolverTimeout
 from .generators import (
@@ -259,13 +261,25 @@ def _record_for_key(config: ScanConfig, key: str, seed: Seed) -> dict:
     return compute_record(key, _seeded_graph(key, seed), config)
 
 
+@contextmanager
+def _replacing(path: str):
+    """A file, opened at once, that replaces `path` whole when the block ends,
+    and is removed if the block or the replacement fails: `path` + ".tmp"."""
+    tmp = path + ".tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_spec_echo(path: str, spec: EnumSpec) -> None:
     """Write the checkpoint: one line, `# ` and the JSON echo of the spec."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write("# " + json.dumps(spec.to_json_obj(), sort_keys=True) + "\n")
-    # a crash leaves either the old checkpoint or the new one, never a torn file
-    os.replace(tmp, path)
 
 
 def read_spec_echo(path: str) -> dict:
@@ -294,8 +308,7 @@ def _fold_report_prefix(
     Returns the number of records kept and their byte length.
     """
     count = size = 0
-    if not os.path.exists(config.output_path):
-        return count, size
+    # the report exists: `_run_scan` opens it before it enumerates
     with open(config.output_path, "rb") as fh:
         for line in fh:
             if count == len(keys) or not line.endswith(b"\n"):
@@ -379,13 +392,13 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
     resume = os.path.exists(ckpt_path)
     if resume and read_spec_echo(ckpt_path) != spec.to_json_obj():
         raise ConfigError("checkpoint was written by a different enumeration spec")
-    keys, seeds = class_keys(spec, shard_map)
-
-    summary = ScanSummary()
-    done = size = 0
-    if resume:
-        done, size = _fold_report_prefix(config, keys, summary)
+    # the report is opened before the enumeration, so an unwritable path fails at once
     with open(config.output_path, "a", encoding="utf-8") as out:
+        keys, seeds = class_keys(spec, shard_map)
+        summary = ScanSummary()
+        done = size = 0
+        if resume:
+            done, size = _fold_report_prefix(config, keys, summary)
         # cut the report back to its kept prefix before the checkpoint is
         # written, so a checkpoint never vouches for lines of another run
         out.truncate(size)
@@ -415,9 +428,10 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> dict:
     theorem's regime (`_critical_in_regime`).  A check of either suite that
     runs out of its budget is a `timeout` violation.
     """
-    payload = _mapped(config.workers, partial(_run_lemma_suite, config, seed))
-    # written only once both suites are done: an interrupted run leaves no report
-    with open(config.output_path, "w", encoding="utf-8") as fh:
+    # opened before the suites run, and in place only once both are done: an
+    # interrupted or failed run writes no report and leaves the old one as it was
+    with _replacing(config.output_path) as fh:
+        payload = _mapped(config.workers, partial(_run_lemma_suite, config, seed))
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -425,7 +439,7 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> dict:
 def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list, str]:
     """The critical suite on one graph: its counts, its violations and its
     digest line, which is empty unless G is critical with chi' >= Delta + 2.
-    One deadline covers chi', criticality and every decomposition."""
+    One deadline covers chi' and the walk whose masks give each G - e's classes."""
     counts = {"graphs": 1}
     violations = []
     line = ""
@@ -433,15 +447,19 @@ def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list
     deadline = time.monotonic() + budget
     try:
         chi = chromatic_index_value(G, deadline=deadline)
-        high = chi >= max(G.degrees, default=0) + 2  # never for an edgeless graph
-        if not (high and is_critical(G, chi=chi, deadline=deadline)):
+        if chi < max(G.degrees, default=0) + 2:  # always for an edgeless graph
+            return counts, violations, line
+        # the walk (`_reductions`) stops at its first G - e that keeps chi', so
+        # it colors every pair's G - e iff G is critical
+        walk = list(takewhile(lambda step: step[1] is not None, _reductions(G, chi, deadline)))
+        if len(walk) < len(G.edges):
             return counts, violations, line
         counts.update(criticalHighChi=1, decompositionsChecked=0)
         line = f"crit|{key}|{chi}\n"
-        for u, v, _ in G.edges:
-            near_perfect_matching_decomposition(
-                G, (u, v), assume_critical=True, chi=chi, deadline=deadline
-            )
+        if G.n % 2 == 0:
+            raise PreconditionFailed("n-odd", f"n={G.n} is even")
+        for reduced, masks in walk:
+            _near_perfect_classes(G.n, reduced, chi - 1, masks)
             counts["decompositionsChecked"] += 1
         report = degree_identity_check(G, chi=chi, check_critical=False)
         counts["residualVectorsChecked"] = 1
@@ -488,15 +506,9 @@ def _run_lemma_suite(config: ScanConfig, seed: int, shard_map, record_map) -> di
         violations += found
         digest.update(line.encode())
 
-    random_stats = {
-        "graphs": config.random_graphs,
-        "partitionsVerified": 0,
-        "cyclesChecked": 0,
-        "clauseViolations": 0,
-        "fansChecked": 0,
-        "fanBoundViolations": 0,
-        "fanCapViolations": 0,
-    }
+    random_stats = dict.fromkeys(("partitionsVerified", "cyclesChecked", "clauseViolations",
+                                  "fansChecked", "fanBoundViolations", "fanCapViolations"), 0)
+    random_stats["graphs"] = config.random_graphs
     rng = random.Random(seed)
     for index in range(config.random_graphs):
         G = random_multigraph(rng, n_max=config.random_n_max, mu_max=config.random_mu_max)

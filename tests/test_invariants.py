@@ -68,6 +68,15 @@ class TestGirth:
         G = sl.build(4, [(0, 1, 3), (1, 2, 1), (2, 3, 1)])
         assert sl.girth(G) == sl.INFINITE_GIRTH
 
+    def test_even_cycle_found_where_an_odd_walk_also_closes(self):
+        # from root 0, vertex 4 is on level 2 with two neighbours on level 1
+        # (the 4-cycle 0-1-4-2) and one on its own level (the 5-cycle
+        # 0-1-4-5-3): the even bound is the girth, and no later root sees it
+        G = sl.build(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 4, 1), (2, 4, 1), (3, 5, 1),
+                         (4, 5, 1)])
+        assert brute_force_girth(G) == 4
+        assert sl.girth(G) == 4
+
     def test_parallel_pair_is_not_a_2_cycle(self):
         assert sl.girth(sl.build(2, [(0, 1, 5)])) == sl.INFINITE_GIRTH
 

@@ -408,6 +408,16 @@ class TestScanRuns:
         run_scan(resumed)
         assert file_digest(resumed.output_path) == file_digest(full.output_path)
 
+    def test_checkpoint_without_report_rescans(self, tmp_path):
+        spec = small_spec(n_max=4)
+        cfg = ScanConfig(enum_spec=spec, output_path=str(tmp_path / "o.jsonl"))
+        run_scan(cfg)
+        before = file_digest(cfg.output_path)
+        os.remove(cfg.output_path)
+        summary = run_scan(cfg)
+        assert file_digest(cfg.output_path) == before
+        assert summary.total == summary.ok > 0
+
     def test_checkpoint_spec_mismatch_rejected(self, tmp_path):
         spec = small_spec(n_max=4)
         out = str(tmp_path / "a.jsonl")
@@ -886,10 +896,10 @@ class TestLemmaSuite:
     def test_precondition_failure_is_a_violation(self, tmp_path, monkeypatch):
         import steffenlab.scan as scan_mod
 
-        def no_decomposition(*args, **kwargs):
-            raise PreconditionFailed("decomposition", "forced")
+        def not_near_perfect(*args):
+            raise PreconditionFailed("near-perfect", "forced")
 
-        monkeypatch.setattr(scan_mod, "near_perfect_matching_decomposition", no_decomposition)
+        monkeypatch.setattr(scan_mod, "_near_perfect_classes", not_near_perfect)
         config = {
             "enumSpec": EnumSpec(n_min=2, n_max=2, max_edge_copies=1).to_json_obj(),
             "outputPath": str(tmp_path / "r.json"),
@@ -898,13 +908,80 @@ class TestLemmaSuite:
         }
         report = run_lemma_suite(ScanConfig.from_json_obj(config), 7)
         [violation] = report["violations"]
-        assert violation["check"] == "decomposition"
+        assert violation["check"] == "near-perfect"
         assert violation["suite"] == "critical" and violation["graphKey"].startswith("extra.")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         from steffenlab.cli import cli_main
 
         assert cli_main(["lemma-suite", "--config", str(path), "--seed", "7"]) == 1
+
+
+    def test_critical_suite_decides_each_g_minus_e_once(self, monkeypatch):
+        # 5C9 is critical with 9 pairs: the suite makes the ascent's decisions
+        # and the criticality walk's 9, and reads each pair's classes from the
+        # walk instead of deciding its G - e again
+        from steffenlab import coloring
+        from steffenlab.scan import _critical_checks
+
+        G = sl.mu_cycle(9, 5)
+        calls = []
+        search = coloring._search
+        monkeypatch.setattr(coloring, "_search", lambda *a: calls.append(a) or search(*a))
+        sl.chromatic_index_value(G)
+        ascent = len(calls)
+        calls.clear()
+        counts, violations, line = _critical_checks(60.0, "k", G)
+        assert counts["criticalHighChi"] == 1 and counts["decompositionsChecked"] == 9
+        assert violations == [] and line == "crit|k|12\n"
+        assert len(calls) == ascent + 9
+        assert [edges for _, edges, _, k, _ in calls[ascent:]] == [
+            coloring._less_one_copy(G.edges, G.degrees, i)[0] for i in range(9)
+        ]
+        assert {k for *_, k, _ in calls[ascent:]} == {11}
+
+    def test_failed_replace_keeps_old_report(self, tmp_path, monkeypatch):
+        cfg = ScanConfig(enum_spec=small_spec(n_max=3), output_path=str(tmp_path / "r.json"),
+                         random_graphs=5, random_n_max=5)
+        run_lemma_suite(cfg, 1)
+        before = Path(cfg.output_path).read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError):
+            run_lemma_suite(cfg, 2)
+        assert Path(cfg.output_path).read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_interrupted_run_leaves_no_report(self, tmp_path, monkeypatch):
+        import steffenlab.scan as scan_mod
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(scan_mod, "class_keys", interrupt)
+        cfg = ScanConfig(enum_spec=small_spec(), output_path=str(tmp_path / "r.json"))
+        with pytest.raises(KeyboardInterrupt):
+            run_lemma_suite(cfg, 1)
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [["scan"], ["lemma-suite", "--seed", "1"]])
+def test_unwritable_output_fails_before_enumerating(tmp_path, monkeypatch, capsys, command):
+    import steffenlab.scan as scan_mod
+    from steffenlab.cli import cli_main
+
+    calls = []
+    monkeypatch.setattr(scan_mod, "class_keys", lambda *a: calls.append(a) or class_keys(*a))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"enumSpec": small_spec().to_json_obj(),
+                                "outputPath": str(tmp_path / "missing" / "out")}))
+    assert cli_main([command[0], "--config", str(path), *command[1:]]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestTheoremRegime:
