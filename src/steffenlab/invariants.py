@@ -28,6 +28,8 @@ Density enumerates odd vertex sets size by size.  A whole size s is skipped
 when no set of that size can change the answer: when ceil(2m/(s-1)) is at
 most the incumbent, or when ceil(D_s/(s-1)) is below it, where D_s is the
 sum of the s largest degrees (2|E(G[S])| <= sum of the degrees in S).
+Within a size, a walk over the sets' prefixes abandons one when a like degree
+bound over the vertices after it shows that no set through it can tie.
 """
 
 from __future__ import annotations
@@ -291,23 +293,30 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
     """The density enumeration behind `density`.
 
     Each odd set S = T + {v} of a size is closed from its prefix T (the
-    |S| - 1 smallest vertices): one pass over T's higher-indexed neighbours
-    gives |E(G[T])| and the weight w[v] of every later vertex towards T,
-    so every closing v costs one addition and one comparison with the
-    fewest inner edges that could tie the incumbent.
+    |S| - 1 smallest vertices) with one addition.  The prefixes are walked
+    depth first, in `combinations(range(n - 1), |S| - 1)` order, and a push
+    or pop of x updates |E(G[T])| and every later y's weight w[y] towards T
+    in one pass over x's higher neighbours.  A prefix ending at p, r vertices
+    short of S, is abandoned when 2|E(G[T])| plus the r largest 2 w[y] + s(y)
+    over y > p, s(y) being y's copies to the vertices after p, is below
+    2 `tie`, the fewest inner edges that could tie the incumbent.  The walk
+    polls `deadline` at its first node and every 1,024th.
     """
     n = G.n
     if n < 3 or not G.edges:
         return DensityWitness(0, (0, 1, 2) if n >= 3 else ())
     higher: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    after = [[0] * n for _ in range(n + 1)]  # after[x][y]: y's copies to x..n-1, for y >= x
     for u, v, m in G.edges:
         higher[u].append((v, m))
+        for x in range(u + 1):
+            after[x][u] += m
+            after[x][v] += m
     top_degrees = [0, *accumulate(sorted(G.degrees, reverse=True))]
     total = G.edge_count
     best_gamma = 0
     best_set: tuple[int, ...] = (0, 1, 2)
-    visited = 0
-    poll_at = DEADLINE_POLL_INTERVAL
+    nodes = 0
     for size in range(3, n + 1, 2):
         d = size - 1
         # no subset of this size can beat the incumbent: skip the whole size
@@ -317,26 +326,41 @@ def _odd_set_density(G: Multigraph, deadline: float | None) -> DensityWitness:
         if ceil_div(top_degrees[size], d) < best_gamma:
             continue
         tie = _fewest_inside(best_gamma, d)
-        for T in combinations(range(n - 1), d):
-            lo = T[-1] + 1
-            visited += n - lo
-            if visited >= poll_at:
-                poll_at = visited + DEADLINE_POLL_INTERVAL
-                check_deadline(deadline, f"density on n={n}")
-            w = [0] * n
-            inside = 0
-            for x in T:
+        w = [0] * n
+        inside = 0
+        T: list[int] = []
+        x = 0  # the next vertex to push
+        while True:
+            if x < n - d + len(T):  # room after x for the rest of T and v
+                if not nodes % DEADLINE_POLL_INTERVAL:
+                    check_deadline(deadline, f"density on n={n}")
+                nodes += 1
                 inside += w[x]
                 for y, m in higher[x]:
                     w[y] += m
-            for v in range(lo, n):
-                if inside + w[v] >= tie:
-                    gamma = ceil_div(2 * (inside + w[v]), d)
-                    S = (*T, v)
-                    if gamma > best_gamma or S < best_set:
-                        best_gamma = gamma
-                        best_set = S
-                        tie = _fewest_inside(best_gamma, d)
+                T.append(x)
+                x += 1
+                if len(T) < d:
+                    s = after[x]
+                    ends = sorted([2 * w[y] + s[y] for y in range(x, n)])
+                    if 2 * inside + sum(ends[len(T) - d - 1 :]) >= 2 * tie:
+                        continue  # descend
+                else:
+                    for v in range(x, n):
+                        if inside + w[v] >= tie:
+                            gamma = ceil_div(2 * (inside + w[v]), d)
+                            S = (*T, v)
+                            if gamma > best_gamma or S < best_set:
+                                best_gamma = gamma
+                                best_set = S
+                                tie = _fewest_inside(best_gamma, d)
+            elif not T:
+                break
+            x = T.pop()
+            for y, m in higher[x]:
+                w[y] -= m
+            inside -= w[x]
+            x += 1
     return DensityWitness(best_gamma, best_set)
 
 

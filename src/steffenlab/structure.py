@@ -259,9 +259,10 @@ def find_ring_subgraph_with_chi(
     the target is skipped; otherwise the first step that reaches it is found
     by bisection, each probe taking chi' from the ring's closed form, which
     the tests check against the solver.  The cycle walk and this loop poll
-    `deadline`; no colouring decision is made.
+    `deadline`; no colouring decision is made.  No ring's closed form
+    exceeds 3 mu, so a larger target is answered None without a walk.
     """
-    if target < 1:
+    if target < 1 or target > 3 * G.max_mult:
         return None
     cycles = chain.from_iterable(_cycles_by_length(G, deadline))
     for tried, cyc in enumerate(cycles):

@@ -2,8 +2,10 @@
 
 These deliberately share no code or strategy with the library: the coloring
 oracle assigns colors copy by copy in serialized order with no symmetry
-breaking, the density oracles enumerate odd subsets directly (one of them
-is the library's previous kernel, kept to pin the witness tie-break), the
+breaking, the density oracles enumerate odd subsets directly (two of them are
+the library's previous kernels: the one that summed pair multiplicities,
+kept to pin the witness tie-break, and the prefix-weight one that closed
+every prefix unpruned), the
 cycle oracles enumerate vertex sequences (the girth reference is the
 library's previous BFS from every root), and the short-cycle clause oracle
 finds outside paths among the permutations of the outside vertices.  The
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 from steffenlab.coloring import EdgeColoring, chromatic_index, is_k_colorable
 from steffenlab.errors import (
@@ -39,9 +41,17 @@ from steffenlab.errors import (
     InstanceTooLarge,
     SolverTimeout,
     VertexNotInV0,
+    check_deadline,
 )
 from steffenlab.generators import _aut_edge_generators
-from steffenlab.invariants import INFINITE_GIRTH, CycleSeq, DensityWitness, girth
+from steffenlab.invariants import (
+    INFINITE_GIRTH,
+    CycleSeq,
+    DensityWitness,
+    _fewest_inside,
+    ceil_div,
+    girth,
+)
 from steffenlab.multigraph import Multigraph, build
 from steffenlab.structure import CyclePartition, Fan, RingSubgraph
 
@@ -139,6 +149,60 @@ def density_by_enumeration(G: Multigraph, cap: int = 22) -> DensityWitness:
             if gamma > best_gamma or (gamma == best_gamma and S < best_set):
                 best_gamma = gamma
                 best_set = S
+    return DensityWitness(best_gamma, best_set)
+
+
+def density_by_prefix_weights(G: Multigraph, deadline: float | None = None) -> DensityWitness:
+    """The library's previous kernel, unchanged: every prefix T of every size
+    is built from scratch and closed, with no prefix abandoned.
+
+    Each odd set S = T + {v} of a size is closed from its prefix T (the
+    |S| - 1 smallest vertices): one pass over T's higher-indexed neighbours
+    gives |E(G[T])| and the weight w[v] of every later vertex towards T,
+    so every closing v costs one addition and one comparison with the
+    fewest inner edges that could tie the incumbent.
+    """
+    n = G.n
+    if n < 3 or not G.edges:
+        return DensityWitness(0, (0, 1, 2) if n >= 3 else ())
+    higher: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m in G.edges:
+        higher[u].append((v, m))
+    top_degrees = [0, *accumulate(sorted(G.degrees, reverse=True))]
+    total = G.edge_count
+    best_gamma = 0
+    best_set: tuple[int, ...] = (0, 1, 2)
+    visited = 0
+    poll_at = DEADLINE_POLL_INTERVAL
+    for size in range(3, n + 1, 2):
+        d = size - 1
+        # no subset of this size can beat the incumbent: skip the whole size
+        if ceil_div(2 * total, d) <= best_gamma:
+            continue
+        # none can even tie it, since 2|E(G[S])| <= the degree sum of S
+        if ceil_div(top_degrees[size], d) < best_gamma:
+            continue
+        tie = _fewest_inside(best_gamma, d)
+        for T in combinations(range(n - 1), d):
+            lo = T[-1] + 1
+            visited += n - lo
+            if visited >= poll_at:
+                poll_at = visited + DEADLINE_POLL_INTERVAL
+                check_deadline(deadline, f"density on n={n}")
+            w = [0] * n
+            inside = 0
+            for x in T:
+                inside += w[x]
+                for y, m in higher[x]:
+                    w[y] += m
+            for v in range(lo, n):
+                if inside + w[v] >= tie:
+                    gamma = ceil_div(2 * (inside + w[v]), d)
+                    S = (*T, v)
+                    if gamma > best_gamma or S < best_set:
+                        best_gamma = gamma
+                        best_set = S
+                        tie = _fewest_inside(best_gamma, d)
     return DensityWitness(best_gamma, best_set)
 
 

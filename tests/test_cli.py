@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -377,11 +378,12 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
 
     def test_ring_search_timeout_exit_2(self):
-        # 2K10 has 556,014 cycles: the cycle walk polls the command's deadline
+        # 2K10 has 556,014 cycles: the cycle walk polls the command's deadline,
+        # and no ring reaches target 1, so the walk runs in full
         gen = run_cli(["gen", "mu-complete", "10", "2"])
         start = time.monotonic()
         proc = run_cli(
-            ["ring-find", "-", "--target", "1000", "--timeout", "1"], stdin_text=gen.stdout
+            ["ring-find", "-", "--target", "1", "--timeout", "1"], stdin_text=gen.stdout
         )
         assert time.monotonic() - start < 5
         assert proc.returncode == 2
@@ -552,6 +554,19 @@ class TestOneBudget:
         assert cli_main(["ring-find", "-", "--target", str(target), "--timeout", "5"]) == 0
         ring = {"cycle": list(range(len(mults))), "multiplicities": mults, "chi": target}
         assert json.loads(capsys.readouterr().out) == {"found": True, "ring": ring}
+
+    def test_ring_find_past_three_mu_walks_no_cycle(self, capsys, monkeypatch):
+        # the `queries` pool's dense 7 (mu 3) has 5,871 cycles, and no ring
+        # on it has chi' above 3 mu = 9
+        import steffenlab.structure as structure_mod
+
+        pool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "graphs.py"))
+        walks = []
+        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda *args: walks.append(args))
+        monkeypatch.setattr("sys.stdin", io.StringIO(pool["pool_graph"]("dense", 7)))
+        assert cli_main(["ring-find", "-", "--target", "17", "--timeout", "5"]) == 0
+        assert capsys.readouterr().out == '{"found": false, "ring": null}\n'
+        assert walks == []
 
 
 MULTS = st.one_of(st.integers(1, 4), st.integers(COLOR_CAP + 1, 10**30))

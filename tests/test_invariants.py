@@ -1,8 +1,10 @@
 import pickle
 import random
+import runpy
 import time
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from oracles import (
     brute_force_girth,
     brute_force_shortest_cycle,
     density_by_enumeration,
+    density_by_prefix_weights,
     girth_by_bfs_from_every_root,
     minus_one_copy,
     short_cycle_violations_by_permutation,
@@ -218,13 +221,13 @@ class TestDensity:
 
 
 class TestDensityKernel:
-    """The prefix-weight kernel against the previous kernel: same gamma, same witness."""
+    """The pruned prefix walk against the two previous kernels: same gamma, same witness."""
 
     @staticmethod
-    def assert_same(graphs):
+    def assert_same(graphs, previous=density_by_enumeration):
         count = 0
         for G in graphs:
-            assert sl.density(G) == density_by_enumeration(G), sl.serialize(G)
+            assert sl.density(G) == previous(G), sl.serialize(G)
             count += 1
         return count
 
@@ -252,6 +255,29 @@ class TestDensityKernel:
         # sparse: the degree-sum skip drops the large sizes
         sparse = sl.build(16, [(i, (i + 1) % 16, 1 + i % 3) for i in range(16)] + [(0, 8, 4)])
         assert self.assert_same([dense, sparse]) == 2
+
+    def test_query_pool(self):
+        pool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "graphs.py"))
+        graphs = [sl.parse(mgr) for _, _, mgr in pool["pool"]()]
+        assert sum(G.n == 16 for G in graphs) == 70
+        assert self.assert_same(graphs, density_by_prefix_weights) == 313
+
+    def test_seeded_random_graphs_past_twelve_vertices(self):
+        # the sampler's three density regimes, at n 13..18
+        rng = random.Random(1318)
+        graphs = []
+        for _ in range(300):
+            n = rng.randint(13, 18)
+            p = rng.choice([rng.uniform(0.08, 0.22), rng.uniform(0.22, 0.45), rng.uniform(0.45, 0.75)])
+            graphs.append(sl.build(n, [(u, v, rng.randint(1, 3)) for u in range(n)
+                                       for v in range(u + 1, n) if rng.random() < p]))
+        assert self.assert_same(graphs, density_by_prefix_weights) == 300
+
+    def test_first_node_polls_the_deadline(self):
+        G = sl.mu_cycle(5, 3)
+        with pytest.raises(SolverTimeout, match="^density on n=5 exceeded budget$"):
+            sl.density(G, deadline=time.monotonic() - 1)
+        assert G.memo == {}
 
     def test_deadline_raises_and_is_not_memoised(self):
         G = sl.mu_complete(14, 1)

@@ -275,6 +275,11 @@ class TestFindRingSubgraph:
     def test_unreachable_target(self):
         assert sl.find_ring_subgraph_with_chi(sl.mu_cycle(5, 1), 2) is None
 
+    def test_target_three_mu_is_searched(self):
+        # 3C3: ceil(9 / 1) = 9 = 3 mu, the most any ring with mu = 3 reaches
+        ring = sl.find_ring_subgraph_with_chi(sl.mu_cycle(3, 3), 9)
+        assert ring == sl.RingSubgraph(sl.CycleSeq((0, 1, 2)), (3, 3, 3), 9)
+
     def test_witness_chi_revalidated_by_solver(self):
         rng = random.Random(81)
         for _ in range(20):
@@ -289,14 +294,14 @@ class TestFindRingSubgraph:
 
 class TestRingSearchDeadline:
     """2K10 has 556,014 cycles: without a poll, its walk runs for seconds
-    past any budget."""
+    past any budget.  Target 1 is walked in full, as every ring has chi' >= 2."""
 
     def test_expired_deadline_stops_the_cycle_walk(self):
         G = sl.mu_complete(10, 2)
         with pytest.raises(SolverTimeout, match="cycle enumeration exceeded budget"):
             enumerate_cycles(G, deadline=time.monotonic() - 1.0)
         with pytest.raises(SolverTimeout):
-            sl.find_ring_subgraph_with_chi(G, 1000, deadline=time.monotonic() - 1.0)
+            sl.find_ring_subgraph_with_chi(G, 1, deadline=time.monotonic() - 1.0)
 
     def test_expired_deadline_stops_the_cycle_loop(self, monkeypatch):
         import steffenlab.structure as structure_mod
@@ -305,7 +310,7 @@ class TestRingSearchDeadline:
         monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda G, deadline: cycles)
         with pytest.raises(SolverTimeout, match="ring search exceeded budget"):
             sl.find_ring_subgraph_with_chi(
-                sl.mu_complete(5, 2), 1000, deadline=time.monotonic() - 1.0
+                sl.mu_complete(5, 2), 1, deadline=time.monotonic() - 1.0
             )
 
 
