@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Graph arguments accept a file path or '-' for stdin; input may be MGR text
-or the JSON form.  `--timeout` is the budget of the whole command: it
-becomes one deadline when the arguments are parsed.  Exit codes: 0 success,
-1 a scan/suite found violations, 2 usage, input or configuration errors
-(malformed graphs, non-positive timeouts, configs that are not JSON or have
-unknown keys, unreadable or unwritable paths, JSON nested too deeply to
-parse, instances over a size cap) and timeouts, 130 an interrupt (Ctrl-C).
+Graph arguments accept a file path or '-' for stdin; input may be MGR text or
+the JSON form.  `--timeout` is the budget of the whole command: it becomes one
+deadline when the arguments are parsed.  Exit codes: 0 success, 1 a scan/suite
+found violations, 2 usage, input or configuration errors (malformed graphs,
+non-positive timeouts, configs that are not JSON or have unknown keys,
+unreadable or unwritable paths, JSON nested too deeply to parse, instances over
+a size cap or too large to allocate) and timeouts, 130 an interrupt (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply to parse", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        print(f"error: input too large to allocate ({type(exc).__name__})", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"bad argument: {exc}", file=sys.stderr)

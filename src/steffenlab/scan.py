@@ -1,16 +1,16 @@
 """Scan orchestration: per-graph invariant records, bound/density/ring checks,
 the structural-lemma property suites, and JSONL report persistence.
 
-Reports are deterministic: records are keyed and written in canonical-key
-order, and the worker count only picks the `map` that computes them (see
-`run_scan`).  The report is the only record of finished work; the
-checkpoint beside it holds one line, the echo of the enumeration spec that
-wrote the report.  A re-run keeps the longest prefix of complete report
-lines whose keys follow the enumeration's key order and reproduces the
-remaining tail byte for byte.  The parent process merges keys, writes lines
-and folds them: a record's graph is built, from its key and seed, only
-where the record is computed, and every check of the summary reads a
-line's own fields, so a kept line is folded as a fresh one is.
+Reports are deterministic.  Each per-graph check, a scan record or one graph's
+lemma-suite checks, is a function of an id and a graph, and the worker count
+only picks the `map` that runs it (`_mapped`).  The report is the only record
+of finished work; the checkpoint beside it holds one line, the echo of the
+enumeration spec that wrote the report.  A re-run keeps the longest prefix of
+complete report lines whose keys follow the enumeration's key order and
+reproduces the remaining tail byte for byte.  The parent process merges keys,
+writes lines and folds results in order: a record's graph is built, from its
+key and seed, only where the record is computed, and every check of the
+summary reads a line's own fields, so a kept line is folded as a fresh one is.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -248,17 +249,12 @@ def _fold_record(summary: ScanSummary, record: dict) -> None:
         summary.theorem_violations.append(key)
 
 
-def _seeded_graph(key: str, seed: Seed) -> Multigraph:
-    """The graph of the class `key`; `seed` is its (girth, bipartite, Gamma)
-    from `class_keys`, which the graph takes instead of computing them."""
+def _for_key(check, key: str, seed: Seed):
+    """`check(key, G)` on the class `key`'s graph G, seeded with its (girth,
+    bipartite, Gamma) from `class_keys`, which G takes instead of computing them."""
     G = graph_from_key(key)
     seed_memo(G, seed)
-    return G
-
-
-def _record_for_key(config: ScanConfig, key: str, seed: Seed) -> dict:
-    """The record of the class `key` with its seed from `class_keys`."""
-    return compute_record(key, _seeded_graph(key, seed), config)
+    return check(key, G)
 
 
 @contextmanager
@@ -403,9 +399,8 @@ def _run_scan(config: ScanConfig, shard_map, record_map) -> ScanSummary:
         # written, so a checkpoint never vouches for lines of another run
         out.truncate(size)
         write_spec_echo(ckpt_path, spec)
-        records = record_map(
-            partial(_record_for_key, config), islice(keys, done, None), islice(seeds, done, None)
-        )
+        records = record_map(partial(_for_key, partial(compute_record, config=config)),
+                             islice(keys, done, None), islice(seeds, done, None))
         for record in records:
             out.write(_record_line(record) + "\n")
             out.flush()
@@ -422,11 +417,12 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> dict:
     the min-degree bound must hold when its hypotheses fire.  A failed
     library precondition (n odd, say) is reported under its clause.
 
-    Random suite (seeded sampler): cycle partitions re-verify, shortest-cycle
-    neighborhood clauses hold, and every fan satisfies the interior-size
-    bound; fan count <= 3 is asserted when the graph is in the main
-    theorem's regime (`_critical_in_regime`).  A check of either suite that
-    runs out of its budget is a `timeout` violation.
+    Random suite (samples drawn in order from `random.Random(seed)`): cycle
+    partitions re-verify, shortest-cycle neighborhood clauses hold, and every
+    fan satisfies the interior-size bound; fan count <= 3 is asserted when the
+    graph is in the main theorem's regime (`_critical_in_regime`).  A check of
+    either suite that runs out of its budget is a `timeout` violation.  Both
+    suites' graphs run on the record map (`_mapped`) and fold in order.
     """
     # opened before the suites run, and in place only once both are done: an
     # interrupted or failed run writes no report and leaves the old one as it was
@@ -440,9 +436,7 @@ def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list
     """The critical suite on one graph: its counts, its violations and its
     digest line, which is empty unless G is critical with chi' >= Delta + 2.
     One deadline covers chi' and the walk whose masks give each G - e's classes."""
-    counts = {"graphs": 1}
-    violations = []
-    line = ""
+    counts, violations, line = {"graphs": 1}, [], ""
     where = {"suite": "critical", "graphKey": key}
     deadline = time.monotonic() + budget
     try:
@@ -476,9 +470,40 @@ def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list
     return counts, violations, line
 
 
-def _critical_for_key(budget: float, key: str, seed: Seed) -> tuple[dict, list, str]:
-    """The critical suite on the class `key` with its seed from `class_keys`."""
-    return _critical_checks(budget, key, _seeded_graph(key, seed))
+def _random_checks(budget: float, index: int, G: Multigraph) -> tuple[Counter, list, str]:
+    """The random suite on sample `index`: its counts, its violations and its digest
+    line.  A cycle partition that fails to re-verify ends the checks, with no line."""
+    counts = Counter(graphs=1)
+    violations = []
+    where = {"suite": "random", "index": index}
+    partition = cycle_partition(G)
+    if problems := verify_cycle_partition(G, partition):
+        return counts, [_violation(where, "partition", problems=problems)], ""
+    counts["partitionsVerified"] += 1
+    for cyc, stage in zip(partition.cycles, partition.stage_vertex_sets(G.n)):
+        counts["cyclesChecked"] += 1
+        if clause_violations := check_short_cycle_properties(G, cyc, stage):
+            counts["clauseViolations"] += len(clause_violations)
+            violations.append(_violation(where, "short-cycle-clause",
+                                         violations=[v.to_json_obj() for v in clause_violations]))
+    fan_summary = []
+    for v0 in sorted(partition.v0):
+        for h in range(len(partition.cycles)):
+            if (fan := max_fan(G, partition, v0, h)) is None:
+                continue
+            counts["fansChecked"] += 1
+            if not fan_bound_check(fan, partition.cycles[h]):
+                counts["fanBoundViolations"] += 1
+                violations.append(_violation(where, "fan-bound", apex=v0, cycle=h, t=fan.t))
+            fan_summary.append((v0, h, fan.t, len(fan.interior_vertices())))
+    try:
+        if any(t > 3 for _, _, t, _ in fan_summary) and _critical_in_regime(G, budget):
+            counts["fanCapViolations"] += 1
+            violations.append(_violation(where, "fan-count-cap"))
+    except SolverTimeout:
+        violations.append(_violation(where, "timeout"))
+    return counts, violations, (f"rand|{index}|{G.n}|{G.edge_count}|{len(partition.cycles)}"
+                                f"|{sorted(partition.v0)}|{fan_summary}\n")
 
 
 def _run_lemma_suite(config: ScanConfig, seed: int, shard_map, record_map) -> dict:
@@ -490,65 +515,29 @@ def _run_lemma_suite(config: ScanConfig, seed: int, shard_map, record_map) -> di
     digest = hashlib.sha256()
     violations: list[dict] = []
 
-    extras = sorted(
-        ((f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G)
-         for G in map(parse_any, config.extra_graphs)), key=lambda kv: kv[0]
-    )
+    extras = sorted(((f"extra.{hashlib.sha256(serialize(G).encode()).hexdigest()[:16]}", G)
+                     for G in map(parse_any, config.extra_graphs)), key=lambda kv: kv[0])
     critical_stats = dict.fromkeys(("graphs", "criticalHighChi", "decompositionsChecked",
                                     "residualVectorsChecked", "minDegreeBoundsChecked"), 0)
-    # enumerated keys ("NN.") sort before extras ("extra."), so the results
-    # fold in key order: the corpus's from the record map, then the extras'
+    random_stats = dict.fromkeys(("graphs", "partitionsVerified", "cyclesChecked",
+                                  "clauseViolations", "fansChecked", "fanBoundViolations",
+                                  "fanCapViolations"), 0)
+    # enumerated keys ("NN.") sort before extras ("extra."), so the critical
+    # results fold in key order: the corpus's from the record map, then the
+    # extras'; the random samples are drawn here, in order, and mapped
     keys, seeds = class_keys(config.enum_spec, shard_map)
-    corpus = record_map(partial(_critical_for_key, budget), keys, seeds)
-    for counts, found, line in chain(corpus, (_critical_checks(budget, *kv) for kv in extras)):
-        for name, count in counts.items():
-            critical_stats[name] += count
-        violations += found
-        digest.update(line.encode())
-
-    random_stats = dict.fromkeys(("partitionsVerified", "cyclesChecked", "clauseViolations",
-                                  "fansChecked", "fanBoundViolations", "fanCapViolations"), 0)
-    random_stats["graphs"] = config.random_graphs
+    corpus = record_map(partial(_for_key, partial(_critical_checks, budget)), keys, seeds)
     rng = random.Random(seed)
-    for index in range(config.random_graphs):
-        G = random_multigraph(rng, n_max=config.random_n_max, mu_max=config.random_mu_max)
-        where = {"suite": "random", "index": index}
-        partition = cycle_partition(G)
-        if problems := verify_cycle_partition(G, partition):
-            violations.append(_violation(where, "partition", problems=problems))
-            continue
-        random_stats["partitionsVerified"] += 1
-        for cyc, stage in zip(partition.cycles, partition.stage_vertex_sets(G.n)):
-            random_stats["cyclesChecked"] += 1
-            if clause_violations := check_short_cycle_properties(G, cyc, stage):
-                random_stats["clauseViolations"] += len(clause_violations)
-                violations.append(
-                    _violation(
-                        where,
-                        "short-cycle-clause",
-                        violations=[v.to_json_obj() for v in clause_violations],
-                    )
-                )
-        fan_summary = []
-        for v0 in sorted(partition.v0):
-            for h in range(len(partition.cycles)):
-                if (fan := max_fan(G, partition, v0, h)) is None:
-                    continue
-                random_stats["fansChecked"] += 1
-                if not fan_bound_check(fan, partition.cycles[h]):
-                    random_stats["fanBoundViolations"] += 1
-                    violations.append(_violation(where, "fan-bound", apex=v0, cycle=h, t=fan.t))
-                fan_summary.append((v0, h, fan.t, len(fan.interior_vertices())))
-        try:
-            if any(t > 3 for _, _, t, _ in fan_summary) and _critical_in_regime(G, budget):
-                random_stats["fanCapViolations"] += 1
-                violations.append(_violation(where, "fan-count-cap"))
-        except SolverTimeout:
-            violations.append(_violation(where, "timeout"))
-        digest.update(
-            f"rand|{index}|{G.n}|{G.edge_count}|{len(partition.cycles)}"
-            f"|{sorted(partition.v0)}|{fan_summary}\n".encode()
-        )
+    samples = [random_multigraph(rng, n_max=config.random_n_max, mu_max=config.random_mu_max)
+               for _ in range(config.random_graphs)]
+    extra_checks = (_critical_checks(budget, *kv) for kv in extras)
+    randoms = record_map(partial(_random_checks, budget), range(len(samples)), samples)
+    for stats, results in ((critical_stats, chain(corpus, extra_checks)), (random_stats, randoms)):
+        for counts, found, line in results:
+            for name, count in counts.items():
+                stats[name] += count
+            violations += found
+            digest.update(line.encode())
 
     return {
         "seed": seed,

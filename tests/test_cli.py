@@ -394,6 +394,29 @@ class TestErrors:
         assert cli_main(["chi", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    # sizes Python refuses before it allocates anything: 2**63 does not fit an
+    # index (OverflowError), and a list of 2**62 items is over its maximum
+    # size (MemoryError)
+    @pytest.mark.parametrize("name, text", [
+        ("big.mgr", "n 9223372036854775808\n"),
+        ("big.mgr", "n 4611686018427387904\n"),
+        ("big.json", '{"n": 9223372036854775808, "edges": []}'),
+    ])
+    def test_vertex_count_too_large_to_allocate_exit_2(self, tmp_path, capsys, name, text):
+        (path := tmp_path / name).write_text(text)
+        assert cli_main(["invariants", str(path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    def test_generator_size_too_large_to_allocate_exit_2(self, capsys):
+        assert cli_main(["gen", "mu-cycle", "9223372036854775808", "1"]) == 2
+        self.assert_one_error_line(capsys)
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_directory_as_scan_output_exit_2(self, tmp_path, capsys):
         spec = {"nRange": [3, 3], "maxMu": 1, "girthMin": 3, "maxEdgeCopies": 3}
         cfg_path = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import os
 import pickle
 import signal
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,8 +23,8 @@ from steffenlab.scan import (
     _critical_in_regime,
     _fold_record,
     _fold_report_prefix,
+    _for_key,
     _mapped,
-    _record_for_key,
     _record_line,
     compute_record,
     read_spec_echo,
@@ -210,7 +211,8 @@ class TestSimpleLayerOnce:
             return built[-1]
 
         monkeypatch.setattr("steffenlab.scan.graph_from_key", tracked)
-        seeded = [_record_for_key(cfg, key, layer) for key, layer in zip(keys, layers)]
+        record = partial(compute_record, config=cfg)
+        seeded = [_for_key(record, key, layer) for key, layer in zip(keys, layers)]
         assert seeded == fresh
         # no record graph computes its girth or bipartiteness; the ring
         # search, on the one gated record, 2-colors only the rings it tries
@@ -305,7 +307,7 @@ class TestScanRuns:
         [tasks] = [
             math.ceil(items / chunksize)
             for fn, items, chunksize in in_process_pool.maps
-            if getattr(fn, "func", None) is _record_for_key
+            if getattr(fn, "func", None) is _for_key and fn.args[0].func is compute_record
         ]
         assert total == 758 and tasks <= math.ceil(total / RECORD_BATCH)
 
@@ -844,20 +846,24 @@ class TestLemmaSuite:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_corpus_runs_on_the_record_map(self, tmp_path, in_process_pool, workers):
-        # the corpus is mapped as a scan's records are: in batches on a pool,
-        # with the builtin map for one worker
-        from steffenlab.scan import RECORD_BATCH, _critical_for_key
+        # the corpus and the random samples are mapped as a scan's records
+        # are: in batches on a pool, with the builtin map for one worker
+        from steffenlab.scan import RECORD_BATCH, _critical_checks, _random_checks
 
         cfg = ScanConfig(enum_spec=small_spec(), output_path=str(tmp_path / "r.json"),
-                         random_graphs=0, workers=workers)
+                         random_graphs=20, random_n_max=6, workers=workers)
         report = run_lemma_suite(cfg, 7)
         corpus = [(items, chunksize) for fn, items, chunksize in in_process_pool.maps
-                  if getattr(fn, "func", None) is _critical_for_key]
+                  if getattr(fn, "func", None) is _for_key and fn.args[0].func is _critical_checks]
+        randoms = [(items, chunksize) for fn, items, chunksize in in_process_pool.maps
+                   if getattr(fn, "func", None) is _random_checks]
         if workers == 1:
             assert in_process_pool.sizes == [] and in_process_pool.maps == []
         else:
             assert corpus == [(report["criticalSuite"]["graphs"], RECORD_BATCH)]
+            assert randoms == [(cfg.random_graphs, RECORD_BATCH)]
         assert report["criticalSuite"]["graphs"] == 758
+        assert report["randomSuite"]["graphs"] == 20
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         reports = []
@@ -916,6 +922,17 @@ class TestLemmaSuite:
 
         assert cli_main(["lemma-suite", "--config", str(path), "--seed", "7"]) == 1
 
+
+    def test_failed_partition_skips_the_other_random_checks(self, monkeypatch):
+        # a sample whose cycle partition fails to re-verify counts as a graph,
+        # is one `partition` violation and adds nothing to the digest
+        import steffenlab.scan as scan_mod
+
+        monkeypatch.setattr(scan_mod, "verify_cycle_partition", lambda G, partition: ["x"])
+        counts, violations, line = scan_mod._random_checks(60, 3, sl.mu_cycle(5, 3))
+        assert counts == {"graphs": 1}
+        assert violations == [{"suite": "random", "index": 3, "check": "partition", "problems": ["x"]}]
+        assert line == ""
 
     def test_critical_suite_decides_each_g_minus_e_once(self, monkeypatch):
         # 5C9 is critical with 9 pairs: the suite makes the ascent's decisions
