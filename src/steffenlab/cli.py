@@ -45,12 +45,15 @@ def _load_config(path: str):
 def _cmd_invariants(G, args) -> int:
     from .invariants import INFINITE_GIRTH, density, girth, steffen_bound
 
+    # density first: its n cap refuses a huge graph before girth and `G.adj`
+    # build state for every vertex
+    gamma = density(G).gamma
     g = girth(G)
     inv = {
         "n": G.n, "m": G.edge_count, "Delta": max(G.degrees, default=0),
         "delta": min(G.degrees, default=0), "mu": G.max_mult,
         "deltaSimple": min(map(len, G.adj), default=0),
-        "girth": None if g == INFINITE_GIRTH else int(g), "gamma": density(G).gamma,
+        "girth": None if g == INFINITE_GIRTH else int(g), "gamma": gamma,
         "steffenBound": steffen_bound(G),
     }
     print(json.dumps(inv))

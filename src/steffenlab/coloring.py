@@ -3,9 +3,9 @@ near-perfect matching decompositions.
 
 The k-colorability solver backtracks over vertex pairs, assigning each pair
 a color *set* of size mult(u, v): parallel copies of a pair are
-interchangeable, so per-copy assignment would only multiply the search space
-by mu!.  Per-vertex used-color sets are bitmasks.  The pair to branch on is
-chosen afresh at every node: the one with the fewest spare colors (its
+interchangeable, so coloring them one by one would only multiply the search
+space by mu!.  Per-vertex used-color sets are bitmasks.  The pair to branch
+on is chosen afresh at every node: the one with the fewest spare colors (its
 slack), and a pair with no colors left for it ends the branch (forward
 checking).  Global color symmetry is broken by allowing a new color index
 only once all smaller indices already appear somewhere.  The search walks an
@@ -25,6 +25,7 @@ budget.  A decision uses at most COLOR_CAP colors.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 
@@ -39,19 +40,13 @@ _Decision = tuple[_Edges, list[int] | None]  # G - e and its color masks, if col
 
 
 class EdgeColoring(Value):
-    """Assignment of a color in 1..k to every parallel copy ((u, v), copy_index)."""
+    """k color classes, the c-th a sorted tuple of the pairs colored c; a pair
+    of multiplicity m lies in m of them.  The `--witness-out` JSON is this form."""
 
-    _fields = ("k", "assignment")
-
-    def classes(self) -> list[list[tuple[int, int]]]:
-        """Color classes 1..k, each a sorted list of pairs."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.k)]
-        for (pair, _), color in self.assignment:
-            out[color - 1].append(pair)
-        return [sorted(cls) for cls in out]
+    _fields = ("k", "classes")
 
     def to_json_obj(self) -> dict:
-        return {"k": self.k, "classes": [[[u, v] for u, v in cls] for cls in self.classes()]}
+        return {"k": self.k, "classes": [[[u, v] for u, v in cls] for cls in self.classes]}
 
 
 class MatchingDecomposition(Value):
@@ -68,22 +63,18 @@ class DegreeIdentityReport(Value):
 
 
 def validate_coloring(G: Multigraph, coloring: EdgeColoring) -> bool:
-    """True iff the coloring is a proper edge coloring of exactly G's copies."""
-    got = {key for key, _ in coloring.assignment}
-    expected = set(G.copies())
-    if got != expected or len(coloring.assignment) != len(expected):
+    """True iff the coloring is a proper edge coloring of exactly G's copies:
+    at most k classes, each a matching.  CoverageMismatch when the classes do
+    not hold each pair of G exactly mult times."""
+    covered = Counter(pair for cls in coloring.classes for pair in cls)
+    if covered != G.mult_map:
         raise CoverageMismatch(
-            f"coloring covers {len(got)} copies, graph has {len(expected)}"
+            f"coloring covers {covered.total()} copies, graph has {G.edge_count}"
         )
-    seen: list[set[int]] = [set() for _ in range(G.n)]
-    for ((u, v), _), color in coloring.assignment:
-        if not (1 <= color <= coloring.k):
-            return False
-        if color in seen[u] or color in seen[v]:
-            return False
-        seen[u].add(color)
-        seen[v].add(color)
-    return True
+    return len(coloring.classes) <= coloring.k and all(
+        len({end for pair in cls for end in pair}) == 2 * len(cls)
+        for cls in coloring.classes
+    )
 
 
 def is_k_colorable(
@@ -95,18 +86,15 @@ def is_k_colorable(
 
 
 def _witness(edges: _Edges, k: int, masks: list[int]) -> EdgeColoring:
-    """The coloring of the copies of `edges` by the color masks `_search` chose for them."""
-    # copies of a pair take its mask's colors lowest first, and walking the
-    # pairs in serialized order lists the copies in ((u, v), copy) order
-    assignment = []
-    for pair, mask in zip(edges, masks):
-        copy = 0
+    """The coloring of `edges` by the color masks `_search` chose for them."""
+    # walking the pairs in serialized order fills each class already sorted
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for (u, v, _), mask in zip(edges, masks):
         while mask:
             low = mask & -mask
-            assignment.append(((pair[:2], copy), low.bit_length()))
+            classes[low.bit_length() - 1].append((u, v))
             mask ^= low
-            copy += 1
-    return EdgeColoring(k, tuple(assignment))
+    return EdgeColoring(k, tuple(map(tuple, classes)))
 
 
 def _search(
@@ -383,7 +371,7 @@ def near_perfect_matching_decomposition(
 
 def _near_perfect_classes(n: int, edges: _Edges, k: int, masks: list[int]) -> MatchingDecomposition:
     """The classes of the k-coloring `masks` of `edges`, each near-perfect on n vertices."""
-    classes = _witness(edges, k, masks).classes()
+    classes = _witness(edges, k, masks).classes
     missed = []
     for cls in classes:
         # a class is a matching, so it misses one vertex iff it has (n-1)/2 edges
@@ -391,7 +379,7 @@ def _near_perfect_classes(n: int, edges: _Edges, k: int, masks: list[int]) -> Ma
         if len(missing) != 1:
             raise PreconditionFailed("near-perfect", f"class misses {missing}")
         missed.append(missing[0])
-    return MatchingDecomposition(tuple(tuple(cls) for cls in classes), tuple(missed))
+    return MatchingDecomposition(classes, tuple(missed))
 
 
 def degree_identity_check(

@@ -376,7 +376,7 @@ def _is_orbit_min(vec: tuple[int, ...], images: list[Callable]) -> bool:
     return True
 
 
-def _assignments(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
+def _multiplicity_vectors(m: int, max_mu: int, budget: int) -> Iterator[tuple[int, ...]]:
     """All multiplicity vectors in {1..max_mu}^m with sum <= budget, in lex order."""
     if m > budget:
         return
@@ -408,7 +408,7 @@ def multiplicity_keys(spec: EnumSpec, simple: Multigraph) -> list[tuple[str, See
     images = [itemgetter(*perm) for perm in _aut_edge_generators(simple)]
     seed = seeder(simple)
     keys = []
-    for vec in _assignments(len(pairs), spec.max_mu, spec.max_edge_copies):
+    for vec in _multiplicity_vectors(len(pairs), spec.max_mu, spec.max_edge_copies):
         if not _is_orbit_min(vec, images):
             continue  # a smaller vector of the same orbit is kept instead
         key = _canonical_key(simple.n, [(u, v, m) for (u, v), m in zip(pairs, vec)])

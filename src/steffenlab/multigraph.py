@@ -3,9 +3,9 @@
 The graphs, cycles, colorings, partitions, fans and rings the package
 returns are `Value`s, made from their fields by position and never changed
 after.  Vertices are dense integers 0..n-1.  Parallel edges are stored as a
-multiplicity per unordered pair, never as individual copies; colorings
-address copies as (pair, copy index).  Graph values are safe to share
-between concurrent workers.
+multiplicity per unordered pair, never as individual copies; a coloring
+lists a pair of multiplicity m in m of its color classes.  Graph values are
+safe to share between concurrent workers.
 
 A `Multigraph` is a `Value`: two graphs are equal, hash alike and print
 alike exactly when their vertex counts and edge triples are equal, and no
@@ -22,7 +22,7 @@ hashing or repr, and all of them travel with a pickled graph.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cached_property
 
 from .errors import (
@@ -39,8 +39,8 @@ class Value:
     and shown by the attributes `_fields` names, in that order.  `__init__`
     takes one value per field, by position, and sets each with
     `object.__setattr__` (on CPython 3.11, reading `self.__dict__` there
-    would give each instance a dict object of its own); any later
-    assignment or deletion raises AttributeError."""
+    would give each instance a dict object of its own); setting or deleting
+    an attribute later raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
 
@@ -119,12 +119,6 @@ class Multigraph(Value):
         if u > v:
             u, v = v, u
         return self.mult_map.get((u, v), 0)
-
-    def copies(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """All parallel-edge copies as ((u, v), copy_index)."""
-        for u, v, m in self.edges:
-            for i in range(m):
-                yield ((u, v), i)
 
 
 def _check_triple(n: int, u: int, v: int, m: int, where: str = "") -> None:

@@ -13,8 +13,9 @@ ring-search oracle is the library's previous search over the cycle oracle's
 own cycles, which asks the solver for chi' at every step instead of using
 the ring's closed form.  The
 criticality oracles are the library's previous loop, which builds every
-G - e as a graph from the copies that remain, and the witness oracle is its
-previous assembly, which sorts the copies.  The static-order search is the
+G - e as a graph from the copies that remain, and the witness oracle sorts
+each pair's colors and then each class, where the library relies on the
+serialized pair order.  The static-order search is the
 library's previous colorability decision, which branches on pairs in a fixed
 order.  The canonical-form oracle is the library's previous search: whole-partition
 refinement rounds on integer colors, a branch for every vertex of the target
@@ -678,7 +679,7 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
 
 def minus_one_copy(G: Multigraph, u: int, v: int) -> Multigraph:
     """G - e for one copy e of the pair {u, v}, built from G's copies."""
-    copies = [pair for pair, _ in G.copies()]
+    copies = [(a, b) for a, b, m in G.edges for _ in range(m)]
     copies.remove((min(u, v), max(u, v)))
     return build(G.n, [(a, b, 1) for a, b in copies])
 
@@ -708,8 +709,9 @@ def extract_critical_by_rebuild(G: Multigraph, deadline: float | None = None) ->
 
 def witness_by_sorting(k: int, pairs, chosen) -> EdgeColoring:
     """The solver's witness assembled from its pairs and their chosen masks:
-    each pair's colors sorted, then every copy sorted by ((u, v), copy)."""
-    assignment = []
+    each pair's colors sorted, each copy put in its color's class, then every
+    class sorted."""
+    classes = [[] for _ in range(k)]
     for (u, v, m), mask in zip(pairs, chosen):
         colors = []
         bit = 0
@@ -718,10 +720,9 @@ def witness_by_sorting(k: int, pairs, chosen) -> EdgeColoring:
                 colors.append(bit + 1)
             mask >>= 1
             bit += 1
-        for idx, color in enumerate(sorted(colors)):
-            assignment.append((((u, v), idx), color))
-    assignment.sort()
-    return EdgeColoring(k, tuple(assignment))
+        for color in sorted(colors):
+            classes[color - 1].append((u, v))
+    return EdgeColoring(k, tuple(tuple(sorted(cls)) for cls in classes))
 
 
 def search_static_order(

@@ -466,9 +466,7 @@ class TestErrors:
         assert cli_main(["chi", str(path), "--witness-out", str(witness)]) == 0
         assert capsys.readouterr().out.splitlines() == ["2", str(witness)]
         classes = json.loads(witness.read_text())["classes"]
-        coloring = sl.EdgeColoring(
-            2, tuple(((tuple(p), 0), c + 1) for c, cls in enumerate(classes) for p in cls)
-        )
+        coloring = sl.EdgeColoring(2, tuple(tuple(map(tuple, cls)) for cls in classes))
         assert sl.validate_coloring(G, coloring)
 
     def test_long_cycle_ring_find(self, tmp_path, capsys):
@@ -500,6 +498,24 @@ class TestErrors:
         for command, *options in (("invariants",), ("density",), ("chi", "--mode", "gs")):
             assert cli_main([command, str(path), *options]) == 2
             assert "density enumeration needs n <= 22, got 1501" in capsys.readouterr().err
+
+    def test_invariants_refuses_past_the_density_cap_before_girth(self, capsys, monkeypatch):
+        # girth and the neighbour sets would build state for each of the
+        # 100,000 vertices before density's cap refuses the graph
+        import steffenlab.invariants as invariants_mod
+
+        calls = []
+
+        def girth(G):
+            calls.append(G.n)
+            raise AssertionError("girth ran before density's cap")
+
+        monkeypatch.setattr(invariants_mod, "girth", girth)
+        monkeypatch.setattr("sys.stdin", io.StringIO("n 100000\n"))
+        assert cli_main(["invariants", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: density enumeration needs n <= 22, got 100000\n"
+        assert calls == []
 
     def test_multicycle_past_the_density_cap(self, tmp_path, capsys):
         # 3C_23: chi' = max(Delta, ceil(69 / 11)) = 7 > Delta = 6

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -57,34 +58,30 @@ DENSE_18 = (
 )
 
 
-def _coloring_for(G, colors_by_copy):
-    """Build an EdgeColoring from {((u,v),i): color}."""
-    return sl.EdgeColoring(max(colors_by_copy.values()), tuple(sorted(colors_by_copy.items())))
-
-
 class TestValidateColoring:
     def test_c5_proper(self):
         G = sl.mu_cycle(5, 1)
-        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-        c = _coloring_for(G, {(p, 0): col for p, col in zip(pairs, [1, 2, 1, 2, 3])})
+        c = sl.EdgeColoring(3, (((0, 1), (2, 3)), ((1, 2), (3, 4)), ((0, 4),)))
         assert sl.validate_coloring(G, c) is True
 
     def test_c5_improper(self):
         G = sl.mu_cycle(5, 1)
-        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
-        c = _coloring_for(G, {(p, 0): col for p, col in zip(pairs, [1, 2, 1, 2, 1])})
+        c = sl.EdgeColoring(2, (((0, 1), (0, 4), (2, 3)), ((1, 2), (3, 4))))
         assert sl.validate_coloring(G, c) is False
+        # three matchings are not a 2-coloring
+        over_k = sl.EdgeColoring(2, (((0, 1), (2, 3)), ((1, 2), (3, 4)), ((0, 4),)))
+        assert sl.validate_coloring(G, over_k) is False
 
     def test_parallel_copies_conflict(self):
         G = sl.build(2, [(0, 1, 3)])
-        good = _coloring_for(G, {((0, 1), i): i + 1 for i in range(3)})
+        good = sl.EdgeColoring(3, (((0, 1),), ((0, 1),), ((0, 1),)))
         assert sl.validate_coloring(G, good) is True
-        bad = _coloring_for(G, {((0, 1), 0): 1, ((0, 1), 1): 1, ((0, 1), 2): 2})
+        bad = sl.EdgeColoring(2, (((0, 1), (0, 1)), ((0, 1),)))
         assert sl.validate_coloring(G, bad) is False
 
     def test_coverage_mismatch(self):
         G = sl.build(2, [(0, 1, 3)])
-        partial = _coloring_for(G, {((0, 1), 0): 1})
+        partial = sl.EdgeColoring(1, (((0, 1),),))
         with pytest.raises(CoverageMismatch):
             sl.validate_coloring(G, partial)
 
@@ -290,7 +287,7 @@ class TestCriticalityWithoutRebuild:
                         G, (u, v), assume_critical=True, chi=chi, deadline=deadline
                     )
                     built = sl.is_k_colorable(minus_one_copy(G, u, v), chi - 1, deadline)
-                    assert dec.classes == tuple(map(tuple, built.classes())), (key, u, v)
+                    assert dec.classes == built.classes, (key, u, v)
                     pairs += 1
         assert (critical, high, pairs) == (1262, 157, 1445)
 
@@ -559,10 +556,12 @@ class TestWitnessAssembly:
             assert witness == witness_by_sorting(chi, G.edges, masks), sl.serialize(G)
             assert sl.validate_coloring(G, witness)
 
-    def test_copies_in_serialized_order(self):
+    def test_classes_sorted_and_covering(self):
         G = sl.build(4, [(0, 1, 3), (1, 2, 1), (2, 3, 2), (0, 3, 1)])
         witness = sl.is_k_colorable(G, 5)
-        assert [copy for copy, _ in witness.assignment] == list(G.copies())
+        assert len(witness.classes) == 5
+        assert all(list(cls) == sorted(cls) for cls in witness.classes)
+        assert Counter(pair for cls in witness.classes for pair in cls) == G.mult_map
         assert sl.validate_coloring(G, witness)
 
 

@@ -340,7 +340,7 @@ _C5 = sl.CycleSeq((0, 1, 2, 3, 4))
 VALUES = [
     sl.mu_cycle(5, 3),
     sl.CycleSeq((0, 1, 2)),
-    sl.EdgeColoring(1, ((((0, 1), 0), 1),)),
+    sl.EdgeColoring(1, (((0, 1),),)),
     sl.DensityWitness(8, (0, 1, 2, 3, 4)),
     sl.ShortCycleViolation(1, (0, 1, 2, 3, 4), 2, 1),
     sl.MatchingDecomposition((((0, 1),), ((1, 2),), ((0, 2),)), (2, 0, 1)),

@@ -16,7 +16,6 @@ import io
 import json
 import runpy
 import sys
-from collections import Counter
 from pathlib import Path
 
 import steffenlab as sl
@@ -39,16 +38,6 @@ def _run(argv: list[str], mgr: str) -> tuple[int, str, str]:
     finally:
         sys.stdin = saved
     return rc, out.getvalue(), err.getvalue()
-
-
-def _coloring_from_json(obj: dict) -> sl.EdgeColoring:
-    copies: Counter = Counter()
-    assignment = []
-    for color, cls in enumerate(obj["classes"], 1):
-        for u, v in cls:
-            assignment.append((((u, v), copies[u, v]), color))
-            copies[u, v] += 1
-    return sl.EdgeColoring(obj["k"], tuple(sorted(assignment)))
 
 
 def test_pool_answers_match_golden(tmp_path):
@@ -75,7 +64,9 @@ def test_pool_answers_match_golden(tmp_path):
                     problems.append(f"{cls} {index} {cmd}: printed {out.strip()[:80]!r}")
             else:
                 G = sl.parse_any(mgr)
-                coloring = _coloring_from_json(json.loads(witness.read_text()))
+                obj = json.loads(witness.read_text())
+                classes = tuple(tuple(map(tuple, pairs)) for pairs in obj["classes"])
+                coloring = sl.EdgeColoring(obj["k"], classes)
                 if int(out.split()[0]) != max(G.degrees) or not sl.validate_coloring(G, coloring):
                     problems.append(f"{cls} {index} {cmd}: {out.split()[0]} not witnessed as Delta")
     assert problems == []
