@@ -11,13 +11,13 @@ from importlib import import_module
 _EXPORTS = {
     "multigraph": "Multigraph build from_json_obj induced parse parse_any ring serialize "
     "to_json_obj",
-    "invariants": "INFINITE_GIRTH CycleSeq DensityWitness ShortCycleViolation "
-    "check_short_cycle_properties density girth shortest_cycle steffen_bound subgraph_girth",
+    "invariants": "INFINITE_GIRTH DensityWitness density girth steffen_bound subgraph_girth",
     "coloring": "DegreeIdentityReport EdgeColoring MatchingDecomposition chromatic_index "
     "chromatic_index_value degree_identity_check extract_critical is_critical is_k_colorable "
     "near_perfect_matching_decomposition validate_coloring",
-    "structure": "CyclePartition Fan RingSubgraph cycle_partition enumerate_cycles "
-    "fan_bound_check find_ring_subgraph_with_chi is_ring_graph max_fan verify_cycle_partition",
+    "structure": "CyclePartition Fan RingSubgraph ShortCycleViolation "
+    "check_short_cycle_properties cycle_partition enumerate_cycles fan_bound_check "
+    "find_ring_subgraph_with_chi is_ring_graph max_fan shortest_cycle verify_cycle_partition",
     "generators": "EnumSpec canonical_form enumerate_with_keys mu_complete mu_cycle "
     "random_multigraph",
     "scan": "ScanConfig ScanSummary run_lemma_suite run_scan",

@@ -1,4 +1,4 @@
-"""Girth, shortest cycles, density, and the girth-refined coloring bound.
+"""Girth, distances, density, and the girth-refined coloring bound.
 
 Girth is always computed on the underlying simple graph: parallel pairs never
 count as 2-cycles (cycles start at length 3).  Acyclic graphs have infinite
@@ -7,9 +7,9 @@ a BFS inside the vertices not yet taken, and drops with each root every
 vertex left with fewer than two neighbours among them (a 2-core peel), so a
 forest starts no BFS at any numbering and a cycle starts one.
 
-Every simple-path search of the cycle layer, `structure.enumerate_cycles`
-included, runs on `simple_paths`, one walk over an explicit stack, and every
-distance, girth's levels and bipartiteness included, on the one BFS `bfs_dist`.
+Every distance, girth's levels and bipartiteness included, comes from the one
+BFS `bfs_dist`.  The cycles themselves (shortest cycles, the path walk and
+the short-cycle clauses) live in `structure`.
 
 `is_bipartite`, `density` and its value alone, `density_gamma`, are
 memoised on the graph (`Multigraph.memo`) by name, and the girth of each
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Container, Iterator
+from collections.abc import Callable, Container
 from itertools import accumulate, combinations
 
-from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, check_deadline
+from .errors import DEADLINE_POLL_INTERVAL, InstanceTooLarge, check_deadline
 from .multigraph import Multigraph, Value
 
 INFINITE_GIRTH = math.inf
@@ -50,38 +50,8 @@ DENSITY_ENUMERATION_CAP = 22
 Seed = tuple[int | float, bool, int]
 
 
-class CycleSeq(Value):
-    """A simple cycle as an ordered vertex sequence (consecutive + wraparound adjacent)."""
-
-    _fields = ("vertices",)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-
 class DensityWitness(Value):
     _fields = ("gamma", "witness")
-
-
-# (clause, least cycle length, outside path vertices, most C-neighbours), in report order
-_SHORT_CYCLE_CLAUSES = ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2))
-
-
-class ShortCycleViolation(Value):
-    """One failed clause of the shortest-cycle neighborhood bounds."""
-
-    _fields = ("clause", "vertices", "value", "limit")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "clause": self.clause,
-            "vertices": list(self.vertices),
-            "value": self.value,
-            "limit": self.limit,
-        }
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -161,61 +131,6 @@ def girth(G: Multigraph) -> int | float:
     return subgraph_girth(G, frozenset(range(G.n)))
 
 
-def shortest_cycle(G: Multigraph, within: frozenset[int] | set[int]) -> CycleSeq | None:
-    """Canonical shortest cycle of the subgraph induced on `within`, or None.
-
-    Tie-break among minimum-length cycles: each cycle is rotated/reflected to
-    start at its smallest vertex; the lexicographically least sequence wins.
-    Paths come in lex order, so that is the first closing path of g vertices
-    from the least start that has one.
-    """
-    within = frozenset(within)
-    g = subgraph_girth(G, within)
-    if g == INFINITE_GIRTH:
-        return None
-    for start in sorted(within):
-        closing = G.adj[start]
-        for path in simple_paths(G, start, {v for v in within if v > start}, g):
-            if len(path) == g and path[-1] in closing:
-                return CycleSeq(tuple(path))
-    return None  # unreachable: finite girth guarantees a cycle
-
-
-def simple_paths(
-    G: Multigraph, first: int, allowed: Container[int], most: int
-) -> Iterator[list[int]]:
-    """Every simple path that starts at `first`, continues inside `allowed` and
-    has at most `most` vertices, in lexicographic order (prefixes first).
-
-    The walk keeps a stack of neighbour iterators, not the call stack, so a
-    path may be as long as the graph.  Each path is yielded as the walker's
-    own list, which the next step changes: callers copy what they keep.
-    """
-    adj = G.adj
-    steps: dict[int, list[int]] = {}  # sorted neighbours inside `allowed`, per vertex
-    path = [first]
-    on_path = {first}
-    stack = [iter(sorted(y for y in adj[first] if y in allowed))] if most > 1 else []
-    yield path
-    while stack:
-        for y in stack[-1]:
-            if y in on_path:
-                continue
-            path.append(y)
-            yield path
-            if len(path) < most:
-                on_path.add(y)
-                nxt = steps.get(y)
-                if nxt is None:
-                    nxt = steps[y] = sorted(x for x in adj[y] if x in allowed)
-                stack.append(iter(nxt))
-                break
-            path.pop()
-        else:
-            stack.pop()
-            on_path.discard(path.pop())
-
-
 def bfs_dist(G: Multigraph, allowed: Container[int], src: int) -> dict[int, int]:
     """Hop distance from src to every vertex it reaches inside `allowed`."""
     dist = {src: 0}
@@ -243,11 +158,11 @@ def is_bipartite(G: Multigraph) -> bool:
 
 
 def _two_colorable(G: Multigraph) -> bool:
-    """Hop-distance parity from one root per component is a 2-coloring
-    unless some edge joins two vertices at the same distance."""
+    """Hop-distance parity from one root per component with an edge is a
+    2-coloring unless some edge joins two vertices at the same distance."""
     dist: dict[int, int] = {}
     for root in range(G.n):
-        if root not in dist:
+        if G.degrees[root] and root not in dist:
             dist.update(bfs_dist(G, range(G.n), root))
     return all(dist[u] != dist[v] for u, v, _ in G.edges)
 
@@ -429,60 +344,3 @@ def steffen_bound(G: Multigraph) -> int:
     """Delta + ceil(mu / floor(g/2)); Delta + 1 for acyclic graphs with an edge
     and 0 for edgeless ones (`bound_at_girth`)."""
     return bound_at_girth(max(G.degrees, default=0), G.max_mult, girth(G))
-
-
-def check_short_cycle_properties(
-    G: Multigraph, C: CycleSeq, within: frozenset[int] | set[int]
-) -> list[ShortCycleViolation]:
-    """Evaluate the neighbor-count bounds a shortest cycle forces on outside vertices.
-
-    Clauses, by cycle length threshold (all neighborhoods taken in the
-    subgraph induced on `within`):
-      1. |C| >= 5: every outside vertex has at most 1 neighbor on C.
-      2. |C| >= 7: every adjacent outside pair has at most 1 C-neighbor total.
-      3. |C| >= 8: every outside 5-vertex path has at most 2 C-neighbors total.
-      4. |C| >= 6: every outside 3-vertex path has at most 2 C-neighbors total.
-
-    Returns the list of violated clause instances (empty when all bounds hold;
-    they always hold for genuine shortest cycles, so any violation is a bug).
-    """
-    within = frozenset(within)
-    require_shortest_cycle(G, C, within)
-    cyc = C.vertex_set()
-    outside = sorted(within - cyc)
-    ncount = {v: len(cyc & G.adj[v]) for v in outside}
-    violations: list[ShortCycleViolation] = []
-    for clause, least, k, limit in _SHORT_CYCLE_CLAUSES:
-        if len(C) < least:
-            continue
-        for p in _outside_paths(G, outside, k):
-            value = sum(ncount[v] for v in p)
-            if value > limit:
-                violations.append(ShortCycleViolation(clause, p, value, limit))
-    return violations
-
-
-def require_shortest_cycle(G: Multigraph, C: CycleSeq, within: frozenset[int]) -> None:
-    """Raise NotShortestCycle unless C is a shortest cycle of the subgraph on `within`."""
-    vs = C.vertices
-    if len(vs) < 3 or len(set(vs)) != len(vs):
-        raise NotShortestCycle("not a simple cycle sequence")
-    for v in vs:
-        if v not in within:
-            raise NotShortestCycle(f"cycle vertex {v} outside the given vertex set")
-    for i in range(len(vs)):
-        u, v = vs[i], vs[(i + 1) % len(vs)]
-        if v not in G.adj[u]:
-            raise NotShortestCycle(f"consecutive vertices {u}, {v} not adjacent")
-    g = subgraph_girth(G, within)
-    if g != len(vs):
-        raise NotShortestCycle(f"cycle has length {len(vs)} but girth is {g}")
-
-
-def _outside_paths(G: Multigraph, outside: list[int], k: int) -> Iterator[tuple[int, ...]]:
-    """All simple k-vertex paths inside `outside`, one orientation per path."""
-    allowed = set(outside)
-    for v in outside:
-        for p in simple_paths(G, v, allowed, k):
-            if len(p) == k and p[0] <= p[-1]:
-                yield tuple(p)

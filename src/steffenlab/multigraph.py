@@ -109,11 +109,13 @@ class Multigraph(Value):
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         """Neighbour sets of the underlying simple graph: u ~ v iff mult(u, v) >= 1."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
+        # an isolated vertex shares one empty set: frozenset() of it is itself
+        empty: frozenset[int] = frozenset()
+        adj: list[set[int] | frozenset[int]] = [set() if d else empty for d in self.degrees]
         for u, v, _ in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+        return tuple(map(frozenset, adj))
 
     def mult(self, u: int, v: int) -> int:
         if u > v:

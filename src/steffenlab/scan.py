@@ -44,7 +44,6 @@ from .invariants import (
     INFINITE_GIRTH,
     Seed,
     bound_at_girth,
-    check_short_cycle_properties,
     density_gamma,
     girth,
     in_theorem_regime,
@@ -52,6 +51,7 @@ from .invariants import (
 )
 from .multigraph import Multigraph, parse_any, serialize
 from .structure import (
+    check_short_cycle_properties,
     cycle_partition,
     fan_bound_check,
     find_ring_subgraph_with_chi,

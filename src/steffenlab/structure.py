@@ -1,4 +1,10 @@
-"""Cycle partitions, fans, and ring subgraphs.
+"""Cycles: shortest cycles, cycle partitions, fans, and ring subgraphs.
+
+A cycle is the tuple of its vertices in canonical order: it starts at its
+least vertex and goes on towards the smaller of that vertex's two cycle
+neighbours.  Every simple-path search runs on `simple_paths`, one walk over
+an explicit stack: the shortest cycle, the short-cycle clauses' outside
+paths and `enumerate_cycles`, the one walk over all cycles.
 
 A cycle partition greedily peels shortest cycles off the underlying simple
 graph until the remainder V_0 is acyclic.  A t-fan is a union of t internally
@@ -7,31 +13,39 @@ vertices in V_0.  A ring graph is a multigraph whose underlying simple graph
 is a single spanning cycle.
 
 Each function reads the underlying simple graph from the multigraph's
-neighbour sets (`Multigraph.adj`).  Cycle enumeration walks
-`invariants.simple_paths`, and partition verification asks
-`invariants.require_shortest_cycle` about each stage.
+neighbour sets (`Multigraph.adj`), and the girth of each vertex set it asks
+about from `invariants.subgraph_girth`, which memoises it on the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Container, Iterator
 from itertools import chain
 
 from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, VertexNotInV0,
                      check_deadline)
-from .invariants import (
-    INFINITE_GIRTH,
-    CycleSeq,
-    ceil_div,
-    is_connected,
-    require_shortest_cycle,
-    shortest_cycle,
-    simple_paths,
-    subgraph_girth,
-)
+from .invariants import INFINITE_GIRTH, ceil_div, is_connected, subgraph_girth
 from .multigraph import Multigraph, Value, ring
 
 CYCLE_ENUMERATION_CAP = 10**6
+
+# (clause, least cycle length, outside path vertices, most C-neighbours), in report order
+_SHORT_CYCLE_CLAUSES = ((1, 5, 1, 1), (2, 7, 2, 1), (4, 6, 3, 2), (3, 8, 5, 2))
+
+
+class ShortCycleViolation(Value):
+    """One failed clause of the shortest-cycle neighborhood bounds."""
+
+    _fields = ("clause", "vertices", "value", "limit")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "clause": self.clause,
+            "vertices": list(self.vertices),
+            "value": self.value,
+            "limit": self.limit,
+        }
 
 
 class CyclePartition(Value):
@@ -43,12 +57,12 @@ class CyclePartition(Value):
         stages = []
         for cyc in self.cycles:
             stages.append(frozenset(remaining))
-            remaining -= cyc.vertex_set()
+            remaining -= frozenset(cyc)
         return stages
 
     def to_json_obj(self) -> dict:
         return {
-            "cycles": [list(c.vertices) for c in self.cycles],
+            "cycles": [list(c) for c in self.cycles],
             "v0": sorted(self.v0),
         }
 
@@ -79,22 +93,133 @@ class RingSubgraph(Value):
 
     def to_json_obj(self) -> dict:
         return {
-            "cycle": list(self.cycle.vertices),
+            "cycle": list(self.cycle),
             "multiplicities": list(self.multiplicities),
             "chi": self.chi,
         }
 
 
+def simple_paths(
+    G: Multigraph, first: int, allowed: Container[int], most: int
+) -> Iterator[list[int]]:
+    """Every simple path that starts at `first`, continues inside `allowed` and
+    has at most `most` vertices, in lexicographic order (prefixes first).
+
+    The walk keeps a stack of neighbour iterators, not the call stack, so a
+    path may be as long as the graph.  Each path is yielded as the walker's
+    own list, which the next step changes: callers copy what they keep.
+    """
+    adj = G.adj
+    steps: dict[int, list[int]] = {}  # sorted neighbours inside `allowed`, per vertex
+    path = [first]
+    on_path = {first}
+    stack = [iter(sorted(y for y in adj[first] if y in allowed))] if most > 1 else []
+    yield path
+    while stack:
+        for y in stack[-1]:
+            if y in on_path:
+                continue
+            path.append(y)
+            yield path
+            if len(path) < most:
+                on_path.add(y)
+                nxt = steps.get(y)
+                if nxt is None:
+                    nxt = steps[y] = sorted(x for x in adj[y] if x in allowed)
+                stack.append(iter(nxt))
+                break
+            path.pop()
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+
+
+def shortest_cycle(G: Multigraph, within: frozenset[int] | set[int]) -> tuple[int, ...] | None:
+    """Canonical shortest cycle of the subgraph induced on `within`, or None.
+
+    Tie-break among minimum-length cycles: each cycle is rotated/reflected to
+    start at its smallest vertex; the lexicographically least sequence wins.
+    Paths come in lex order, so that is the first closing path of g vertices
+    from the least start that has one.
+    """
+    within = frozenset(within)
+    g = subgraph_girth(G, within)
+    if g == INFINITE_GIRTH:
+        return None
+    for start in sorted(within):
+        closing = G.adj[start]
+        for path in simple_paths(G, start, {v for v in within if v > start}, g):
+            if len(path) == g and path[-1] in closing:
+                return tuple(path)
+    return None  # unreachable: finite girth guarantees a cycle
+
+
+def require_shortest_cycle(G: Multigraph, C: tuple[int, ...], within: frozenset[int]) -> None:
+    """Raise NotShortestCycle unless C is a shortest cycle of the subgraph on `within`."""
+    if len(C) < 3 or len(set(C)) != len(C):
+        raise NotShortestCycle("not a simple cycle sequence")
+    for v in C:
+        if v not in within:
+            raise NotShortestCycle(f"cycle vertex {v} outside the given vertex set")
+    for i in range(len(C)):
+        u, v = C[i], C[(i + 1) % len(C)]
+        if v not in G.adj[u]:
+            raise NotShortestCycle(f"consecutive vertices {u}, {v} not adjacent")
+    g = subgraph_girth(G, within)
+    if g != len(C):
+        raise NotShortestCycle(f"cycle has length {len(C)} but girth is {g}")
+
+
+def check_short_cycle_properties(
+    G: Multigraph, C: tuple[int, ...], within: frozenset[int] | set[int]
+) -> list[ShortCycleViolation]:
+    """Evaluate the neighbor-count bounds a shortest cycle forces on outside vertices.
+
+    Clauses, by cycle length threshold (all neighborhoods taken in the
+    subgraph induced on `within`):
+      1. |C| >= 5: every outside vertex has at most 1 neighbor on C.
+      2. |C| >= 7: every adjacent outside pair has at most 1 C-neighbor total.
+      3. |C| >= 8: every outside 5-vertex path has at most 2 C-neighbors total.
+      4. |C| >= 6: every outside 3-vertex path has at most 2 C-neighbors total.
+
+    Returns the list of violated clause instances (empty when all bounds hold;
+    they always hold for genuine shortest cycles, so any violation is a bug).
+    """
+    within = frozenset(within)
+    require_shortest_cycle(G, C, within)
+    cyc = frozenset(C)
+    outside = sorted(within - cyc)
+    ncount = {v: len(cyc & G.adj[v]) for v in outside}
+    violations: list[ShortCycleViolation] = []
+    for clause, least, k, limit in _SHORT_CYCLE_CLAUSES:
+        if len(C) < least:
+            continue
+        for p in _outside_paths(G, outside, k):
+            value = sum(ncount[v] for v in p)
+            if value > limit:
+                violations.append(ShortCycleViolation(clause, p, value, limit))
+    return violations
+
+
+def _outside_paths(G: Multigraph, outside: list[int], k: int) -> Iterator[tuple[int, ...]]:
+    """All simple k-vertex paths inside `outside`, one orientation per path."""
+    allowed = set(outside)
+    for v in outside:
+        for p in simple_paths(G, v, allowed, k):
+            if len(p) == k and p[0] <= p[-1]:
+                yield tuple(p)
+
+
 def cycle_partition(G: Multigraph) -> CyclePartition:
     """Greedy shortest-cycle peeling with the canonical cycle tie-break."""
     remaining = set(range(G.n))
-    cycles: list[CycleSeq] = []
+    cycles: list[tuple[int, ...]] = []
     while True:
         cyc = shortest_cycle(G, remaining)
         if cyc is None:
             break
         cycles.append(cyc)
-        remaining -= cyc.vertex_set()
+        remaining -= frozenset(cyc)
     return CyclePartition(tuple(cycles), frozenset(remaining))
 
 
@@ -107,7 +232,7 @@ def verify_cycle_partition(G: Multigraph, P: CyclePartition) -> list[str]:
             require_shortest_cycle(G, cyc, stage)
         except NotShortestCycle as exc:
             problems.append(f"cycle {idx}: {exc}")
-        remaining = stage - cyc.vertex_set()
+        remaining = stage - frozenset(cyc)
     if subgraph_girth(G, remaining) != INFINITE_GIRTH:
         problems.append("remainder V_0 is not acyclic")
     if remaining != P.v0:
@@ -130,7 +255,7 @@ def max_fan(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
     adj = G.adj
-    cyc = P.cycles[h].vertex_set()
+    cyc = frozenset(P.cycles[h])
     zone = P.v0 | cyc
     used: set[int] = set()  # vertices on a path, the apex excepted
     steps: set[tuple[int, int]] = set()
@@ -177,7 +302,7 @@ def max_fan(G: Multigraph, P: CyclePartition, v0: int, h: int) -> Fan | None:
     return Fan(v0, h, tuple(sorted(paths))) if paths else None
 
 
-def fan_bound_check(F: Fan, C_h: CycleSeq) -> bool:
+def fan_bound_check(F: Fan, C_h: tuple[int, ...]) -> bool:
     """True iff |T^0| >= (t-1)|C_h|/2 - (t-1) (compared exactly, doubled)."""
     t = F.t
     interior = len(F.interior_vertices())
@@ -190,19 +315,15 @@ def is_ring_graph(G: Multigraph) -> bool:
     return G.n >= 3 and all(len(nbrs) == 2 for nbrs in G.adj) and is_connected(G)
 
 
-def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[CycleSeq]:
+def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[tuple[int, ...]]:
     """All simple cycles of the underlying simple graph, canonically oriented,
-    sorted by (length, sequence).  The walk polls `deadline`."""
-    return [CycleSeq(c) for c in chain.from_iterable(_cycles_by_length(G, deadline))]
+    sorted by (length, sequence).
 
-
-def _cycles_by_length(G: Multigraph, deadline: float | None) -> list[list[tuple[int, ...]]]:
-    """The cycles of `enumerate_cycles` as vertex tuples, one list per length.
-
-    Each list is already in sequence order: the walk takes the least vertex
-    of a cycle as its start in increasing order, and `simple_paths` yields
-    each start's paths in lexicographic order.  So nothing is sorted after
-    the walk, which polls `deadline` at its first path and every 1,024th.
+    The walk groups its cycles by length, and each length's are already in
+    sequence order: it takes the least vertex of a cycle as its start in
+    increasing order, and `simple_paths` yields each start's paths in
+    lexicographic order.  So nothing is sorted after the walk, which polls
+    `deadline` at its first path and every 1,024th.
     """
     by_length: list[list[tuple[int, ...]]] = [[] for _ in range(G.n + 1)]
     found = walked = 0
@@ -221,7 +342,7 @@ def _cycles_by_length(G: Multigraph, deadline: float | None) -> list[list[tuple[
                     raise InstanceTooLarge(
                         f"more than {CYCLE_ENUMERATION_CAP} cycles in the underlying graph"
                     )
-    return by_length
+    return list(chain.from_iterable(by_length))
 
 
 def _ring_chi(mults: list[int]) -> int:
@@ -264,8 +385,7 @@ def find_ring_subgraph_with_chi(
     """
     if target < 1 or target > 3 * G.max_mult:
         return None
-    cycles = chain.from_iterable(_cycles_by_length(G, deadline))
-    for tried, cyc in enumerate(cycles):
+    for tried, cyc in enumerate(enumerate_cycles(G, deadline)):
         if not tried % DEADLINE_POLL_INTERVAL:
             check_deadline(deadline, "ring search")
         g = len(cyc)
@@ -281,5 +401,5 @@ def find_ring_subgraph_with_chi(
                 lo = mid + 1
         mults = _stepped(mults, lo)
         if _ring_chi(mults) == target:
-            return RingSubgraph(CycleSeq(cyc), tuple(mults), target)
+            return RingSubgraph(cyc, tuple(mults), target)
     return None

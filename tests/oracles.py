@@ -47,7 +47,6 @@ from steffenlab.errors import (
 from steffenlab.generators import _aut_edge_generators
 from steffenlab.invariants import (
     INFINITE_GIRTH,
-    CycleSeq,
     DensityWitness,
     _fewest_inside,
     ceil_div,
@@ -352,7 +351,7 @@ def max_fan_by_flow_network(G: Multigraph, P: CyclePartition, v0: int, h: int) -
     """
     if v0 not in P.v0:
         raise VertexNotInV0(f"vertex {v0} is not in the acyclic remainder")
-    cyc = P.cycles[h].vertex_set()
+    cyc = frozenset(P.cycles[h])
     zone = P.v0 | cyc
 
     # node ids: 2*v = v_in, 2*v + 1 = v_out; source = v0_out, sink = 2*n
@@ -660,9 +659,9 @@ def find_ring_by_solver(G: Multigraph, target: int) -> RingSubgraph | None:
         g = len(mults)
         return chromatic_index(build(g, [(i, (i + 1) % g, mults[i]) for i in range(g)]))[0]
 
-    for cyc in map(CycleSeq, all_cycles_by_bfs_style(G)):
+    for cyc in all_cycles_by_bfs_style(G):
         g = len(cyc)
-        mults = [G.mult(cyc.vertices[i], cyc.vertices[(i + 1) % g]) for i in range(g)]
+        mults = [G.mult(cyc[i], cyc[(i + 1) % g]) for i in range(g)]
         chi = ring_chi(mults)
         if chi == target:
             return RingSubgraph(cyc, tuple(mults), chi)

@@ -517,6 +517,27 @@ class TestErrors:
         assert err == "error: density enumeration needs n <= 22, got 100000\n"
         assert calls == []
 
+    def test_gs_mode_refuses_past_the_density_cap_after_one_bfs(self, capsys, monkeypatch):
+        # bipartiteness decides whether gs mode needs Gamma: its test starts a
+        # BFS only at a vertex with an edge, not at each of 99,997 isolated ones
+        import steffenlab.invariants as invariants_mod
+
+        sources = []
+        bfs_dist = invariants_mod.bfs_dist
+
+        def counted(G, allowed, src):
+            sources.append(src)
+            return bfs_dist(G, allowed, src)
+
+        monkeypatch.setattr(invariants_mod, "bfs_dist", counted)
+        text = "n 100000\ne 0 1 1\ne 0 2 1\ne 1 2 1\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert cli_main(["chi", "-", "--mode", "gs"]) == 2
+        err = capsys.readouterr().err
+        # the whole of stderr: density's message and no traceback
+        assert err == "error: density enumeration needs n <= 22, got 100000\n"
+        assert sources == [0]
+
     def test_multicycle_past_the_density_cap(self, tmp_path, capsys):
         # 3C_23: chi' = max(Delta, ceil(69 / 11)) = 7 > Delta = 6
         path = tmp_path / "3c23.mgr"
@@ -601,7 +622,7 @@ class TestOneBudget:
 
         pool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "graphs.py"))
         walks = []
-        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda *args: walks.append(args))
+        monkeypatch.setattr(structure_mod, "enumerate_cycles", lambda *args: walks.append(args))
         monkeypatch.setattr("sys.stdin", io.StringIO(pool["pool_graph"]("dense", 7)))
         assert cli_main(["ring-find", "-", "--target", "17", "--timeout", "5"]) == 0
         assert capsys.readouterr().out == '{"found": false, "ring": null}\n'

@@ -697,8 +697,8 @@ class TestTimeouts:
         assert message(sl.density, sl.mu_complete(14, 1)) == "density on n=14 exceeded budget"
         assert message(sl.enumerate_cycles, K52) == "cycle enumeration exceeded budget"
         # the walk polls before the loop over its cycles: hand the loop the walk's result
-        cycles = structure_mod._cycles_by_length(K52, None)
-        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda G, deadline: cycles)
+        cycles = structure_mod.enumerate_cycles(K52)
+        monkeypatch.setattr(structure_mod, "enumerate_cycles", lambda G, deadline: cycles)
         assert message(sl.find_ring_subgraph_with_chi, K52, 1) == "ring search exceeded budget"
 
     def test_doubled_even_complete_is_class_one(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steffenlab as sl
-from steffenlab import invariants
+from steffenlab import invariants, structure
 from steffenlab.errors import InstanceTooLarge, NotShortestCycle, SolverTimeout
 from steffenlab.generators import EnumSpec, enumerate_with_keys
 from steffenlab.invariants import is_bipartite
@@ -44,7 +44,7 @@ def long_cycle_graph(rng):
                 pairs.add(frozenset((u, v)))
     G = sl.build(n, [(*sorted(p), rng.randint(1, 2)) for p in pairs])
     within = frozenset(cycle) | {v for v in order[length:] if rng.random() < 0.85}
-    return G, sl.CycleSeq(tuple(cycle)), within
+    return G, tuple(cycle), within
 
 
 def clause_tuples(violations):
@@ -132,11 +132,11 @@ class TestShortestCycle:
         edges += [(5 + i, 5 + (i + 1) % 6, 1) for i in range(6)]
         G = sl.build(11, edges)
         cyc = sl.shortest_cycle(G, frozenset(range(11)))
-        assert cyc.vertices == (0, 1, 2, 3, 4)
+        assert cyc == (0, 1, 2, 3, 4)
 
     def test_petersen_canonical(self, petersen):
         cyc = sl.shortest_cycle(petersen, frozenset(range(10)))
-        assert cyc.vertices == brute_force_shortest_cycle(petersen, set(range(10))) == (0, 1, 2, 3, 4)
+        assert cyc == brute_force_shortest_cycle(petersen, set(range(10))) == (0, 1, 2, 3, 4)
 
     def test_tree_has_none(self):
         G = sl.build(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)])
@@ -144,11 +144,11 @@ class TestShortestCycle:
 
     def test_respects_within(self, petersen):
         cyc = sl.shortest_cycle(petersen, frozenset(range(5, 10)))
-        assert cyc.vertices == (5, 7, 9, 6, 8)
+        assert cyc == (5, 7, 9, 6, 8)
 
     def test_long_cycle(self):
         cyc = sl.shortest_cycle(sl.mu_cycle(1500, 1), frozenset(range(1500)))
-        assert cyc.vertices == tuple(range(1500))
+        assert cyc == tuple(range(1500))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -156,7 +156,7 @@ class TestShortestCycle:
         G = sl.random_multigraph(random.Random(seed), n_max=8, mu_max=2)
         got = sl.shortest_cycle(G, frozenset(range(G.n)))
         want = brute_force_shortest_cycle(G, set(range(G.n)))
-        assert (got.vertices if got else None) == want
+        assert got == want
 
 
 class TestSimplePaths:
@@ -170,7 +170,7 @@ class TestSimplePaths:
         first = rng.randrange(G.n)
         allowed = {v for v in range(G.n) if rng.random() < 0.8}
         most = rng.randint(1, G.n)
-        got = [tuple(p) for p in invariants.simple_paths(G, first, allowed, most)]
+        got = [tuple(p) for p in structure.simple_paths(G, first, allowed, most)]
         rest = sorted(allowed - {first})
         want = sorted(
             (first, *p)
@@ -319,7 +319,7 @@ class TestMemo:
         bfs = self.count_calls(monkeypatch, "_bfs_girth")
         G = sl.mu_cycle(7, 2)
         assert sl.girth(G) == 7
-        assert sl.shortest_cycle(G, range(G.n)).vertices == tuple(range(7))
+        assert sl.shortest_cycle(G, range(G.n)) == tuple(range(7))
         assert bfs == Counter({G: 1})
         # the whole graph's girth is the memo's entry for its vertex set
         assert G.memo == {frozenset(range(7)): 7}
@@ -408,7 +408,7 @@ class TestSteffenBound:
 class TestShortCycleProperties:
     def test_petersen_outer_cycle_clean(self, petersen):
         out = sl.check_short_cycle_properties(
-            petersen, sl.CycleSeq((0, 1, 2, 3, 4)), frozenset(range(10))
+            petersen, (0, 1, 2, 3, 4), frozenset(range(10))
         )
         assert out == []
 
@@ -417,13 +417,13 @@ class TestShortCycleProperties:
         G = sl.build(7, edges)
         with pytest.raises(NotShortestCycle):
             sl.check_short_cycle_properties(
-                G, sl.CycleSeq((0, 1, 2, 3, 4, 5)), frozenset(range(7))
+                G, (0, 1, 2, 3, 4, 5), frozenset(range(7))
             )
 
     def test_invalid_cycle_rejected(self, petersen):
         with pytest.raises(NotShortestCycle):
             sl.check_short_cycle_properties(
-                petersen, sl.CycleSeq((0, 1, 2, 3, 9)), frozenset(range(10))
+                petersen, (0, 1, 2, 3, 9), frozenset(range(10))
             )
 
     def test_randomized_emptiness(self):
@@ -441,28 +441,28 @@ class TestShortCycleProperties:
     def test_clauses_match_oracle_on_long_cycles(self, monkeypatch):
         # a cycle that is not shortest can break every clause: with the
         # shortest-cycle check off, each clause must fail exactly as the oracle says
-        monkeypatch.setattr(invariants, "require_shortest_cycle", lambda *args: None)
+        monkeypatch.setattr(structure, "require_shortest_cycle", lambda *args: None)
         rng = random.Random(20261018)
         fired = set()
         for _ in range(300):
             G, C, within = long_cycle_graph(rng)
             got = clause_tuples(sl.check_short_cycle_properties(G, C, within))
-            assert got == short_cycle_violations_by_permutation(G, C.vertices, within)
+            assert got == short_cycle_violations_by_permutation(G, C, within)
             fired.update(clause for clause, *_ in got)
         assert fired == {1, 2, 3, 4}
 
     def test_clause_3_alone(self, monkeypatch):
         # 8-cycle 0..7 and the outside path 8-9-10-11-12 touching it at 0, 2
         # and 4: three C-neighbours on a 5-path, at most two on any shorter one
-        monkeypatch.setattr(invariants, "require_shortest_cycle", lambda *args: None)
+        monkeypatch.setattr(structure, "require_shortest_cycle", lambda *args: None)
         edges = [(i, (i + 1) % 8, 1) for i in range(8)]
         edges += [(8, 9, 1), (9, 10, 1), (10, 11, 1), (11, 12, 1)]
         edges += [(0, 8, 1), (2, 10, 1), (4, 12, 1)]
         G = sl.build(13, edges)
-        C = sl.CycleSeq(tuple(range(8)))
+        C = tuple(range(8))
         got = clause_tuples(sl.check_short_cycle_properties(G, C, range(13)))
         assert got == [(3, (8, 9, 10, 11, 12), 3, 2)]
-        assert got == short_cycle_violations_by_permutation(G, C.vertices, range(13))
+        assert got == short_cycle_violations_by_permutation(G, C, range(13))
 
     def test_clause_detection_on_forged_input(self):
         # monkeypatch-free negative: clause logic flags a hand-built violation
@@ -474,5 +474,5 @@ class TestShortCycleProperties:
         # girth is 4 here (0,1,2,5), so the 5-cycle is rightly rejected
         with pytest.raises(NotShortestCycle):
             sl.check_short_cycle_properties(
-                G, sl.CycleSeq((0, 1, 2, 3, 4)), frozenset(range(6))
+                G, (0, 1, 2, 3, 4), frozenset(range(6))
             )

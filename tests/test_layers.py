@@ -50,3 +50,32 @@ def test_load_time_imports(module):
 
 def test_structure_imports_no_solver_at_any_depth():
     assert package_imports(PACKAGE / "structure.py", anywhere=True) == LAYERS["structure"]
+
+
+# the cycle layer: every name of it is defined in `structure`
+CYCLE_LAYER = {
+    "simple_paths",
+    "shortest_cycle",
+    "require_shortest_cycle",
+    "check_short_cycle_properties",
+    "_outside_paths",
+    "ShortCycleViolation",
+    "_SHORT_CYCLE_CLAUSES",
+}
+
+
+def top_level_names(path: Path) -> set[str]:
+    """The names a module's top-level statements define or assign."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_structure_owns_the_cycle_layer():
+    assert CYCLE_LAYER <= top_level_names(PACKAGE / "structure.py")
+    assert not {*CYCLE_LAYER, "CycleSeq"} & top_level_names(PACKAGE / "invariants.py")

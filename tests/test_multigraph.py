@@ -336,10 +336,9 @@ class TestParseAnyContract:
 
 
 # one value of each `Value` class, made by position as the package makes them
-_C5 = sl.CycleSeq((0, 1, 2, 3, 4))
+_C5 = (0, 1, 2, 3, 4)
 VALUES = [
     sl.mu_cycle(5, 3),
-    sl.CycleSeq((0, 1, 2)),
     sl.EdgeColoring(1, (((0, 1),),)),
     sl.DensityWitness(8, (0, 1, 2, 3, 4)),
     sl.ShortCycleViolation(1, (0, 1, 2, 3, 4), 2, 1),

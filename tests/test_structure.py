@@ -27,10 +27,33 @@ def fan_graph():
     )
 
 
+class TestCyclesAreTuples:
+    """A cycle is the tuple of its vertices: it starts at its least vertex
+    and goes on towards the smaller of that vertex's cycle neighbours."""
+
+    def test_every_cycle_search_returns_plain_tuples(self, petersen):
+        cycles = [
+            sl.shortest_cycle(petersen, range(5, 10)),
+            *enumerate_cycles(petersen)[:3],
+            *sl.cycle_partition(petersen).cycles,
+            sl.find_ring_subgraph_with_chi(petersen, 2).cycle,
+        ]
+        assert [type(c) for c in cycles] == [tuple] * len(cycles)
+        assert cycles == [
+            (5, 7, 9, 6, 8),
+            (0, 1, 2, 3, 4),
+            (0, 1, 2, 7, 5),
+            (0, 1, 6, 8, 5),
+            (0, 1, 2, 3, 4),
+            (5, 7, 9, 6, 8),
+            (0, 1, 2, 3, 8, 5),
+        ]
+
+
 class TestCyclePartition:
     def test_petersen_two_cycles(self, petersen):
         P = sl.cycle_partition(petersen)
-        assert [c.vertices for c in P.cycles] == [(0, 1, 2, 3, 4), (5, 7, 9, 6, 8)]
+        assert P.cycles == ((0, 1, 2, 3, 4), (5, 7, 9, 6, 8))
         assert P.v0 == frozenset()
         assert sl.verify_cycle_partition(petersen, P) == []
 
@@ -51,7 +74,7 @@ class TestCyclePartition:
     def test_verify_catches_non_shortest(self, petersen):
         # a 6-cycle of Petersen is not shortest at stage 0
         forged = sl.CyclePartition(
-            (sl.CycleSeq((0, 1, 6, 9, 7, 5)),), frozenset(range(10)) - {0, 1, 6, 9, 7, 5}
+            ((0, 1, 6, 9, 7, 5),), frozenset(range(10)) - {0, 1, 6, 9, 7, 5}
         )
         assert any("girth" in p for p in sl.verify_cycle_partition(petersen, forged))
 
@@ -111,7 +134,7 @@ class TestMaxFan:
                 for h in range(len(P.cycles)):
                     fan = sl.max_fan(G, P, v0, h)
                     want = max_disjoint_paths_oracle(
-                        G, v0, set(P.v0), P.cycles[h].vertex_set()
+                        G, v0, set(P.v0), frozenset(P.cycles[h])
                     )
                     assert (fan.t if fan else 0) == want
 
@@ -125,7 +148,7 @@ class TestMaxFan:
                     fan = sl.max_fan(G, P, v0, h)
                     if fan is None:
                         continue
-                    cyc = P.cycles[h].vertex_set()
+                    cyc = frozenset(P.cycles[h])
                     seen_interior = set()
                     seen_ends = set()
                     for path in fan.paths:
@@ -179,12 +202,12 @@ class TestFanBound:
 
     def test_one_fan_trivial(self):
         fan = sl.Fan(0, 0, ((0, 3),))
-        assert sl.fan_bound_check(fan, sl.CycleSeq((3, 4, 5))) is True
+        assert sl.fan_bound_check(fan, (3, 4, 5)) is True
 
     def test_constructed_negative(self):
         # hand-built object: t=3 direct paths into a 6-cycle, interior = apex only
         fan = sl.Fan(9, 0, ((9, 0), (9, 2), (9, 4)))
-        assert sl.fan_bound_check(fan, sl.CycleSeq((0, 1, 2, 3, 4, 5))) is False
+        assert sl.fan_bound_check(fan, (0, 1, 2, 3, 4, 5)) is False
 
     def test_always_holds_on_real_fans(self):
         rng = random.Random(79)
@@ -225,13 +248,13 @@ class TestCycleEnumeration:
         rng = random.Random(80)
         graphs = [sl.random_multigraph(rng, n_max=7, mu_max=1) for _ in range(40)]
         for G in [*graphs, sl.mu_complete(7, 2), petersen]:
-            got = [c.vertices for c in enumerate_cycles(G)]
+            got = enumerate_cycles(G)
             assert got == all_cycles_by_bfs_style(G)
 
     def test_long_cycle(self):
         # the walk keeps its path on an explicit stack, not the call stack
         (cycle,) = enumerate_cycles(sl.mu_cycle(1500, 1))
-        assert cycle.vertices == tuple(range(1500))
+        assert cycle == tuple(range(1500))
 
     def test_petersen_cycle_count(self, petersen):
         cycles = enumerate_cycles(petersen)
@@ -261,7 +284,7 @@ class TestFindRingSubgraph:
         assert ring is not None
         assert ring.chi == chi
         # witness multiplicities never exceed the host graph's
-        vs = ring.cycle.vertices
+        vs = ring.cycle
         for i, m in enumerate(ring.multiplicities):
             assert m <= G.mult(vs[i], vs[(i + 1) % len(vs)])
 
@@ -278,7 +301,7 @@ class TestFindRingSubgraph:
     def test_target_three_mu_is_searched(self):
         # 3C3: ceil(9 / 1) = 9 = 3 mu, the most any ring with mu = 3 reaches
         ring = sl.find_ring_subgraph_with_chi(sl.mu_cycle(3, 3), 9)
-        assert ring == sl.RingSubgraph(sl.CycleSeq((0, 1, 2)), (3, 3, 3), 9)
+        assert ring == sl.RingSubgraph((0, 1, 2), (3, 3, 3), 9)
 
     def test_witness_chi_revalidated_by_solver(self):
         rng = random.Random(81)
@@ -306,8 +329,8 @@ class TestRingSearchDeadline:
     def test_expired_deadline_stops_the_cycle_loop(self, monkeypatch):
         import steffenlab.structure as structure_mod
 
-        cycles = structure_mod._cycles_by_length(sl.mu_complete(5, 2), None)
-        monkeypatch.setattr(structure_mod, "_cycles_by_length", lambda G, deadline: cycles)
+        cycles = structure_mod.enumerate_cycles(sl.mu_complete(5, 2))
+        monkeypatch.setattr(structure_mod, "enumerate_cycles", lambda G, deadline: cycles)
         with pytest.raises(SolverTimeout, match="ring search exceeded budget"):
             sl.find_ring_subgraph_with_chi(
                 sl.mu_complete(5, 2), 1, deadline=time.monotonic() - 1.0
