@@ -9,8 +9,7 @@ from importlib import import_module
 
 # submodule -> the names it re-exports
 _EXPORTS = {
-    "multigraph": "Multigraph build from_json_obj induced parse parse_any ring serialize "
-    "to_json_obj",
+    "multigraph": "Multigraph build from_json_obj induced parse parse_any ring serialize",
     "invariants": "INFINITE_GIRTH DensityWitness density girth steffen_bound subgraph_girth",
     "coloring": "DegreeIdentityReport EdgeColoring MatchingDecomposition chromatic_index "
     "chromatic_index_value degree_identity_check extract_critical is_critical is_k_colorable "

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .errors import ConfigError, GraphError
-from .multigraph import parse_any, serialize, to_json_obj
+from .multigraph import parse_any, serialize
 
 
 def _read_graph(source: str):
@@ -79,8 +79,7 @@ def _cmd_chi(G, args) -> int:
 def _cmd_density(G, args) -> int:
     from .invariants import density
 
-    w = density(G)
-    print(json.dumps({"gamma": w.gamma, "witness": list(w.witness)}))
+    print(json.dumps(density(G).to_json_obj()))
     return 0
 
 
@@ -91,15 +90,8 @@ def _cmd_critical(G, args) -> int:
     # one criticality pass: extraction walks the pairs once, resuming where it
     # last took a copy, and its core is G itself iff G is critical
     core = extract_critical(G, chi=chi, deadline=args.deadline)
-    print(
-        json.dumps(
-            {
-                "chi": chi,
-                "isCritical": core == G,
-                "criticalSubgraph": to_json_obj(core),
-            }
-        )
-    )
+    print(json.dumps({"chi": chi, "isCritical": core == G,
+                      "criticalSubgraph": core.to_json_obj()}))
     return 0
 
 

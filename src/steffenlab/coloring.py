@@ -45,9 +45,6 @@ class EdgeColoring(Value):
 
     _fields = ("k", "classes")
 
-    def to_json_obj(self) -> dict:
-        return {"k": self.k, "classes": [[[u, v] for u, v in cls] for cls in self.classes]}
-
 
 class MatchingDecomposition(Value):
     """Color classes of G-e that are all near-perfect matchings."""

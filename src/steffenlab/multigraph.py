@@ -1,8 +1,11 @@
 """Immutable values, loopless multigraphs and MGR text/JSON serialization.
 
-The graphs, cycles, colorings, partitions, fans and rings the package
-returns are `Value`s, made from their fields by position and never changed
-after.  Vertices are dense integers 0..n-1.  Parallel edges are stored as a
+The graphs, colorings, partitions, fans and rings the package returns are
+`Value`s, made from their fields by position and never changed after.  A
+value's JSON form is `to_json_obj()`: its fields by name, in order, with
+tuples written as lists and a frozenset as a sorted list.  A graph's is
+{"n": count, "edges": [[u, v, mult], ...]}, which `from_json_obj` reads
+back.  Vertices are dense integers 0..n-1.  Parallel edges are stored as a
 multiplicity per unordered pair, never as individual copies; a coloring
 lists a pair of multiplicity m in m of its color classes.  Graph values are
 safe to share between concurrent workers.
@@ -66,6 +69,14 @@ class Value:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
+
+    def to_json_obj(self) -> dict:
+        """The JSON form: {field: value} in `_fields` order, a frozenset field
+        sorted; `json` writes the tuples as lists."""
+        return {
+            name: sorted(value) if isinstance(value, frozenset) else value
+            for name, value in zip(self._fields, self._key())
+        }
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -215,10 +226,6 @@ def parse(text: str) -> Multigraph:
     if n is None:
         raise ParseError("missing 'n' line", 1)
     return build(n, triples)
-
-
-def to_json_obj(G: Multigraph) -> dict:
-    return {"n": G.n, "edges": [[u, v, m] for u, v, m in G.edges]}
 
 
 def from_json_obj(obj: dict) -> Multigraph:

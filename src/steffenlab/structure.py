@@ -26,7 +26,7 @@ from itertools import chain
 from .errors import (DEADLINE_POLL_INTERVAL, InstanceTooLarge, NotShortestCycle, VertexNotInV0,
                      check_deadline)
 from .invariants import INFINITE_GIRTH, ceil_div, is_connected, subgraph_girth
-from .multigraph import Multigraph, Value, ring
+from .multigraph import Multigraph, Value
 
 CYCLE_ENUMERATION_CAP = 10**6
 
@@ -38,14 +38,6 @@ class ShortCycleViolation(Value):
     """One failed clause of the shortest-cycle neighborhood bounds."""
 
     _fields = ("clause", "vertices", "value", "limit")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "clause": self.clause,
-            "vertices": list(self.vertices),
-            "value": self.value,
-            "limit": self.limit,
-        }
 
 
 class CyclePartition(Value):
@@ -59,12 +51,6 @@ class CyclePartition(Value):
             stages.append(frozenset(remaining))
             remaining -= frozenset(cyc)
         return stages
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cycles": [list(c) for c in self.cycles],
-            "v0": sorted(self.v0),
-        }
 
 
 class Fan(Value):
@@ -86,17 +72,6 @@ class Fan(Value):
 
 class RingSubgraph(Value):
     _fields = ("cycle", "multiplicities", "chi")
-
-    def to_multigraph(self) -> Multigraph:
-        """Standalone ring on vertices 0..len-1 in cycle order."""
-        return ring(len(self.cycle), self.multiplicities)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cycle": list(self.cycle),
-            "multiplicities": list(self.multiplicities),
-            "chi": self.chi,
-        }
 
 
 def simple_paths(

@@ -204,7 +204,7 @@ class TestSubcommands:
 
     def test_density(self, c53_file):
         proc = run_cli(["density", c53_file])
-        assert json.loads(proc.stdout) == {"gamma": 8, "witness": [0, 1, 2, 3, 4]}
+        assert proc.stdout == '{"gamma": 8, "witness": [0, 1, 2, 3, 4]}\n'
 
     def test_critical(self, c53_file):
         proc = run_cli(["critical", c53_file])
@@ -214,7 +214,7 @@ class TestSubcommands:
 
     def test_partition(self, c53_file):
         proc = run_cli(["partition", c53_file])
-        assert json.loads(proc.stdout) == {"cycles": [[0, 1, 2, 3, 4]], "v0": []}
+        assert proc.stdout == '{"cycles": [[0, 1, 2, 3, 4]], "v0": []}\n'
 
     def test_ring_find(self, c53_file):
         proc = run_cli(["ring-find", c53_file, "--target", "8"])
@@ -243,7 +243,7 @@ class TestSubcommands:
 
     def test_json_input_accepted(self, tmp_path):
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(sl.to_json_obj(sl.mu_cycle(5, 3))))
+        path.write_text(json.dumps(sl.mu_cycle(5, 3).to_json_obj()))
         proc = run_cli(["chi", str(path)])
         assert proc.stdout.strip() == "8"
 
@@ -583,7 +583,7 @@ class TestOneBudget:
         assert cli_main(["critical", "-", "--timeout", "9"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["chi"] == 8 and out["isCritical"] is critical
-        assert out["criticalSubgraph"]["edges"] == sl.to_json_obj(sl.mu_cycle(5, 3))["edges"]
+        assert sl.from_json_obj(out["criticalSubgraph"]).edges == sl.mu_cycle(5, 3).edges
         assert len(deadlines["density"]) == 1 and len(deadlines["_search"]) == decisions
         assert len(set(deadlines["_search"] + deadlines["density"])) == 1
         assert start + 9 <= deadlines["_search"][0] <= time.monotonic() + 9

@@ -223,7 +223,7 @@ class TestSerialization:
 
     def test_json_roundtrip(self):
         G = sl.mu_cycle(5, 3)
-        assert sl.from_json_obj(json.loads(json.dumps(sl.to_json_obj(G)))) == G
+        assert sl.from_json_obj(json.loads(json.dumps(G.to_json_obj()))) == G
 
     @pytest.mark.parametrize(
         "obj",
@@ -257,7 +257,7 @@ class TestSerialization:
 
     def test_parse_any_detects_json(self):
         G = sl.mu_cycle(3, 2)
-        assert sl.parse_any(json.dumps(sl.to_json_obj(G))) == G
+        assert sl.parse_any(json.dumps(G.to_json_obj())) == G
         assert sl.parse_any(sl.serialize(G)) == G
 
     @given(triples())
@@ -348,6 +348,20 @@ VALUES = [
     sl.Fan(5, 0, ((5, 0), (5, 6, 2))),
     sl.RingSubgraph(_C5, (3, 3, 3, 3, 3), 8),
 ]
+# each value's `json.dumps(value.to_json_obj())`, by class: the printed and
+# written forms of graphs, colourings, clause violations, partitions and rings
+JSON_FORMS = {
+    "Multigraph": '{"n": 5, "edges": [[0, 1, 3], [0, 4, 3], [1, 2, 3], [2, 3, 3], [3, 4, 3]]}',
+    "EdgeColoring": '{"k": 1, "classes": [[[0, 1]]]}',
+    "DensityWitness": '{"gamma": 8, "witness": [0, 1, 2, 3, 4]}',
+    "ShortCycleViolation": '{"clause": 1, "vertices": [0, 1, 2, 3, 4], "value": 2, "limit": 1}',
+    "MatchingDecomposition":
+        '{"classes": [[[0, 1]], [[1, 2]], [[0, 2]]], "missed_vertex": [2, 0, 1]}',
+    "DegreeIdentityReport": '{"residuals": [0, 0, 0], "min_degree_bound": "not-applicable"}',
+    "CyclePartition": '{"cycles": [[0, 1, 2, 3, 4]], "v0": [5]}',
+    "Fan": '{"apex": 5, "cycle_index": 0, "paths": [[5, 0], [5, 6, 2]]}',
+    "RingSubgraph": '{"cycle": [0, 1, 2, 3, 4], "multiplicities": [3, 3, 3, 3, 3], "chi": 8}',
+}
 
 
 class TestGraphValue:
@@ -426,3 +440,11 @@ class TestGraphValue:
             cls(*fields, None)
         with pytest.raises(TypeError):
             cls(*fields[:-1])
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_one_json_form_names_the_fields(self, value):
+        # `Value.to_json_obj` is the only definition: no class writes its own
+        obj = value.to_json_obj()
+        assert json.dumps(obj) == JSON_FORMS[type(value).__name__]
+        assert tuple(obj) == value._fields
+        assert "to_json_obj" not in vars(type(value))

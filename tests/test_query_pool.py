@@ -1,11 +1,14 @@
-"""`chi` and `critical` on every graph of the benchmark's `queries` pool.
+"""Every command of the benchmark's `queries` pool on every graph whose class
+lists it: `invariants`, `chi`, `critical`, `partition` and `ring-find`.
 
-Each query runs through `cli_main` with the benchmark's `--timeout 5` and must
-print the output recorded in `perfbench/golden/queries.json`.  Where that file
-holds no `chi` (the reference search ran out of its budget), the answer must
-be the maximum degree, proved by a witness that validates.  The pool generator
-`perfbench/graphs.py` runs from its source text, so nothing is written beside
-it.
+Each query runs through `cli_main` with the benchmark's arguments
+(`--timeout 5` for the solver-bound commands, and the golden chi' as
+`ring-find`'s `--target`) and must print the output recorded in
+`perfbench/golden/queries.json`.  Where that file holds no `chi` (the
+reference search ran out of its budget), the answer must be the maximum
+degree, proved by a witness that validates.  The pool generator
+`perfbench/graphs.py` runs from its source text, so nothing is written
+beside it.
 """
 
 from __future__ import annotations
@@ -47,11 +50,13 @@ def test_pool_answers_match_golden(tmp_path):
     problems, queries, unanswered = [], 0, 0
     for cls, index, mgr in pool["pool"]():
         entry = golden[_digest(mgr)]
-        for cmd in ("chi", "critical"):
-            if cmd not in pool["CLASSES"][cls][1]:
-                continue
+        for cmd in pool["CLASSES"][cls][1]:
             queries += 1
-            argv = [cmd, "-", "--timeout", TIMEOUT]
+            argv = [cmd, "-"]
+            if cmd == "ring-find":
+                argv += ["--target", str(entry["chi"])]
+            if cmd in ("chi", "critical", "ring-find"):
+                argv += ["--timeout", TIMEOUT]
             expected = entry["out"][cmd]
             if expected is None:
                 unanswered += 1
@@ -70,4 +75,4 @@ def test_pool_answers_match_golden(tmp_path):
                 if int(out.split()[0]) != max(G.degrees) or not sl.validate_coloring(G, coloring):
                     problems.append(f"{cls} {index} {cmd}: {out.split()[0]} not witnessed as Delta")
     assert problems == []
-    assert (queries, unanswered) == (506, 4)  # no golden chi: dense 16, 30, 45, 56
+    assert (queries, unanswered) == (1325, 4)  # no golden chi: dense 16, 30, 45, 56
