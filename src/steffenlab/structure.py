@@ -321,12 +321,12 @@ def enumerate_cycles(G: Multigraph, deadline: float | None = None) -> list[tuple
 
 
 def _ring_chi(mults: list[int]) -> int:
-    """chi' of the ring with multiplicities `mults` around its cycle, in closed form:
-    max(Delta, ceil(m / floor(g/2))).
+    """chi' of the ring with multiplicities `mults`: max(Delta, ceil(m / floor(g/2))).
 
-    An odd ring's whole vertex set is a density witness.  An even ring is
-    bipartite, so chi' = Delta (Koenig), and the formula agrees: Delta is at
-    least 2m/g, the mean of the g degrees.
+    Odd g: the vertex set is a density witness, so chi' >= the formula.  A ring has no K4
+    minor, so chi' = max(Delta, Gamma) by Seymour, "Colouring series-parallel graphs",
+    Combinatorica 10 (1990), 379-392; any other odd set spans paths, of density <= Delta.
+    Even g: the ring is bipartite, so chi' = Delta (Koenig) >= 2m/g, the mean degree.
     """
     g = len(mults)
     delta_max = max(mults[i - 1] + mults[i] for i in range(g))

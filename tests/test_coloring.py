@@ -18,14 +18,12 @@ from steffenlab.coloring import (
     chromatic_index_value,
 )
 from steffenlab.errors import CoverageMismatch, InstanceTooLarge, PreconditionFailed, SolverTimeout
-from steffenlab.generators import EnumSpec, enumerate_with_keys, graph_from_key
+from steffenlab.generators import graph_from_key
 from oracles import (
     brute_force_chi,
-    drop_keeping_chi_by_rebuild,
     extract_critical_by_rebuild,
     is_critical_by_rebuild,
     minus_one_copy,
-    search_static_order,
     witness_by_sorting,
 )
 
@@ -260,17 +258,16 @@ class TestCriticalityWithoutRebuild:
 
     BUDGET_SECONDS = 10.0
 
-    def test_exhaustive_small_corpus(self):
-        # every class on 2..5 vertices with mu <= 3 (10,687 classes); on the
-        # critical ones with chi' >= Delta + 2, every pair's decomposition
-        # also colors G - e as the built graph's decision does
-        spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
+    def test_exhaustive_small_corpus(self, decision_corpus):
+        # on the critical classes with chi' >= Delta + 2, every pair's
+        # decomposition also colors G - e as the built graph's decision does
         critical = high = pairs = 0
-        for key, G in enumerate_with_keys(spec):
+        for key, G, _, chi, minus_one in decision_corpus:
             deadline = time.monotonic() + self.BUDGET_SECONDS
-            chi = sl.chromatic_index(G, deadline=deadline)[0]
-            want = drop_keeping_chi_by_rebuild(G, chi, deadline)
-            # the walk's first decision that finds no (chi' - 1)-coloring takes the copy
+            # the oracle's first G - e with no (chi' - 1)-coloring: the walk
+            # takes a copy first at that decision
+            drops = (minus_one_copy(G, u, v) for (u, v, _), ok in zip(G.edges, minus_one) if not ok)
+            want = next(drops, None)
             taken = (edges for edges, masks in _reductions(G, chi, deadline) if masks is None)
             assert next(taken, None) == (want and want.edges), key
             assert sl.is_critical(G, chi=chi, deadline=deadline) == (want is None), key
@@ -349,50 +346,31 @@ class TestCriticalityWithoutRebuild:
         assert sl.extract_critical(K, chi=8) == core
         assert built == [core]
 
-    def test_one_decision_per_pair_and_removed_copy(self, monkeypatch):
+    def test_one_decision_per_pair_and_removed_copy(self, searches):
         # a pair that lowered chi' still lowers it in every subgraph, so the
         # walk never decides a pair again after it moves past it
-        from steffenlab import coloring
-
         G = sl.parse_any(DENSE_18)
         chi = chromatic_index_value(G)
-        calls = []
-        search = coloring._search
-        monkeypatch.setattr(
-            coloring, "_search", lambda *args: calls.append(args) or search(*args)
-        )
+        searches.clear()
         core = sl.extract_critical(G, chi=chi)
-        assert len(calls) <= len(G.edges) + G.edge_count - core.edge_count
-        monkeypatch.setattr(coloring, "_search", search)
+        assert len(searches) <= len(G.edges) + G.edge_count - core.edge_count
         assert core == extract_critical_by_rebuild(G)
 
 
 class TestValueOnlyAscent:
     """chromatic_index_value runs the ascent of chromatic_index and builds no witness."""
 
-    def test_exhaustive_small_corpus(self, monkeypatch):
-        # every class on 2..5 vertices with mu <= 3 (10,687 classes): the same
-        # chi' from the same decisions, under the same deadline
-        from steffenlab import coloring
-
-        decisions = []
-        search = coloring._search
-
-        def logged(n, edges, degrees, k, deadline):
-            decisions.append((edges, k, deadline))
-            return search(n, edges, degrees, k, deadline)
-
-        monkeypatch.setattr(coloring, "_search", logged)
-        spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
+    def test_exhaustive_small_corpus(self, decision_corpus, searches):
+        # the oracle's chi' from the same decisions, under the same deadline
         deadline = time.monotonic() + 600
         count = 0
-        for key, G in enumerate_with_keys(spec):
-            decisions.clear()
+        for key, G, _, want, _ in decision_corpus:
+            searches.clear()
             chi = chromatic_index_value(G, deadline)
-            value_decisions = decisions[:]
-            decisions.clear()
-            assert chi == sl.chromatic_index(G, deadline=deadline)[0], key
-            assert value_decisions == decisions, key
+            value_decisions = searches[:]
+            searches.clear()
+            assert chi == sl.chromatic_index(G, deadline=deadline)[0] == want, key
+            assert value_decisions == searches, key
             count += 1
         assert count == 10687
 
@@ -425,21 +403,10 @@ class TestPetersenMinusVertex:
         assert sl.chromatic_index(G)[0] == 4
         assert sl.is_critical(G) is True
 
-    def test_two_decisions(self, monkeypatch):
+    def test_two_decisions(self, searches):
         # the ascent starts at max(Delta, Gamma) = 3, which is refuted
-        from steffenlab import coloring
-
-        decisions = []
-        search = coloring._search
-
-        def logged(n, edges, degrees, k, deadline):
-            masks = search(n, edges, degrees, k, deadline)
-            decisions.append((k, masks is not None))
-            return masks
-
-        monkeypatch.setattr(coloring, "_search", logged)
         assert chromatic_index_value(graph_from_key(PETERSEN_MINUS_VERTEX)) == 4
-        assert decisions == [(3, False), (4, True)]
+        assert [(call.k, call.masks is not None) for call in searches] == [(3, False), (4, True)]
 
 
 class TestDynamicOrderSearch:
@@ -451,35 +418,25 @@ class TestDynamicOrderSearch:
     # the sha256 of every witness the corpus walk below gets, in its order
     WITNESS_DIGEST = "d4ea4f62307b9796f67bf770737cba8f0348336293c692b3ba550ba0254e3065"
 
-    def _decides_like_oracle(self, G, k):
-        witness = sl.is_k_colorable(G, k, time.monotonic() + self.BUDGET_SECONDS)
-        want = search_static_order(G.n, G.edges, G.degrees, k, None)
-        assert (witness is None) == (want is None), (sl.serialize(G), k)
-        assert witness is None or sl.validate_coloring(G, witness)
-        return witness
-
-    def test_exhaustive_small_corpus(self):
-        # every class on 2..5 vertices with mu <= 3 (10,687 classes): each k
-        # in Delta..Delta+mu, then each G - e at chi' - 1; the digest pins
-        # the witnesses themselves, not only which decisions are feasible
-        spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
+    def test_exhaustive_small_corpus(self, decision_corpus):
+        # every decision of the corpus, in its order; the digest pins the
+        # witnesses themselves, not only which decisions are feasible
         ascent = 0
         digest = hashlib.sha256()
 
-        def decide(G, k):
-            witness = self._decides_like_oracle(G, k)
+        def decide(G, k, want):
+            witness = sl.is_k_colorable(G, k, time.monotonic() + self.BUDGET_SECONDS)
+            assert (witness is not None) == want, (sl.serialize(G), k)
+            assert witness is None or sl.validate_coloring(G, witness)
             obj = None if witness is None else witness.to_json_obj()
             digest.update(json.dumps(obj).encode() + b"\n")
-            return witness is not None
 
-        for _, G in enumerate_with_keys(spec):
-            delta = max(G.degrees)
-            ks = range(delta, delta + G.max_mult + 1)
-            feasible = [decide(G, k) for k in ks]
+        for _, G, feasible, chi, minus_one in decision_corpus:
+            for k, want in enumerate(feasible, max(G.degrees)):
+                decide(G, k, want)
             ascent += len(feasible)
-            chi = delta + feasible.index(True)
-            for u, v, _ in G.edges:
-                decide(minus_one_copy(G, u, v), chi - 1)
+            for (u, v, _), want in zip(G.edges, minus_one):
+                decide(minus_one_copy(G, u, v), chi - 1, want)
         assert ascent == 41924
         assert digest.hexdigest() == self.WITNESS_DIGEST
 
@@ -591,22 +548,20 @@ class TestMatchingDecomposition:
             covered = {x for pair in cls for x in pair}
             assert covered == set(range(5)) - {miss}
 
-    def test_one_decision_and_no_graph(self, monkeypatch):
+    def test_one_decision_and_no_graph(self, searches, monkeypatch):
         # with chi' given, G - e is one decision on its edge list
         import steffenlab.multigraph as mg
-        from steffenlab import coloring
 
         G = sl.mu_cycle(5, 3)
-        calls, built = [], []
-        search, init = coloring._search, mg.Multigraph.__init__
-        monkeypatch.setattr(coloring, "_search", lambda *args: calls.append(args) or search(*args))
+        built = []
+        init = mg.Multigraph.__init__
         monkeypatch.setattr(
             mg.Multigraph, "__init__", lambda H, *args: built.append(H) or init(H, *args)
         )
         dec = sl.near_perfect_matching_decomposition(G, (1, 2), assume_critical=True, chi=8)
         assert len(dec.classes) == 7
         assert built == []
-        ((n, edges, degrees, k, deadline),) = calls
+        ((n, edges, degrees, k, deadline, _),) = searches
         assert (n, k, deadline) == (5, 7, None)
         assert edges == minus_one_copy(G, 1, 2).edges
         assert list(degrees) == [6, 5, 5, 6, 6]

@@ -934,7 +934,7 @@ class TestLemmaSuite:
         assert violations == [{"suite": "random", "index": 3, "check": "partition", "problems": ["x"]}]
         assert line == ""
 
-    def test_critical_suite_decides_each_g_minus_e_once(self, monkeypatch):
+    def test_critical_suite_decides_each_g_minus_e_once(self, searches):
         # 5C9 is critical with 9 pairs: the suite makes the ascent's decisions
         # and the criticality walk's 9, and reads each pair's classes from the
         # walk instead of deciding its G - e again
@@ -942,20 +942,17 @@ class TestLemmaSuite:
         from steffenlab.scan import _critical_checks
 
         G = sl.mu_cycle(9, 5)
-        calls = []
-        search = coloring._search
-        monkeypatch.setattr(coloring, "_search", lambda *a: calls.append(a) or search(*a))
         sl.chromatic_index_value(G)
-        ascent = len(calls)
-        calls.clear()
+        ascent = len(searches)
+        searches.clear()
         counts, violations, line = _critical_checks(60.0, "k", G)
         assert counts["criticalHighChi"] == 1 and counts["decompositionsChecked"] == 9
         assert violations == [] and line == "crit|k|12\n"
-        assert len(calls) == ascent + 9
-        assert [edges for _, edges, _, k, _ in calls[ascent:]] == [
+        assert len(searches) == ascent + 9
+        assert [call.edges for call in searches[ascent:]] == [
             coloring._less_one_copy(G.edges, G.degrees, i)[0] for i in range(9)
         ]
-        assert {k for *_, k, _ in calls[ascent:]} == {11}
+        assert {call.k for call in searches[ascent:]} == {11}
 
     def test_failed_replace_keeps_old_report(self, tmp_path, monkeypatch):
         cfg = ScanConfig(enum_spec=small_spec(n_max=3), output_path=str(tmp_path / "r.json"),

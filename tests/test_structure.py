@@ -381,6 +381,18 @@ class TestHypothesisWitnesses:
         assert sl.is_critical(G, chi=chi)
         assert not sl.is_ring_graph(G)
 
+    def test_girth_at_least_5_is_needed(self):
+        # one of the fewest-copy (28) critical classes on 7 vertices with
+        # girth 4: chi' = Delta + 2 reaches Steffen's bound, and it is no ring
+        G = graph_from_key("07.010003000004000003040003000401020000000300")
+        assert (sl.girth(G), max(G.degrees), G.max_mult, G.n) == (4, 8, 4, 7)
+        chi = chromatic_index_value(G)
+        assert sl.steffen_bound(G) == chi == max(G.degrees) + 2 == 10
+        assert sl.is_critical(G, chi=chi)
+        assert not sl.is_ring_graph(G)
+        # girth is the only hypothesis of the theorem that fails
+        assert in_theorem_regime(8, 4, 5, 10) and not in_theorem_regime(8, 4, 4, 10)
+
 
 class TestRingClosedForm:
     """The closed-form search finds the solver search's ring for every target."""
