@@ -89,7 +89,7 @@ def _cmd_critical(G, args) -> int:
     chi = chromatic_index_value(G, deadline=args.deadline)
     # one criticality pass: extraction walks the pairs once, resuming where it
     # last took a copy, and its core is G itself iff G is critical
-    core = extract_critical(G, chi=chi, deadline=args.deadline)
+    core = extract_critical(G, deadline=args.deadline)
     print(json.dumps({"chi": chi, "isCritical": core == G,
                       "criticalSubgraph": core.to_json_obj()}))
     return 0

@@ -15,9 +15,11 @@ its other sets is built only once the search backtracks to it.
 `chromatic_index` turns the color masks of its feasible decision into a
 witness coloring; `chromatic_index_value` runs the same ascent for callers
 that keep chi' alone, and assembles none.
-Criticality and the matching decomposition decide each G - e on a bare edge
-list; criticality walks the pairs once, never returning to a pair whose
-removal lowered chi', as it lowers chi' in every subgraph too (`_reductions`).
+Criticality decides each G - e on a bare edge list; it walks the pairs once,
+never returning to a pair whose removal lowered chi', as it lowers chi' in
+every subgraph too (`_reductions`).  G's memo keeps chi' ("chi") and that
+walk ("walk": each G - e with its (chi' - 1)-coloring, None unless G is
+critical), and the matching decomposition and degree identity read them.
 Each function takes `deadline`, one time.monotonic() instant or None, and
 hands it to every density call and decision it makes; its caller starts the
 budget.  A decision uses at most COLOR_CAP colors.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from itertools import combinations
+from itertools import combinations, takewhile
 
 from .errors import (DEADLINE_POLL_INTERVAL, CoverageMismatch, InstanceTooLarge,
                      PreconditionFailed, check_deadline)
@@ -229,16 +231,20 @@ def chromatic_index(
     Gamma <= Delta, so max(Delta, Gamma) = Delta at any order.  Mode "search"
     also skips it above density's vertex cap, starting at Delta: any lower
     bound on chi' gives the same first feasible k.  Density and every
-    decision share the one `deadline`.
+    decision share the one `deadline`.  The chi' found is memoised on G.
     """
     k, masks = _ascent(G, mode, deadline)
+    G.memo["chi"] = k
     return k, _witness(G.edges, k, masks)
 
 
 def chromatic_index_value(G: Multigraph, deadline: float | None = None) -> int:
-    """chi'(G) alone: the ascent of `chromatic_index`, with the same decisions
-    and deadline polls, but no witness coloring assembled."""
-    return _ascent(G, "search", deadline)[0]
+    """chi'(G) alone, memoised on G: the ascent of `chromatic_index`, with the
+    same decisions and deadline polls, but no witness coloring assembled."""
+    memo = G.memo
+    if "chi" not in memo:
+        memo["chi"] = _ascent(G, "search", deadline)[0]
+    return memo["chi"]
 
 
 def _ascent(G: Multigraph, mode: str, deadline: float | None) -> tuple[int, list[int]]:
@@ -264,33 +270,41 @@ def _ascent(G: Multigraph, mode: str, deadline: float | None) -> tuple[int, list
     raise PreconditionFailed("vizing-gupta", "no coloring within Delta + mu colors")
 
 
-def is_critical(
-    G: Multigraph, chi: int | None = None, deadline: float | None = None
-) -> bool:
+def is_critical(G: Multigraph, deadline: float | None = None) -> bool:
     """True iff removing any single copy of any pair lowers the chromatic index.
 
     Single-copy deletion suffices: deleting more copies only lowers chi'
     further, and vertex deletion is edge deletion plus isolated vertices.
     So G is critical iff the walk of `extract_critical` takes no copy.
     """
-    return all(masks is not None for _, masks in _reductions(G, chi, deadline))
+    return _critical_walk(G, deadline) is not None
 
 
-def _reductions(G: Multigraph, chi: int | None, deadline: float | None) -> Iterator[_Decision]:
+def _critical_walk(G: Multigraph, deadline: float | None) -> tuple[_Decision, ...] | None:
+    """Every pair's G - e and its (chi' - 1)-coloring masks, in serialized
+    order, when G is critical, else None; memoised on G unless SolverTimeout.
+    `_reductions` stops at its first G - e that keeps chi', as `all` would."""
+    memo = G.memo
+    if "walk" not in memo:
+        chi = chromatic_index_value(G, deadline)
+        walk = tuple(takewhile(lambda step: step[1] is not None, _reductions(G, chi, deadline)))
+        memo["walk"] = walk if len(walk) == len(G.edges) else None
+    return memo["walk"]
+
+
+def _reductions(G: Multigraph, chi: int, deadline: float | None) -> Iterator[_Decision]:
     """Each decision of the walk of `extract_critical`, in order: G - e and the
     masks of a (chi - 1)-coloring of it, or None when the walk takes the copy.
 
     The walk goes through the pairs in serialized order.  It takes a copy of
-    the current pair while that removal leaves chi' = chi (by default chi'(G)),
-    and moves on once the removal lowers chi': it then lowers chi' in every
-    later subgraph too, since G' ⊆ G makes G' - e ⊆ G - e.  Each G - e is an
-    edge list and a degree vector, and no graph is built for it; one that keeps
-    a vertex of degree >= chi needs chi colors, and `_search` settles it at entry.
+    the current pair while that removal leaves chi' = chi, and moves on once
+    the removal lowers chi': it then lowers chi' in every later subgraph too,
+    since G' ⊆ G makes G' - e ⊆ G - e.  Each G - e is an edge list and a
+    degree vector, and no graph is built for it; one that keeps a vertex of
+    degree >= chi needs chi colors, and `_search` settles it at entry.
     """
     if not G.edges:
         raise PreconditionFailed("nonempty", "criticality needs at least one edge")
-    if chi is None:
-        chi = chromatic_index_value(G, deadline=deadline)
     edges, degrees, i = G.edges, G.degrees, 0
     while i < len(edges):
         reduced, left = _less_one_copy(edges, degrees, i)
@@ -311,9 +325,7 @@ def _less_one_copy(edges: _Edges, degrees: Sequence[int], i: int) -> tuple[_Edge
     return edges[:i] + (((u, v, m - 1),) if m > 1 else ()) + edges[i + 1 :], left
 
 
-def extract_critical(
-    G: Multigraph, chi: int | None = None, deadline: float | None = None
-) -> Multigraph:
+def extract_critical(G: Multigraph, deadline: float | None = None) -> Multigraph:
     """Greedily delete copies whose removal preserves chi' until none remains.
 
     Scans pairs in serialized order for reproducibility; the result is a
@@ -321,48 +333,39 @@ def extract_critical(
     The scan is one pass (`_reductions`): it decides each pair once, plus once
     per copy it takes, and builds one graph, the result.
     """
+    chi = chromatic_index_value(G, deadline)
     taken = [edges for edges, masks in _reductions(G, chi, deadline) if masks is None]
     return Multigraph(G.n, taken[-1]) if taken else G
 
 
-def _lemma_chi(
-    G: Multigraph, chi: int | None, critical_known: bool, deadline: float | None
-) -> int:
-    """chi'(G), or `chi` when given, once the structural lemmas' shared hypotheses
-    hold: chi' >= Delta + 2, and G critical unless the caller asserts it."""
-    if chi is None:
-        chi = chromatic_index_value(G, deadline=deadline)
+def _lemma_chi(G: Multigraph, deadline: float | None) -> int:
+    """chi'(G), once the structural lemmas' shared hypotheses hold: chi' >=
+    Delta + 2 and G critical."""
+    chi = chromatic_index_value(G, deadline)
     delta_max = max(G.degrees, default=0)
     if chi < delta_max + 2:
         raise PreconditionFailed("chi-ge-delta-plus-2", f"chi'={chi}, Delta={delta_max}")
-    if not critical_known and not is_critical(G, chi=chi, deadline=deadline):
+    if not is_critical(G, deadline):
         raise PreconditionFailed("critical", "graph is not critical")
     return chi
 
 
 def near_perfect_matching_decomposition(
-    G: Multigraph,
-    e: tuple[int, int],
-    assume_critical: bool = False,
-    chi: int | None = None,
-    deadline: float | None = None,
+    G: Multigraph, e: tuple[int, int], deadline: float | None = None
 ) -> MatchingDecomposition:
     """Partition E(G-e) into chi'-1 near-perfect matchings.
 
     Requires G critical with chi' >= Delta + 2 and n odd.  Any proper
-    (chi'-1)-coloring of G-e works, here the decision `is_critical` makes on
-    its edge list: every class has (n-1)/2 edges, so misses one vertex.
+    (chi'-1)-coloring of G-e works, here the one the criticality walk found
+    (`_critical_walk`): every class has (n-1)/2 edges, so misses one vertex.
     """
     u, v = min(e), max(e)
     if G.mult(u, v) < 1:
         raise PreconditionFailed("edge-exists", f"pair ({u}, {v}) absent")
     if G.n % 2 == 0:
         raise PreconditionFailed("n-odd", f"n={G.n} is even")
-    chi = _lemma_chi(G, chi, assume_critical, deadline)
-    reduced, left = _less_one_copy(G.edges, G.degrees, G.edges.index((u, v, G.mult(u, v))))
-    masks = _search(G.n, reduced, left, chi - 1, deadline)
-    if masks is None:
-        raise PreconditionFailed("decomposition", f"G-e has no ({chi - 1})-coloring")
+    chi = _lemma_chi(G, deadline)
+    reduced, masks = _critical_walk(G, deadline)[G.edges.index((u, v, G.mult(u, v)))]
     return _near_perfect_classes(G.n, reduced, chi - 1, masks)
 
 
@@ -379,12 +382,7 @@ def _near_perfect_classes(n: int, edges: _Edges, k: int, masks: list[int]) -> Ma
     return MatchingDecomposition(classes, tuple(missed))
 
 
-def degree_identity_check(
-    G: Multigraph,
-    chi: int | None = None,
-    check_critical: bool = True,
-    deadline: float | None = None,
-) -> DegreeIdentityReport:
+def degree_identity_check(G: Multigraph, deadline: float | None = None) -> DegreeIdentityReport:
     """Residuals of d(v) = sum_{w != v}(chi'-1-d(w)) + 2, plus the min-degree bound.
 
     The residual of every vertex is the same number, 2|E| - (n-1)(chi'-1) - 2.
@@ -392,7 +390,7 @@ def degree_identity_check(
     the values of G are in the theorem's regime (`in_theorem_regime`); it is
     checked for all such g and reported "not-applicable" when no g qualifies.
     """
-    chi = _lemma_chi(G, chi, not check_critical, deadline)
+    chi = _lemma_chi(G, deadline)
     residual = sum(G.degrees) - (G.n - 1) * (chi - 1) - 2
 
     delta_max, delta_min = max(G.degrees), min(G.degrees)

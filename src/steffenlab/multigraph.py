@@ -18,7 +18,7 @@ vector, the edge count and the largest multiplicity are set by the
 constructor's loop that checks the triples; the pair map and the neighbour
 sets of the underlying simple graph (`adj`) are cached properties, built on
 first use; values computed elsewhere (girth per induced vertex set,
-bipartiteness, density) go in `memo`.  None of them takes part in equality,
+bipartiteness, density, chi' and the criticality walk) go in `memo`.  None of them takes part in equality,
 hashing or repr, and all of them travel with a pickled graph.
 """
 

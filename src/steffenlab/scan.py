@@ -23,14 +23,13 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 
 from .coloring import (
-    _near_perfect_classes,
-    _reductions,
     chromatic_index_value,
     degree_identity_check,
     is_critical,
+    near_perfect_matching_decomposition,
 )
 from .errors import ConfigError, PreconditionFailed, SolverTimeout
 from .generators import (
@@ -146,7 +145,7 @@ def compute_record(key: str, G: Multigraph, config: ScanConfig) -> dict:
         record["chi"] = chi
         record["achievesBound"] = chi == record["steffenBound"]
         record["chiGEDeltaPlus2"] = chi >= delta_max + 2
-        record["isCritical"] = is_critical(G, chi=chi, deadline=deadline) if G.edges else False
+        record["isCritical"] = is_critical(G, deadline=deadline) if G.edges else False
         if _ring_gate(config, record):
             ring = find_ring_subgraph_with_chi(G, chi, deadline=deadline)
             record["ringFound"] = ring is not None
@@ -435,27 +434,22 @@ def run_lemma_suite(config: ScanConfig, seed: int) -> dict:
 def _critical_checks(budget: float, key: str, G: Multigraph) -> tuple[dict, list, str]:
     """The critical suite on one graph: its counts, its violations and its
     digest line, which is empty unless G is critical with chi' >= Delta + 2.
-    One deadline covers chi' and the walk whose masks give each G - e's classes."""
+    One deadline covers chi' and the criticality walk, whose masks the
+    decompositions and the degree identity read from G's memo."""
     counts, violations, line = {"graphs": 1}, [], ""
     where = {"suite": "critical", "graphKey": key}
     deadline = time.monotonic() + budget
     try:
         chi = chromatic_index_value(G, deadline=deadline)
-        if chi < max(G.degrees, default=0) + 2:  # always for an edgeless graph
-            return counts, violations, line
-        # the walk (`_reductions`) stops at its first G - e that keeps chi', so
-        # it colors every pair's G - e iff G is critical
-        walk = list(takewhile(lambda step: step[1] is not None, _reductions(G, chi, deadline)))
-        if len(walk) < len(G.edges):
+        # an edgeless graph has chi' = 0 and stops at the first test
+        if chi < max(G.degrees, default=0) + 2 or not is_critical(G, deadline=deadline):
             return counts, violations, line
         counts.update(criticalHighChi=1, decompositionsChecked=0)
         line = f"crit|{key}|{chi}\n"
-        if G.n % 2 == 0:
-            raise PreconditionFailed("n-odd", f"n={G.n} is even")
-        for reduced, masks in walk:
-            _near_perfect_classes(G.n, reduced, chi - 1, masks)
+        for u, v, _ in G.edges:  # the first raises n-odd for an even G
+            near_perfect_matching_decomposition(G, (u, v), deadline=deadline)
             counts["decompositionsChecked"] += 1
-        report = degree_identity_check(G, chi=chi, check_critical=False)
+        report = degree_identity_check(G, deadline=deadline)
         counts["residualVectorsChecked"] = 1
         if any(report.residuals):
             violations.append(_violation(where, "degree-identity", residuals=list(report.residuals)))
@@ -567,4 +561,4 @@ def _critical_in_regime(G: Multigraph, budget: float) -> bool:
         return False
     deadline = time.monotonic() + budget  # one budget for chi and criticality
     chi = chromatic_index_value(G, deadline=deadline)
-    return in_theorem_regime(*values, chi) and is_critical(G, chi=chi, deadline=deadline)
+    return in_theorem_regime(*values, chi) and is_critical(G, deadline=deadline)

@@ -34,7 +34,10 @@ def decision_corpus() -> tuple[DecidedClass, ...]:
     """Every class on 2..5 vertices with mu <= 3 (10,687 classes), each k in
     Delta..Delta+mu, then each G - e at chi' - 1: 122,084 decisions, each
     answered once by `search_static_order`.  Only the answers are kept; a
-    test builds each G - e it needs with `minus_one_copy`."""
+    test builds each G - e it needs with `minus_one_copy`.  The graphs are
+    shared by the whole session, and chi' and the criticality walk are
+    memoised on a graph, so a test that counts or checks the library's
+    decisions on them takes a fresh `Multigraph(G.n, G.edges)`."""
     spec = EnumSpec(n_min=2, n_max=5, max_mu=3, girth_min=3, max_edge_copies=30)
     corpus = []
     for key, G in enumerate_with_keys(spec):

@@ -263,6 +263,7 @@ class TestCriticalityWithoutRebuild:
         # decomposition also colors G - e as the built graph's decision does
         critical = high = pairs = 0
         for key, G, _, chi, minus_one in decision_corpus:
+            G = sl.Multigraph(G.n, G.edges)  # a copy with nothing memoised
             deadline = time.monotonic() + self.BUDGET_SECONDS
             # the oracle's first G - e with no (chi' - 1)-coloring: the walk
             # takes a copy first at that decision
@@ -270,7 +271,7 @@ class TestCriticalityWithoutRebuild:
             want = next(drops, None)
             taken = (edges for edges, masks in _reductions(G, chi, deadline) if masks is None)
             assert next(taken, None) == (want and want.edges), key
-            assert sl.is_critical(G, chi=chi, deadline=deadline) == (want is None), key
+            assert sl.is_critical(G, deadline=deadline) == (want is None), key
             critical += want is None
             # extraction resumes the same walk; its full comparison on the
             # classes with at most 12 copies keeps the test short
@@ -280,9 +281,7 @@ class TestCriticalityWithoutRebuild:
             if want is None and chi >= max(G.degrees) + 2:
                 high += 1
                 for u, v, _ in G.edges:
-                    dec = sl.near_perfect_matching_decomposition(
-                        G, (u, v), assume_critical=True, chi=chi, deadline=deadline
-                    )
+                    dec = sl.near_perfect_matching_decomposition(G, (u, v), deadline=deadline)
                     built = sl.is_k_colorable(minus_one_copy(G, u, v), chi - 1, deadline)
                     assert dec.classes == built.classes, (key, u, v)
                     pairs += 1
@@ -302,7 +301,9 @@ class TestCriticalityWithoutRebuild:
     def test_edge_cases(self, G):
         chi = sl.chromatic_index(G)[0]
         for k in range(chi + 2):  # a given chi need not be chi'
-            assert sl.is_critical(G, chi=k) == is_critical_by_rebuild(G, k)
+            walk = _reductions(G, k, None)
+            assert all(masks is not None for _, masks in walk) == is_critical_by_rebuild(G, k)
+        assert sl.is_critical(G) == is_critical_by_rebuild(G, chi)
         assert sl.extract_critical(G) == extract_critical_by_rebuild(G)
 
     def test_named_edge_case_answers(self):
@@ -316,13 +317,15 @@ class TestCriticalityWithoutRebuild:
     def test_degree_settles_before_a_search(self):
         # two disjoint K_{1,3}: every G - e keeps the other star's centre at
         # degree chi' = 3, so the decision's entry test answers each one; a
-        # search would poll the spent deadline at its first node and raise
+        # search would poll the spent deadline at its first node and raise;
+        # chi' is memoised first, so only the walk runs under that deadline
         G = sl.build(8, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 5, 1), (4, 6, 1), (4, 7, 1)])
+        assert chromatic_index_value(G) == 3
         spent = time.monotonic() - 1
         walk = _reductions(G, 3, spent)
         want = [(G.edges[1:], None), (G.edges[2:], None), (G.edges[3:], None)]
         assert [next(walk) for _ in range(3)] == want
-        assert not sl.is_critical(G, chi=3, deadline=spent)
+        assert not sl.is_critical(G, deadline=spent)
 
     def test_no_graph_per_decision(self, monkeypatch):
         import steffenlab.multigraph as mg
@@ -335,26 +338,78 @@ class TestCriticalityWithoutRebuild:
         monkeypatch.setattr(
             mg.Multigraph, "__init__", lambda G, *args: built.append(G) or init(G, *args)
         )
-        assert sl.is_critical(G, chi=8)
-        assert not sl.is_critical(H, chi=8)
+        assert sl.is_critical(G)
+        assert not sl.is_critical(H)
         assert built == []
         assert sl.extract_critical(H) == core
         assert built == [core]  # only the G - e that was kept
         # copies go from two pairs, one of which vanishes: still one graph
         K = sl.build(6, [(0, 1, 4), *G.edges[1:], (0, 5, 1)])
         built.clear()
-        assert sl.extract_critical(K, chi=8) == core
+        assert sl.extract_critical(K) == core
         assert built == [core]
 
     def test_one_decision_per_pair_and_removed_copy(self, searches):
         # a pair that lowered chi' still lowers it in every subgraph, so the
         # walk never decides a pair again after it moves past it
         G = sl.parse_any(DENSE_18)
-        chi = chromatic_index_value(G)
+        chromatic_index_value(G)  # memoised: the extraction makes no ascent
         searches.clear()
-        core = sl.extract_critical(G, chi=chi)
+        core = sl.extract_critical(G)
         assert len(searches) <= len(G.edges) + G.edge_count - core.edge_count
         assert core == extract_critical_by_rebuild(G)
+
+
+class TestMemoisedChiAndWalk:
+    """chi' and the criticality walk are values of the graph, kept in its memo:
+    decided once, never after a timeout, and no part of the graph's value."""
+
+    def test_second_call_decides_nothing(self, searches):
+        G = sl.mu_cycle(5, 3)
+        H = sl.build(6, [*G.edges, (0, 5, 1)])  # 3C5 plus a pendant edge: not critical
+        for graph, critical in ((G, True), (H, False)):
+            assert chromatic_index_value(graph) == 8
+            assert sl.is_critical(graph) is critical
+            assert searches
+            searches.clear()
+            assert chromatic_index_value(graph) == 8
+            assert sl.is_critical(graph) is critical
+            assert searches == []
+        # `chromatic_index` records the chi' it proves
+        K = sl.mu_cycle(5, 3)
+        sl.chromatic_index(K)
+        searches.clear()
+        assert chromatic_index_value(K) == 8 and searches == []
+
+    def test_timeout_memoises_nothing(self, monkeypatch):
+        from steffenlab import coloring
+
+        G = sl.mu_cycle(5, 3)
+        with pytest.raises(SolverTimeout):
+            sl.is_critical(G, deadline=time.monotonic() - 1)
+        assert "chi" not in G.memo and "walk" not in G.memo
+        # a walk that runs out at its third G - e, once chi' is memoised
+        assert chromatic_index_value(G) == 8
+        search, calls = coloring._search, []
+
+        def third_runs_out(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise SolverTimeout("k=7 decision exceeded budget")
+            return search(*args)
+
+        monkeypatch.setattr(coloring, "_search", third_runs_out)
+        with pytest.raises(SolverTimeout):
+            sl.is_critical(G)
+        monkeypatch.setattr(coloring, "_search", search)
+        assert "walk" not in G.memo
+        assert sl.is_critical(G) is True
+
+    def test_memo_is_not_part_of_the_value(self):
+        G, fresh = sl.mu_cycle(5, 3), sl.mu_cycle(5, 3)
+        assert sl.is_critical(G)
+        assert set(G.memo) >= {"chi", "walk"} and not fresh.memo
+        assert G == fresh and hash(G) == hash(fresh) and repr(G) == repr(fresh)
 
 
 class TestValueOnlyAscent:
@@ -365,6 +420,7 @@ class TestValueOnlyAscent:
         deadline = time.monotonic() + 600
         count = 0
         for key, G, _, want, _ in decision_corpus:
+            G = sl.Multigraph(G.n, G.edges)  # a copy with nothing memoised
             searches.clear()
             chi = chromatic_index_value(G, deadline)
             value_decisions = searches[:]
@@ -549,22 +605,29 @@ class TestMatchingDecomposition:
             assert covered == set(range(5)) - {miss}
 
     def test_one_decision_and_no_graph(self, searches, monkeypatch):
-        # with chi' given, G - e is one decision on its edge list
+        # the criticality walk decides G - e once, on its edge list, and the
+        # decomposition reads that decision's masks from G's memo
         import steffenlab.multigraph as mg
 
         G = sl.mu_cycle(5, 3)
+        assert sl.is_critical(G)
+        G_minus_e = minus_one_copy(G, 1, 2)
+        ((n, degrees, k, deadline),) = [
+            (call.n, call.degrees, call.k, call.deadline)
+            for call in searches if call.edges == G_minus_e.edges
+        ]
+        assert (n, k, deadline) == (5, 7, None)
+        assert list(degrees) == [6, 5, 5, 6, 6]
+        want = sl.is_k_colorable(G_minus_e, 7).classes
+        searches.clear()
         built = []
         init = mg.Multigraph.__init__
         monkeypatch.setattr(
             mg.Multigraph, "__init__", lambda H, *args: built.append(H) or init(H, *args)
         )
-        dec = sl.near_perfect_matching_decomposition(G, (1, 2), assume_critical=True, chi=8)
-        assert len(dec.classes) == 7
-        assert built == []
-        ((n, edges, degrees, k, deadline, _),) = searches
-        assert (n, k, deadline) == (5, 7, None)
-        assert edges == minus_one_copy(G, 1, 2).edges
-        assert list(degrees) == [6, 5, 5, 6, 6]
+        dec = sl.near_perfect_matching_decomposition(G, (1, 2))
+        assert built == [] and searches == []
+        assert dec.classes == want
 
     def test_rejects_chi_delta_plus_1(self):
         with pytest.raises(PreconditionFailed) as err:
@@ -602,7 +665,9 @@ class TestDegreeIdentity:
 
     def test_residual_off_the_identity(self):
         # chi' = 9 is not 3C5's: 2|E| - (n-1)(chi'-1) - 2 = 30 - 32 - 2 at every vertex
-        report = sl.degree_identity_check(sl.mu_cycle(5, 3), chi=9, check_critical=False)
+        G = sl.mu_cycle(5, 3)
+        G.memo["chi"] = 9
+        report = sl.degree_identity_check(G)
         assert report.residuals == (-4,) * 5
 
 

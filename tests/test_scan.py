@@ -900,12 +900,12 @@ class TestLemmaSuite:
         assert kernel == [extra]
 
     def test_precondition_failure_is_a_violation(self, tmp_path, monkeypatch):
-        import steffenlab.scan as scan_mod
+        import steffenlab.coloring as coloring_mod
 
         def not_near_perfect(*args):
             raise PreconditionFailed("near-perfect", "forced")
 
-        monkeypatch.setattr(scan_mod, "_near_perfect_classes", not_near_perfect)
+        monkeypatch.setattr(coloring_mod, "_near_perfect_classes", not_near_perfect)
         config = {
             "enumSpec": EnumSpec(n_min=2, n_max=2, max_edge_copies=1).to_json_obj(),
             "outputPath": str(tmp_path / "r.json"),
@@ -937,14 +937,15 @@ class TestLemmaSuite:
     def test_critical_suite_decides_each_g_minus_e_once(self, searches):
         # 5C9 is critical with 9 pairs: the suite makes the ascent's decisions
         # and the criticality walk's 9, and reads each pair's classes from the
-        # walk instead of deciding its G - e again
+        # walk instead of deciding its G - e again.  chi' is memoised, so the
+        # ascent is counted on a separate copy of 5C9
         from steffenlab import coloring
         from steffenlab.scan import _critical_checks
 
-        G = sl.mu_cycle(9, 5)
-        sl.chromatic_index_value(G)
+        sl.chromatic_index_value(sl.mu_cycle(9, 5))
         ascent = len(searches)
         searches.clear()
+        G = sl.mu_cycle(9, 5)
         counts, violations, line = _critical_checks(60.0, "k", G)
         assert counts["criticalHighChi"] == 1 and counts["decompositionsChecked"] == 9
         assert violations == [] and line == "crit|k|12\n"

@@ -359,7 +359,7 @@ class TestTheoremReduction:
     def test_extract_critical_gives_an_odd_ring(self, G, core):
         chi = chromatic_index_value(G)
         assert in_theorem_regime(max(G.degrees), G.max_mult, sl.girth(G), chi)
-        reduced = sl.extract_critical(G, chi=chi)
+        reduced = sl.extract_critical(G)
         H = sl.induced(reduced, [v for v in range(G.n) if reduced.degrees[v]])
         assert sl.is_critical(H)
         assert sl.is_ring_graph(H) and H.n % 2 == 1
@@ -378,7 +378,7 @@ class TestHypothesisWitnesses:
         assert (sl.girth(G), max(G.degrees), G.max_mult) == (5, 3, 2)
         chi = chromatic_index_value(G)
         assert sl.steffen_bound(G) == chi == max(G.degrees) + 1 == 4
-        assert sl.is_critical(G, chi=chi)
+        assert sl.is_critical(G)
         assert not sl.is_ring_graph(G)
 
     def test_girth_at_least_5_is_needed(self):
@@ -388,7 +388,7 @@ class TestHypothesisWitnesses:
         assert (sl.girth(G), max(G.degrees), G.max_mult, G.n) == (4, 8, 4, 7)
         chi = chromatic_index_value(G)
         assert sl.steffen_bound(G) == chi == max(G.degrees) + 2 == 10
-        assert sl.is_critical(G, chi=chi)
+        assert sl.is_critical(G)
         assert not sl.is_ring_graph(G)
         # girth is the only hypothesis of the theorem that fails
         assert in_theorem_regime(8, 4, 5, 10) and not in_theorem_regime(8, 4, 4, 10)
